@@ -1,11 +1,27 @@
 """Direct numerical evolution of the tangent flow T_t = T x T_ss from a
 regular-polygon tangent datum, with plateau measurement at rational times.
 
-Scheme: method of lines with second-order periodic central differences
-for T_ss and classical fourth-order explicit time stepping, dt =
-dt_factor * ds^2 (the last step is shortened to land exactly on the
-target time).  Every sample is renormalized to the unit sphere after
-every step.  The scheme is fully deterministic for a given config.
+Scheme: method of lines with second-order central differences for T_ss
+and classical fourth-order explicit time stepping, dt = dt_factor * ds^2
+(the last step is shortened to land exactly on the target time).  Every
+sample is renormalized to the unit sphere after every step.  The scheme
+is fully deterministic for a given config.
+
+The right-hand side is evaluated as T x (T+ + T-) / ds^2, where T+ and
+T- are the neighbouring samples.  It equals T x T_ss, because the
+-2T / ds^2 term of the central difference drops out of the cross
+product (T x T = 0).
+
+Fundamental-domain evolution.  The polygon datum, the flow and the
+discrete scheme all commute with the symmetry "shift by m = n/M samples
+and rotate by R = 2*pi/M about z".  A field with T[j + m] = R T[j] keeps
+that symmetry, so only its first m samples are stepped.  They sit in a
+preallocated structure-of-arrays buffer of shape (3, m + 2), whose two
+ghost cells are filled with R^-1 T[m - 1] and R T[0] before every RHS
+stage, and the full field is unfolded once at the end as
+T[k*m + j] = R^k T[j].  evolve checks the symmetry on its input (max abs
+deviation <= 1e-12); a field without it is stepped whole with R = I and
+m = n, through the same code.
 
 The initial tangent is sampled as exactly piecewise constant, jumps
 between grid cells, with no mollification; that Gibbs-like transition
@@ -34,7 +50,7 @@ __all__ = [
     "CurveSample",
     "PolygonAngleReport",
     "initial_tangent",
-    "second_derivative",
+    "Workspace",
     "flow_rhs",
     "rk4_step",
     "evolve",
@@ -77,8 +93,8 @@ class SimulationConfig:
             raise ValueError(f"p must be positive (forward time), got {self.p}")
         if gcd(self.p, self.q) != 1:
             raise NotCoprime(f"p/q = {self.p}/{self.q} is not irreducible")
-        if self.dt_factor <= 0:
-            raise ValueError(f"dt_factor must be positive, got {self.dt_factor}")
+        if not (math.isfinite(self.dt_factor) and self.dt_factor > 0):
+            raise ValueError(f"dt_factor must be positive and finite, got {self.dt_factor}")
         if self.scheme not in _SUPPORTED_SCHEMES:
             raise ValueError(f"unsupported scheme {self.scheme!r}")
         if self.grid_points is None:
@@ -119,6 +135,8 @@ class TangentField:
         s = np.asarray(self.samples, dtype=float)
         if s.ndim != 2 or s.shape[1] != 3:
             raise ValueError(f"samples must have shape (n, 3), got {s.shape}")
+        if not np.isfinite(s).all():
+            raise ValueError("samples must be finite")
         norms = np.linalg.norm(s, axis=1)
         if float(np.abs(norms - 1.0).max()) > 1e-8:
             raise ValueError("samples must be unit vectors (within 1e-8)")
@@ -167,28 +185,149 @@ def initial_tangent(M: int, grid_points: int) -> TangentField:
     return TangentField(time=0.0, samples=samples)
 
 
-def second_derivative(samples: np.ndarray, ds: float) -> np.ndarray:
-    """Second-order periodic central difference."""
-    return (np.roll(samples, -1, axis=0) - 2.0 * samples + np.roll(samples, 1, axis=0)) / ds**2
+class Workspace:
+    """Preallocated buffers for stepping `cells` samples; with them the
+    RK4 kernel creates no arrays.
+
+    Each buffer is a structure of arrays, one row per vector component
+    and cells + 2 columns: columns 1..cells hold the samples, columns 0
+    and cells + 1 are ghost cells.  Arithmetic runs over whole buffers,
+    which are contiguous, so each operation is one flat numpy loop; what
+    lands in the ghost columns of a result is finite and never read.
+
+    `state` (3 rows) is the solution, handed to rk4_step as the (cells, 3)
+    view `cells`.  flow_rhs reads `stage` (5 rows) and writes `rhs`.
+    Rows 3 and 4 of `stage` repeat rows 0 and 1, so that T x P is two
+    slice products,
+    (T_y, T_z, T_x) * (P_z, P_x, P_y) - (T_z, T_x, T_y) * (P_y, P_z, P_x).
+    """
+
+    def __init__(self, cells: int) -> None:
+        width = cells + 2
+        self.state = np.zeros((3, width))
+        self.stage = np.zeros((5, width))
+        self.pair = np.zeros((5, width))  # T+ + T- at the columns of stage
+        self.rhs = np.zeros((3, width))
+        self.product = np.zeros((3, width))
+        self.acc = np.zeros((3, width))
+        self.scaled = np.zeros((3, width))
+        self.norms = np.zeros(cells)
+        self.cells = self.state[:, 1:-1].T
+        self.stage_cells = self.stage[:3, 1:-1].T
+        # views built once: at these sizes slicing on every call costs
+        # about as much as the arithmetic
+        self._stage_xyz = self.stage[:3]
+        flat_stage, flat_pair = self.stage.ravel(), self.pair.ravel()
+        self._neighbours = (flat_stage[2:], flat_stage[:-2], flat_pair[1:-1])
+        self._ghosts = (self.stage[:3, -1], self.stage[:3, 1],
+                        self.stage[:3, 0], self.stage[:3, cells])
+        self._copy_rows = (self.stage[3:], self.stage[:2])
+        self._cross = (self.stage[1:4], self.pair[2:5], self.stage[2:5], self.pair[1:4])
+        self._update = (self.state[:, 1:-1], self.acc[:, 1:-1])
 
 
-def flow_rhs(samples: np.ndarray, ds: float) -> np.ndarray:
-    return np.cross(samples, second_derivative(samples, ds))
+def flow_rhs(
+    samples: np.ndarray,
+    ds: float,
+    rotation: np.ndarray | None = None,
+    work: Workspace | None = None,
+) -> np.ndarray:
+    """T x T_ss = T x (T+ + T-) / ds^2 at each of the (cells, 3) samples,
+    the grid continuing as T[j + cells] = rotation @ T[j] (default I, the
+    periodic grid).
+
+    Returns a (cells, 3) view of work.rhs, valid until the next call.
+    Samples are read in place when they are work.stage_cells."""
+    if work is None:
+        work = Workspace(samples.shape[0])
+    if samples is not work.stage_cells:
+        np.copyto(work.stage_cells, samples)
+    if rotation is None:
+        rotation = np.eye(3)
+    high, first, low, last = work._ghosts
+    np.matmul(rotation, first, out=high)
+    np.matmul(rotation.T, last, out=low)
+    np.copyto(*work._copy_rows)
+    upper, lower, pair = work._neighbours
+    np.add(upper, lower, out=pair)
+    t_yzx, p_zxy, t_zxy, p_yzx = work._cross
+    np.multiply(t_yzx, p_zxy, out=work.rhs)
+    np.multiply(t_zxy, p_yzx, out=work.product)
+    np.subtract(work.rhs, work.product, out=work.rhs)
+    work.rhs *= 1.0 / (ds * ds)
+    return work.rhs[:, 1:-1].T
 
 
-def rk4_step(samples: np.ndarray, dt: float, ds: float) -> np.ndarray:
-    """One classical fourth-order step, without renormalization."""
-    k1 = flow_rhs(samples, ds)
-    k2 = flow_rhs(samples + 0.5 * dt * k1, ds)
-    k3 = flow_rhs(samples + 0.5 * dt * k2, ds)
-    k4 = flow_rhs(samples + dt * k3, ds)
-    return samples + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def rk4_step(
+    samples: np.ndarray,
+    dt: float,
+    ds: float,
+    rotation: np.ndarray | None = None,
+    work: Workspace | None = None,
+) -> np.ndarray:
+    """One classical fourth-order step of the (cells, 3) samples, without
+    renormalization; rotation is as in flow_rhs.
+
+    The step is taken in work.state (a new Workspace without work) and
+    work.cells is returned; samples are copied in first unless they
+    already are work.cells."""
+    if work is None:
+        work = Workspace(samples.shape[0])
+    if samples is not work.cells:
+        np.copyto(work.cells, samples)
+    state, stage, k = work.state, work._stage_xyz, work.rhs
+    acc, scaled = work.acc, work.scaled
+    np.copyto(stage, state)
+    flow_rhs(work.stage_cells, ds, rotation, work)
+    np.multiply(k, dt / 6.0, out=acc)
+    for stage_weight, sum_weight in ((0.5, 1.0 / 3.0), (0.5, 1.0 / 3.0), (1.0, 1.0 / 6.0)):
+        np.multiply(k, stage_weight * dt, out=scaled)
+        np.add(state, scaled, out=stage)
+        flow_rhs(work.stage_cells, ds, rotation, work)
+        np.multiply(k, sum_weight * dt, out=scaled)
+        acc += scaled
+    # sample columns only, so the ghost columns of state stay zero
+    inner, acc_inner = work._update
+    inner += acc_inner
+    return work.cells
+
+
+def _z_rotation(k: int, copies: int) -> np.ndarray:
+    """Rotation by 2*pi*k/copies about z; exactly I when copies divides k."""
+    if k % copies == 0:
+        return np.eye(3)
+    angle = 2.0 * math.pi * k / copies
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _symmetry_copies(samples: np.ndarray, M: int) -> int:
+    """M if T[j + n/M] = R T[j] with R the rotation by 2*pi/M about z,
+    to a max abs deviation of 1e-12; otherwise 1."""
+    n = samples.shape[0]
+    if n % M:
+        return 1
+    m = n // M
+    rotated = samples[:-m] @ _z_rotation(1, M).T
+    return M if float(np.abs(samples[m:] - rotated).max()) <= 1e-12 else 1
+
+
+def _unfold(state: np.ndarray, copies: int) -> np.ndarray:
+    """The (copies * m, 3) field whose k-th block of m samples is R^k
+    applied to the (3, m) fundamental domain."""
+    m = state.shape[1]
+    full = np.empty((copies * m, 3))
+    for k in range(copies):
+        np.matmul(_z_rotation(k, copies), state, out=full[k * m:(k + 1) * m].T)
+    return full
 
 
 def evolve(field: TangentField, t_target: float, config: SimulationConfig) -> TangentField:
     """Advance to t_target with dt = dt_factor * ds^2, renormalizing every
-    sample after every step.  Raises BlowUp if any pre-normalization norm
-    leaves [0.5, 2]."""
+    sample after every step.  Only the fundamental domain of n/M samples
+    is stepped when the field has the M-fold symmetry (see the module
+    docstring).  Raises BlowUp if any pre-normalization norm leaves
+    [0.5, 2] or is not finite."""
     if t_target < field.time:
         raise RangeError(f"t_target={t_target} is before field time {field.time}")
     if field.grid_points != config.grid_points:
@@ -202,20 +341,31 @@ def evolve(field: TangentField, t_target: float, config: SimulationConfig) -> Ta
     n_full = int(remaining // dt)
     tail = remaining - n_full * dt
 
-    samples = field.samples.copy()
+    copies = _symmetry_copies(field.samples, config.M)
+    rotation = _z_rotation(1, copies)
+    work = Workspace(field.grid_points // copies)
+    cells = work.cells
+    cells[...] = field.samples[: cells.shape[0]]
+    stepped = False
     for step in range(n_full + 1):
         h = dt if step < n_full else tail
         if h <= 1e-16 * max(1.0, t_target):
             continue
-        samples = rk4_step(samples, h, ds)
-        norms = np.linalg.norm(samples, axis=1)
-        if float(norms.min()) < 0.5 or float(norms.max()) > 2.0:
+        cells = rk4_step(cells, h, ds, rotation, work)
+        state, norms = cells.T, work.norms
+        np.einsum("ij,ij->j", state, state, out=norms)
+        np.sqrt(norms, out=norms)
+        # negated so that a NaN norm fails the test as well
+        if not (norms.min() >= 0.5 and norms.max() <= 2.0):
             raise BlowUp(
                 f"sample norm left [0.5, 2] at t ~ {field.time + step * dt:.6g}; "
                 "reduce dt_factor"
             )
-        samples /= norms[:, None]
-    return TangentField(time=t_target, samples=samples)
+        state /= norms
+        stepped = True
+    if not stepped:
+        return TangentField(time=t_target, samples=field.samples.copy())
+    return TangentField(time=t_target, samples=_unfold(cells.T, copies))
 
 
 def rms_distance(a: TangentField, b: TangentField) -> float:
@@ -307,7 +457,6 @@ def detect_sides(
     n = field.grid_points
     if max_sides is None:
         max_sides = n // 32
-    lo_hi_cache: dict[int, tuple[int, int]] = {}
     for sides in range(2, max_sides + 1):
         if n % sides:
             continue
@@ -319,7 +468,7 @@ def detect_sides(
                 best_quality, best_offset = quality, offset
         if best_quality is None or best_quality > quality_threshold:
             continue
-        lo, hi = lo_hi_cache.setdefault(block, _trim_bounds(block, trim_fraction))
+        lo, hi = _trim_bounds(block, trim_fraction)
         means, _ = _block_means(field.samples, sides, best_offset, lo, hi)
         dots = np.clip((means * np.roll(means, -1, axis=0)).sum(axis=1), -1.0, 1.0)
         min_turn = float(np.arccos(dots).min())

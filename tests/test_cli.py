@@ -224,6 +224,18 @@ def test_simulate_blowup_exit_code(tmp_path, monkeypatch, capsys):
     assert "dt_factor" in err
 
 
+def test_simulate_non_finite_dt_factor_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for bad in ("inf", "nan"):
+        code, out, err = run_cli(
+            capsys, "simulate", "--M", "3", "--p", "1", "--q", "1",
+            "--grid", "96", "--dt-factor", bad, "--out", "bad",
+        )
+        assert code == 2
+        assert "dt_factor" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_simulate_grid_validation(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(

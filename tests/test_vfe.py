@@ -56,6 +56,20 @@ def test_tangent_field_requires_unit_samples():
         vfe.TangentField(0.0, np.ones((10, 3)))
 
 
+def test_tangent_field_rejects_non_finite_samples():
+    for bad in (math.nan, math.inf):
+        samples = vfe.initial_tangent(3, 12).samples.copy()
+        samples[4, 0] = bad
+        with pytest.raises(ValueError):
+            vfe.TangentField(0.0, samples)
+
+
+def test_config_rejects_non_finite_dt_factor():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            vfe.SimulationConfig(M=3, p=1, q=1, dt_factor=bad)
+
+
 def test_evolve_zero_time_is_identity():
     cfg = vfe.SimulationConfig(M=3, p=1, q=1, grid_points=96)
     field = vfe.initial_tangent(3, 96)
@@ -83,6 +97,13 @@ def test_unstable_step_blows_up():
     field = vfe.initial_tangent(3, 96)
     with pytest.raises(BlowUp):
         vfe.evolve(field, cfg.rational_time, cfg)
+
+
+def test_non_finite_step_blows_up(monkeypatch):
+    monkeypatch.setattr(vfe, "rk4_step", lambda samples, *rest: np.full(samples.shape, np.nan))
+    cfg = vfe.SimulationConfig(M=3, p=1, q=1, grid_points=96)
+    with pytest.raises(BlowUp):
+        vfe.evolve(vfe.initial_tangent(3, 96), cfg.rational_time, cfg)
 
 
 def test_norms_enforced_after_evolution():

@@ -1,0 +1,141 @@
+"""The tangent-flow kernel against a slow full-grid reference.
+
+The reference is the direct method of lines: the periodic second
+difference built with np.roll, T x T_ss with np.cross, a classical RK4
+step on all n samples and renormalization after every step.  evolve
+steps only a fundamental domain (or the whole grid with R = I), writes
+T x T_ss as T x (T+ + T-) / ds^2 and sums the stages in another order,
+so the two agree to rounding, not bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from polyfil import vfe
+
+TOL = 1e-12
+
+
+def reference_second_derivative(samples, ds):
+    return (np.roll(samples, -1, axis=0) - 2.0 * samples + np.roll(samples, 1, axis=0)) / ds**2
+
+
+def reference_rhs(samples, ds):
+    return np.cross(samples, reference_second_derivative(samples, ds))
+
+
+def reference_step(samples, dt, ds):
+    k1 = reference_rhs(samples, ds)
+    k2 = reference_rhs(samples + 0.5 * dt * k1, ds)
+    k3 = reference_rhs(samples + 0.5 * dt * k2, ds)
+    k4 = reference_rhs(samples + dt * k3, ds)
+    return samples + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_evolve(field, t_target, config):
+    dt, ds = config.dt, config.ds
+    remaining = t_target - field.time
+    n_full = int(remaining // dt)
+    tail = remaining - n_full * dt
+    samples = field.samples.copy()
+    for step in range(n_full + 1):
+        h = dt if step < n_full else tail
+        if h <= 1e-16 * max(1.0, t_target):
+            continue
+        samples = reference_step(samples, h, ds)
+        samples /= np.linalg.norm(samples, axis=1)[:, None]
+    return samples
+
+
+def random_unit_field(n, seed):
+    samples = np.random.default_rng(seed).normal(size=(n, 3))
+    return samples / np.linalg.norm(samples, axis=1, keepdims=True)
+
+
+def z_rotation(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def equivariant_field(M, cells, seed):
+    """A random field with T[j + cells] = R T[j], R the rotation by 2*pi/M."""
+    block = random_unit_field(cells, seed)
+    return np.vstack([block @ z_rotation(2 * math.pi * k / M).T for k in range(M)])
+
+
+def record_rk4_shapes(monkeypatch):
+    shapes = []
+    step = vfe.rk4_step
+
+    def recording(samples, *rest):
+        shapes.append(samples.shape)
+        return step(samples, *rest)
+
+    monkeypatch.setattr(vfe, "rk4_step", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("M, p, q, n", [
+    (3, 1, 1, 96),
+    (3, 1, 2, 96),
+    (5, 2, 3, 150),
+    (5, 1, 4, 160),
+    (8, 1, 1, 128),
+    (8, 3, 2, 128),
+])
+def test_polygon_evolution_matches_full_grid_reference(monkeypatch, M, p, q, n):
+    cfg = vfe.SimulationConfig(M=M, p=p, q=q, grid_points=n)
+    start = vfe.initial_tangent(M, n)
+    shapes = record_rk4_shapes(monkeypatch)
+    evolved = vfe.evolve(start, cfg.rational_time, cfg)
+    assert shapes and set(shapes) == {(n // M, 3)}
+    reference = reference_evolve(start, cfg.rational_time, cfg)
+    assert np.abs(evolved.samples - reference).max() <= TOL
+
+
+def test_random_field_takes_periodic_path_and_matches(monkeypatch):
+    n = 60
+    cfg = vfe.SimulationConfig(M=3, p=1, q=1, grid_points=n, dt_factor=0.1)
+    start = vfe.TangentField(0.0, random_unit_field(n, seed=7))
+    shapes = record_rk4_shapes(monkeypatch)
+    evolved = vfe.evolve(start, 0.003, cfg)
+    assert shapes and set(shapes) == {(n, 3)}
+    assert np.abs(evolved.samples - reference_evolve(start, 0.003, cfg)).max() <= TOL
+
+
+def test_equivariant_field_steps_fundamental_domain(monkeypatch):
+    M, cells = 5, 12
+    n = M * cells
+    cfg = vfe.SimulationConfig(M=M, p=1, q=1, grid_points=n, dt_factor=0.1)
+    start = vfe.TangentField(0.0, equivariant_field(M, cells, seed=3))
+    shapes = record_rk4_shapes(monkeypatch)
+    evolved = vfe.evolve(start, 0.003, cfg)
+    assert shapes and set(shapes) == {(cells, 3)}
+    assert len(shapes) == math.ceil(0.003 / cfg.dt)
+    assert np.abs(evolved.samples - reference_evolve(start, 0.003, cfg)).max() <= TOL
+
+
+def test_flow_rhs_matches_reference():
+    n = 48
+    ds = 2 * math.pi / n
+    scale = 4.0 / ds**2  # |T x T_ss| <= |T_ss| <= 4 / ds^2 for unit T
+    periodic = random_unit_field(n, seed=11)
+    assert np.abs(vfe.flow_rhs(periodic, ds) - reference_rhs(periodic, ds)).max() <= 1e-15 * scale
+    # a fundamental domain with its rotated continuation
+    M, cells = 4, 12
+    full = equivariant_field(M, cells, seed=5)
+    domain = vfe.flow_rhs(full[:cells], ds, z_rotation(2 * math.pi / M))
+    assert np.abs(domain - reference_rhs(full, ds)[:cells]).max() <= 1e-15 * scale
+
+
+def test_rk4_step_matches_reference_and_leaves_input():
+    n = 64
+    ds = 2 * math.pi / n
+    samples = random_unit_field(n, seed=2)
+    before = samples.copy()
+    stepped = vfe.rk4_step(samples, 0.1 * ds**2, ds)
+    assert stepped.shape == (n, 3)
+    assert np.array_equal(samples, before)
+    assert np.abs(stepped - reference_step(samples, 0.1 * ds**2, ds)).max() <= TOL

@@ -17,6 +17,7 @@ from .arith import (
     ParityInfo,
     admissible,
     admissible_indices,
+    alternating_products,
     alternating_square_sum,
     alternating_sum,
     cyclic_shift,

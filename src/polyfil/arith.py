@@ -29,6 +29,7 @@ __all__ = [
     "cyclic_shift",
     "alternating_sum",
     "alternating_square_sum",
+    "alternating_products",
     "unity_sum",
 ]
 
@@ -175,6 +176,26 @@ def alternating_square_sum(v: Sequence[int]) -> int:
     if len(v) == 0 or len(v) % 2:
         raise OddLength(f"need an even, positive length, got {len(v)}")
     return sum(-c * c if j % 2 else c * c for j, c in enumerate(v))
+
+
+def alternating_products(z: Sequence[complex], m_max: int) -> list[complex]:
+    """Alternating elementary sums S_0, ..., S_{m_max} of the sequence z,
+
+        S_m = sum over n1 < ... < nm of z_{n1} conj(z_{n2}) z_{n3} ...,
+
+    with S_0 = 1.  Each z_n in turn becomes the newest, m-th factor of
+    every (m-1)-tuple before it, conjugated when m is even, so the cost
+    is O(len(z) * m_max) instead of the C(len(z), m) tuples.  These are
+    the coefficients of the half-trace of prod_n (x I + i v_n . sigma).
+    """
+    if m_max < 0:
+        raise ValueError(f"m_max must be nonnegative, got {m_max}")
+    s = [1.0 + 0.0j] + [0.0j] * m_max
+    for w in z:
+        w_conj = w.conjugate()
+        for m in range(m_max, 0, -1):
+            s[m] += s[m - 1] * (w if m % 2 else w_conj)
+    return s
 
 
 def unity_sum(c: int, q: int) -> complex:

@@ -5,8 +5,9 @@ JSON on stdout (CSV available for verify), carrying a reproducibility
 manifest; bulk field data from simulate goes to CSV sidecar files whose
 manifest lives in the accompanying summary JSON.
 
-Exit codes: 0 all checks passed, 1 verification failure, 2 usage error,
-3 numerical abort (blow-up).
+Exit codes: 0 all checks passed, 1 verification failure, 2 usage error
+(including a verify range that selects no case and an unwritable
+simulate --out), 3 numerical abort (blow-up).
 """
 
 from __future__ import annotations
@@ -18,16 +19,16 @@ import math
 import random
 import sys
 from datetime import datetime, timezone
-from math import comb, gcd
+from math import gcd
 
 from . import __version__
+from .arith import admissible
 from .errors import BlowUp, NotCoprime, PolyfilError
 from .gauss import (
     GaussSumValue,
     VANISHING_RELATIVE_TOL,
     max_phase_defect,
     gauss_sum,
-    quadratic_phase,
     theta_sequence,
 )
 from .rotor import (
@@ -37,7 +38,7 @@ from .rotor import (
     rotation_product,
     trace_identity_eval,
 )
-from .sums import DEFAULT_TERM_BUDGET, sum_report, verify_sum_identities
+from .sums import sum_report, verify_sum_identities
 from .vfe import (
     SimulationConfig,
     analyze_polygon,
@@ -159,16 +160,13 @@ def cmd_sums(args) -> int:
         if args.k is not None:
             reports = [sum_report(args.p, args.q, args.k)]
         else:
-            reports = verify_sum_identities(
-                args.p, args.q, k_max=args.k_max, budget=args.budget
-            )
+            reports = verify_sum_identities(args.p, args.q, k_max=args.k_max)
     except PolyfilError as exc:
         return _usage_error(str(exc))
     payload = {
         "manifest": _manifest(
             "sums",
-            {"p": args.p, "q": args.q, "k": args.k, "k_max": args.k_max,
-             "budget": args.budget},
+            {"p": args.p, "q": args.q, "k": args.k, "k_max": args.k_max},
             {"per_term": TOL_SUMS_PER_TERM},
         ),
         "reports": [
@@ -233,18 +231,11 @@ def cmd_rotation(args) -> int:
 # ------------------------------------------------------------ verify suites
 
 
-def _outcome(
-    case_id: str, passed: bool, residual: float | None, skipped: bool = False
-) -> dict:
-    return {
-        "case_id": case_id,
-        "passed": bool(passed) and not skipped,
-        "residual": residual,  # None for skipped cases (JSON null)
-        "budget_skipped": skipped,
-    }
+def _outcome(case_id: str, passed: bool, residual: float) -> dict:
+    return {"case_id": case_id, "passed": bool(passed), "residual": residual}
 
 
-def _suite_vanishing(q_max: int, budget: int) -> list[dict]:
+def _suite_vanishing(q_max: int) -> list[dict]:
     outcomes = []
     for p, q in _coprime_pairs(q_max):
         theta = theta_sequence(p, q)
@@ -253,7 +244,7 @@ def _suite_vanishing(q_max: int, budget: int) -> list[dict]:
         residual = 0.0
         pattern_ok = True
         for n, entry in enumerate(theta.entries):
-            should_vanish = (2 * n + 2 - q) % 4 == 0
+            should_vanish = not admissible(n, q)
             if entry.vanishing != should_vanish:
                 pattern_ok = False
             if should_vanish:
@@ -266,7 +257,7 @@ def _suite_vanishing(q_max: int, budget: int) -> list[dict]:
     return outcomes
 
 
-def _suite_lemma4(q_max: int, budget: int) -> list[dict]:
+def _suite_lemma4(q_max: int) -> list[dict]:
     outcomes = []
     for p, q in _coprime_pairs(q_max):
         defect = max_phase_defect(p, q)
@@ -276,32 +267,20 @@ def _suite_lemma4(q_max: int, budget: int) -> list[dict]:
     return outcomes
 
 
-def _suite_sums(q_max: int, budget: int) -> list[dict]:
+def _suite_sums(q_max: int) -> list[dict]:
     outcomes = []
     for p, q in _coprime_pairs(q_max):
         if q < 2:
             continue
-        theta = None
-        phase = None
-        adm_count = sum(1 for n in range(q) if (2 * n + 2 - q) % 4 != 0)
-        spent = 0
-        for k in range(1, q // 2 + 1):
-            case_id = f"sums/p={p}/q={q}/k={k}"
-            cost = comb(adm_count, 2 * k)
-            if spent + cost > budget:
-                outcomes.append(_outcome(case_id, False, None, skipped=True))
-                continue
-            spent += cost
-            if theta is None:
-                theta = theta_sequence(p, q)
-                phase = quadratic_phase(p, q)
-            report = sum_report(p, q, k, theta=theta, phase=phase)
+        for report in verify_sum_identities(p, q):
             tol = TOL_SUMS_PER_TERM * max(1, report.term_count)
-            outcomes.append(_outcome(case_id, report.residual <= tol, report.residual))
+            outcomes.append(_outcome(
+                f"sums/p={p}/q={q}/k={report.k}", report.residual <= tol, report.residual
+            ))
     return outcomes
 
 
-def _suite_theorem2(q_max: int, m_max: int, budget: int) -> list[dict]:
+def _suite_theorem2(q_max: int, m_max: int) -> list[dict]:
     outcomes = []
     for p, q in _coprime_pairs(q_max):
         for M in range(3, m_max + 1):
@@ -316,7 +295,7 @@ def _suite_theorem2(q_max: int, m_max: int, budget: int) -> list[dict]:
     return outcomes
 
 
-def _suite_lemma3(budget: int) -> list[dict]:
+def _suite_lemma3() -> list[dict]:
     rng = random.Random(_LEMMA3_SEED)
     outcomes = []
     # sign anchor: two opposite in-plane vectors at x = 1 must give 2
@@ -341,24 +320,28 @@ def _suite_lemma3(budget: int) -> list[dict]:
 
 def cmd_verify(args) -> int:
     suites = {
-        "sums": lambda: _suite_sums(args.q_max, args.budget),
-        "theorem2": lambda: _suite_theorem2(args.q_max, args.m_max, args.budget),
-        "lemma3": lambda: _suite_lemma3(args.budget),
-        "lemma4": lambda: _suite_lemma4(args.q_max, args.budget),
-        "vanishing": lambda: _suite_vanishing(args.q_max, args.budget),
+        "sums": lambda: _suite_sums(args.q_max),
+        "theorem2": lambda: _suite_theorem2(args.q_max, args.m_max),
+        "lemma3": _suite_lemma3,
+        "lemma4": lambda: _suite_lemma4(args.q_max),
+        "vanishing": lambda: _suite_vanishing(args.q_max),
     }
     selected = list(suites) if args.suite == "all" else [args.suite]
     outcomes: list[dict] = []
     for name in selected:
-        outcomes.extend(suites[name]())
+        suite_outcomes = suites[name]()
+        if not suite_outcomes:
+            return _usage_error(
+                f"suite {name} selects no case for --q-max {args.q_max} "
+                f"--m-max {args.m_max}"
+            )
+        outcomes.extend(suite_outcomes)
     outcomes.sort(key=lambda o: o["case_id"])
 
-    n_failed = sum(1 for o in outcomes if not o["passed"] and not o["budget_skipped"])
-    n_skipped = sum(1 for o in outcomes if o["budget_skipped"])
+    n_failed = sum(1 for o in outcomes if not o["passed"])
     manifest = _manifest(
         "verify",
-        {"suite": args.suite, "q_max": args.q_max, "m_max": args.m_max,
-         "budget": args.budget},
+        {"suite": args.suite, "q_max": args.q_max, "m_max": args.m_max},
         {
             "sums_per_term": TOL_SUMS_PER_TERM,
             "vanishing_rel": TOL_VANISHING,
@@ -371,15 +354,14 @@ def cmd_verify(args) -> int:
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         print(f"# manifest: {json.dumps(manifest)}")
-        writer.writerow(["case_id", "passed", "residual", "budget_skipped"])
+        writer.writerow(["case_id", "passed", "residual"])
         for o in outcomes:
-            writer.writerow([o["case_id"], o["passed"], o["residual"], o["budget_skipped"]])
+            writer.writerow([o["case_id"], o["passed"], o["residual"]])
     else:
         _emit({
             "manifest": manifest,
             "total": len(outcomes),
             "failed": n_failed,
-            "skipped": n_skipped,
             "outcomes": outcomes,
         })
     return EXIT_OK if n_failed == 0 else EXIT_VERIFICATION_FAILED
@@ -411,17 +393,6 @@ def cmd_simulate(args) -> int:
     prefix = args.out or f"simulate_M{config.M}_p{config.p}_q{config.q}"
     n = config.grid_points
     ds = config.ds
-    with open(f"{prefix}.tangent.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["s", "Tx", "Ty", "Tz"])
-        for j in range(n):
-            writer.writerow([j * ds, *evolved.samples[j]])
-    with open(f"{prefix}.curve.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["s", "Xx", "Xy", "Xz"])
-        for j in range(n + 1):
-            writer.writerow([j * ds, *curve.positions[j]])
-
     summary = {
         "manifest": _manifest(
             "simulate",
@@ -442,9 +413,22 @@ def cmd_simulate(args) -> int:
         "vertical_drift_rate": vertical_drift_rate(evolved),
         "files": [f"{prefix}.tangent.csv", f"{prefix}.curve.csv"],
     }
-    with open(f"{prefix}.summary.json", "w") as handle:
-        json.dump(summary, handle, indent=2)
-        handle.write("\n")
+    try:
+        with open(f"{prefix}.tangent.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["s", "Tx", "Ty", "Tz"])
+            for j in range(n):
+                writer.writerow([j * ds, *evolved.samples[j]])
+        with open(f"{prefix}.curve.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["s", "Xx", "Xy", "Xz"])
+            for j in range(n + 1):
+                writer.writerow([j * ds, *curve.positions[j]])
+        with open(f"{prefix}.summary.json", "w") as handle:
+            json.dump(summary, handle, indent=2)
+            handle.write("\n")
+    except OSError as exc:
+        return _usage_error(f"cannot write output: {exc}")
     _emit(summary)
     return EXIT_OK if report.relative_error <= args.tol else EXIT_VERIFICATION_FAILED
 
@@ -478,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--q", type=int, required=True)
     s.add_argument("--k", type=int, default=None)
     s.add_argument("--k-max", dest="k_max", type=int, default=None)
-    s.add_argument("--budget", type=int, default=DEFAULT_TERM_BUDGET)
     s.set_defaults(func=cmd_sums)
 
     r = sub.add_parser("rho", help="predicted inter-side angle for (M, q)")
@@ -497,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
                                        "vanishing", "all"], required=True)
     v.add_argument("--q-max", dest="q_max", type=int, default=16)
     v.add_argument("--m-max", dest="m_max", type=int, default=10)
-    v.add_argument("--budget", type=int, default=DEFAULT_TERM_BUDGET)
     v.add_argument("--format", choices=["json", "csv"], default="json")
     v.set_defaults(func=cmd_verify)
 

@@ -21,10 +21,6 @@ class RangeError(PolyfilError, ValueError):
     """A parameter is outside its documented range."""
 
 
-class ComplexityBudgetExceeded(PolyfilError, RuntimeError):
-    """The planned enumeration exceeds the configured summand budget."""
-
-
 class NonUnitAxis(PolyfilError, ValueError):
     """A rotation axis is not a unit vector."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import enumerate_index_vectors
+from .arith import alternating_products
 from .errors import (
     CrossCheckFailure,
     NonUnitAxis,
@@ -268,7 +268,8 @@ def trace_identity_eval(x: float, phis) -> TraceIdentityResult:
     lhs: direct 2x2 complex multiplication.  rhs: the cosine expansion
     sum_k (-1)^k x^(N-2k) sum cos(phi_{n1} - phi_{n2} + ...), whose k-th
     coefficient carries the sign (-1)^k from i^(2k); the k = 0 inner sum
-    is 1 by the empty-product convention.
+    is 1 by the empty-product convention.  Each inner sum is Re S_2k of
+    z_n = exp(i phi_n) (arith.alternating_products).
     """
     phis = list(phis)
     if not phis:
@@ -284,15 +285,11 @@ def trace_identity_eval(x: float, phis) -> TraceIdentityResult:
         prod = prod @ factor
     lhs = 0.5 * float(prod.trace().real)
 
-    terms = []
-    for k in range(n_factors // 2 + 1):
-        inner = math.fsum(
-            math.cos(math.fsum(
-                phis[idx] if j % 2 == 0 else -phis[idx]
-                for j, idx in enumerate(combo)
-            ))
-            for combo in enumerate_index_vectors(2 * k, n_factors)
-        )
-        terms.append((-1.0) ** k * x ** (n_factors - 2 * k) * inner)
-    rhs = math.fsum(terms)
+    coeffs = alternating_products(
+        [complex(math.cos(phi), math.sin(phi)) for phi in phis], n_factors
+    )
+    rhs = math.fsum(
+        (-1.0) ** k * x ** (n_factors - 2 * k) * coeffs[2 * k].real
+        for k in range(n_factors // 2 + 1)
+    )
     return TraceIdentityResult(lhs=lhs, rhs=rhs)

@@ -15,33 +15,30 @@ with Q the alternating square sum of the tuple.  Both vanish in exact
 arithmetic (T_k = Re E_k = 0); the reports here measure how far the
 floating-point evaluation is from that.
 
-Enumeration is lexicographic and sequential; accumulators are Kahan
-compensated, so results are reproducible bit for bit.  Work is bounded
-by an explicit summand budget because the vector count C(q, 2k) grows
-combinatorially.
+Neither sum is enumerated: both are the alternating elementary sum
+S_2k of one unit-modulus sequence (arith.alternating_products), taken
+over z_n = exp(i theta_n) and over the exactly reduced roots of unity
+z_n = exp(2*pi*i*(a n^2 mod denom) / denom).  The recurrence costs
+O(q * k) and its evaluation order is fixed, so results are reproducible
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
-from .arith import admissible_indices
-from .errors import ComplexityBudgetExceeded, RangeError
+from .arith import admissible_indices, alternating_products
+from .errors import RangeError
 from .gauss import QuadraticPhase, ThetaSequence, quadratic_phase, theta_sequence, unit_roots
 
 __all__ = [
-    "DEFAULT_TERM_BUDGET",
     "SumReport",
     "trig_sum",
     "quad_exp_sum",
     "sum_report",
-    "term_count",
     "verify_sum_identities",
 ]
-
-DEFAULT_TERM_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -64,58 +61,28 @@ def _check_k(k: int, q: int) -> None:
         raise RangeError(f"need 2k <= q, got k={k}, q={q}")
 
 
-def _kahan(acc: float, comp: float, term: float) -> tuple[float, float]:
-    y = term - comp
-    t = acc + y
-    return t, (t - acc) - y
-
-
-def term_count(q: int, k: int, admissible_count: int) -> int:
-    """Number of admissible 2k-tuples (C(admissible_count, 2k))."""
-    _check_k(k, q)
-    return math.comb(admissible_count, 2 * k)
-
-
 def trig_sum(theta: ThetaSequence, k: int) -> float:
     """Alternating cosine sum over admissible 2k-tuples; 0 when empty."""
     _check_k(k, theta.q)
-    adm = theta.admissible_indices()
-    args = [theta.theta(n) for n in adm]
-    total, comp = 0.0, 0.0
-    for combo in combinations(range(len(adm)), 2 * k):
-        alt = 0.0
-        sign = 1.0
-        for idx in combo:
-            alt += sign * args[idx]
-            sign = -sign
-        total, comp = _kahan(total, comp, math.cos(alt))
-    return total
+    args = [theta.theta(n) for n in theta.admissible_indices()]
+    z = [complex(math.cos(t), math.sin(t)) for t in args]
+    return alternating_products(z, 2 * k)[2 * k].real
 
 
 def quad_exp_sum(p: int, q: int, k: int, phase: QuadraticPhase | None = None) -> complex:
     """Quadratic exponential sum over the same admissible 2k-tuples.
 
     The coefficient a is taken from the fitted quadratic phase (single
-    source of truth); phases are reduced exactly before exponentiation.
+    source of truth); each a*n^2 is reduced exactly before its root of
+    unity is looked up.
     """
     _check_k(k, q)
     if phase is None:
         phase = quadratic_phase(p, q)
-    adm = admissible_indices(q)
     denom = (2 - phase.delta) ** 2 * q
     roots = unit_roots(denom)
-    re, re_c = 0.0, 0.0
-    im, im_c = 0.0, 0.0
-    for combo in combinations(adm, 2 * k):
-        quad = 0
-        positive = True
-        for n in combo:
-            quad = quad + n * n if positive else quad - n * n
-            positive = not positive
-        root = roots[(phase.a * quad) % denom]
-        re, re_c = _kahan(re, re_c, root.real)
-        im, im_c = _kahan(im, im_c, root.imag)
-    return complex(re, im)
+    z = [roots[(phase.a * n * n) % denom] for n in admissible_indices(q)]
+    return alternating_products(z, 2 * k)[2 * k]
 
 
 def sum_report(
@@ -125,67 +92,21 @@ def sum_report(
     theta: ThetaSequence | None = None,
     phase: QuadraticPhase | None = None,
 ) -> SumReport:
-    """Evaluate both sums in a single shared enumeration."""
+    """Evaluate both sums for one k."""
     _check_k(k, q)
     if theta is None:
         theta = theta_sequence(p, q)
-    if phase is None:
-        phase = quadratic_phase(p, q)
-    adm = theta.admissible_indices()
-    args = [theta.theta(n) for n in adm]
-    denom = (2 - phase.delta) ** 2 * q
-    roots = unit_roots(denom)
-    a = phase.a
-
-    t_total, t_c = 0.0, 0.0
-    re, re_c = 0.0, 0.0
-    im, im_c = 0.0, 0.0
-    count = 0
-    for combo in combinations(range(len(adm)), 2 * k):
-        alt = 0.0
-        quad = 0
-        positive = True
-        for idx in combo:
-            n = adm[idx]
-            if positive:
-                alt += args[idx]
-                quad += n * n
-            else:
-                alt -= args[idx]
-                quad -= n * n
-            positive = not positive
-        t_total, t_c = _kahan(t_total, t_c, math.cos(alt))
-        root = roots[(a * quad) % denom]
-        re, re_c = _kahan(re, re_c, root.real)
-        im, im_c = _kahan(im, im_c, root.imag)
-        count += 1
-
-    e_value = complex(re, im)
-    residual = max(abs(t_total), abs(e_value.real), abs(t_total - e_value.real))
-    return SumReport(p=p, q=q, k=k, t_value=t_total, e_value=e_value,
-                     term_count=count, residual=residual)
+    t_value = trig_sum(theta, k)
+    e_value = quad_exp_sum(p, q, k, phase=phase)
+    residual = max(abs(t_value), abs(e_value.real), abs(t_value - e_value.real))
+    return SumReport(p=p, q=q, k=k, t_value=t_value, e_value=e_value,
+                     term_count=math.comb(len(theta.admissible_indices()), 2 * k),
+                     residual=residual)
 
 
-def verify_sum_identities(
-    p: int,
-    q: int,
-    k_max: int | None = None,
-    budget: int = DEFAULT_TERM_BUDGET,
-) -> list[SumReport]:
-    """Reports for every k with 0 < 2k <= q (optionally capped by k_max).
-
-    Raises ComplexityBudgetExceeded up front if the planned enumeration
-    for this (p, q) pair would exceed the summand budget; callers that
-    prefer skipping individual k values (e.g. the CLI sweep) should plan
-    with term_count and call sum_report per k instead.
-    """
+def verify_sum_identities(p: int, q: int, k_max: int | None = None) -> list[SumReport]:
+    """Reports for every k with 0 < 2k <= q (optionally capped by k_max)."""
     theta = theta_sequence(p, q)
     phase = quadratic_phase(p, q)
-    adm_count = len(theta.admissible_indices())
     ks = [k for k in range(1, q // 2 + 1) if k_max is None or k <= k_max]
-    planned = sum(math.comb(adm_count, 2 * k) for k in ks)
-    if planned > budget:
-        raise ComplexityBudgetExceeded(
-            f"(p={p}, q={q}): {planned} summands exceed budget {budget}"
-        )
     return [sum_report(p, q, k, theta=theta, phase=phase) for k in ks]

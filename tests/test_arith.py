@@ -172,6 +172,24 @@ def test_quadratic_plus_parity_is_well_defined_mod_q():
             assert (p1 - p0) % q == 0
 
 
+def test_alternating_products_every_order():
+    # odd and even orders against the defining sum, including m past len(z)
+    z = [complex(0.3, 0.8), complex(-1.1, 0.2), complex(0.5, -0.4), 2.0, complex(0.0, 1.0)]
+    s = arith.alternating_products(z, 6)
+    assert len(s) == 7 and s[0] == 1
+    for m in range(1, 7):
+        expected = 0j
+        for v in arith.enumerate_index_vectors(m, len(z)):
+            term = 1 + 0j
+            for j, n in enumerate(v):
+                term *= z[n] if j % 2 == 0 else z[n].conjugate()
+            expected += term
+        assert abs(s[m] - expected) < 1e-12, m
+    assert arith.alternating_products([], 2) == [1, 0, 0]
+    with pytest.raises(ValueError):
+        arith.alternating_products(z, -1)
+
+
 def test_unity_sum_exhaustive():
     for q in range(1, 31):
         for c in range(-60, 61):

@@ -109,16 +109,26 @@ def test_verify_sums_suite(capsys):
     assert ids == sorted(ids)
 
 
-def test_verify_budget_honesty(capsys):
-    code, payload = run_json(
-        capsys, "verify", "--suite", "sums", "--q-max", "12", "--budget", "20"
-    )
-    # skipped cases are flagged, never counted as passed, and do not fail the run
+def test_verify_sums_checks_every_case(capsys):
+    # every case in range, q = 25 and 26 included, is evaluated and passes
+    code, payload = run_json(capsys, "verify", "--suite", "sums", "--q-max", "26")
     assert code == 0
-    skipped = [o for o in payload["outcomes"] if o["budget_skipped"]]
-    assert skipped
-    assert all(not o["passed"] for o in skipped)
-    assert payload["skipped"] == len(skipped)
+    assert payload["total"] == len(payload["outcomes"]) == 1795
+    assert payload["failed"] == 0
+    assert all(o["passed"] for o in payload["outcomes"])
+    assert all(set(o) == {"case_id", "passed", "residual"} for o in payload["outcomes"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("--suite", "vanishing", "--q-max", "-3"),
+    ("--suite", "theorem2", "--m-max", "2"),
+    ("--suite", "sums", "--q-max", "1"),
+])
+def test_verify_empty_range_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "no case" in err
+    assert out == ""
 
 
 def test_verify_vanishing_suite(capsys):
@@ -167,7 +177,7 @@ def test_verify_csv_format(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("# manifest: ")
-    assert lines[1] == "case_id,passed,residual,budget_skipped"
+    assert lines[1] == "case_id,passed,residual"
     assert len(lines) > 2
 
 
@@ -234,6 +244,16 @@ def test_simulate_non_finite_dt_factor_is_usage_error(tmp_path, monkeypatch, cap
         assert code == 2
         assert "dt_factor" in err
     assert not list(tmp_path.iterdir())
+
+
+def test_simulate_unwritable_out_is_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--M", "3", "--p", "1", "--q", "1",
+        "--grid", "96", "--out", str(tmp_path / "missing" / "x"),
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
 
 
 def test_simulate_grid_validation(tmp_path, monkeypatch, capsys):

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from polyfil import arith, gauss, sums
-from polyfil.errors import ComplexityBudgetExceeded, RangeError
+from polyfil.errors import RangeError
 
 SQRT3 = math.sqrt(3.0)
 
@@ -40,11 +40,6 @@ def test_quad_exp_sum_hand_values():
     assert sums.quad_exp_sum(1, 2, 1) == 0
 
 
-def test_term_count():
-    assert sums.term_count(5, 1, 5) == math.comb(5, 2)
-    assert sums.term_count(4, 1, 2) == 1
-
-
 def test_sum_report_fields():
     report = sums.sum_report(1, 5, 2)
     assert report.term_count == math.comb(5, 4)
@@ -63,11 +58,6 @@ def test_verify_sum_identities_odd_q():
 def test_verify_sum_identities_even_q():
     for report in sums.verify_sum_identities(3, 8):
         assert report.residual <= 1e-10
-
-
-def test_verify_sum_identities_budget():
-    with pytest.raises(ComplexityBudgetExceeded):
-        sums.verify_sum_identities(1, 13, budget=10)
 
 
 def test_identities_sweep_small():

@@ -12,7 +12,6 @@ Usage:
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -24,22 +23,11 @@ from polyfil import (
     reconstruct_curve,
     rms_distance,
 )
+from polyfil.cli import write_field_csvs
 
 
 def dump_field(field, prefix):
-    n = field.grid_points
-    ds = 2.0 * math.pi / n
-    curve = reconstruct_curve(field)
-    with open(f"{prefix}.tangent.csv", "w") as handle:
-        handle.write("s,Tx,Ty,Tz\n")
-        for j in range(n):
-            tx, ty, tz = field.samples[j]
-            handle.write(f"{j * ds},{tx},{ty},{tz}\n")
-    with open(f"{prefix}.curve.csv", "w") as handle:
-        handle.write("s,Xx,Xy,Xz\n")
-        for j in range(n + 1):
-            x, y, z = curve.positions[j]
-            handle.write(f"{j * ds},{x},{y},{z}\n")
+    write_field_csvs(prefix, field, reconstruct_curve(field))
 
 
 def main() -> int:

@@ -12,8 +12,6 @@ __version__ = "0.1.0"
 
 from . import arith, cli, errors, gauss, rotor, sums, vfe
 from .arith import (
-    Fraction,
-    IndexVector,
     ParityInfo,
     admissible,
     admissible_indices,
@@ -24,7 +22,6 @@ from .arith import (
     enumerate_index_vectors,
     mod_inverse,
     parity_info,
-    unity_sum,
 )
 from .gauss import (
     GaussSumValue,
@@ -34,7 +31,6 @@ from .gauss import (
     max_phase_defect,
     quadratic_phase,
     theta_sequence,
-    vanishing_pattern,
 )
 from .rotor import (
     AxisAngle,
@@ -43,7 +39,6 @@ from .rotor import (
     TraceIdentityResult,
     axis_angle_of,
     certify_rotation_angle,
-    half_trace_spinor_product,
     inter_side_angle,
     rotation_angle,
     rotation_from_axis_angle,

@@ -8,19 +8,14 @@ are exact at any size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
 from typing import Callable, Iterator, Sequence
 
 from .errors import ComponentCollision, NotCoprime, OddLength
 
 __all__ = [
-    "Fraction",
-    "IndexVector",
     "ParityInfo",
-    "gcd",
     "mod_inverse",
     "parity_info",
     "admissible",
@@ -30,56 +25,7 @@ __all__ = [
     "alternating_sum",
     "alternating_square_sum",
     "alternating_products",
-    "unity_sum",
 ]
-
-
-@dataclass(frozen=True)
-class Fraction:
-    """An irreducible fraction p/q with q >= 1.
-
-    The numerator may be negative and is stored as given; only the
-    reduced-form requirement gcd(|p|, q) = 1 is enforced.
-    """
-
-    p: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.q < 1:
-            raise ValueError(f"denominator must be positive, got {self.q}")
-        if gcd(abs(self.p), self.q) != 1:
-            raise NotCoprime(f"{self.p}/{self.q} is not irreducible")
-
-
-@dataclass(frozen=True)
-class IndexVector:
-    """A strictly increasing tuple of integers in [0, N).
-
-    Library internals pass plain tuples for speed; this container is
-    the validated boundary form.
-    """
-
-    components: tuple[int, ...]
-    N: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
-        v = self.components
-        if any(not 0 <= c < self.N for c in v):
-            raise ValueError(f"components outside [0, {self.N}): {v}")
-        if any(a >= b for a, b in zip(v, v[1:])):
-            raise ValueError(f"components not strictly increasing: {v}")
-
-    @property
-    def k(self) -> int:
-        return len(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __len__(self) -> int:
-        return len(self.components)
 
 
 @dataclass(frozen=True)
@@ -196,16 +142,3 @@ def alternating_products(z: Sequence[complex], m_max: int) -> list[complex]:
         for m in range(m_max, 0, -1):
             s[m] += s[m - 1] * (w if m % 2 else w_conj)
     return s
-
-
-def unity_sum(c: int, q: int) -> complex:
-    """Direct summation of exp(2*pi*i*c*h/q) over h in [0, q).
-
-    Test oracle for the root-of-unity cancellation: the result is q when
-    q divides c and 0 otherwise.
-    """
-    if q < 1:
-        raise ValueError(f"q must be positive, got {q}")
-    re = math.fsum(math.cos(2.0 * math.pi * ((c * h) % q) / q) for h in range(q))
-    im = math.fsum(math.sin(2.0 * math.pi * ((c * h) % q) / q) for h in range(q))
-    return complex(re, im)

@@ -1,13 +1,14 @@
 """Command-line interface.
 
-Commands: gauss, theta, sums, rho, rotation, verify, simulate.  Output is
+Commands: gauss, sums, rho, rotation, verify, simulate.  Output is
 JSON on stdout (CSV available for verify), carrying a reproducibility
 manifest; bulk field data from simulate goes to CSV sidecar files whose
 manifest lives in the accompanying summary JSON.
 
 Exit codes: 0 all checks passed, 1 verification failure, 2 usage error
-(including a verify range that selects no case and an unwritable
-simulate --out), 3 numerical abort (blow-up).
+(including a verify range or a sums k range that selects no case, an
+unwritable simulate --out, a simulate --grid below 1 and a --tol that is
+negative or not finite), 3 numerical abort (blow-up).
 """
 
 from __future__ import annotations
@@ -38,9 +39,11 @@ from .rotor import (
     rotation_product,
     trace_identity_eval,
 )
-from .sums import sum_report, verify_sum_identities
+from .sums import SumReport, sum_report, verify_sum_identities
 from .vfe import (
+    CurveSample,
     SimulationConfig,
+    TangentField,
     analyze_polygon,
     evolve,
     initial_tangent,
@@ -81,7 +84,7 @@ def _manifest(command: str, parameters: dict, tolerances: dict) -> dict:
 
 
 def _emit(payload: dict, stream=None) -> None:
-    json.dump(payload, stream or sys.stdout, indent=2)
+    json.dump(payload, stream or sys.stdout, indent=2, allow_nan=False)
     print(file=stream or sys.stdout)
 
 
@@ -112,29 +115,28 @@ def _coprime_pairs(q_max: int):
                 yield p, q
 
 
+def _sums_passed(report: SumReport) -> bool:
+    return report.residual <= TOL_SUMS_PER_TERM * max(1, report.term_count)
+
+
 # ---------------------------------------------------------------- commands
-
-
-def _emit_theta_table(command: str, p: int, q: int) -> int:
-    try:
-        theta = theta_sequence(p, q)
-    except (NotCoprime, ValueError) as exc:
-        return _usage_error(str(exc))
-    payload = {
-        "manifest": _manifest(
-            command, {"p": p, "q": q}, {"vanishing_rel": TOL_VANISHING}
-        ),
-        "p": p,
-        "q": q,
-        "entries": [_entry_json(n, e) for n, e in enumerate(theta.entries)],
-    }
-    _emit(payload)
-    return EXIT_OK
 
 
 def cmd_gauss(args) -> int:
     if args.n is None:
-        return _emit_theta_table("gauss", args.p, args.q)
+        try:
+            theta = theta_sequence(args.p, args.q)
+        except (NotCoprime, ValueError) as exc:
+            return _usage_error(str(exc))
+        _emit({
+            "manifest": _manifest(
+                "gauss", {"p": args.p, "q": args.q}, {"vanishing_rel": TOL_VANISHING}
+            ),
+            "p": args.p,
+            "q": args.q,
+            "entries": [_entry_json(n, e) for n, e in enumerate(theta.entries)],
+        })
+        return EXIT_OK
     try:
         entry = gauss_sum(args.p, args.q, args.n)
     except (NotCoprime, ValueError) as exc:
@@ -151,10 +153,6 @@ def cmd_gauss(args) -> int:
     return EXIT_OK
 
 
-def cmd_theta(args) -> int:
-    return _emit_theta_table("theta", args.p, args.q)
-
-
 def cmd_sums(args) -> int:
     try:
         if args.k is not None:
@@ -163,6 +161,9 @@ def cmd_sums(args) -> int:
             reports = verify_sum_identities(args.p, args.q, k_max=args.k_max)
     except PolyfilError as exc:
         return _usage_error(str(exc))
+    if not reports:
+        cap = "" if args.k_max is None else f" and k <= {args.k_max}"
+        return _usage_error(f"no k with 0 < 2k <= {args.q}{cap}")
     payload = {
         "manifest": _manifest(
             "sums",
@@ -176,14 +177,13 @@ def cmd_sums(args) -> int:
                 "e_value": _complex_json(r.e_value),
                 "term_count": r.term_count,
                 "residual": r.residual,
-                "passed": r.residual <= TOL_SUMS_PER_TERM * max(1, r.term_count),
+                "passed": _sums_passed(r),
             }
             for r in reports
         ],
     }
     _emit(payload)
-    ok = all(r.residual <= TOL_SUMS_PER_TERM * max(1, r.term_count) for r in reports)
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
+    return EXIT_OK if all(map(_sums_passed, reports)) else EXIT_VERIFICATION_FAILED
 
 
 def cmd_rho(args) -> int:
@@ -273,9 +273,8 @@ def _suite_sums(q_max: int) -> list[dict]:
         if q < 2:
             continue
         for report in verify_sum_identities(p, q):
-            tol = TOL_SUMS_PER_TERM * max(1, report.term_count)
             outcomes.append(_outcome(
-                f"sums/p={p}/q={q}/k={report.k}", report.residual <= tol, report.residual
+                f"sums/p={p}/q={q}/k={report.k}", _sums_passed(report), report.residual
             ))
     return outcomes
 
@@ -353,7 +352,7 @@ def cmd_verify(args) -> int:
     )
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
-        print(f"# manifest: {json.dumps(manifest)}")
+        print(f"# manifest: {json.dumps(manifest, allow_nan=False)}")
         writer.writerow(["case_id", "passed", "residual"])
         for o in outcomes:
             writer.writerow([o["case_id"], o["passed"], o["residual"]])
@@ -370,7 +369,24 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------- simulate
 
 
+def write_field_csvs(prefix: str, field: TangentField, curve: CurveSample) -> None:
+    """Write PREFIX.tangent.csv (s, Tx, Ty, Tz; n rows) and PREFIX.curve.csv
+    (s, Xx, Xy, Xz; n + 1 rows, the last one closing the period)."""
+    ds = 2.0 * math.pi / field.grid_points
+    for name, header, rows in (
+        ("tangent", ["s", "Tx", "Ty", "Tz"], field.samples),
+        ("curve", ["s", "Xx", "Xy", "Xz"], curve.positions),
+    ):
+        with open(f"{prefix}.{name}.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            for j, row in enumerate(rows):
+                writer.writerow([j * ds, *row])
+
+
 def cmd_simulate(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        return _usage_error(f"--tol must be finite and nonnegative, got {args.tol}")
     try:
         config = SimulationConfig(
             M=args.M, p=args.p, q=args.q,
@@ -391,14 +407,12 @@ def cmd_simulate(args) -> int:
     rms_initial = rms_distance(evolved, start)
 
     prefix = args.out or f"simulate_M{config.M}_p{config.p}_q{config.q}"
-    n = config.grid_points
-    ds = config.ds
     summary = {
         "manifest": _manifest(
             "simulate",
             {"M": config.M, "p": config.p, "q": config.q,
              "grid": config.grid_points, "dt_factor": config.dt_factor,
-             "scheme": config.scheme, "out": prefix},
+             "out": prefix},
             {"relative_error": args.tol},
         ),
         "time": config.rational_time,
@@ -414,18 +428,9 @@ def cmd_simulate(args) -> int:
         "files": [f"{prefix}.tangent.csv", f"{prefix}.curve.csv"],
     }
     try:
-        with open(f"{prefix}.tangent.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["s", "Tx", "Ty", "Tz"])
-            for j in range(n):
-                writer.writerow([j * ds, *evolved.samples[j]])
-        with open(f"{prefix}.curve.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["s", "Xx", "Xy", "Xz"])
-            for j in range(n + 1):
-                writer.writerow([j * ds, *curve.positions[j]])
+        write_field_csvs(prefix, evolved, curve)
         with open(f"{prefix}.summary.json", "w") as handle:
-            json.dump(summary, handle, indent=2)
+            json.dump(summary, handle, indent=2, allow_nan=False)
             handle.write("\n")
     except OSError as exc:
         return _usage_error(f"cannot write output: {exc}")
@@ -451,11 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--q", type=int, required=True)
     g.add_argument("--n", type=int, default=None)
     g.set_defaults(func=cmd_gauss)
-
-    t = sub.add_parser("theta", help="full argument table for (p, q)")
-    t.add_argument("--p", type=int, required=True)
-    t.add_argument("--q", type=int, required=True)
-    t.set_defaults(func=cmd_theta)
 
     s = sub.add_parser("sums", help="cosine / exponential sum reports for (p, q)")
     s.add_argument("--p", type=int, required=True)

@@ -32,7 +32,6 @@ __all__ = [
     "gauss_sum",
     "theta_sequence",
     "quadratic_phase",
-    "vanishing_pattern",
     "max_phase_defect",
     "unit_roots",
 ]
@@ -147,11 +146,6 @@ def theta_sequence(p: int, q: int) -> ThetaSequence:
     roots = unit_roots(q)
     entries = tuple(_evaluate(p, q, n, roots) for n in range(q))
     return ThetaSequence(p, q, entries)
-
-
-def vanishing_pattern(q: int, p: int) -> tuple[bool, ...]:
-    """Per-index vanishing flags; must equal the negation of admissibility."""
-    return tuple(e.vanishing for e in theta_sequence(p, q).entries)
 
 
 def quadratic_phase(p: int, q: int) -> QuadraticPhase:

@@ -37,7 +37,6 @@ __all__ = [
     "axis_angle_of",
     "inter_side_angle",
     "rotation_product",
-    "half_trace_spinor_product",
     "certify_rotation_angle",
     "trace_identity_eval",
 ]
@@ -232,15 +231,6 @@ def rotation_product(theta: ThetaSequence, rho: float) -> np.ndarray:
             f"matrix and quaternion products disagree by {mismatch}"
         )
     return total
-
-
-def half_trace_spinor_product(theta: ThetaSequence, rho: float) -> float:
-    """Scalar part of the quaternion product (half the matrix trace of the
-    corresponding 2x2 unitary); its absolute value is cos(rho/2)^count."""
-    spin = Spinor(1.0, 0.0, 0.0, 0.0)
-    for arg in _product_factors(theta):
-        spin = spin * spinor_from_axis_angle((math.cos(arg), math.sin(arg), 0.0), rho)
-    return spin.w
 
 
 def certify_rotation_angle(M: int, p: int, q: int) -> RotationCertificate:

@@ -66,7 +66,6 @@ __all__ = [
 
 DEFAULT_GRID_MULTIPLIER = 256
 DEFAULT_DT_FACTOR = 0.4
-_SUPPORTED_SCHEMES = ("central_fd_rk4",)
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,6 @@ class SimulationConfig:
     q: int
     grid_points: int | None = None
     dt_factor: float = DEFAULT_DT_FACTOR
-    scheme: str = "central_fd_rk4"
 
     def __post_init__(self) -> None:
         if self.M < 3:
@@ -95,12 +93,12 @@ class SimulationConfig:
             raise NotCoprime(f"p/q = {self.p}/{self.q} is not irreducible")
         if not (math.isfinite(self.dt_factor) and self.dt_factor > 0):
             raise ValueError(f"dt_factor must be positive and finite, got {self.dt_factor}")
-        if self.scheme not in _SUPPORTED_SCHEMES:
-            raise ValueError(f"unsupported scheme {self.scheme!r}")
         if self.grid_points is None:
             object.__setattr__(
                 self, "grid_points", DEFAULT_GRID_MULTIPLIER * self.M * self.q
             )
+        if self.grid_points < 1:
+            raise ValueError(f"grid_points must be positive, got {self.grid_points}")
         if self.grid_points % (self.M * self.q) != 0:
             raise GridNotDivisible(
                 f"grid_points={self.grid_points} is not a multiple of "
@@ -383,14 +381,26 @@ def _trim_bounds(block: int, trim_fraction: float) -> tuple[int, int]:
     return lo, hi
 
 
-def _block_means(
+def _block_stats(
     samples: np.ndarray, sides: int, offset: int, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, float]:
+    """Unit mean of the trimmed core [lo, hi) of each of `sides` equal
+    blocks starting at sample `offset`, and the worst-block RMS angular
+    deviation of the core samples from their block mean."""
     n = samples.shape[0]
     blocks = np.roll(samples, -offset, axis=0).reshape(sides, n // sides, 3)
     core = blocks[:, lo:hi]
     means = core.mean(axis=1)
-    return means / np.linalg.norm(means, axis=1, keepdims=True), core
+    means /= np.linalg.norm(means, axis=1, keepdims=True)
+    dots = np.clip(np.einsum("bls,bs->bl", core, means), -1.0, 1.0)
+    rms = np.sqrt((np.arccos(dots) ** 2).mean(axis=1))
+    return means, float(rms.max())
+
+
+def _adjacent_turns(means: np.ndarray) -> np.ndarray:
+    """Cyclic angles between consecutive unit block means."""
+    dots = np.clip((means * np.roll(means, -1, axis=0)).sum(axis=1), -1.0, 1.0)
+    return np.arccos(dots)
 
 
 def measure_plateaus(
@@ -404,9 +414,8 @@ def measure_plateaus(
     if expected_sides < 1 or n % expected_sides != 0:
         raise GridNotDivisible(f"{n} grid points not divisible into {expected_sides} blocks")
     lo, hi = _trim_bounds(n // expected_sides, trim_fraction)
-    means, _ = _block_means(field.samples, expected_sides, 0, lo, hi)
-    dots = np.clip((means * np.roll(means, -1, axis=0)).sum(axis=1), -1.0, 1.0)
-    angles = np.arccos(dots)
+    means, _ = _block_stats(field.samples, expected_sides, 0, lo, hi)
+    angles = _adjacent_turns(means)
     return PlateauReport(
         expected_sides=expected_sides,
         plateau_means=means,
@@ -429,10 +438,7 @@ def plateau_quality(
     if sides < 1 or n % sides != 0:
         raise GridNotDivisible(f"{n} grid points not divisible into {sides} blocks")
     lo, hi = _trim_bounds(n // sides, trim_fraction)
-    means, core = _block_means(field.samples, sides, offset, lo, hi)
-    dots = np.clip(np.einsum("bls,bs->bl", core, means), -1.0, 1.0)
-    rms = np.sqrt((np.arccos(dots) ** 2).mean(axis=1))
-    return float(rms.max())
+    return _block_stats(field.samples, sides, offset, lo, hi)[1]
 
 
 def detect_sides(
@@ -461,18 +467,15 @@ def detect_sides(
         if n % sides:
             continue
         block = n // sides
-        best_quality, best_offset = None, 0
-        for offset in (0, block // 2):
-            quality = plateau_quality(field, sides, offset, trim_fraction)
-            if best_quality is None or quality < best_quality:
-                best_quality, best_offset = quality, offset
-        if best_quality is None or best_quality > quality_threshold:
-            continue
         lo, hi = _trim_bounds(block, trim_fraction)
-        means, _ = _block_means(field.samples, sides, best_offset, lo, hi)
-        dots = np.clip((means * np.roll(means, -1, axis=0)).sum(axis=1), -1.0, 1.0)
-        min_turn = float(np.arccos(dots).min())
-        if min_turn >= max(0.1, 2.0 * best_quality):
+        means, quality = min(
+            (_block_stats(field.samples, sides, offset, lo, hi)
+             for offset in (0, block // 2)),
+            key=lambda stats: stats[1],
+        )
+        if quality > quality_threshold:
+            continue
+        if float(_adjacent_turns(means).min()) >= max(0.1, 2.0 * quality):
             return sides
     return 0
 

@@ -8,13 +8,6 @@ from polyfil import arith
 from polyfil.errors import ComponentCollision, NotCoprime, OddLength
 
 
-def test_gcd_small_cases():
-    assert arith.gcd(4, 6) == 2
-    assert arith.gcd(1, 12) == 1
-    assert arith.gcd(0, 7) == 7
-    assert arith.gcd(0, 0) == 0
-
-
 def test_mod_inverse_matches_exhaustive_search():
     for q in range(1, 31):
         for a in range(-q, 2 * q + 1):
@@ -188,31 +181,3 @@ def test_alternating_products_every_order():
     assert arith.alternating_products([], 2) == [1, 0, 0]
     with pytest.raises(ValueError):
         arith.alternating_products(z, -1)
-
-
-def test_unity_sum_exhaustive():
-    for q in range(1, 31):
-        for c in range(-60, 61):
-            value = arith.unity_sum(c, q)
-            if c % q == 0:
-                assert abs(value - q) <= 1e-12 * q
-            else:
-                assert abs(value) <= 1e-12 * q
-
-
-def test_fraction_validation():
-    arith.Fraction(3, 7)
-    arith.Fraction(-2, 5)
-    with pytest.raises(NotCoprime):
-        arith.Fraction(2, 4)
-    with pytest.raises(ValueError):
-        arith.Fraction(1, 0)
-
-
-def test_index_vector_validation():
-    v = arith.IndexVector((0, 2, 5), 7)
-    assert v.k == 3 and len(v) == 3 and list(v) == [0, 2, 5]
-    with pytest.raises(ValueError):
-        arith.IndexVector((2, 2), 5)
-    with pytest.raises(ValueError):
-        arith.IndexVector((0, 5), 5)

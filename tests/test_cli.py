@@ -45,20 +45,17 @@ def test_gauss_without_n_gives_table(capsys):
     code, payload = run_json(capsys, "gauss", "--p", "1", "--q", "4")
     assert code == 0
     assert [e["vanishing"] for e in payload["entries"]] == [False, True, False, True]
+    code, payload = run_json(capsys, "gauss", "--p", "1", "--q", "3")
+    assert code == 0
+    args = [e["arg"] for e in payload["entries"]]
+    assert abs(args[0] + math.pi / 2) < 1e-13
+    assert abs(args[1] - math.pi / 6) < 1e-13
 
 
 def test_usage_error_exit_code(capsys):
     code, out, err = run_cli(capsys, "gauss", "--p", "2", "--q", "4", "--n", "0")
     assert code == 2
     assert "coprime" in err
-
-
-def test_theta_table(capsys):
-    code, payload = run_json(capsys, "theta", "--p", "1", "--q", "3")
-    assert code == 0
-    args = [e["arg"] for e in payload["entries"]]
-    assert abs(args[0] + math.pi / 2) < 1e-13
-    assert abs(args[1] - math.pi / 6) < 1e-13
 
 
 def test_rho_twelve_digits(capsys):
@@ -83,6 +80,18 @@ def test_sums_command(capsys):
 def test_sums_rejects_bad_k(capsys):
     code, _, err = run_cli(capsys, "sums", "--p", "1", "--q", "3", "--k", "5")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--p", "1", "--q", "1"),
+    ("--p", "3", "--q", "8", "--k-max", "0"),
+    ("--p", "3", "--q", "8", "--k-max", "-2"),
+])
+def test_sums_empty_k_range_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "sums", *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "no k" in err
+    assert out == ""
 
 
 def test_rotation_command(capsys):
@@ -254,6 +263,21 @@ def test_simulate_unwritable_out_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: ")
     assert out == ""
+
+
+@pytest.mark.parametrize("flag", [
+    ("--grid", "0"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-0.1"),
+])
+def test_simulate_bad_grid_or_tol_is_usage_error(tmp_path, monkeypatch, capsys, flag):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        capsys, "simulate", "--M", "3", "--p", "1", "--q", "1", "--grid", "96",
+        "--out", "bad", *flag,
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+    assert not list(tmp_path.iterdir())
 
 
 def test_simulate_grid_validation(tmp_path, monkeypatch, capsys):

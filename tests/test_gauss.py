@@ -84,7 +84,7 @@ def test_vanishing_pattern_matches_admissibility():
         for p in range(1, q + 1):
             if math.gcd(p, q) != 1:
                 continue
-            pattern = gauss.vanishing_pattern(q, p)
+            pattern = tuple(e.vanishing for e in gauss.theta_sequence(p, q).entries)
             assert pattern == tuple(not arith.admissible(n, q) for n in range(q))
 
 

@@ -184,14 +184,22 @@ def test_product_factor_count():
 
 def test_half_trace_bridge():
     # |scalar part of the spinor product| = cos(rho/2)^count for any rho,
-    # and equals cos(pi/M) exactly at the predicted inter-side angle
+    # and equals cos(pi/M) exactly at the predicted inter-side angle.  As
+    # a 2x2 unitary, a factor is sin(rho/2) (x I - i v.sigma) with
+    # x = cot(rho/2); the half-trace of the product is even in the v_n, so
+    # it is the Lemma-3 left-hand side for the same angles.
+    def scalar_part(theta, rho):
+        factors = rotor._product_factors(theta)
+        lhs = rotor.trace_identity_eval(1 / math.tan(rho / 2), factors).lhs
+        return abs(lhs) * math.sin(rho / 2) ** len(factors)
+
     for m, p, q in [(5, 1, 3), (3, 1, 4), (7, 2, 5), (4, 3, 8), (6, 1, 6)]:
         theta = gauss.theta_sequence(p, q)
         count = len(theta.admissible_indices())
         for rho in (0.3, 0.9, rotor.inter_side_angle(m, q)):
-            w = rotor.half_trace_spinor_product(theta, rho)
+            w = scalar_part(theta, rho)
             assert abs(abs(w) - abs(math.cos(rho / 2)) ** count) < 1e-10
-        w_star = rotor.half_trace_spinor_product(theta, rotor.inter_side_angle(m, q))
+        w_star = scalar_part(theta, rotor.inter_side_angle(m, q))
         assert abs(abs(w_star) - math.cos(math.pi / m)) < 1e-10
 
 

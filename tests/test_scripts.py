@@ -17,3 +17,22 @@ def test_run_verification_script(tmp_path):
     assert lines[0].split() == ["suite", "passed", "total"]
     suites = [line.split()[0] for line in lines[1:]]
     assert suites == ["lemma3", "lemma4", "sums", "theorem2", "vanishing"]
+
+
+def test_pentagon_experiment_script(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "pentagon_experiment.py"),
+         "--grid", "120", "--outdir", str(tmp_path)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = {"summary.json"} | {
+        f"{label}.{kind}.csv"
+        for label in ("t0", "t_third", "t_two_thirds", "t_period")
+        for kind in ("tangent", "curve")
+    }
+    assert {p.name for p in tmp_path.iterdir()} == names
+    tangent = (tmp_path / "t_third.tangent.csv").read_text().splitlines()
+    curve = (tmp_path / "t_third.curve.csv").read_text().splitlines()
+    assert len(tangent) == 121 and len(curve) == 122

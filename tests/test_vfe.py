@@ -23,8 +23,9 @@ def test_config_defaults_and_validation():
         vfe.SimulationConfig(M=5, p=1, q=3, grid_points=1000)
     with pytest.raises(ValueError):
         vfe.SimulationConfig(M=2, p=1, q=1)
-    with pytest.raises(ValueError):
-        vfe.SimulationConfig(M=5, p=1, q=1, scheme="spectral")
+    for grid in (0, -3, -15):
+        with pytest.raises(ValueError):
+            vfe.SimulationConfig(M=3, p=1, q=1, grid_points=grid)
 
 
 def test_initial_tangent_m3_exact():

@@ -45,17 +45,20 @@ def test_gauss_without_n_gives_table(capsys):
     code, payload = run_json(capsys, "gauss", "--p", "1", "--q", "4")
     assert code == 0
     assert [e["vanishing"] for e in payload["entries"]] == [False, True, False, True]
-    code, payload = run_json(capsys, "gauss", "--p", "1", "--q", "3")
-    assert code == 0
-    args = [e["arg"] for e in payload["entries"]]
-    assert abs(args[0] + math.pi / 2) < 1e-13
-    assert abs(args[1] - math.pi / 6) < 1e-13
 
 
 def test_usage_error_exit_code(capsys):
     code, out, err = run_cli(capsys, "gauss", "--p", "2", "--q", "4", "--n", "0")
     assert code == 2
     assert "coprime" in err
+
+
+def test_theta_table(capsys):
+    code, payload = run_json(capsys, "gauss", "--p", "1", "--q", "3")
+    assert code == 0
+    args = [e["arg"] for e in payload["entries"]]
+    assert abs(args[0] + math.pi / 2) < 1e-13
+    assert abs(args[1] - math.pi / 6) < 1e-13
 
 
 def test_rho_twelve_digits(capsys):

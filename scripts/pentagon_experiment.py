@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from polyfil import (
+from polyfil.vfe import (
     SimulationConfig,
     analyze_polygon,
     evolve,

@@ -11,56 +11,3 @@ T_t = T x T_ss from polygonal initial data.
 __version__ = "0.1.0"
 
 from . import arith, cli, errors, gauss, rotor, sums, vfe
-from .arith import (
-    ParityInfo,
-    admissible,
-    admissible_indices,
-    alternating_products,
-    alternating_square_sum,
-    alternating_sum,
-    cyclic_shift,
-    enumerate_index_vectors,
-    mod_inverse,
-    parity_info,
-)
-from .gauss import (
-    GaussSumValue,
-    QuadraticPhase,
-    ThetaSequence,
-    gauss_sum,
-    max_phase_defect,
-    quadratic_phase,
-    theta_sequence,
-)
-from .rotor import (
-    AxisAngle,
-    RotationCertificate,
-    Spinor,
-    TraceIdentityResult,
-    axis_angle_of,
-    certify_rotation_angle,
-    inter_side_angle,
-    rotation_angle,
-    rotation_from_axis_angle,
-    rotation_product,
-    spinor_from_axis_angle,
-    spinor_to_rotation,
-    trace_identity_eval,
-)
-from .sums import SumReport, quad_exp_sum, sum_report, trig_sum, verify_sum_identities
-from .vfe import (
-    CurveSample,
-    PlateauReport,
-    PolygonAngleReport,
-    SimulationConfig,
-    TangentField,
-    analyze_polygon,
-    detect_sides,
-    evolve,
-    initial_tangent,
-    measure_plateaus,
-    reconstruct_curve,
-    rms_distance,
-    verify_polygon_angle,
-    vertical_drift_rate,
-)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import ComponentCollision, NotCoprime, OddLength
 
@@ -32,14 +32,13 @@ __all__ = [
 class ParityInfo:
     """Parity bookkeeping for a modulus q.
 
-    delta is the parity of q.  For even q, q_half = q/2 and epsilon is
-    the parity of q/2, which is also the common parity of every
-    admissible index n (for odd q both are None).
+    delta is the parity of q.  For even q, epsilon is the parity of q/2,
+    which is also the common parity of every admissible index n (for odd
+    q it is None).
     """
 
     delta: int
     epsilon: int | None
-    q_half: int | None
 
 
 def mod_inverse(a: int, q: int) -> int:
@@ -56,8 +55,8 @@ def parity_info(q: int) -> ParityInfo:
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
     if q % 2 == 1:
-        return ParityInfo(delta=1, epsilon=None, q_half=None)
-    return ParityInfo(delta=0, epsilon=(q // 2) % 2, q_half=q // 2)
+        return ParityInfo(delta=1, epsilon=None)
+    return ParityInfo(delta=0, epsilon=(q // 2) % 2)
 
 
 def admissible(n: int, q: int) -> bool:
@@ -75,20 +74,14 @@ def admissible_indices(q: int) -> tuple[int, ...]:
     return tuple(n for n in range(q) if admissible(n, q))
 
 
-def enumerate_index_vectors(
-    k: int,
-    N: int,
-    predicate: Callable[[int], bool] | None = None,
-) -> Iterator[tuple[int, ...]]:
+def enumerate_index_vectors(k: int, N: int) -> Iterator[tuple[int, ...]]:
     """Yield all strictly increasing k-tuples over [0, N), lexicographically.
 
-    With a predicate, only tuples all of whose components satisfy it are
-    produced.  k = 0 yields exactly one empty tuple.
+    k = 0 yields exactly one empty tuple.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    pool = range(N) if predicate is None else [n for n in range(N) if predicate(n)]
-    return combinations(pool, k)
+    return combinations(range(N), k)
 
 
 def cyclic_shift(v: Sequence[int], h: int, N: int) -> tuple[int, ...]:

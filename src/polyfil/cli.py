@@ -33,10 +33,10 @@ from .gauss import (
     theta_sequence,
 )
 from .rotor import (
+    RotationCertificate,
     axis_angle_of,
     certify_rotation_angle,
     inter_side_angle,
-    rotation_product,
     trace_identity_eval,
 )
 from .sums import SumReport, sum_report, verify_sum_identities
@@ -117,6 +117,13 @@ def _coprime_pairs(q_max: int):
 
 def _sums_passed(report: SumReport) -> bool:
     return report.residual <= TOL_SUMS_PER_TERM * max(1, report.term_count)
+
+
+def _theorem2_passed(cert: RotationCertificate) -> bool:
+    return (
+        cert.angle_error <= TOL_ROTATION_ANGLE
+        and cert.falsification_margin > MIN_FALSIFICATION_MARGIN
+    )
 
 
 # ---------------------------------------------------------------- commands
@@ -204,28 +211,30 @@ def cmd_rho(args) -> int:
 def cmd_rotation(args) -> int:
     try:
         cert = certify_rotation_angle(args.M, args.p, args.q)
-        matrix = rotation_product(theta_sequence(args.p, args.q), cert.rho)
     except (PolyfilError, ValueError) as exc:
         return _usage_error(str(exc))
-    aa = axis_angle_of(matrix)
+    aa = axis_angle_of(cert.product)
+    passed = _theorem2_passed(cert)
     payload = {
         "manifest": _manifest(
             "rotation",
             {"M": args.M, "p": args.p, "q": args.q},
-            {"angle": TOL_ROTATION_ANGLE},
+            {"angle": TOL_ROTATION_ANGLE,
+             "falsification_margin_min": MIN_FALSIFICATION_MARGIN},
         ),
         "M": args.M,
         "p": args.p,
         "q": args.q,
         "rho": cert.rho,
-        "matrix": [list(row) for row in matrix],
+        "matrix": [list(row) for row in cert.product],
         "axis": list(aa.axis) if aa.axis is not None and aa.axis_stable else None,
         "angle": cert.angle,
         "angle_error": cert.angle_error,
         "falsification_margin": cert.falsification_margin,
+        "passed": passed,
     }
     _emit(payload)
-    return EXIT_OK
+    return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
 
 
 # ------------------------------------------------------------ verify suites
@@ -284,13 +293,9 @@ def _suite_theorem2(q_max: int, m_max: int) -> list[dict]:
     for p, q in _coprime_pairs(q_max):
         for M in range(3, m_max + 1):
             cert = certify_rotation_angle(M, p, q)
-            ok = (
-                cert.angle_error <= TOL_ROTATION_ANGLE
-                and cert.falsification_margin > MIN_FALSIFICATION_MARGIN
-            )
-            outcomes.append(
-                _outcome(f"theorem2/M={M}/p={p}/q={q}", ok, cert.angle_error)
-            )
+            outcomes.append(_outcome(
+                f"theorem2/M={M}/p={p}/q={q}", _theorem2_passed(cert), cert.angle_error
+            ))
     return outcomes
 
 
@@ -327,6 +332,7 @@ def cmd_verify(args) -> int:
     }
     selected = list(suites) if args.suite == "all" else [args.suite]
     outcomes: list[dict] = []
+    per_suite: dict[str, dict] = {}
     for name in selected:
         suite_outcomes = suites[name]()
         if not suite_outcomes:
@@ -334,10 +340,14 @@ def cmd_verify(args) -> int:
                 f"suite {name} selects no case for --q-max {args.q_max} "
                 f"--m-max {args.m_max}"
             )
+        per_suite[name] = {
+            "total": len(suite_outcomes),
+            "failed": sum(1 for o in suite_outcomes if not o["passed"]),
+        }
         outcomes.extend(suite_outcomes)
     outcomes.sort(key=lambda o: o["case_id"])
 
-    n_failed = sum(1 for o in outcomes if not o["passed"])
+    n_failed = sum(counts["failed"] for counts in per_suite.values())
     manifest = _manifest(
         "verify",
         {"suite": args.suite, "q_max": args.q_max, "m_max": args.m_max},
@@ -361,6 +371,7 @@ def cmd_verify(args) -> int:
             "manifest": manifest,
             "total": len(outcomes),
             "failed": n_failed,
+            "suites": per_suite,
             "outcomes": outcomes,
         })
     return EXIT_OK if n_failed == 0 else EXIT_VERIFICATION_FAILED

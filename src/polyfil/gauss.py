@@ -77,9 +77,6 @@ class ThetaSequence:
     def admissible_indices(self) -> tuple[int, ...]:
         return tuple(n for n, e in enumerate(self.entries) if not e.vanishing)
 
-    def __len__(self) -> int:
-        return self.q
-
 
 @dataclass(frozen=True)
 class QuadraticPhase:

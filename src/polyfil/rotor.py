@@ -11,11 +11,11 @@ axes are best effort and flagged near the 0 and pi edge cases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import alternating_products
+from .arith import admissible, alternating_products
 from .errors import (
     CrossCheckFailure,
     NonUnitAxis,
@@ -86,7 +86,8 @@ class AxisAngle:
 @dataclass(frozen=True)
 class RotationCertificate:
     """Angle agreement of the corner-rotation product at the predicted
-    inter-side angle, plus how far a +-5% detuning drifts off target."""
+    inter-side angle, plus how far a +-5% detuning drifts off target.
+    `product` is the rotation matrix at rho itself."""
 
     M: int
     p: int
@@ -95,6 +96,7 @@ class RotationCertificate:
     angle: float
     angle_error: float
     falsification_margin: float
+    product: np.ndarray = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -196,17 +198,19 @@ def _product_factors(theta: ThetaSequence) -> list[float]:
     """Arguments for the ordered product, leftmost factor first.
 
     Factor n (ascending n leftmost) uses the argument of index q-1-n and
-    skips n with 4 | q - 2n, which lands exactly on the vanishing mask.
+    skips n whose index is not admissible, which lands exactly on the
+    vanishing mask.
     """
     q = theta.q
     factors = []
     for n in range(q):
-        if (q - 2 * n) % 4 == 0:
+        index = q - 1 - n
+        if not admissible(index, q):
             continue
-        entry = theta.entries[q - 1 - n]
+        entry = theta.entries[index]
         if entry.vanishing:
             raise UndefinedTheta(
-                f"index {q - 1 - n} vanishes but is required by the product"
+                f"index {index} vanishes but is required by the product"
             )
         assert entry.argument is not None
         factors.append(entry.argument)
@@ -239,7 +243,8 @@ def certify_rotation_angle(M: int, p: int, q: int) -> RotationCertificate:
     theta = theta_sequence(p, q)
     rho = inter_side_angle(M, q)
     target = 2.0 * math.pi / M
-    angle = rotation_angle(rotation_product(theta, rho))
+    product = rotation_product(theta, rho)
+    angle = rotation_angle(product)
     angle_error = abs(angle - target)
     margin = min(
         abs(rotation_angle(rotation_product(theta, f * rho)) - target)
@@ -247,7 +252,7 @@ def certify_rotation_angle(M: int, p: int, q: int) -> RotationCertificate:
     )
     return RotationCertificate(
         M=M, p=p, q=q, rho=rho, angle=angle,
-        angle_error=angle_error, falsification_margin=margin,
+        angle_error=angle_error, falsification_margin=margin, product=product,
     )
 
 

@@ -56,7 +56,6 @@ __all__ = [
     "evolve",
     "rms_distance",
     "measure_plateaus",
-    "plateau_quality",
     "detect_sides",
     "reconstruct_curve",
     "vertical_drift_rate",
@@ -66,6 +65,13 @@ __all__ = [
 
 DEFAULT_GRID_MULTIPLIER = 256
 DEFAULT_DT_FACTOR = 0.4
+
+# Plateau statistics: each block keeps its central half, and side
+# detection accepts 0.2 rad of worst-block RMS deviation on blocks of at
+# least 32 cells.
+_TRIM_FRACTION = 0.25
+_QUALITY_THRESHOLD = 0.2
+_MIN_BLOCK_CELLS = 32
 
 
 @dataclass(frozen=True)
@@ -371,14 +377,11 @@ def rms_distance(a: TangentField, b: TangentField) -> float:
     return float(np.sqrt(np.mean((a.samples - b.samples) ** 2)))
 
 
-def _trim_bounds(block: int, trim_fraction: float) -> tuple[int, int]:
-    if not 0.0 <= trim_fraction < 0.5:
-        raise RangeError(f"trim_fraction must be in [0, 0.5), got {trim_fraction}")
-    lo = int(round(trim_fraction * block))
-    hi = block - lo
-    if hi <= lo:
-        raise RangeError(f"trimming {trim_fraction} empties blocks of {block} samples")
-    return lo, hi
+def _trim_bounds(block: int) -> tuple[int, int]:
+    """The core [lo, hi) of a block of `block` samples; never empty for
+    block >= 1."""
+    lo = int(round(_TRIM_FRACTION * block))
+    return lo, block - lo
 
 
 def _block_stats(
@@ -403,17 +406,13 @@ def _adjacent_turns(means: np.ndarray) -> np.ndarray:
     return np.arccos(dots)
 
 
-def measure_plateaus(
-    field: TangentField,
-    expected_sides: int,
-    trim_fraction: float = 0.25,
-) -> PlateauReport:
-    """Average the central portion of each of expected_sides equal blocks
+def measure_plateaus(field: TangentField, expected_sides: int) -> PlateauReport:
+    """Average the central half of each of expected_sides equal blocks
     (aligned with s = 0) and report the cyclic adjacent angles."""
     n = field.grid_points
     if expected_sides < 1 or n % expected_sides != 0:
         raise GridNotDivisible(f"{n} grid points not divisible into {expected_sides} blocks")
-    lo, hi = _trim_bounds(n // expected_sides, trim_fraction)
+    lo, hi = _trim_bounds(n // expected_sides)
     means, _ = _block_stats(field.samples, expected_sides, 0, lo, hi)
     angles = _adjacent_turns(means)
     return PlateauReport(
@@ -425,35 +424,14 @@ def measure_plateaus(
     )
 
 
-def plateau_quality(
-    field: TangentField,
-    sides: int,
-    offset: int = 0,
-    trim_fraction: float = 0.25,
-) -> float:
-    """Worst-block RMS angular deviation of the trimmed samples from their
-    block mean; small values mean the field really is piecewise constant
-    on this partition."""
-    n = field.grid_points
-    if sides < 1 or n % sides != 0:
-        raise GridNotDivisible(f"{n} grid points not divisible into {sides} blocks")
-    lo, hi = _trim_bounds(n // sides, trim_fraction)
-    return _block_stats(field.samples, sides, offset, lo, hi)[1]
-
-
-def detect_sides(
-    field: TangentField,
-    max_sides: int | None = None,
-    quality_threshold: float = 0.2,
-    trim_fraction: float = 0.25,
-) -> int:
+def detect_sides(field: TangentField) -> int:
     """Smallest block count (a divisor of the grid size, >= 2) on which the
-    field is piecewise constant within quality_threshold radians AND turns
-    at every block boundary.
+    field is piecewise constant within 0.2 radians AND turns at every
+    block boundary.
 
     The turning requirement (min adjacent angle >= max(0.1, 2 * quality))
     rejects partitions that merely subdivide true plateaus, and the block
-    floor of 32 cells (max_sides defaults to n // 32) keeps block means
+    floor of 32 cells (at most n // 32 blocks) keeps block means
     from tracking sub-plateau oscillation, which would otherwise qualify
     trivially once blocks are small enough.  Both the s = 0 aligned
     partition and the half-block-shifted one are tried, because for some
@@ -461,27 +439,25 @@ def detect_sides(
     no candidate qualifies.
     """
     n = field.grid_points
-    if max_sides is None:
-        max_sides = n // 32
-    for sides in range(2, max_sides + 1):
+    for sides in range(2, n // _MIN_BLOCK_CELLS + 1):
         if n % sides:
             continue
         block = n // sides
-        lo, hi = _trim_bounds(block, trim_fraction)
+        lo, hi = _trim_bounds(block)
         means, quality = min(
             (_block_stats(field.samples, sides, offset, lo, hi)
              for offset in (0, block // 2)),
             key=lambda stats: stats[1],
         )
-        if quality > quality_threshold:
+        if quality > _QUALITY_THRESHOLD:
             continue
         if float(_adjacent_turns(means).min()) >= max(0.1, 2.0 * quality):
             return sides
     return 0
 
 
-def reconstruct_curve(field: TangentField, base_point=(0.0, 0.0, 0.0)) -> CurveSample:
-    """Cumulative trapezoidal integration of the tangent from base_point.
+def reconstruct_curve(field: TangentField) -> CurveSample:
+    """Cumulative trapezoidal integration of the tangent from the origin.
 
     Returns n + 1 positions (the last one closes the period; for a field
     with zero mean it coincides with the first up to roundoff).
@@ -490,8 +466,7 @@ def reconstruct_curve(field: TangentField, base_point=(0.0, 0.0, 0.0)) -> CurveS
     samples = field.samples
     ds = 2.0 * math.pi / field.grid_points
     steps = 0.5 * ds * (samples + np.roll(samples, -1, axis=0))
-    base = np.asarray(base_point, dtype=float).reshape(1, 3)
-    positions = np.vstack([base, base + np.cumsum(steps, axis=0)])
+    positions = np.vstack([np.zeros((1, 3)), np.cumsum(steps, axis=0)])
     return CurveSample(
         positions=positions,
         mean_height=float(positions[:-1, 2].mean()),
@@ -505,7 +480,7 @@ def vertical_drift_rate(field: TangentField) -> float:
     Averaging the pointwise velocity T x T_ss telescopes to zero on a
     periodic grid; integrating by parts once leaves mean(T x T_s), which
     is the quantity that survives.  The reconstructed curve is pinned at
-    its base point, so the uniform translation of the true curve is
+    the origin, so the uniform translation of the true curve is
     invisible in positions; this rate is the measurable form of it.
     """
     samples = field.samples

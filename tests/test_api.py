@@ -11,3 +11,10 @@ def test_all_entries_resolve_and_star_import(name):
     namespace = {}
     exec(f"from polyfil.{name} import *", namespace)
     assert [entry for entry in module.__all__ if entry not in namespace] == []
+
+
+def test_package_namespace_is_the_modules():
+    # the layers are imported per module; no flat re-export layer
+    polyfil = importlib.import_module("polyfil")
+    public = {name for name in vars(polyfil) if not name.startswith("_")}
+    assert public == {"arith", "cli", "errors", "gauss", "rotor", "sums", "vfe"}

@@ -28,9 +28,9 @@ def test_mod_inverse_spot_values():
 
 
 def test_parity_info():
-    assert arith.parity_info(3) == arith.ParityInfo(delta=1, epsilon=None, q_half=None)
-    assert arith.parity_info(4) == arith.ParityInfo(delta=0, epsilon=0, q_half=2)
-    assert arith.parity_info(2) == arith.ParityInfo(delta=0, epsilon=1, q_half=1)
+    assert arith.parity_info(3) == arith.ParityInfo(delta=1, epsilon=None)
+    assert arith.parity_info(4) == arith.ParityInfo(delta=0, epsilon=0)
+    assert arith.parity_info(2) == arith.ParityInfo(delta=0, epsilon=1)
 
 
 def test_admissible():
@@ -51,8 +51,6 @@ def test_admissible_matches_parity_of_half_q():
 
 def test_enumerate_index_vectors():
     assert list(arith.enumerate_index_vectors(2, 3)) == [(0, 1), (0, 2), (1, 2)]
-    filtered = list(arith.enumerate_index_vectors(2, 4, lambda n: arith.admissible(n, 4)))
-    assert filtered == [(0, 2)]
     assert list(arith.enumerate_index_vectors(0, 5)) == [()]
 
 

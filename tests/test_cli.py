@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from polyfil import cli, rotor
 from polyfil.cli import main
 
 
@@ -112,6 +113,39 @@ def test_rotation_command(capsys):
     assert abs(payload["angle"] - 2 * math.pi / 5) < 1e-9
 
 
+@pytest.mark.parametrize("argv, code, passed", [
+    (("--M", "5", "--p", "1", "--q", "3"), 0, True),
+    # at M = 10000 a +-5% detuning moves the angle by only ~3e-5
+    (("--M", "10000", "--p", "1", "--q", "1"), 1, False),
+])
+def test_rotation_exit_code_follows_check(capsys, argv, code, passed):
+    got, payload = run_json(capsys, "rotation", *argv)
+    assert (got, payload["passed"]) == (code, passed)
+    assert payload["manifest"]["tolerances"] == {
+        "angle": 1e-9, "falsification_margin_min": 1e-4,
+    }
+
+
+def test_rotation_builds_one_table_and_three_products(capsys, monkeypatch):
+    calls = {"theta_sequence": 0, "rotation_product": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (cli, rotor):
+        for name in calls:
+            if hasattr(module, name):
+                counted(module, name)
+    code, _ = run_json(capsys, "rotation", "--M", "5", "--p", "1", "--q", "3")
+    assert code == 0
+    assert calls == {"theta_sequence": 1, "rotation_product": 3}
+
+
 def test_verify_sums_suite(capsys):
     code, payload = run_json(capsys, "verify", "--suite", "sums", "--q-max", "8")
     assert code == 0
@@ -164,6 +198,17 @@ def test_verify_theorem2_suite_small(capsys):
         capsys, "verify", "--suite", "theorem2", "--q-max", "6", "--m-max", "6"
     )
     assert code == 0 and payload["failed"] == 0
+
+
+def test_verify_all_reports_each_suite(capsys):
+    code, payload = run_json(capsys, "verify", "--suite", "all", "--q-max", "4")
+    assert code == 0
+    suites = payload["suites"]
+    assert list(suites) == ["sums", "theorem2", "lemma3", "lemma4", "vanishing"]
+    assert sum(s["total"] for s in suites.values()) == payload["total"]
+    for name, counts in suites.items():
+        ids = [o for o in payload["outcomes"] if o["case_id"].startswith(name + "/")]
+        assert counts == {"total": len(ids), "failed": 0}
 
 
 def test_verify_determinism_up_to_timestamp(capsys):

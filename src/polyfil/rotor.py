@@ -6,6 +6,12 @@ right-handed, acting on vectors by v -> s v s^-1, so the quaternion
 product composes in the same left-to-right order as the matrix product.
 Angles are extracted from the trace (well defined up to the pi edge);
 axes are best effort and flagged near the 0 and pi edge cases.
+
+The theorem-2 certificate is batched: certify_rotation_angles builds one
+Gauss table per (p, q) and makes one rotation_product call for every M
+and the three angles rho, 0.95*rho and 1.05*rho.  That call walks the
+factors once, updating a (k, 3, 3) matrix stack and a (k, 4) quaternion
+stack; rotation_angle and the checks it applies take the whole stack.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ __all__ = [
     "inter_side_angle",
     "rotation_product",
     "certify_rotation_angle",
+    "certify_rotation_angles",
     "trace_identity_eval",
 ]
 
@@ -135,34 +142,45 @@ def spinor_from_axis_angle(axis, angle: float) -> Spinor:
 
 def spinor_to_rotation(s: Spinor) -> np.ndarray:
     """Image rotation under the double cover; s and -s map identically."""
-    if abs(s.norm() - 1.0) > _UNIT_TOL:
-        raise NonUnitSpinor(f"spinor norm {s.norm()} is not 1")
-    w, x, y, z = s.w, s.x, s.y, s.z
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    return _spinor_matrices(np.array([s.w, s.x, s.y, s.z]))
+
+
+def _spinor_matrices(spin: np.ndarray) -> np.ndarray:
+    """Rotation matrices (..., 3, 3) of unit quaternions (..., 4)."""
+    norm = np.sqrt(np.sum(spin * spin, axis=-1))
+    if not np.all(np.abs(norm - 1.0) <= _UNIT_TOL):
+        raise NonUnitSpinor(f"spinor norm {norm} is not 1")
+    w, x, y, z = np.moveaxis(spin, -1, 0)
+    return np.stack([
+        np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], -1),
+        np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], -1),
+        np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], -1),
+    ], -2)
 
 
 def _check_rotation(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
-        raise NotARotation(f"expected a 3x3 matrix, got shape {r.shape}")
-    if float(np.abs(r.T @ r - np.eye(3)).max()) > _ORTHO_TOL:
+    if r.ndim < 2 or r.shape[-2:] != (3, 3):
+        raise NotARotation(f"expected 3x3 matrices, got shape {r.shape}")
+    # written as "not <=" so that NaN fails too
+    ortho = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)).max(initial=0.0)
+    if not ortho <= _ORTHO_TOL:
         raise NotARotation("matrix is not orthogonal")
-    if abs(float(np.linalg.det(r)) - 1.0) > _ORTHO_TOL:
+    if not np.abs(np.linalg.det(r) - 1.0).max(initial=0.0) <= _ORTHO_TOL:
         raise NotARotation("determinant is not 1")
     return r
 
 
-def rotation_angle(r: np.ndarray) -> float:
-    """Rotation angle in [0, pi] from the trace; clamps only roundoff."""
+def rotation_angle(r: np.ndarray) -> float | np.ndarray:
+    """Rotation angle in [0, pi] from the trace; clamps only roundoff.
+    A float for one 3x3 matrix, an array of angles for a (..., 3, 3)
+    stack."""
     r = _check_rotation(r)
-    c = (float(np.trace(r)) - 1.0) / 2.0
-    if c > 1.0 + _CLAMP_TOL or c < -1.0 - _CLAMP_TOL:
+    c = (np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0
+    if np.any(np.abs(c) > 1.0 + _CLAMP_TOL):
         raise NotARotation(f"trace-derived cosine {c} outside [-1, 1]")
-    return math.acos(min(1.0, max(-1.0, c)))
+    angle = np.arccos(np.clip(c, -1.0, 1.0))
+    return float(angle) if angle.ndim == 0 else angle
 
 
 def axis_angle_of(r: np.ndarray) -> AxisAngle:
@@ -185,13 +203,18 @@ def axis_angle_of(r: np.ndarray) -> AxisAngle:
 def inter_side_angle(M: int, q: int) -> float:
     """The angle rho between adjacent sides of the time t_{p/q} polygon:
     cos(rho/2) = cos(pi/M)^(1/q) for odd q and cos(pi/M)^(2/q) for even q.
-    Independent of p.  Reduces to the planar value 2*pi/M at q = 1, 2."""
+    Independent of p.  Reduces to the planar value 2*pi/M at q = 1, 2.
+
+    Evaluated as rho = 4*asin(sqrt(x/2)) with x = 1 - cos(rho/2) formed by
+    log1p/expm1 from 2*sin(pi/2M)^2 = 1 - cos(pi/M), so that no step
+    cancels when rho is small (large M)."""
     if M < 3:
         raise ValueError(f"M must be at least 3, got {M}")
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
     exponent = 1.0 / q if q % 2 == 1 else 2.0 / q
-    return 2.0 * math.acos(math.cos(math.pi / M) ** exponent)
+    x = -math.expm1(exponent * math.log1p(-2.0 * math.sin(math.pi / (2 * M)) ** 2))
+    return 4.0 * math.asin(math.sqrt(x / 2.0))
 
 
 def _product_factors(theta: ThetaSequence) -> list[float]:
@@ -217,43 +240,74 @@ def _product_factors(theta: ThetaSequence) -> list[float]:
     return factors
 
 
-def rotation_product(theta: ThetaSequence, rho: float) -> np.ndarray:
+def rotation_product(theta: ThetaSequence, rho: float | np.ndarray) -> np.ndarray:
     """Ordered product of rotations by rho about the in-plane axes
     (cos theta_n, sin theta_n, 0), computed both as 3x3 matrices and as
-    quaternions; the two routes must agree."""
-    if not 0.0 < rho < math.pi:
+    quaternions; the two routes must agree.
+
+    rho is one angle, giving one 3x3 matrix, or a 1-D array of k angles,
+    giving a (k, 3, 3) stack.  One pass over the factors updates the
+    whole matrix stack and the whole (k, 4) quaternion stack."""
+    rhos = np.asarray(rho, dtype=float)
+    if rhos.ndim > 1:
+        raise ValueError(f"rho must be a number or a 1-D array, got shape {rhos.shape}")
+    flat = rhos.reshape(-1)
+    if not np.all((flat > 0.0) & (flat < math.pi)):
         raise ValueError(f"rho must lie in (0, pi), got {rho}")
-    total = np.eye(3)
-    spin = Spinor(1.0, 0.0, 0.0, 0.0)
+    sin_rho = np.sin(flat)[:, None, None]
+    versine = (1.0 - np.cos(flat))[:, None, None]
+    half_cos = np.cos(0.5 * flat)[:, None]
+    half_sin = np.sin(0.5 * flat)[:, None]
+    total = np.tile(np.eye(3), (flat.size, 1, 1))
+    spin = np.tile([1.0, 0.0, 0.0, 0.0], (flat.size, 1))
     for arg in _product_factors(theta):
-        axis = (math.cos(arg), math.sin(arg), 0.0)
-        total = total @ rotation_from_axis_angle(axis, rho)
-        spin = spin * spinor_from_axis_angle(axis, rho)
-    mismatch = float(np.abs(spinor_to_rotation(spin) - total).max())
-    if mismatch > _CROSS_CHECK_TOL:
+        c, s = math.cos(arg), math.sin(arg)
+        # Rodrigues: k is the cross-product matrix of the axis (c, s, 0)
+        k = np.array([[0.0, 0.0, s], [0.0, 0.0, -c], [-s, c, 0.0]])
+        total = total @ (np.eye(3) + sin_rho * k + versine * (k @ k))
+        # spin * (cos(rho/2) + sin(rho/2) (c i + s j)); `spin @ pure` is
+        # the quaternion product spin * (c i + s j)
+        pure = np.array([
+            [0.0, c, s, 0.0],
+            [-c, 0.0, 0.0, s],
+            [-s, 0.0, 0.0, -c],
+            [0.0, -s, c, 0.0],
+        ])
+        spin = half_cos * spin + half_sin * (spin @ pure)
+    mismatch = np.abs(_spinor_matrices(spin) - total).max(initial=0.0)
+    if not mismatch <= _CROSS_CHECK_TOL:
         raise CrossCheckFailure(
             f"matrix and quaternion products disagree by {mismatch}"
         )
-    return total
+    return total[0] if rhos.ndim == 0 else total
+
+
+def certify_rotation_angles(p: int, q: int, Ms) -> list[RotationCertificate]:
+    """Certificates for several M at one (p, q): one Gauss table and one
+    product call for the 3*len(Ms) angles rho, 0.95*rho and 1.05*rho.
+
+    Each checks that the product has angle exactly 2*pi/M at the predicted
+    inter-side angle rho, and that detuning rho by +-5% visibly breaks it
+    (falsification_margin is the smaller miss of the two detunings)."""
+    Ms = list(Ms)
+    theta = theta_sequence(p, q)
+    rhos = np.array([inter_side_angle(M, q) for M in Ms])
+    products = rotation_product(theta, np.concatenate([rhos, 0.95 * rhos, 1.05 * rhos]))
+    angles = rotation_angle(products).reshape(3, len(Ms)).T.tolist()
+    certs = []
+    for M, rho, (angle, low, high), product in zip(Ms, rhos.tolist(), angles, products):
+        target = 2.0 * math.pi / M
+        certs.append(RotationCertificate(
+            M=M, p=p, q=q, rho=rho, angle=angle, angle_error=abs(angle - target),
+            falsification_margin=min(abs(low - target), abs(high - target)),
+            product=product,
+        ))
+    return certs
 
 
 def certify_rotation_angle(M: int, p: int, q: int) -> RotationCertificate:
-    """Check that the product has angle exactly 2*pi/M at the predicted
-    inter-side angle, and that detuning rho by +-5% visibly breaks it."""
-    theta = theta_sequence(p, q)
-    rho = inter_side_angle(M, q)
-    target = 2.0 * math.pi / M
-    product = rotation_product(theta, rho)
-    angle = rotation_angle(product)
-    angle_error = abs(angle - target)
-    margin = min(
-        abs(rotation_angle(rotation_product(theta, f * rho)) - target)
-        for f in (0.95, 1.05)
-    )
-    return RotationCertificate(
-        M=M, p=p, q=q, rho=rho, angle=angle,
-        angle_error=angle_error, falsification_margin=margin, product=product,
-    )
+    """The certificate of one M (see certify_rotation_angles)."""
+    return certify_rotation_angles(p, q, [M])[0]
 
 
 def trace_identity_eval(x: float, phis) -> TraceIdentityResult:

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from polyfil import cli, rotor
@@ -117,6 +118,8 @@ def test_rotation_command(capsys):
     (("--M", "5", "--p", "1", "--q", "3"), 0, True),
     # at M = 10000 a +-5% detuning moves the angle by only ~3e-5
     (("--M", "10000", "--p", "1", "--q", "1"), 1, False),
+    # rho = 2*pi/1e20 is tiny but positive, so the check runs and fails
+    (("--M", "100000000000000000000", "--p", "1", "--q", "1"), 1, False),
 ])
 def test_rotation_exit_code_follows_check(capsys, argv, code, passed):
     got, payload = run_json(capsys, "rotation", *argv)
@@ -126,24 +129,48 @@ def test_rotation_exit_code_follows_check(capsys, argv, code, passed):
     }
 
 
-def test_rotation_builds_one_table_and_three_products(capsys, monkeypatch):
-    calls = {"theta_sequence": 0, "rotation_product": 0}
+def count_calls(monkeypatch, names):
+    """Wrap `names` wherever cli or rotor binds them; return a dict with
+    the call count of each and the values of rho passed per product call."""
+    calls = {name: 0 for name in names}
+    calls["rho_sizes"] = []
 
     def counted(module, name):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "rotation_product":
+                calls["rho_sizes"].append(np.size(args[1]))
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
     for module in (cli, rotor):
-        for name in calls:
+        for name in names:
             if hasattr(module, name):
                 counted(module, name)
+    return calls
+
+
+def test_rotation_builds_one_table_and_three_products(capsys, monkeypatch):
+    # the three products (rho, 0.95 rho, 1.05 rho) are one batched call
+    calls = count_calls(monkeypatch, ("theta_sequence", "rotation_product"))
     code, _ = run_json(capsys, "rotation", "--M", "5", "--p", "1", "--q", "3")
     assert code == 0
-    assert calls == {"theta_sequence": 1, "rotation_product": 3}
+    assert calls == {"theta_sequence": 1, "rotation_product": 1, "rho_sizes": [3]}
+
+
+def test_verify_theorem2_one_table_and_one_product_per_pair(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, ("theta_sequence", "rotation_product"))
+    code, payload = run_json(
+        capsys, "verify", "--suite", "theorem2", "--q-max", "8", "--m-max", "10"
+    )
+    pairs = sum(1 for q in range(1, 9) for p in range(1, q + 1) if math.gcd(p, q) == 1)
+    assert code == 0 and pairs == 22
+    assert payload["total"] == 8 * pairs
+    assert calls == {
+        "theta_sequence": pairs, "rotation_product": pairs, "rho_sizes": [24] * pairs,
+    }
 
 
 def test_verify_sums_suite(capsys):

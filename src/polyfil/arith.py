@@ -3,7 +3,8 @@
 Everything here is pure and deterministic: enumeration order is always
 lexicographic so that downstream floating-point summations are
 reproducible bit for bit.  All arithmetic uses Python integers, which
-are exact at any size.
+are exact at any size, except admissible_mask, whose int64 indices stay
+below 2q.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import ComponentCollision, NotCoprime, OddLength
 
@@ -20,6 +23,7 @@ __all__ = [
     "parity_info",
     "admissible",
     "admissible_indices",
+    "admissible_mask",
     "enumerate_index_vectors",
     "cyclic_shift",
     "alternating_sum",
@@ -70,8 +74,16 @@ def admissible(n: int, q: int) -> bool:
     return (2 * n + 2 - q) % 4 != 0
 
 
+def admissible_mask(q: int) -> np.ndarray:
+    """Boolean array over n = 0..q-1: admissible(n, q) for every n."""
+    if q < 1:
+        raise ValueError(f"q must be positive, got {q}")
+    n = np.arange(q, dtype=np.int64)
+    return (2 * n + 2 - q) % 4 != 0
+
+
 def admissible_indices(q: int) -> tuple[int, ...]:
-    return tuple(n for n in range(q) if admissible(n, q))
+    return tuple(np.flatnonzero(admissible_mask(q)).tolist())
 
 
 def enumerate_index_vectors(k: int, N: int) -> Iterator[tuple[int, ...]]:

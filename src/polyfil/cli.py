@@ -7,8 +7,9 @@ manifest lives in the accompanying summary JSON.
 
 Exit codes: 0 all checks passed, 1 verification failure, 2 usage error
 (including a verify range or a sums k range that selects no case, an
-unwritable simulate --out, a simulate --grid below 1 and a --tol that is
-negative or not finite), 3 numerical abort (blow-up).
+unwritable simulate --out, a simulate --grid below 1, a --tol that is
+negative or not finite and an --M or --q too large for a float), 3
+numerical abort (blow-up).
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ import sys
 from datetime import datetime, timezone
 from math import gcd
 
+import numpy as np
+
 from . import __version__
-from .arith import admissible
+from .arith import admissible_mask
 from .errors import BlowUp, NotCoprime, PolyfilError
 from .gauss import (
     GaussSumValue,
@@ -142,7 +145,7 @@ def cmd_gauss(args) -> int:
             ),
             "p": args.p,
             "q": args.q,
-            "entries": [_entry_json(n, e) for n, e in enumerate(theta.entries)],
+            "entries": [_entry_json(n, theta.entry(n)) for n in range(args.q)],
         })
         return EXIT_OK
     try:
@@ -251,19 +254,15 @@ def _suite_vanishing(q_max: int) -> list[dict]:
         theta = theta_sequence(p, q)
         expected_modulus = math.sqrt(q) if q % 2 == 1 else math.sqrt(2 * q)
         tol = TOL_VANISHING * max(1.0, math.sqrt(q))
-        residual = 0.0
-        pattern_ok = True
-        for n, entry in enumerate(theta.entries):
-            should_vanish = not admissible(n, q)
-            if entry.vanishing != should_vanish:
-                pattern_ok = False
-            if should_vanish:
-                residual = max(residual, entry.modulus)
-            else:
-                residual = max(residual, abs(entry.modulus - expected_modulus))
-        outcomes.append(
-            _outcome(f"vanishing/p={p}/q={q}", pattern_ok and residual <= tol, residual)
+        should_vanish = ~admissible_mask(q)
+        pattern_ok = np.array_equal(theta.vanishing, should_vanish)
+        residual = max(
+            theta.moduli[should_vanish].max(initial=0.0),
+            np.abs(theta.moduli[~should_vanish] - expected_modulus).max(initial=0.0),
         )
+        outcomes.append(_outcome(
+            f"vanishing/p={p}/q={q}", pattern_ok and residual <= tol, float(residual)
+        ))
     return outcomes
 
 

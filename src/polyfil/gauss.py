@@ -11,6 +11,12 @@ coprime pair with q <= 60 agrees with compensated direct summation to
 1.7e-14 (tests/test_gauss_oracle.py keeps that summation, and the
 closed form for odd q, as references).
 
+A table stays a set of numpy arrays from the FFT to the checks:
+theta_sequence derives the moduli, the principal arguments and the
+vanishing flags in one vectorised pass, and max_phase_defect fits and
+compares the phase model on that same table.  ThetaSequence.entry(n)
+builds one GaussSumValue on demand, for gauss_sum and the CLI.
+
 Non-vanishing sums have modulus sqrt(q) for odd q and sqrt(2q) for even q,
 while the vanishing ones are exactly the indices n with 4 | 2n + 2 - q.
 That gap of many orders of magnitude makes the relative threshold below a
@@ -21,13 +27,14 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 import numpy as np
 
-from .arith import admissible, mod_inverse, parity_info
+from .arith import admissible_mask, mod_inverse, parity_info
 from .errors import InternalVanishing, NotCoprime, UndefinedTheta
 
 __all__ = [
@@ -65,23 +72,60 @@ class GaussSumValue:
     vanishing: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThetaSequence:
-    """All q sums for fixed (p, q), indexed by n in [0, q)."""
+    """All q sums for fixed (p, q) as read-only arrays indexed by n in
+    [0, q): the complex `values`, their `moduli`, the principal
+    `arguments` in (-pi, pi] (NaN where the sum vanishes) and the boolean
+    `vanishing` flags.  Compared by identity (eq=False), since arrays
+    have no single-bool ==.
+    """
 
     p: int
     q: int
-    entries: tuple[GaussSumValue, ...]
+    values: np.ndarray
+    moduli: np.ndarray
+    arguments: np.ndarray
+    vanishing: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("values", "moduli", "arguments", "vanishing"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     def theta(self, n: int) -> float:
-        entry = self.entries[n]
-        if entry.vanishing:
+        if self.vanishing[n]:
             raise UndefinedTheta(f"G(-{self.p},{n},{self.q}) vanishes; no argument")
-        assert entry.argument is not None
-        return entry.argument
+        return float(self.arguments[n])
 
     def admissible_indices(self) -> tuple[int, ...]:
-        return tuple(n for n, e in enumerate(self.entries) if not e.vanishing)
+        return tuple(np.flatnonzero(~self.vanishing).tolist())
+
+    def entry(self, n: int) -> GaussSumValue:
+        """Index n as one GaussSumValue (argument None when it vanishes)."""
+        vanishing = bool(self.vanishing[n])
+        return GaussSumValue(
+            complex(self.values[n]), float(self.moduli[n]),
+            None if vanishing else float(self.arguments[n]), vanishing,
+        )
+
+    @property
+    def entries(self) -> Sequence[GaussSumValue]:
+        """A read-only sequence view whose item n is entry(n), built when
+        it is read; the checks in this package read the arrays instead."""
+        return _EntryView(self)
+
+
+class _EntryView(Sequence):
+    def __init__(self, table: ThetaSequence) -> None:
+        self._table = table
+
+    def __len__(self) -> int:
+        return self._table.q
+
+    def __getitem__(self, n: int) -> GaussSumValue:
+        return self._table.entry(n)
 
 
 @dataclass(frozen=True)
@@ -110,30 +154,19 @@ class QuadraticPhase:
         return 2.0 * math.pi * m / d + self.b
 
 
-def _principal(angle: float) -> float:
-    # atan2 returns values in [-pi, pi]; fold the -pi edge onto +pi.
-    if angle <= -math.pi:
-        return angle + 2.0 * math.pi
-    return angle
+def _principal(angle):
+    """Fold the -pi edge of atan2's range [-pi, pi] onto +pi (elementwise)."""
+    return np.where(angle <= -math.pi, angle + 2.0 * math.pi, angle)
 
 
-def _entry(value: complex, q: int) -> GaussSumValue:
-    modulus = abs(value)
-    if modulus < VANISHING_RELATIVE_TOL * max(1.0, math.sqrt(q)):
-        return GaussSumValue(value, modulus, None, True)
-    return GaussSumValue(
-        value, modulus, _principal(math.atan2(value.imag, value.real)), False
-    )
-
-
-def _gauss_table(p: int, q: int) -> list[complex]:
+def _gauss_table(p: int, q: int) -> np.ndarray:
     """G(-p, n, q) for n = 0..q-1: one inverse FFT of the chirp."""
     k = np.arange(q, dtype=np.int64)
     residues = (k * k % q) * (-p % q) % q
     chirp = np.array(unit_roots(q))[residues]
     # np.fft is an attribute lookup on purpose: numpy loads it lazily,
     # so code paths that never build a table never import it.
-    return (q * np.fft.ifft(chirp)).tolist()
+    return q * np.fft.ifft(chirp)
 
 
 def _require_coprime(p: int, q: int) -> None:
@@ -148,54 +181,69 @@ def gauss_sum(p: int, q: int, n: int) -> GaussSumValue:
     _require_coprime(p, q)
     if not 0 <= n < q:
         raise ValueError(f"n must lie in [0, {q}), got {n}")
-    return _entry(_gauss_table(p, q)[n], q)
+    return theta_sequence(p, q).entry(n)
 
 
 def theta_sequence(p: int, q: int) -> ThetaSequence:
-    """Evaluate all q sums for fixed (p, q) from one table."""
+    """Evaluate all q sums for fixed (p, q) from one table, classifying
+    each as vanishing when its modulus is below
+    VANISHING_RELATIVE_TOL * max(1, sqrt(q))."""
     _require_coprime(p, q)
-    return ThetaSequence(p, q, tuple(_entry(v, q) for v in _gauss_table(p, q)))
+    values = _gauss_table(p, q)
+    moduli = np.abs(values)
+    vanishing = moduli < VANISHING_RELATIVE_TOL * max(1.0, math.sqrt(q))
+    angles = _principal(np.arctan2(values.imag, values.real))
+    arguments = np.where(vanishing, np.nan, angles)
+    return ThetaSequence(p, q, values, moduli, arguments, vanishing)
 
 
 def quadratic_phase(p: int, q: int) -> QuadraticPhase:
+    """Fit the quadratic phase model to the (p, q) table (see _fit_phase)."""
+    return _fit_phase(theta_sequence(p, q))
+
+
+def _fit_phase(table: ThetaSequence) -> QuadraticPhase:
     """Fit the quadratic phase model by completing the square.
 
     Odd q:  a is the inverse of 4p, and b the argument of the n = 0 sum.
     Even q: a is the inverse of p; the reference is the n = epsilon sum
     carrying an extra phase -pi*epsilon*a/(2q).
     """
-    _require_coprime(p, q)
+    p, q = table.p, table.q
     info = parity_info(q)
     if info.delta == 1:
         a = mod_inverse(4 * p, q)
-        reference = gauss_sum(p, q, 0)
-        if reference.vanishing:
+        if table.vanishing[0]:
             raise InternalVanishing(f"G(-{p},0,{q}) vanished for odd q")
-        ref_value = reference.value
+        ref_value = complex(table.values[0])
         epsilon = None
     else:
         a = mod_inverse(p, q)
         epsilon = info.epsilon
         assert epsilon is not None
-        reference = gauss_sum(p, q, epsilon)
-        if reference.vanishing:
+        if table.vanishing[epsilon]:
             raise InternalVanishing(
                 f"G(-{p},{epsilon},{q}) vanished; parity bookkeeping is wrong"
             )
-        ref_value = reference.value * cmath.exp(-1j * math.pi * epsilon * a / (2 * q))
-    b = _principal(math.atan2(ref_value.imag, ref_value.real))
+        ref_value = complex(table.values[epsilon]) * cmath.exp(
+            -1j * math.pi * epsilon * a / (2 * q)
+        )
+    b = float(_principal(math.atan2(ref_value.imag, ref_value.real)))
     return QuadraticPhase(p=p, q=q, a=a, b=b, delta=info.delta, epsilon=epsilon)
 
 
 def max_phase_defect(p: int, q: int) -> float:
     """Largest distance, over admissible n, from the model-vs-actual phase
-    difference to the nearest multiple of 2*pi."""
+    difference to the nearest multiple of 2*pi.  One table serves both
+    the fit and the comparison; the model's quadratic part
+    (a*n^2) mod (2-delta)^2*q is reduced in exact integer arithmetic."""
     theta = theta_sequence(p, q)
-    phase = quadratic_phase(p, q)
-    worst = 0.0
-    for n in range(q):
-        if not admissible(n, q):
-            continue
-        d = (phase.model_theta(n) - theta.theta(n)) % (2.0 * math.pi)
-        worst = max(worst, min(d, 2.0 * math.pi - d))
-    return worst
+    phase = _fit_phase(theta)
+    n = np.flatnonzero(admissible_mask(q))
+    undefined = n[theta.vanishing[n]]
+    if undefined.size:
+        raise UndefinedTheta(f"G(-{p},{undefined[0]},{q}) vanishes; no argument")
+    d = (2 - phase.delta) ** 2 * q
+    m = (n * n % d) * phase.a % d
+    diff = (2.0 * math.pi * m / d + phase.b - theta.arguments[n]) % (2.0 * math.pi)
+    return float(np.minimum(diff, 2.0 * math.pi - diff).max(initial=0.0))

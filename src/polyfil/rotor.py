@@ -9,9 +9,11 @@ axes are best effort and flagged near the 0 and pi edge cases.
 
 The theorem-2 certificate is batched: certify_rotation_angles builds one
 Gauss table per (p, q) and makes one rotation_product call for every M
-and the three angles rho, 0.95*rho and 1.05*rho.  That call walks the
-factors once, updating a (k, 3, 3) matrix stack and a (k, 4) quaternion
-stack; rotation_angle and the checks it applies take the whole stack.
+and the three angles rho, 0.95*rho and 1.05*rho.  That call builds all
+factor matrices of both routes in one vectorised expression from the
+table's argument array, then multiplies them in order, one stacked
+matmul per factor and route; rotation_angle and the checks it applies
+take the whole stack.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import admissible, alternating_products
+from .arith import admissible_mask, alternating_products
 from .errors import (
     CrossCheckFailure,
     NonUnitAxis,
@@ -52,6 +54,21 @@ _UNIT_TOL = 1e-9
 _ORTHO_TOL = 1e-10
 _CLAMP_TOL = 1e-9
 _CROSS_CHECK_TOL = 1e-10
+
+# _CROSS[i] is the cross-product matrix of the i-th axis, so that
+# v @ _CROSS.reshape(3, 9) lists the entries of [v]_x (see _cross_matrices)
+_CROSS = np.array([
+    [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
+    [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+    [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+])
+# right multiplication by the quaternions i and j: spin @ _RIGHT_I = spin * i
+_RIGHT_I = np.array([
+    [0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0],
+])
+_RIGHT_J = np.array([
+    [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0],
+])
 
 
 @dataclass(frozen=True)
@@ -124,12 +141,7 @@ def _check_axis(axis) -> np.ndarray:
 
 def rotation_from_axis_angle(axis, angle: float) -> np.ndarray:
     """Proper rotation about a unit axis (Rodrigues construction)."""
-    a = _check_axis(axis)
-    k = np.array([
-        [0.0, -a[2], a[1]],
-        [a[2], 0.0, -a[0]],
-        [-a[1], a[0], 0.0],
-    ])
+    k = _cross_matrices(_check_axis(axis))
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
@@ -145,17 +157,19 @@ def spinor_to_rotation(s: Spinor) -> np.ndarray:
     return _spinor_matrices(np.array([s.w, s.x, s.y, s.z]))
 
 
+def _cross_matrices(v: np.ndarray) -> np.ndarray:
+    """Cross-product matrices (..., 3, 3) of vectors (..., 3): [v]_x u = v x u."""
+    return (v @ _CROSS.reshape(3, 9)).reshape(v.shape[:-1] + (3, 3))
+
+
 def _spinor_matrices(spin: np.ndarray) -> np.ndarray:
-    """Rotation matrices (..., 3, 3) of unit quaternions (..., 4)."""
+    """Rotation matrices (..., 3, 3) of unit quaternions (..., 4):
+    R = I + 2 (w K + K K) with K the cross-product matrix of (x, y, z)."""
     norm = np.sqrt(np.sum(spin * spin, axis=-1))
     if not np.all(np.abs(norm - 1.0) <= _UNIT_TOL):
         raise NonUnitSpinor(f"spinor norm {norm} is not 1")
-    w, x, y, z = np.moveaxis(spin, -1, 0)
-    return np.stack([
-        np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], -1),
-        np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], -1),
-        np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], -1),
-    ], -2)
+    k = _cross_matrices(spin[..., 1:])
+    return np.eye(3) + 2.0 * (spin[..., :1, None] * k + k @ k)
 
 
 def _check_rotation(r: np.ndarray) -> np.ndarray:
@@ -207,37 +221,35 @@ def inter_side_angle(M: int, q: int) -> float:
 
     Evaluated as rho = 4*asin(sqrt(x/2)) with x = 1 - cos(rho/2) formed by
     log1p/expm1 from 2*sin(pi/2M)^2 = 1 - cos(pi/M), so that no step
-    cancels when rho is small (large M)."""
+    cancels when rho is small (large M).  M or q too large to convert to
+    a float raises ValueError."""
     if M < 3:
         raise ValueError(f"M must be at least 3, got {M}")
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
-    exponent = 1.0 / q if q % 2 == 1 else 2.0 / q
-    x = -math.expm1(exponent * math.log1p(-2.0 * math.sin(math.pi / (2 * M)) ** 2))
+    try:
+        exponent = 1.0 / q if q % 2 == 1 else 2.0 / q
+        x = -math.expm1(exponent * math.log1p(-2.0 * math.sin(math.pi / (2 * M)) ** 2))
+    except OverflowError:
+        raise ValueError("M and q must be small enough to convert to a float") from None
     return 4.0 * math.asin(math.sqrt(x / 2.0))
 
 
-def _product_factors(theta: ThetaSequence) -> list[float]:
+def _product_factors(theta: ThetaSequence) -> np.ndarray:
     """Arguments for the ordered product, leftmost factor first.
 
     Factor n (ascending n leftmost) uses the argument of index q-1-n and
     skips n whose index is not admissible, which lands exactly on the
     vanishing mask.
     """
-    q = theta.q
-    factors = []
-    for n in range(q):
-        index = q - 1 - n
-        if not admissible(index, q):
-            continue
-        entry = theta.entries[index]
-        if entry.vanishing:
-            raise UndefinedTheta(
-                f"index {index} vanishes but is required by the product"
-            )
-        assert entry.argument is not None
-        factors.append(entry.argument)
-    return factors
+    descending = np.arange(theta.q - 1, -1, -1)
+    indices = descending[admissible_mask(theta.q)[descending]]
+    undefined = indices[theta.vanishing[indices]]
+    if undefined.size:
+        raise UndefinedTheta(
+            f"index {undefined[0]} vanishes but is required by the product"
+        )
+    return theta.arguments[indices]
 
 
 def rotation_product(theta: ThetaSequence, rho: float | np.ndarray) -> np.ndarray:
@@ -246,35 +258,36 @@ def rotation_product(theta: ThetaSequence, rho: float | np.ndarray) -> np.ndarra
     quaternions; the two routes must agree.
 
     rho is one angle, giving one 3x3 matrix, or a 1-D array of k angles,
-    giving a (k, 3, 3) stack.  One pass over the factors updates the
-    whole matrix stack and the whole (k, 4) quaternion stack."""
+    giving a (k, 3, 3) stack.  All F x k factors are built at once: the
+    (F, k, 3, 3) Rodrigues matrices and the (F, k, 4, 4) matrices of
+    right multiplication by each factor's quaternion.  Each route is then
+    one ordered loop over the F factors, each step one stacked matmul."""
     rhos = np.asarray(rho, dtype=float)
     if rhos.ndim > 1:
         raise ValueError(f"rho must be a number or a 1-D array, got shape {rhos.shape}")
     flat = rhos.reshape(-1)
     if not np.all((flat > 0.0) & (flat < math.pi)):
         raise ValueError(f"rho must lie in (0, pi), got {rho}")
-    sin_rho = np.sin(flat)[:, None, None]
-    versine = (1.0 - np.cos(flat))[:, None, None]
-    half_cos = np.cos(0.5 * flat)[:, None]
-    half_sin = np.sin(0.5 * flat)[:, None]
-    total = np.tile(np.eye(3), (flat.size, 1, 1))
-    spin = np.tile([1.0, 0.0, 0.0, 0.0], (flat.size, 1))
-    for arg in _product_factors(theta):
-        c, s = math.cos(arg), math.sin(arg)
-        # Rodrigues: k is the cross-product matrix of the axis (c, s, 0)
-        k = np.array([[0.0, 0.0, s], [0.0, 0.0, -c], [-s, c, 0.0]])
-        total = total @ (np.eye(3) + sin_rho * k + versine * (k @ k))
-        # spin * (cos(rho/2) + sin(rho/2) (c i + s j)); `spin @ pure` is
-        # the quaternion product spin * (c i + s j)
-        pure = np.array([
-            [0.0, c, s, 0.0],
-            [-c, 0.0, 0.0, s],
-            [-s, 0.0, 0.0, -c],
-            [0.0, -s, c, 0.0],
-        ])
-        spin = half_cos * spin + half_sin * (spin @ pure)
-    mismatch = np.abs(_spinor_matrices(spin) - total).max(initial=0.0)
+    args = _product_factors(theta)
+    c, s = np.cos(args), np.sin(args)
+    # Rodrigues, with k the cross-product matrix of the axis (c, s, 0)
+    k = _cross_matrices(np.stack([c, s, np.zeros_like(c)], -1))[:, None]
+    factors = (np.eye(3) + np.sin(flat)[:, None, None] * k
+               + (1.0 - np.cos(flat))[:, None, None] * (k @ k))
+    # spin * (cos(rho/2) + sin(rho/2) (c i + s j)); `spin @ pure` is the
+    # quaternion product spin * (c i + s j)
+    pure = c[:, None, None, None] * _RIGHT_I + s[:, None, None, None] * _RIGHT_J
+    spin_factors = (np.cos(0.5 * flat)[:, None, None] * np.eye(4)
+                    + np.sin(0.5 * flat)[:, None, None] * pure)
+    total = factors[0]
+    for factor in factors[1:]:
+        total = total @ factor
+    # row 0 of the product of the right-multiplication matrices is the
+    # quaternion product 1 * s_0 * s_1 * ... of the factors
+    spin = spin_factors[0]
+    for factor in spin_factors[1:]:
+        spin = spin @ factor
+    mismatch = np.abs(_spinor_matrices(spin[:, 0]) - total).max(initial=0.0)
     if not mismatch <= _CROSS_CHECK_TOL:
         raise CrossCheckFailure(
             f"matrix and quaternion products disagree by {mismatch}"

@@ -20,7 +20,8 @@ S_2k of one unit-modulus sequence (arith.alternating_products), taken
 over z_n = exp(i theta_n) and over the exactly reduced roots of unity
 z_n = exp(2*pi*i*(a n^2 mod denom) / denom).  The recurrence costs
 O(q * k) and its evaluation order is fixed, so results are reproducible
-bit for bit.
+bit for bit.  verify_sum_identities runs it once per sum, to the top
+order, and reads S_2k for every k from that one pass.
 """
 
 from __future__ import annotations
@@ -30,7 +31,14 @@ from dataclasses import dataclass
 
 from .arith import admissible_indices, alternating_products
 from .errors import RangeError
-from .gauss import QuadraticPhase, ThetaSequence, quadratic_phase, theta_sequence, unit_roots
+from .gauss import (
+    QuadraticPhase,
+    ThetaSequence,
+    _fit_phase,
+    quadratic_phase,
+    theta_sequence,
+    unit_roots,
+)
 
 __all__ = [
     "SumReport",
@@ -61,28 +69,56 @@ def _check_k(k: int, q: int) -> None:
         raise RangeError(f"need 2k <= q, got k={k}, q={q}")
 
 
+def _trig_terms(theta: ThetaSequence) -> list[complex]:
+    """exp(i theta_n) over the admissible n, ascending."""
+    args = theta.arguments[~theta.vanishing].tolist()
+    return [complex(math.cos(t), math.sin(t)) for t in args]
+
+
+def _quad_terms(q: int, phase: QuadraticPhase) -> list[complex]:
+    """exp(2*pi*i*(a n^2 mod denom) / denom) over the admissible n,
+    ascending; each a*n^2 is reduced exactly before its root of unity is
+    looked up."""
+    denom = (2 - phase.delta) ** 2 * q
+    roots = unit_roots(denom)
+    return [roots[(phase.a * n * n) % denom] for n in admissible_indices(q)]
+
+
 def trig_sum(theta: ThetaSequence, k: int) -> float:
     """Alternating cosine sum over admissible 2k-tuples; 0 when empty."""
     _check_k(k, theta.q)
-    args = [theta.theta(n) for n in theta.admissible_indices()]
-    z = [complex(math.cos(t), math.sin(t)) for t in args]
-    return alternating_products(z, 2 * k)[2 * k].real
+    return alternating_products(_trig_terms(theta), 2 * k)[2 * k].real
 
 
 def quad_exp_sum(p: int, q: int, k: int, phase: QuadraticPhase | None = None) -> complex:
     """Quadratic exponential sum over the same admissible 2k-tuples.
 
     The coefficient a is taken from the fitted quadratic phase (single
-    source of truth); each a*n^2 is reduced exactly before its root of
-    unity is looked up.
+    source of truth).
     """
     _check_k(k, q)
     if phase is None:
         phase = quadratic_phase(p, q)
-    denom = (2 - phase.delta) ** 2 * q
-    roots = unit_roots(denom)
-    z = [roots[(phase.a * n * n) % denom] for n in admissible_indices(q)]
-    return alternating_products(z, 2 * k)[2 * k]
+    return alternating_products(_quad_terms(q, phase), 2 * k)[2 * k]
+
+
+def _reports(
+    p: int, q: int, ks: list[int], theta: ThetaSequence, phase: QuadraticPhase
+) -> list[SumReport]:
+    """Reports for every k in ks from one recurrence pass per sum, run to
+    order 2*max(ks).  S_m never reads an order above m, so each value is
+    bit for bit the one a pass to order 2k gives."""
+    m_max = 2 * max(ks, default=0)
+    t_values = alternating_products(_trig_terms(theta), m_max)
+    e_values = alternating_products(_quad_terms(q, phase), m_max)
+    count = len(theta.admissible_indices())
+    reports = []
+    for k in ks:
+        t_value, e_value = t_values[2 * k].real, e_values[2 * k]
+        residual = max(abs(t_value), abs(e_value.real), abs(t_value - e_value.real))
+        reports.append(SumReport(p=p, q=q, k=k, t_value=t_value, e_value=e_value,
+                                 term_count=math.comb(count, 2 * k), residual=residual))
+    return reports
 
 
 def sum_report(
@@ -96,17 +132,14 @@ def sum_report(
     _check_k(k, q)
     if theta is None:
         theta = theta_sequence(p, q)
-    t_value = trig_sum(theta, k)
-    e_value = quad_exp_sum(p, q, k, phase=phase)
-    residual = max(abs(t_value), abs(e_value.real), abs(t_value - e_value.real))
-    return SumReport(p=p, q=q, k=k, t_value=t_value, e_value=e_value,
-                     term_count=math.comb(len(theta.admissible_indices()), 2 * k),
-                     residual=residual)
+    if phase is None:
+        phase = _fit_phase(theta)
+    return _reports(p, q, [k], theta, phase)[0]
 
 
 def verify_sum_identities(p: int, q: int, k_max: int | None = None) -> list[SumReport]:
-    """Reports for every k with 0 < 2k <= q (optionally capped by k_max)."""
+    """Reports for every k with 0 < 2k <= q (optionally capped by k_max),
+    from one table and one recurrence pass per sum."""
     theta = theta_sequence(p, q)
-    phase = quadratic_phase(p, q)
     ks = [k for k in range(1, q // 2 + 1) if k_max is None or k <= k_max]
-    return [sum_report(p, q, k, theta=theta, phase=phase) for k in ks]
+    return _reports(p, q, ks, theta, _fit_phase(theta))

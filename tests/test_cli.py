@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from polyfil import cli, rotor
+from polyfil import arith, cli, gauss, rotor
 from polyfil.cli import main
 
 
@@ -129,9 +130,21 @@ def test_rotation_exit_code_follows_check(capsys, argv, code, passed):
     }
 
 
+@pytest.mark.parametrize("argv", [
+    ("rho", "--M", "1" + "0" * 400, "--q", "3"),
+    ("rho", "--M", "5", "--q", "1" + "0" * 400),
+    ("rotation", "--M", "1" + "0" * 400, "--p", "1", "--q", "3"),
+])
+def test_rho_and_rotation_reject_values_beyond_float(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "float" in err
+
+
 def count_calls(monkeypatch, names):
-    """Wrap `names` wherever cli or rotor binds them; return a dict with
-    the call count of each and the values of rho passed per product call."""
+    """Wrap `names` wherever cli, rotor or gauss binds them; return a dict
+    with the call count of each and the values of rho passed per product
+    call."""
     calls = {name: 0 for name in names}
     calls["rho_sizes"] = []
 
@@ -145,7 +158,7 @@ def count_calls(monkeypatch, names):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for module in (cli, rotor):
+    for module in (cli, rotor, gauss):
         for name in names:
             if hasattr(module, name):
                 counted(module, name)
@@ -161,7 +174,7 @@ def test_rotation_builds_one_table_and_three_products(capsys, monkeypatch):
 
 
 def test_verify_theorem2_one_table_and_one_product_per_pair(capsys, monkeypatch):
-    calls = count_calls(monkeypatch, ("theta_sequence", "rotation_product"))
+    calls = count_calls(monkeypatch, ("theta_sequence", "_gauss_table", "rotation_product"))
     code, payload = run_json(
         capsys, "verify", "--suite", "theorem2", "--q-max", "8", "--m-max", "10"
     )
@@ -169,8 +182,17 @@ def test_verify_theorem2_one_table_and_one_product_per_pair(capsys, monkeypatch)
     assert code == 0 and pairs == 22
     assert payload["total"] == 8 * pairs
     assert calls == {
-        "theta_sequence": pairs, "rotation_product": pairs, "rho_sizes": [24] * pairs,
+        "theta_sequence": pairs, "_gauss_table": pairs, "rotation_product": pairs,
+        "rho_sizes": [24] * pairs,
     }
+
+
+def test_verify_lemma4_one_table_per_pair(capsys, monkeypatch):
+    # the phase fit and the comparison read the same table
+    calls = count_calls(monkeypatch, ("_gauss_table",))
+    code, payload = run_json(capsys, "verify", "--suite", "lemma4", "--q-max", "8")
+    assert code == 0 and payload["total"] == 22
+    assert calls == {"_gauss_table": 22, "rho_sizes": []}
 
 
 def test_verify_sums_suite(capsys):
@@ -207,6 +229,36 @@ def test_verify_empty_range_is_usage_error(capsys, argv):
 def test_verify_vanishing_suite(capsys):
     code, payload = run_json(capsys, "verify", "--suite", "vanishing", "--q-max", "12")
     assert code == 0 and payload["failed"] == 0
+
+
+def test_verify_vanishing_residuals_match_per_entry_loop(capsys):
+    code, payload = run_json(capsys, "verify", "--suite", "vanishing", "--q-max", "30")
+    assert code == 0
+    for outcome in payload["outcomes"]:
+        p, q = (int(part.split("=")[1]) for part in outcome["case_id"].split("/")[1:])
+        expected = math.sqrt(q) if q % 2 else math.sqrt(2 * q)
+        residual = max(
+            entry.modulus if not arith.admissible(n, q) else abs(entry.modulus - expected)
+            for n, entry in enumerate(gauss.theta_sequence(p, q).entries)
+        )
+        assert outcome["residual"] == residual, outcome["case_id"]
+
+
+def test_verify_vanishing_fails_on_a_wrong_flag(capsys, monkeypatch):
+    # clear the flag of G(-1, 3, 4), which vanishes; its modulus stays 0,
+    # so only the pattern check can catch it
+    def flipped(p, q):
+        theta = gauss.theta_sequence(p, q)
+        if (p, q) != (1, 4):
+            return theta
+        return dataclasses.replace(theta, vanishing=np.array([False, True, False, False]))
+
+    monkeypatch.setattr(cli, "theta_sequence", flipped)
+    code, payload = run_json(capsys, "verify", "--suite", "vanishing", "--q-max", "4")
+    assert code == 1
+    assert [o["case_id"] for o in payload["outcomes"] if not o["passed"]] == [
+        "vanishing/p=1/q=4"
+    ]
 
 
 def test_verify_lemma4_suite(capsys):

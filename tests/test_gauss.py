@@ -1,6 +1,8 @@
 import cmath
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,6 +146,34 @@ def test_phase_model_on_admissible_indices():
         for p in range(1, q + 1):
             if math.gcd(p, q) == 1:
                 assert gauss.max_phase_defect(p, q) <= 1e-8
+
+
+def test_max_phase_defect_rejects_a_vanishing_admissible_index(monkeypatch):
+    table = gauss.theta_sequence(1, 3)
+    doctored = dataclasses.replace(
+        table,
+        arguments=np.array([table.arguments[0], np.nan, table.arguments[2]]),
+        vanishing=np.array([False, True, False]),
+    )
+    monkeypatch.setattr(gauss, "theta_sequence", lambda p, q: doctored)
+    with pytest.raises(UndefinedTheta, match=r"G\(-1,1,3\)"):
+        gauss.max_phase_defect(1, 3)
+
+
+def test_max_phase_defect_matches_per_index_loop():
+    # the array form repeats QuadraticPhase.model_theta's arithmetic exactly
+    for q in range(1, 41):
+        for p in range(1, q + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            theta = gauss.theta_sequence(p, q)
+            phase = gauss.quadratic_phase(p, q)
+            worst = 0.0
+            for n in range(q):
+                if arith.admissible(n, q):
+                    d = (phase.model_theta(n) - theta.theta(n)) % (2 * math.pi)
+                    worst = max(worst, min(d, 2 * math.pi - d))
+            assert gauss.max_phase_defect(p, q) == worst, (p, q)
 
 
 def test_phase_model_coefficient_is_coprime():

@@ -69,23 +69,40 @@ def test_jacobi_matches_euler_criterion_at_primes():
             assert jacobi(a, q) == (0 if a % q == 0 else (1 if euler == 1 else -1))
 
 
+def principal(angle):
+    """atan2's range [-pi, pi] with the -pi edge folded onto +pi."""
+    return angle + 2 * math.pi if angle <= -math.pi else angle
+
+
 def check_table(p, q):
     tol = 1e-12 * math.sqrt(q)
+    threshold = gauss.VANISHING_RELATIVE_TOL * max(1.0, math.sqrt(q))
     reference = fsum_table(p, q)
     theta = gauss.theta_sequence(p, q)
-    for n, (entry, want) in enumerate(zip(theta.entries, reference)):
-        assert abs(entry.value - want) <= tol, (p, q, n)
-        vanishing = abs(want) < gauss.VANISHING_RELATIVE_TOL * max(1.0, math.sqrt(q))
-        assert entry.vanishing == vanishing, (p, q, n)
-        if not vanishing:
-            assert circular_distance(entry.argument, cmath.phase(want)) <= 1e-12
+    assert theta.values.dtype == complex and theta.vanishing.dtype == bool
+    assert np.abs(theta.values - reference).max() <= tol, (p, q)
+    assert np.abs(theta.moduli - [abs(want) for want in reference]).max() <= tol, (p, q)
+    vanishing = [abs(want) < threshold for want in reference]
+    assert theta.vanishing.tolist() == vanishing, (p, q)
+    assert np.isnan(theta.arguments).tolist() == vanishing, (p, q)
+    for n, want in enumerate(reference):
+        if not vanishing[n]:
+            got = theta.arguments[n]
+            assert -math.pi < got <= math.pi, (p, q, n)
+            want_arg = principal(math.atan2(want.imag, want.real))
+            assert circular_distance(got, want_arg) <= 1e-12, (p, q, n)
+    for name in ("values", "moduli", "arguments", "vanishing"):
+        array = getattr(theta, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
     # gauss_sum reads the same table
     for n in {0, 1 % q, q // 2, q - 1}:
-        assert gauss.gauss_sum(p, q, n) == theta.entries[n]
+        assert gauss.gauss_sum(p, q, n) == theta.entry(n) == theta.entries[n]
 
 
 def test_table_matches_direct_summation():
-    # every coprime pair with q <= 60: agreement 1.7e-14 at worst
+    # every coprime pair with q <= 60: values, moduli, arguments and
+    # vanishing flags against the reference, agreement 1.7e-14 at worst
     for p, q in PAIRS:
         check_table(p, q)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -135,8 +136,12 @@ def test_product_pentagon_angle():
 def test_product_rejects_vanishing_factor():
     theta = gauss.theta_sequence(1, 2)
     # doctor the sequence so the required entry is marked vanishing
-    broken = gauss.ThetaSequence(
-        1, 2, (theta.entries[0], gauss.GaussSumValue(0j, 0.0, None, True))
+    broken = dataclasses.replace(
+        theta,
+        values=np.array([theta.values[0], 0j]),
+        moduli=np.array([theta.moduli[0], 0.0]),
+        arguments=np.array([theta.arguments[0], np.nan]),
+        vanishing=np.array([theta.vanishing[0], True]),
     )
     with pytest.raises(UndefinedTheta):
         rotor.rotation_product(broken, 1.0)

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from polyfil import arith, gauss, sums
@@ -77,12 +79,11 @@ def test_phase_substitution_consistency():
     for p, q in [(1, 5), (2, 7), (3, 8), (1, 12)]:
         theta = gauss.theta_sequence(p, q)
         phase = gauss.quadratic_phase(p, q)
-        model_entries = tuple(
-            gauss.GaussSumValue(e.value, e.modulus, None, True) if e.vanishing
-            else gauss.GaussSumValue(e.value, e.modulus, phase.model_theta(n), False)
-            for n, e in enumerate(theta.entries)
-        )
-        model_theta = gauss.ThetaSequence(p, q, model_entries)
+        model_arguments = np.array([
+            math.nan if vanishing else phase.model_theta(n)
+            for n, vanishing in enumerate(theta.vanishing)
+        ])
+        model_theta = dataclasses.replace(theta, arguments=model_arguments)
         for k in range(1, q // 2 + 1):
             direct = sums.trig_sum(theta, k)
             modeled = sums.trig_sum(model_theta, k)
@@ -125,3 +126,14 @@ def test_even_q_reduces_to_half_modulus_form():
                 total_re += math.cos(angle)
                 total_im += math.sin(angle)
             assert abs(complex(total_re, total_im) - direct) <= 1e-10
+
+
+def test_verify_sum_identities_matches_sum_report_exactly():
+    # one recurrence pass per (p, q) gives every k bit for bit
+    for q in range(1, 31):
+        for p in range(1, q + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            reports = [sums.sum_report(p, q, k) for k in range(1, q // 2 + 1)]
+            assert sums.verify_sum_identities(p, q) == reports, (p, q)
+            assert sums.verify_sum_identities(p, q, k_max=2) == reports[:2], (p, q)

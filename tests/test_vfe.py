@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,46 @@ def test_evolve_rejects_backward_time():
     field = vfe.TangentField(1.0, vfe.initial_tangent(3, 96).samples)
     with pytest.raises(RangeError):
         vfe.evolve(field, 0.5, cfg)
+
+
+@pytest.mark.parametrize("t_target", [math.nan, math.inf])
+def test_evolve_rejects_non_finite_time(t_target):
+    cfg = vfe.SimulationConfig(M=3, p=1, q=1, grid_points=96)
+    with pytest.raises(RangeError):
+        vfe.evolve(vfe.initial_tangent(3, 96), t_target, cfg)
+
+
+def test_warm_rk4_step_allocates_no_buffers():
+    cfg = vfe.SimulationConfig(M=5, p=1, q=3, grid_points=1920)
+    work = vfe.Workspace(384)
+    work.cells[...] = vfe.initial_tangent(5, 1920).samples[:384]
+    for _ in range(3):
+        vfe.rk4_step(work.cells, cfg.dt, cfg.ds, work)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        vfe.rk4_step(work.cells, cfg.dt, cfg.ds, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (3, 384) buffer alone would take 9 KB
+    assert peak <= 2048
+
+
+def test_step_weights_built_once_per_step_size(monkeypatch):
+    built = []
+    set_weights = vfe.Workspace._set_weights
+
+    def recording(work, dt, ds):
+        built.append(dt)
+        set_weights(work, dt, ds)
+
+    monkeypatch.setattr(vfe.Workspace, "_set_weights", recording)
+    cfg = vfe.SimulationConfig(M=3, p=1, q=1, grid_points=96)
+    vfe.evolve(vfe.initial_tangent(3, 96), cfg.rational_time, cfg)
+    # one full step size and one shortened last step
+    assert len(built) == 2
+    assert built[0] == cfg.dt > built[1]
 
 
 def test_unstable_step_blows_up():

@@ -3,9 +3,9 @@
 The reference is the direct method of lines: the periodic second
 difference built with np.roll, T x T_ss with np.cross, a classical RK4
 step on all n samples and renormalization after every step.  evolve
-steps only a fundamental domain (or the whole grid with R = I), writes
-T x T_ss as T x (T+ + T-) / ds^2 and sums the stages in another order,
-so the two agree to rounding, not bit for bit.
+steps only a fundamental domain of n/(2M) or n/M samples (or the whole
+grid with R = I), writes T x T_ss as T x (T+ + T-) / ds^2 and sums the
+stages in another order, so the two agree to rounding, not bit for bit.
 """
 
 import math
@@ -65,6 +65,24 @@ def equivariant_field(M, cells, seed):
     return np.vstack([block @ z_rotation(2 * math.pi * k / M).T for k in range(M)])
 
 
+def half_turn(angle):
+    """Rotation by pi about the horizontal axis at `angle`."""
+    c, s = math.cos(2 * angle), math.sin(2 * angle)
+    return np.array([[c, s, 0.0], [s, -c, 0.0], [0.0, 0.0, -1.0]])
+
+
+def mirrored_field(M, half, seed, kick=0.0):
+    """A random field with T[j + m] = R T[j] and T[m - 1 - j] = R_b T[j],
+    m = 2 * half and R_b = diag(1, -1, -1), and so T[n - 1 - j] = R_a T[j]
+    with R_a the half turn about the axis at -pi/M.  kick moves one sample
+    of each block, which breaks the reflection and keeps the rotation."""
+    block = random_unit_field(half, seed)
+    domain = np.vstack([block, block[::-1] @ half_turn(0.0).T])
+    domain[0, 2] += kick
+    domain[0] /= np.linalg.norm(domain[0])
+    return np.vstack([domain @ z_rotation(2 * math.pi * k / M).T for k in range(M)])
+
+
 def record_rk4_shapes(monkeypatch):
     shapes = []
     step = vfe.rk4_step
@@ -90,9 +108,36 @@ def test_polygon_evolution_matches_full_grid_reference(monkeypatch, M, p, q, n):
     start = vfe.initial_tangent(M, n)
     shapes = record_rk4_shapes(monkeypatch)
     evolved = vfe.evolve(start, cfg.rational_time, cfg)
+    assert shapes and set(shapes) == {(n // (2 * M), 3)}
+    reference = reference_evolve(start, cfg.rational_time, cfg)
+    assert np.abs(evolved.samples - reference).max() <= TOL
+
+
+def test_odd_block_polygon_steps_rotation_domain(monkeypatch):
+    # m = n/M = 33 is odd, so there is no half domain
+    M, p, q, n = 3, 1, 1, 99
+    cfg = vfe.SimulationConfig(M=M, p=p, q=q, grid_points=n)
+    start = vfe.initial_tangent(M, n)
+    shapes = record_rk4_shapes(monkeypatch)
+    evolved = vfe.evolve(start, cfg.rational_time, cfg)
     assert shapes and set(shapes) == {(n // M, 3)}
     reference = reference_evolve(start, cfg.rational_time, cfg)
     assert np.abs(evolved.samples - reference).max() <= TOL
+
+
+@pytest.mark.parametrize("kick, cells", [(0.0, 8), (1e-11, 16)])
+def test_mirrored_field_steps_half_domain_unless_kicked(monkeypatch, kick, cells):
+    M, half = 4, 8
+    n = 2 * M * half
+    samples = mirrored_field(M, half, seed=13, kick=kick)
+    mirror = np.abs(samples[::-1] - samples @ half_turn(-math.pi / M).T).max()
+    assert (mirror <= 1e-15) if kick == 0.0 else (mirror > 1e-12)
+    cfg = vfe.SimulationConfig(M=M, p=1, q=1, grid_points=n, dt_factor=0.1)
+    start = vfe.TangentField(0.0, samples)
+    shapes = record_rk4_shapes(monkeypatch)
+    evolved = vfe.evolve(start, 0.003, cfg)
+    assert shapes and set(shapes) == {(cells, 3)}
+    assert np.abs(evolved.samples - reference_evolve(start, 0.003, cfg)).max() <= TOL
 
 
 def test_random_field_takes_periodic_path_and_matches(monkeypatch):

@@ -1,10 +1,9 @@
 """Exact integer, modular, and combinatorial primitives.
 
-Everything here is pure and deterministic: enumeration order is always
-lexicographic so that downstream floating-point summations are
-reproducible bit for bit.  All arithmetic uses Python integers, which
-are exact at any size, except admissible_mask, whose int64 indices stay
-below 2q.
+Everything here is pure and deterministic.  All arithmetic uses Python
+integers, which are exact at any size, except admissible_mask, whose
+int64 indices stay below 2q, and alternating_products, which sums
+complex floats in a fixed order.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ __all__ = [
     "ParityInfo",
     "mod_inverse",
     "parity_info",
-    "admissible",
-    "admissible_indices",
     "admissible_mask",
     "enumerate_index_vectors",
     "cyclic_shift",
@@ -63,27 +60,17 @@ def parity_info(q: int) -> ParityInfo:
     return ParityInfo(delta=0, epsilon=(q // 2) % 2)
 
 
-def admissible(n: int, q: int) -> bool:
-    """True iff 4 does not divide 2n + 2 - q (always true for odd q).
+def admissible_mask(q: int) -> np.ndarray:
+    """Boolean array over n = 0..q-1, True where 4 does not divide
+    2n + 2 - q (everywhere for odd q).
 
     These are exactly the indices whose generalized Gauss sum does not
     vanish, hence the indices with a well-defined argument.
     """
-    if not 0 <= n < q:
-        raise ValueError(f"n must lie in [0, {q}), got {n}")
-    return (2 * n + 2 - q) % 4 != 0
-
-
-def admissible_mask(q: int) -> np.ndarray:
-    """Boolean array over n = 0..q-1: admissible(n, q) for every n."""
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
     n = np.arange(q, dtype=np.int64)
     return (2 * n + 2 - q) % 4 != 0
-
-
-def admissible_indices(q: int) -> tuple[int, ...]:
-    return tuple(np.flatnonzero(admissible_mask(q)).tolist())
 
 
 def enumerate_index_vectors(k: int, N: int) -> Iterator[tuple[int, ...]]:

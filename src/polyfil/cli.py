@@ -170,7 +170,7 @@ def cmd_sums(args) -> int:
             reports = [sum_report(args.p, args.q, args.k)]
         else:
             reports = verify_sum_identities(args.p, args.q, k_max=args.k_max)
-    except PolyfilError as exc:
+    except (PolyfilError, ValueError) as exc:
         return _usage_error(str(exc))
     if not reports:
         cap = "" if args.k_max is None else f" and k <= {args.k_max}"

@@ -21,10 +21,6 @@ class RangeError(PolyfilError, ValueError):
     """A parameter is outside its documented range."""
 
 
-class NonUnitAxis(PolyfilError, ValueError):
-    """A rotation axis is not a unit vector."""
-
-
 class NonUnitSpinor(PolyfilError, ValueError):
     """A spinor (unit quaternion) has drifted off the unit sphere."""
 

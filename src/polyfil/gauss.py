@@ -17,6 +17,12 @@ vanishing flags in one vectorised pass, and max_phase_defect fits and
 compares the phase model on that same table.  ThetaSequence.entry(n)
 builds one GaussSumValue on demand, for gauss_sum and the CLI.
 
+Two rules of the proof have one owner each, which gauss, sums and rotor
+all read.  ThetaSequence.admissible_arguments decides which indices
+carry an argument (4 does not divide 2n + 2 - q) and is the only place
+that raises UndefinedTheta.  QuadraticPhase.residues is the only place
+that reduces a*n^2 modulo the phase denominator (2 - delta)^2 * q.
+
 Non-vanishing sums have modulus sqrt(q) for odd q and sqrt(2q) for even q,
 while the vanishing ones are exactly the indices n with 4 | 2n + 2 - q.
 That gap of many orders of magnitude makes the relative threshold below a
@@ -94,13 +100,17 @@ class ThetaSequence:
             view.flags.writeable = False
             object.__setattr__(self, name, view)
 
-    def theta(self, n: int) -> float:
-        if self.vanishing[n]:
-            raise UndefinedTheta(f"G(-{self.p},{n},{self.q}) vanishes; no argument")
-        return float(self.arguments[n])
-
-    def admissible_indices(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(~self.vanishing).tolist())
+    def admissible_arguments(self) -> tuple[np.ndarray, np.ndarray]:
+        """The admissible indices n (4 does not divide 2n + 2 - q), in
+        ascending order, and their arguments.  Raises UndefinedTheta when
+        one of them is flagged vanishing, since it then has no argument."""
+        n = np.flatnonzero(admissible_mask(self.q))
+        undefined = n[self.vanishing[n]]
+        if undefined.size:
+            raise UndefinedTheta(
+                f"G(-{self.p},{undefined[0]},{self.q}) vanishes; no argument"
+            )
+        return n, self.arguments[n]
 
     def entry(self, n: int) -> GaussSumValue:
         """Index n as one GaussSumValue (argument None when it vanishes)."""
@@ -146,12 +156,17 @@ class QuadraticPhase:
     delta: int
     epsilon: int | None
 
-    def model_theta(self, n: int) -> float:
-        """Model phase for index n, with the quadratic part reduced
-        modulo 2*pi in exact integer arithmetic."""
-        d = (2 - self.delta) ** 2 * self.q
-        m = (self.a * n * n) % d
-        return 2.0 * math.pi * m / d + self.b
+    @property
+    def denominator(self) -> int:
+        """(2 - delta)^2 * q, the modulus of the quadratic part."""
+        return (2 - self.delta) ** 2 * self.q
+
+    def residues(self, n) -> np.ndarray:
+        """(a * n^2) mod denominator for an array of indices, exact in
+        int64: n^2 is reduced before the product with a < q."""
+        d = self.denominator
+        n = np.asarray(n, dtype=np.int64)
+        return (n * n % d) * self.a % d
 
 
 def _principal(angle):
@@ -235,15 +250,11 @@ def _fit_phase(table: ThetaSequence) -> QuadraticPhase:
 def max_phase_defect(p: int, q: int) -> float:
     """Largest distance, over admissible n, from the model-vs-actual phase
     difference to the nearest multiple of 2*pi.  One table serves both
-    the fit and the comparison; the model's quadratic part
-    (a*n^2) mod (2-delta)^2*q is reduced in exact integer arithmetic."""
+    the fit and the comparison, read through its two owners:
+    ThetaSequence.admissible_arguments and QuadraticPhase.residues."""
     theta = theta_sequence(p, q)
     phase = _fit_phase(theta)
-    n = np.flatnonzero(admissible_mask(q))
-    undefined = n[theta.vanishing[n]]
-    if undefined.size:
-        raise UndefinedTheta(f"G(-{p},{undefined[0]},{q}) vanishes; no argument")
-    d = (2 - phase.delta) ** 2 * q
-    m = (n * n % d) * phase.a % d
-    diff = (2.0 * math.pi * m / d + phase.b - theta.arguments[n]) % (2.0 * math.pi)
+    n, arguments = theta.admissible_arguments()
+    model = 2.0 * math.pi * phase.residues(n) / phase.denominator + phase.b
+    diff = (model - arguments) % (2.0 * math.pi)
     return float(np.minimum(diff, 2.0 * math.pi - diff).max(initial=0.0))

@@ -1,5 +1,6 @@
-"""Axis-angle rotations, unit-quaternion spinors, the double cover, the
-ordered corner-rotation product, and the inter-side angle formula.
+"""The ordered corner-rotation product, computed both as rotation
+matrices and as unit-quaternion spinors under the double cover; angle
+and axis extraction; and the inter-side angle formula.
 
 Conventions, fixed once: quaternions are scalar-first (w, x, y, z),
 right-handed, acting on vectors by v -> s v s^-1, so the quaternion
@@ -7,13 +8,15 @@ product composes in the same left-to-right order as the matrix product.
 Angles are extracted from the trace (well defined up to the pi edge);
 axes are best effort and flagged near the 0 and pi edge cases.
 
+The factors are the table's admissible arguments, as returned by their
+one owner ThetaSequence.admissible_arguments, in descending index order.
 The theorem-2 certificate is batched: certify_rotation_angles builds one
 Gauss table per (p, q) and makes one rotation_product call for every M
 and the three angles rho, 0.95*rho and 1.05*rho.  That call builds all
-factor matrices of both routes in one vectorised expression from the
-table's argument array, then multiplies them in order, one stacked
-matmul per factor and route; rotation_angle and the checks it applies
-take the whole stack.
+factor matrices of both routes in one vectorised expression from those
+arguments, then multiplies them in order, one stacked matmul per factor
+and route; rotation_angle and the checks it applies take the whole
+stack.
 """
 
 from __future__ import annotations
@@ -23,24 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import admissible_mask, alternating_products
-from .errors import (
-    CrossCheckFailure,
-    NonUnitAxis,
-    NonUnitSpinor,
-    NotARotation,
-    UndefinedTheta,
-)
+from .arith import alternating_products
+from .errors import CrossCheckFailure, NonUnitSpinor, NotARotation
 from .gauss import ThetaSequence, theta_sequence
 
 __all__ = [
-    "Spinor",
     "AxisAngle",
     "RotationCertificate",
     "TraceIdentityResult",
-    "rotation_from_axis_angle",
-    "spinor_from_axis_angle",
-    "spinor_to_rotation",
     "rotation_angle",
     "axis_angle_of",
     "inter_side_angle",
@@ -69,32 +62,6 @@ _RIGHT_I = np.array([
 _RIGHT_J = np.array([
     [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0],
 ])
-
-
-@dataclass(frozen=True)
-class Spinor:
-    """A unit quaternion; covers a rotation twice (s and -s agree)."""
-
-    w: float
-    x: float
-    y: float
-    z: float
-
-    def __mul__(self, other: "Spinor") -> "Spinor":
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        return Spinor(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
-
-    def __neg__(self) -> "Spinor":
-        return Spinor(-self.w, -self.x, -self.y, -self.z)
-
-    def norm(self) -> float:
-        return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
 
 
 @dataclass(frozen=True)
@@ -127,34 +94,6 @@ class RotationCertificate:
 class TraceIdentityResult:
     lhs: float
     rhs: float
-
-
-def _check_axis(axis) -> np.ndarray:
-    a = np.asarray(axis, dtype=float)
-    if a.shape != (3,):
-        raise NonUnitAxis(f"axis must be a 3-vector, got shape {a.shape}")
-    n = float(np.linalg.norm(a))
-    if abs(n - 1.0) > _UNIT_TOL:
-        raise NonUnitAxis(f"axis norm {n} is not 1")
-    return a
-
-
-def rotation_from_axis_angle(axis, angle: float) -> np.ndarray:
-    """Proper rotation about a unit axis (Rodrigues construction)."""
-    k = _cross_matrices(_check_axis(axis))
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
-
-
-def spinor_from_axis_angle(axis, angle: float) -> Spinor:
-    a = _check_axis(axis)
-    half = 0.5 * angle
-    s = math.sin(half)
-    return Spinor(math.cos(half), s * a[0], s * a[1], s * a[2])
-
-
-def spinor_to_rotation(s: Spinor) -> np.ndarray:
-    """Image rotation under the double cover; s and -s map identically."""
-    return _spinor_matrices(np.array([s.w, s.x, s.y, s.z]))
 
 
 def _cross_matrices(v: np.ndarray) -> np.ndarray:
@@ -236,20 +175,11 @@ def inter_side_angle(M: int, q: int) -> float:
 
 
 def _product_factors(theta: ThetaSequence) -> np.ndarray:
-    """Arguments for the ordered product, leftmost factor first.
-
-    Factor n (ascending n leftmost) uses the argument of index q-1-n and
-    skips n whose index is not admissible, which lands exactly on the
-    vanishing mask.
-    """
-    descending = np.arange(theta.q - 1, -1, -1)
-    indices = descending[admissible_mask(theta.q)[descending]]
-    undefined = indices[theta.vanishing[indices]]
-    if undefined.size:
-        raise UndefinedTheta(
-            f"index {undefined[0]} vanishes but is required by the product"
-        )
-    return theta.arguments[indices]
+    """Arguments for the ordered product, leftmost factor first: the
+    admissible arguments in descending index order (factor n uses index
+    q-1-n and skips the indices that are not admissible).  Copied out of
+    the reversed view so that np.cos and np.sin run on contiguous data."""
+    return theta.admissible_arguments()[1][::-1].copy()
 
 
 def rotation_product(theta: ThetaSequence, rho: float | np.ndarray) -> np.ndarray:

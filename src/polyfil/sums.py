@@ -18,10 +18,13 @@ floating-point evaluation is from that.
 Neither sum is enumerated: both are the alternating elementary sum
 S_2k of one unit-modulus sequence (arith.alternating_products), taken
 over z_n = exp(i theta_n) and over the exactly reduced roots of unity
-z_n = exp(2*pi*i*(a n^2 mod denom) / denom).  The recurrence costs
-O(q * k) and its evaluation order is fixed, so results are reproducible
-bit for bit.  verify_sum_identities runs it once per sum, to the top
-order, and reads S_2k for every k from that one pass.
+z_n = exp(2*pi*i*(a n^2 mod denom) / denom).  Both sequences run over
+the same index set, ThetaSequence.admissible_arguments, and the
+exponents are QuadraticPhase.residues; this module restates neither
+rule.  The recurrence costs O(q * k) and its evaluation order is fixed,
+so results are reproducible bit for bit.  verify_sum_identities runs it
+once per sum, to the top order, and reads S_2k for every k from that
+one pass.
 """
 
 from __future__ import annotations
@@ -29,21 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import admissible_indices, alternating_products
+from .arith import alternating_products
 from .errors import RangeError
-from .gauss import (
-    QuadraticPhase,
-    ThetaSequence,
-    _fit_phase,
-    quadratic_phase,
-    theta_sequence,
-    unit_roots,
-)
+from .gauss import QuadraticPhase, ThetaSequence, _fit_phase, theta_sequence, unit_roots
 
 __all__ = [
     "SumReport",
-    "trig_sum",
-    "quad_exp_sum",
     "sum_report",
     "verify_sum_identities",
 ]
@@ -69,39 +63,6 @@ def _check_k(k: int, q: int) -> None:
         raise RangeError(f"need 2k <= q, got k={k}, q={q}")
 
 
-def _trig_terms(theta: ThetaSequence) -> list[complex]:
-    """exp(i theta_n) over the admissible n, ascending."""
-    args = theta.arguments[~theta.vanishing].tolist()
-    return [complex(math.cos(t), math.sin(t)) for t in args]
-
-
-def _quad_terms(q: int, phase: QuadraticPhase) -> list[complex]:
-    """exp(2*pi*i*(a n^2 mod denom) / denom) over the admissible n,
-    ascending; each a*n^2 is reduced exactly before its root of unity is
-    looked up."""
-    denom = (2 - phase.delta) ** 2 * q
-    roots = unit_roots(denom)
-    return [roots[(phase.a * n * n) % denom] for n in admissible_indices(q)]
-
-
-def trig_sum(theta: ThetaSequence, k: int) -> float:
-    """Alternating cosine sum over admissible 2k-tuples; 0 when empty."""
-    _check_k(k, theta.q)
-    return alternating_products(_trig_terms(theta), 2 * k)[2 * k].real
-
-
-def quad_exp_sum(p: int, q: int, k: int, phase: QuadraticPhase | None = None) -> complex:
-    """Quadratic exponential sum over the same admissible 2k-tuples.
-
-    The coefficient a is taken from the fitted quadratic phase (single
-    source of truth).
-    """
-    _check_k(k, q)
-    if phase is None:
-        phase = quadratic_phase(p, q)
-    return alternating_products(_quad_terms(q, phase), 2 * k)[2 * k]
-
-
 def _reports(
     p: int, q: int, ks: list[int], theta: ThetaSequence, phase: QuadraticPhase
 ) -> list[SumReport]:
@@ -109,9 +70,13 @@ def _reports(
     order 2*max(ks).  S_m never reads an order above m, so each value is
     bit for bit the one a pass to order 2k gives."""
     m_max = 2 * max(ks, default=0)
-    t_values = alternating_products(_trig_terms(theta), m_max)
-    e_values = alternating_products(_quad_terms(q, phase), m_max)
-    count = len(theta.admissible_indices())
+    n, arguments = theta.admissible_arguments()
+    roots = unit_roots(phase.denominator)
+    trig_terms = [complex(math.cos(t), math.sin(t)) for t in arguments.tolist()]
+    quad_terms = [roots[m] for m in phase.residues(n).tolist()]
+    t_values = alternating_products(trig_terms, m_max)
+    e_values = alternating_products(quad_terms, m_max)
+    count = len(n)
     reports = []
     for k in ks:
         t_value, e_value = t_values[2 * k].real, e_values[2 * k]

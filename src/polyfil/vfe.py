@@ -141,12 +141,15 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class TangentField:
-    """Unit tangent samples on the uniform periodic grid s_j = 2*pi*j/n."""
+    """Unit tangent samples on the uniform periodic grid s_j = 2*pi*j/n, at
+    a finite time."""
 
     time: float
     samples: np.ndarray  # shape (n, 3)
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.time):
+            raise ValueError(f"time must be finite, got {self.time}")
         s = np.asarray(self.samples, dtype=float)
         if s.ndim != 2 or s.shape[1] != 3:
             raise ValueError(f"samples must have shape (n, 3), got {s.shape}")

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -34,19 +35,19 @@ def test_parity_info():
 
 
 def test_admissible():
-    assert arith.admissible(0, 3)
-    assert all(arith.admissible(n, 5) for n in range(5))  # odd q: all
-    assert not arith.admissible(1, 4)
-    assert not arith.admissible(0, 2)
-    assert arith.admissible_indices(4) == (0, 2)
-    assert arith.admissible_indices(2) == (1,)
+    assert arith.admissible_mask(3)[0]
+    assert all(arith.admissible_mask(5))  # odd q: all
+    assert not arith.admissible_mask(4)[1]
+    assert not arith.admissible_mask(2)[0]
+    assert np.flatnonzero(arith.admissible_mask(4)).tolist() == [0, 2]
+    assert np.flatnonzero(arith.admissible_mask(2)).tolist() == [1]
 
 
 def test_admissible_matches_parity_of_half_q():
     # for even q the admissible indices share the parity of q/2
     for q in range(2, 41, 2):
         eps = arith.parity_info(q).epsilon
-        assert all(n % 2 == eps for n in arith.admissible_indices(q))
+        assert all(n % 2 == eps for n in np.flatnonzero(arith.admissible_mask(q)))
 
 
 def test_enumerate_index_vectors():

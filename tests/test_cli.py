@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from polyfil import arith, cli, gauss, rotor
+from polyfil import cli, gauss, rotor
 from polyfil.cli import main
 
 
@@ -97,6 +97,14 @@ def test_sums_empty_k_range_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, "sums", *argv)
     assert code == 2
     assert err.startswith("error: ") and "no k" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("q", ["0", "-3"])
+def test_sums_non_positive_q_is_usage_error(capsys, q):
+    code, out, err = run_cli(capsys, "sums", "--p", "1", "--q", q)
+    assert code == 2
+    assert err.startswith("error: ") and "q must be positive" in err
     assert out == ""
 
 
@@ -238,7 +246,7 @@ def test_verify_vanishing_residuals_match_per_entry_loop(capsys):
         p, q = (int(part.split("=")[1]) for part in outcome["case_id"].split("/")[1:])
         expected = math.sqrt(q) if q % 2 else math.sqrt(2 * q)
         residual = max(
-            entry.modulus if not arith.admissible(n, q) else abs(entry.modulus - expected)
+            entry.modulus if (2 * n + 2 - q) % 4 == 0 else abs(entry.modulus - expected)
             for n, entry in enumerate(gauss.theta_sequence(p, q).entries)
         )
         assert outcome["residual"] == residual, outcome["case_id"]

@@ -13,6 +13,14 @@ from polyfil.errors import NotCoprime, UndefinedTheta
 SQRT3 = math.sqrt(3.0)
 
 
+def model_theta(phase, n):
+    """Model phase for index n, with the quadratic part reduced modulo
+    2*pi in exact integer arithmetic; the reference for max_phase_defect."""
+    d = (2 - phase.delta) ** 2 * phase.q
+    m = (phase.a * n * n) % d
+    return 2.0 * math.pi * m / d + phase.b
+
+
 def brute_force_sum(p, q, n):
     """Independent oracle: no exponent reduction, cmath accumulation."""
     return sum(cmath.exp(2j * math.pi * (-p * k * k + n * k) / q) for k in range(q))
@@ -59,15 +67,14 @@ def test_theta_sequence_q3():
     theta = gauss.theta_sequence(1, 3)
     expected = [-math.pi / 2, math.pi / 6, math.pi / 6]
     for n, want in enumerate(expected):
-        assert abs(theta.theta(n) - want) < 1e-13
+        assert abs(theta.arguments[n] - want) < 1e-13
 
 
 def test_theta_sequence_q2():
     theta = gauss.theta_sequence(1, 2)
     assert theta.entries[0].vanishing
-    with pytest.raises(UndefinedTheta):
-        theta.theta(0)
-    assert abs(theta.theta(1)) < 1e-14
+    assert math.isnan(theta.arguments[0])
+    assert abs(theta.arguments[1]) < 1e-14
     assert abs(theta.entries[1].value - 2) < 1e-14
 
 
@@ -75,10 +82,10 @@ def test_theta_sequence_q4():
     theta = gauss.theta_sequence(1, 4)
     assert abs(theta.entries[0].value - (2 - 2j)) < 1e-13
     assert abs(theta.entries[2].value - (2 + 2j)) < 1e-13
-    assert abs(theta.theta(0) + math.pi / 4) < 1e-13
-    assert abs(theta.theta(2) - math.pi / 4) < 1e-13
+    assert abs(theta.arguments[0] + math.pi / 4) < 1e-13
+    assert abs(theta.arguments[2] - math.pi / 4) < 1e-13
     assert theta.entries[1].vanishing and theta.entries[3].vanishing
-    assert theta.admissible_indices() == (0, 2)
+    assert theta.admissible_arguments()[0].tolist() == [0, 2]
 
 
 def test_vanishing_pattern_matches_admissibility():
@@ -87,7 +94,7 @@ def test_vanishing_pattern_matches_admissibility():
             if math.gcd(p, q) != 1:
                 continue
             pattern = tuple(e.vanishing for e in gauss.theta_sequence(p, q).entries)
-            assert pattern == tuple(not arith.admissible(n, q) for n in range(q))
+            assert pattern == tuple((~arith.admissible_mask(q)).tolist())
 
 
 def test_odd_q_never_vanishes_at_boundary():
@@ -119,7 +126,7 @@ def test_quadratic_phase_q3():
     assert qp.a == 1 and qp.delta == 1 and qp.epsilon is None
     assert abs(qp.b + math.pi / 2) < 1e-13
     # model reproduces theta_1 = 2*pi/3 - pi/2 = pi/6
-    assert abs(qp.model_theta(1) - math.pi / 6) < 1e-13
+    assert abs(model_theta(qp, 1) - math.pi / 6) < 1e-13
 
 
 def test_quadratic_phase_q2():
@@ -127,7 +134,7 @@ def test_quadratic_phase_q2():
     assert qp.a == 1 and qp.epsilon == 1
     assert abs(qp.b + math.pi / 4) < 1e-13
     # (2*pi/2)(1/2)^2 - pi/4 = 0 = theta_1
-    defect = (qp.model_theta(1) - gauss.theta_sequence(1, 2).theta(1)) % (2 * math.pi)
+    defect = (model_theta(qp, 1) - gauss.theta_sequence(1, 2).arguments[1]) % (2 * math.pi)
     assert min(defect, 2 * math.pi - defect) < 1e-13
 
 
@@ -137,7 +144,7 @@ def test_quadratic_phase_q4():
     assert abs(qp.b + math.pi / 4) < 1e-13
     theta = gauss.theta_sequence(1, 4)
     for n in (0, 2):
-        defect = (qp.model_theta(n) - theta.theta(n)) % (2 * math.pi)
+        defect = (model_theta(qp, n) - theta.arguments[n]) % (2 * math.pi)
         assert min(defect, 2 * math.pi - defect) < 1e-13
 
 
@@ -161,17 +168,18 @@ def test_max_phase_defect_rejects_a_vanishing_admissible_index(monkeypatch):
 
 
 def test_max_phase_defect_matches_per_index_loop():
-    # the array form repeats QuadraticPhase.model_theta's arithmetic exactly
+    # the array form repeats model_theta's arithmetic exactly
     for q in range(1, 41):
         for p in range(1, q + 1):
             if math.gcd(p, q) != 1:
                 continue
             theta = gauss.theta_sequence(p, q)
             phase = gauss.quadratic_phase(p, q)
+            admissible = arith.admissible_mask(q)
             worst = 0.0
             for n in range(q):
-                if arith.admissible(n, q):
-                    d = (phase.model_theta(n) - theta.theta(n)) % (2 * math.pi)
+                if admissible[n]:
+                    d = (model_theta(phase, n) - theta.arguments[n]) % (2 * math.pi)
                     worst = max(worst, min(d, 2 * math.pi - d))
             assert gauss.max_phase_defect(p, q) == worst, (p, q)
 

@@ -1,6 +1,8 @@
 """Batched rotation products and certificates against the per-factor
-loop: one Rodrigues matrix and one spinor per factor, multiplied in
-order, with the angle read from the trace."""
+loop: one Rodrigues matrix and one quaternion per factor, multiplied in
+order, with the angle read from the trace.  The loop is plain numpy and
+restates the factor order and the admissibility rule, so it shares no
+code with the library's product."""
 
 import math
 
@@ -11,14 +13,49 @@ from polyfil import gauss, rotor
 from polyfil.errors import CrossCheckFailure, NotARotation
 
 
+def rodrigues(axis, angle):
+    """Rotation by angle about a unit axis: I + sin(angle) K + (1 - cos(angle)) K^2."""
+    x, y, z = axis
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+
+
+def quaternion_product(s, t):
+    """Hamilton product of scalar-first quaternions (w, x, y, z)."""
+    w1, x1, y1, z1 = s
+    w2, x2, y2, z2 = t
+    return np.array([
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    ])
+
+
+def quaternion_rotation(s):
+    """The rotation v -> s v s^-1 of a unit quaternion, entry by entry."""
+    w, x, y, z = s
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
 def product_per_factor(theta, rho):
+    # factors run over the admissible indices (4 does not divide
+    # 2n + 2 - q), highest index leftmost
+    q = theta.q
+    args = [theta.arguments[n] for n in range(q - 1, -1, -1) if (2 * n + 2 - q) % 4 != 0]
     total = np.eye(3)
-    spin = rotor.Spinor(1.0, 0.0, 0.0, 0.0)
-    for arg in rotor._product_factors(theta):
+    spin = np.array([1.0, 0.0, 0.0, 0.0])
+    for arg in args:
         axis = (math.cos(arg), math.sin(arg), 0.0)
-        total = total @ rotor.rotation_from_axis_angle(axis, rho)
-        spin = spin * rotor.spinor_from_axis_angle(axis, rho)
-    assert np.abs(rotor.spinor_to_rotation(spin) - total).max() <= 1e-10
+        total = total @ rodrigues(axis, rho)
+        half = 0.5 * rho
+        factor = np.array([math.cos(half), *(math.sin(half) * np.array(axis))])
+        spin = quaternion_product(spin, factor)
+    assert np.abs(quaternion_rotation(spin) - total).max() <= 1e-10
     return total
 
 
@@ -85,8 +122,7 @@ def test_product_rejects_two_dimensional_rho():
 
 def test_rotation_angle_of_a_stack():
     angles = np.array([[0.1, 1.0], [2.0, 3.0]])
-    stack = np.array([[rotor.rotation_from_axis_angle((0.0, 0.6, 0.8), a) for a in row]
-                      for row in angles])
+    stack = np.array([[rodrigues((0.0, 0.6, 0.8), a) for a in row] for row in angles])
     got = rotor.rotation_angle(stack)
     assert got.shape == (2, 2)
     assert np.abs(got - angles).max() <= 1e-14

@@ -7,6 +7,7 @@ import pytest
 
 from polyfil import arith, gauss, sums
 from polyfil.errors import RangeError
+from test_gauss import model_theta
 
 SQRT3 = math.sqrt(3.0)
 
@@ -14,32 +15,32 @@ SQRT3 = math.sqrt(3.0)
 def test_trig_sum_q3_hand_value():
     theta = gauss.theta_sequence(1, 3)
     # cos(-2pi/3) + cos(-2pi/3) + cos(0) = -1/2 - 1/2 + 1
-    assert abs(sums.trig_sum(theta, 1)) < 1e-14
+    assert abs(sums.sum_report(1, 3, 1, theta=theta).t_value) < 1e-14
 
 
 def test_trig_sum_q4_single_pair():
     theta = gauss.theta_sequence(1, 4)
     # only (0, 2) is admissible: cos(theta_0 - theta_2) = cos(-pi/2)
-    assert abs(sums.trig_sum(theta, 1)) < 1e-14
+    assert abs(sums.sum_report(1, 4, 1, theta=theta).t_value) < 1e-14
 
 
 def test_trig_sum_empty_enumeration():
     theta = gauss.theta_sequence(1, 2)
-    assert sums.trig_sum(theta, 1) == 0.0
+    assert sums.sum_report(1, 2, 1, theta=theta).t_value == 0.0
 
 
 def test_trig_sum_range_errors():
     theta = gauss.theta_sequence(1, 3)
     with pytest.raises(RangeError):
-        sums.trig_sum(theta, 2)
+        sums.sum_report(1, 3, 2, theta=theta)
     with pytest.raises(RangeError):
-        sums.trig_sum(theta, 0)
+        sums.sum_report(1, 3, 0, theta=theta)
 
 
 def test_quad_exp_sum_hand_values():
-    assert abs(sums.quad_exp_sum(1, 3, 1) - (-1j * SQRT3)) < 1e-13
-    assert abs(sums.quad_exp_sum(1, 4, 1) - (-1j)) < 1e-14
-    assert sums.quad_exp_sum(1, 2, 1) == 0
+    assert abs(sums.sum_report(1, 3, 1).e_value - (-1j * SQRT3)) < 1e-13
+    assert abs(sums.sum_report(1, 4, 1).e_value - (-1j)) < 1e-14
+    assert sums.sum_report(1, 2, 1).e_value == 0
 
 
 def test_sum_report_fields():
@@ -80,13 +81,13 @@ def test_phase_substitution_consistency():
         theta = gauss.theta_sequence(p, q)
         phase = gauss.quadratic_phase(p, q)
         model_arguments = np.array([
-            math.nan if vanishing else phase.model_theta(n)
+            math.nan if vanishing else model_theta(phase, n)
             for n, vanishing in enumerate(theta.vanishing)
         ])
-        model_theta = dataclasses.replace(theta, arguments=model_arguments)
+        model_table = dataclasses.replace(theta, arguments=model_arguments)
         for k in range(1, q // 2 + 1):
-            direct = sums.trig_sum(theta, k)
-            modeled = sums.trig_sum(model_theta, k)
+            direct = sums.sum_report(p, q, k, theta=theta).t_value
+            modeled = sums.sum_report(p, q, k, theta=model_table).t_value
             assert abs(direct - modeled) <= 1e-8
 
 
@@ -97,7 +98,7 @@ def test_global_shift_leaves_real_part_invariant():
     for p, q in [(1, 5), (2, 5), (1, 7), (3, 7), (2, 9)]:
         phase = gauss.quadratic_phase(p, q)
         for k in range(1, q // 2 + 1):
-            reference = sums.quad_exp_sum(p, q, k, phase=phase).real
+            reference = sums.sum_report(p, q, k, phase=phase).e_value.real
             count = math.comb(q, 2 * k)
             for h in range(q):
                 total = 0.0
@@ -116,7 +117,7 @@ def test_even_q_reduces_to_half_modulus_form():
         eps = phase.epsilon
         half = q // 2
         for k in range(1, q // 2 + 1):
-            direct = sums.quad_exp_sum(p, q, k, phase=phase)
+            direct = sums.sum_report(p, q, k, phase=phase).e_value
             total_re = 0.0
             total_im = 0.0
             for m in combinations(range(half), 2 * k):

@@ -66,6 +66,12 @@ def test_tangent_field_rejects_non_finite_samples():
             vfe.TangentField(0.0, samples)
 
 
+@pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+def test_tangent_field_rejects_non_finite_time(time):
+    with pytest.raises(ValueError, match="time must be finite"):
+        vfe.TangentField(time, vfe.initial_tangent(3, 12).samples)
+
+
 def test_config_rejects_non_finite_dt_factor():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):

@@ -5,6 +5,14 @@ JSON on stdout (CSV available for verify), carrying a reproducibility
 manifest; bulk field data from simulate goes to CSV sidecar files whose
 manifest lives in the accompanying summary JSON.
 
+The vanishing, lemma4 and theorem2 suites of verify run per q, not per
+(p, q): one stacked Gauss table (gauss.theta_sequences) of every p
+coprime to q serves the checks of all those p at once, through
+gauss.max_phase_defects and rotor.certify_rotation_table.  Their
+outcomes equal those of the per-pair functions bit for bit.  The sums
+suite runs per pair, through sums.verify_sum_identities.  Each JSON
+payload is encoded once, as one string.
+
 Exit codes: 0 all checks passed, 1 verification failure, 2 usage error
 (including a verify range or a sums k range that selects no case, an
 unwritable simulate --out, a simulate --grid below 1, a --tol that is
@@ -31,15 +39,16 @@ from .errors import BlowUp, NotCoprime, PolyfilError
 from .gauss import (
     GaussSumValue,
     VANISHING_RELATIVE_TOL,
-    max_phase_defect,
     gauss_sum,
+    max_phase_defects,
     theta_sequence,
+    theta_sequences,
 )
 from .rotor import (
     RotationCertificate,
     axis_angle_of,
     certify_rotation_angle,
-    certify_rotation_angles,
+    certify_rotation_table,
     inter_side_angle,
     trace_identity_eval,
 )
@@ -87,9 +96,13 @@ def _manifest(command: str, parameters: dict, tolerances: dict) -> dict:
     }
 
 
-def _emit(payload: dict, stream=None) -> None:
-    json.dump(payload, stream or sys.stdout, indent=2, allow_nan=False)
-    print(file=stream or sys.stdout)
+def _json_text(payload: dict) -> str:
+    """The payload as indented JSON with a final newline; NaN raises."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def _emit(payload: dict) -> None:
+    sys.stdout.write(_json_text(payload))
 
 
 def _usage_error(message: str) -> int:
@@ -112,11 +125,10 @@ def _entry_json(n: int, entry: GaussSumValue) -> dict:
     }
 
 
-def _coprime_pairs(q_max: int):
+def _coprime_rows(q_max: int):
+    """(q, [every p in 1..q coprime to q]) for q = 1..q_max."""
     for q in range(1, q_max + 1):
-        for p in range(1, q + 1):
-            if gcd(p, q) == 1:
-                yield p, q
+        yield q, [p for p in range(1, q + 1) if gcd(p, q) == 1]
 
 
 def _sums_passed(report: SumReport) -> bool:
@@ -250,41 +262,46 @@ def _outcome(case_id: str, passed: bool, residual: float) -> dict:
 
 def _suite_vanishing(q_max: int) -> list[dict]:
     outcomes = []
-    for p, q in _coprime_pairs(q_max):
-        theta = theta_sequence(p, q)
+    for q, ps in _coprime_rows(q_max):
+        theta = theta_sequences(ps, q)
         expected_modulus = math.sqrt(q) if q % 2 == 1 else math.sqrt(2 * q)
         tol = TOL_VANISHING * max(1.0, math.sqrt(q))
         should_vanish = ~admissible_mask(q)
-        pattern_ok = np.array_equal(theta.vanishing, should_vanish)
-        residual = max(
-            theta.moduli[should_vanish].max(initial=0.0),
-            np.abs(theta.moduli[~should_vanish] - expected_modulus).max(initial=0.0),
+        pattern_ok = (theta.vanishing == should_vanish).all(axis=-1)
+        residuals = np.maximum(
+            theta.moduli[:, should_vanish].max(axis=-1, initial=0.0),
+            np.abs(theta.moduli[:, ~should_vanish] - expected_modulus).max(
+                axis=-1, initial=0.0),
         )
-        outcomes.append(_outcome(
-            f"vanishing/p={p}/q={q}", pattern_ok and residual <= tol, float(residual)
-        ))
+        for p, ok, residual in zip(ps, pattern_ok.tolist(), residuals.tolist()):
+            outcomes.append(_outcome(
+                f"vanishing/p={p}/q={q}", ok and residual <= tol, residual
+            ))
     return outcomes
 
 
 def _suite_lemma4(q_max: int) -> list[dict]:
     outcomes = []
-    for p, q in _coprime_pairs(q_max):
-        defect = max_phase_defect(p, q)
-        outcomes.append(
-            _outcome(f"lemma4/p={p}/q={q}", defect <= TOL_PHASE_MODEL, defect)
-        )
+    for q, ps in _coprime_rows(q_max):
+        defects = max_phase_defects(theta_sequences(ps, q))
+        for p, defect in zip(ps, defects.tolist()):
+            outcomes.append(
+                _outcome(f"lemma4/p={p}/q={q}", defect <= TOL_PHASE_MODEL, defect)
+            )
     return outcomes
 
 
 def _suite_sums(q_max: int) -> list[dict]:
     outcomes = []
-    for p, q in _coprime_pairs(q_max):
+    for q, ps in _coprime_rows(q_max):
         if q < 2:
             continue
-        for report in verify_sum_identities(p, q):
-            outcomes.append(_outcome(
-                f"sums/p={p}/q={q}/k={report.k}", _sums_passed(report), report.residual
-            ))
+        for p in ps:
+            for report in verify_sum_identities(p, q):
+                outcomes.append(_outcome(
+                    f"sums/p={p}/q={q}/k={report.k}", _sums_passed(report),
+                    report.residual,
+                ))
     return outcomes
 
 
@@ -293,12 +310,13 @@ def _suite_theorem2(q_max: int, m_max: int) -> list[dict]:
     if not Ms:
         return []
     outcomes = []
-    for p, q in _coprime_pairs(q_max):
-        for cert in certify_rotation_angles(p, q, Ms):
-            outcomes.append(_outcome(
-                f"theorem2/M={cert.M}/p={p}/q={q}", _theorem2_passed(cert),
-                cert.angle_error,
-            ))
+    for q, ps in _coprime_rows(q_max):
+        for p, certs in zip(ps, certify_rotation_table(theta_sequences(ps, q), Ms)):
+            for cert in certs:
+                outcomes.append(_outcome(
+                    f"theorem2/M={cert.M}/p={p}/q={q}", _theorem2_passed(cert),
+                    cert.angle_error,
+                ))
     return outcomes
 
 
@@ -441,14 +459,14 @@ def cmd_simulate(args) -> int:
         "vertical_drift_rate": vertical_drift_rate(evolved),
         "files": [f"{prefix}.tangent.csv", f"{prefix}.curve.csv"],
     }
+    text = _json_text(summary)
     try:
         write_field_csvs(prefix, evolved, curve)
         with open(f"{prefix}.summary.json", "w") as handle:
-            json.dump(summary, handle, indent=2, allow_nan=False)
-            handle.write("\n")
+            handle.write(text)
     except OSError as exc:
         return _usage_error(f"cannot write output: {exc}")
-    _emit(summary)
+    sys.stdout.write(text)
     return EXIT_OK if report.relative_error <= args.tol else EXIT_VERIFICATION_FAILED
 
 

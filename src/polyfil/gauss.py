@@ -11,17 +11,24 @@ coprime pair with q <= 60 agrees with compensated direct summation to
 1.7e-14 (tests/test_gauss_oracle.py keeps that summation, and the
 closed form for odd q, as references).
 
-A table stays a set of numpy arrays from the FFT to the checks:
-theta_sequence derives the moduli, the principal arguments and the
-vanishing flags in one vectorised pass, and max_phase_defect fits and
-compares the phase model on that same table.  ThetaSequence.entry(n)
-builds one GaussSumValue on demand, for gauss_sum and the CLI.
+A table stays a set of numpy arrays from the FFT to the checks, and it
+may stack several p at one q.  theta_sequences(ps, q) builds the (P, q)
+table of all given p from one inverse FFT along the last axis and
+classifies it in one vectorised pass; theta_sequence(p, q) is the P = 1
+call of that kernel, returned as one (q,) row.  The phase fit, the
+phase defect and the two rule owners below accept either shape, a
+stacked table carrying a leading p axis.  Each row of a stacked table
+equals the one-row table of its p bit for bit (tests/test_batch_oracle.py),
+so the verify suites build one table per q for every p at once.
+ThetaSequence.entry(n) builds one GaussSumValue of a one-row table on
+demand, for gauss_sum and the CLI.
 
 Two rules of the proof have one owner each, which gauss, sums and rotor
 all read.  ThetaSequence.admissible_arguments decides which indices
 carry an argument (4 does not divide 2n + 2 - q) and is the only place
 that raises UndefinedTheta.  QuadraticPhase.residues is the only place
-that reduces a*n^2 modulo the phase denominator (2 - delta)^2 * q.
+that reduces a*n^2 modulo the phase denominator (2 - delta)^2 * q.  Both
+keep a stacked table's leading p axis.
 
 Non-vanishing sums have modulus sqrt(q) for odd q and sqrt(2q) for even q,
 while the vanishing ones are exactly the indices n with 4 | 2n + 2 - q.
@@ -50,8 +57,10 @@ __all__ = [
     "QuadraticPhase",
     "gauss_sum",
     "theta_sequence",
+    "theta_sequences",
     "quadratic_phase",
     "max_phase_defect",
+    "max_phase_defects",
     "unit_roots",
 ]
 
@@ -85,9 +94,12 @@ class ThetaSequence:
     `arguments` in (-pi, pi] (NaN where the sum vanishes) and the boolean
     `vanishing` flags.  Compared by identity (eq=False), since arrays
     have no single-bool ==.
+
+    A stacked table holds several p at one q: `p` is then an int64 array
+    of shape (P,) and every array has shape (P, q), row i for p[i].
     """
 
-    p: int
+    p: int | np.ndarray
     q: int
     values: np.ndarray
     moduli: np.ndarray
@@ -95,25 +107,31 @@ class ThetaSequence:
     vanishing: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("values", "moduli", "arguments", "vanishing"):
+        for name in ("values", "moduli", "arguments", "vanishing") + (
+            ("p",) if isinstance(self.p, np.ndarray) else ()
+        ):
             view = np.asarray(getattr(self, name)).view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
 
     def admissible_arguments(self) -> tuple[np.ndarray, np.ndarray]:
         """The admissible indices n (4 does not divide 2n + 2 - q), in
-        ascending order, and their arguments.  Raises UndefinedTheta when
-        one of them is flagged vanishing, since it then has no argument."""
+        ascending order, and their arguments, shape (N,) or (P, N) for a
+        stacked table.  Raises UndefinedTheta when one of them is flagged
+        vanishing in any row, since it then has no argument."""
         n = np.flatnonzero(admissible_mask(self.q))
-        undefined = n[self.vanishing[n]]
-        if undefined.size:
-            raise UndefinedTheta(
-                f"G(-{self.p},{undefined[0]},{self.q}) vanishes; no argument"
-            )
-        return n, self.arguments[n]
+        undefined = self.vanishing[..., n]
+        if undefined.any():
+            *row, column = np.argwhere(undefined)[0]
+            p = np.asarray(self.p)[tuple(row)]
+            raise UndefinedTheta(f"G(-{p},{n[column]},{self.q}) vanishes; no argument")
+        return n, self.arguments[..., n]
 
     def entry(self, n: int) -> GaussSumValue:
-        """Index n as one GaussSumValue (argument None when it vanishes)."""
+        """Index n of a one-row table as one GaussSumValue (argument None
+        when it vanishes)."""
+        if self.values.ndim != 1:
+            raise ValueError("entry() reads a one-row table, not a stacked one")
         vanishing = bool(self.vanishing[n])
         return GaussSumValue(
             complex(self.values[n]), float(self.moduli[n]),
@@ -147,12 +165,15 @@ class QuadraticPhase:
     with a in [0, q) coprime to q and b the argument of an n-independent
     reference sum.  delta is the parity of q; epsilon (even q only) is
     the common parity of the admissible indices.
+
+    The fit of a stacked table holds one row per p: `p` and `a` are then
+    int64 arrays and `b` a float array, each of shape (P,).
     """
 
-    p: int
+    p: int | np.ndarray
     q: int
-    a: int
-    b: float
+    a: int | np.ndarray
+    b: float | np.ndarray
     delta: int
     epsilon: int | None
 
@@ -163,10 +184,11 @@ class QuadraticPhase:
 
     def residues(self, n) -> np.ndarray:
         """(a * n^2) mod denominator for an array of indices, exact in
-        int64: n^2 is reduced before the product with a < q."""
+        int64: n^2 is reduced before the product with a < q.  For a
+        stacked fit the result has a leading p axis, (P,) + n.shape."""
         d = self.denominator
         n = np.asarray(n, dtype=np.int64)
-        return (n * n % d) * self.a % d
+        return np.multiply.outer(self.a, n * n % d) % d
 
 
 def _principal(angle):
@@ -174,14 +196,15 @@ def _principal(angle):
     return np.where(angle <= -math.pi, angle + 2.0 * math.pi, angle)
 
 
-def _gauss_table(p: int, q: int) -> np.ndarray:
-    """G(-p, n, q) for n = 0..q-1: one inverse FFT of the chirp."""
+def _gauss_table(p: np.ndarray, q: int) -> np.ndarray:
+    """G(-p, n, q) for each p of an int64 array (P,) and n = 0..q-1, as a
+    (P, q) array: one inverse FFT of the chirps along the last axis."""
     k = np.arange(q, dtype=np.int64)
-    residues = (k * k % q) * (-p % q) % q
+    residues = np.multiply.outer(-p % q, k * k % q) % q
     chirp = np.array(unit_roots(q))[residues]
     # np.fft is an attribute lookup on purpose: numpy loads it lazily,
     # so code paths that never build a table never import it.
-    return q * np.fft.ifft(chirp)
+    return q * np.fft.ifft(chirp, axis=-1)
 
 
 def _require_coprime(p: int, q: int) -> None:
@@ -200,11 +223,28 @@ def gauss_sum(p: int, q: int, n: int) -> GaussSumValue:
 
 
 def theta_sequence(p: int, q: int) -> ThetaSequence:
-    """Evaluate all q sums for fixed (p, q) from one table, classifying
-    each as vanishing when its modulus is below
-    VANISHING_RELATIVE_TOL * max(1, sqrt(q))."""
+    """Evaluate all q sums for fixed (p, q): the one-row table, the P = 1
+    call of the kernel behind theta_sequences."""
     _require_coprime(p, q)
-    values = _gauss_table(p, q)
+    return _classify(p, q, _gauss_table(np.array([p % q], dtype=np.int64), q)[0])
+
+
+def theta_sequences(ps, q: int) -> ThetaSequence:
+    """The stacked table of every p in ps at one q, from one inverse FFT;
+    row i equals theta_sequence(ps[i], q)."""
+    ps = [int(p) for p in ps]
+    for p in ps:
+        _require_coprime(p, q)
+    return _classify(
+        np.array(ps, dtype=np.int64), q,
+        _gauss_table(np.array([p % q for p in ps], dtype=np.int64), q),
+    )
+
+
+def _classify(p, q: int, values: np.ndarray) -> ThetaSequence:
+    """Moduli, principal arguments and vanishing flags of a table of any
+    shape, each sum vanishing when its modulus is below
+    VANISHING_RELATIVE_TOL * max(1, sqrt(q))."""
     moduli = np.abs(values)
     vanishing = moduli < VANISHING_RELATIVE_TOL * max(1.0, math.sqrt(q))
     angles = _principal(np.arctan2(values.imag, values.real))
@@ -218,43 +258,58 @@ def quadratic_phase(p: int, q: int) -> QuadraticPhase:
 
 
 def _fit_phase(table: ThetaSequence) -> QuadraticPhase:
-    """Fit the quadratic phase model by completing the square.
+    """Fit the quadratic phase model by completing the square, row by row
+    for a stacked table.
 
     Odd q:  a is the inverse of 4p, and b the argument of the n = 0 sum.
     Even q: a is the inverse of p; the reference is the n = epsilon sum
     carrying an extra phase -pi*epsilon*a/(2q).
     """
-    p, q = table.p, table.q
+    q = table.q
     info = parity_info(q)
-    if info.delta == 1:
-        a = mod_inverse(4 * p, q)
-        if table.vanishing[0]:
-            raise InternalVanishing(f"G(-{p},0,{q}) vanished for odd q")
-        ref_value = complex(table.values[0])
-        epsilon = None
-    else:
-        a = mod_inverse(p, q)
-        epsilon = info.epsilon
-        assert epsilon is not None
-        if table.vanishing[epsilon]:
-            raise InternalVanishing(
-                f"G(-{p},{epsilon},{q}) vanished; parity bookkeeping is wrong"
-            )
-        ref_value = complex(table.values[epsilon]) * cmath.exp(
-            -1j * math.pi * epsilon * a / (2 * q)
+    ref = 0 if info.delta == 1 else info.epsilon
+    assert ref is not None
+    ps = np.atleast_1d(table.p)
+    vanished = np.atleast_1d(table.vanishing[..., ref])
+    if vanished.any():
+        p = ps[vanished.argmax()]
+        raise InternalVanishing(
+            f"G(-{p},0,{q}) vanished for odd q" if info.delta == 1
+            else f"G(-{p},{ref},{q}) vanished; parity bookkeeping is wrong"
         )
-    b = float(_principal(math.atan2(ref_value.imag, ref_value.real)))
-    return QuadraticPhase(p=p, q=q, a=a, b=b, delta=info.delta, epsilon=epsilon)
+    a_rows, b_rows = [], []
+    for p, value in zip(ps.tolist(), np.atleast_1d(table.values[..., ref]).tolist()):
+        if info.delta == 1:
+            a = mod_inverse(4 * p, q)
+            ref_value = value
+        else:
+            a = mod_inverse(p, q)
+            ref_value = value * cmath.exp(-1j * math.pi * ref * a / (2 * q))
+        a_rows.append(a)
+        b_rows.append(float(_principal(math.atan2(ref_value.imag, ref_value.real))))
+    if np.ndim(table.p) == 0:
+        a, b = a_rows[0], b_rows[0]
+    else:
+        a, b = np.array(a_rows, dtype=np.int64), np.array(b_rows)
+    return QuadraticPhase(p=table.p, q=q, a=a, b=b, delta=info.delta,
+                          epsilon=None if info.delta == 1 else ref)
 
 
 def max_phase_defect(p: int, q: int) -> float:
     """Largest distance, over admissible n, from the model-vs-actual phase
-    difference to the nearest multiple of 2*pi.  One table serves both
+    difference to the nearest multiple of 2*pi, for one (p, q): the
+    one-row call of max_phase_defects."""
+    return float(max_phase_defects(theta_sequence(p, q)))
+
+
+def max_phase_defects(theta: ThetaSequence) -> np.ndarray:
+    """The phase defect of every row of a table: a 0-d array for a
+    one-row table, shape (P,) for a stacked one.  One table serves both
     the fit and the comparison, read through its two owners:
     ThetaSequence.admissible_arguments and QuadraticPhase.residues."""
-    theta = theta_sequence(p, q)
     phase = _fit_phase(theta)
     n, arguments = theta.admissible_arguments()
-    model = 2.0 * math.pi * phase.residues(n) / phase.denominator + phase.b
+    model = (2.0 * math.pi * phase.residues(n) / phase.denominator
+             + np.asarray(phase.b)[..., None])
     diff = (model - arguments) % (2.0 * math.pi)
-    return float(np.minimum(diff, 2.0 * math.pi - diff).max(initial=0.0))
+    return np.minimum(diff, 2.0 * math.pi - diff).max(axis=-1, initial=0.0)

@@ -10,13 +10,21 @@ axes are best effort and flagged near the 0 and pi edge cases.
 
 The factors are the table's admissible arguments, as returned by their
 one owner ThetaSequence.admissible_arguments, in descending index order.
-The theorem-2 certificate is batched: certify_rotation_angles builds one
-Gauss table per (p, q) and makes one rotation_product call for every M
-and the three angles rho, 0.95*rho and 1.05*rho.  That call builds all
-factor matrices of both routes in one vectorised expression from those
-arguments, then multiplies them in order, one stacked matmul per factor
-and route; rotation_angle and the checks it applies take the whole
-stack.
+One kernel, _ordered_products, takes argument rows (P, F), one row of F
+factor arguments per p, and k angles, and returns the (P, k, 3, 3)
+products.  It builds the small per-axis pieces of all P*F factors up
+front, then walks the F factors in order; at each it builds that
+factor's (P*k, 3, 3) Rodrigues matrices and (P*k, 4, 4) quaternion
+right-multiplication matrices and multiplies them on, so memory grows
+with P*(F + k), never with P*F*k.  The quaternion cross-check and the checks of
+rotation_angle run over the whole stack.
+
+rotation_product is the one-row call of that kernel for one table.  The
+theorem-2 certificate is batched per q: certify_rotation_table takes a
+stacked table (gauss.theta_sequences) and makes one kernel call for
+every p in it, every M and the three angles rho, 0.95*rho and 1.05*rho;
+certify_rotation_angles is the same certificate for one (p, q) through
+rotation_product.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ __all__ = [
     "rotation_product",
     "certify_rotation_angle",
     "certify_rotation_angles",
+    "certify_rotation_table",
     "trace_identity_eval",
 ]
 
@@ -177,75 +186,117 @@ def inter_side_angle(M: int, q: int) -> float:
 def _product_factors(theta: ThetaSequence) -> np.ndarray:
     """Arguments for the ordered product, leftmost factor first: the
     admissible arguments in descending index order (factor n uses index
-    q-1-n and skips the indices that are not admissible).  Copied out of
-    the reversed view so that np.cos and np.sin run on contiguous data."""
-    return theta.admissible_arguments()[1][::-1].copy()
+    q-1-n and skips the indices that are not admissible), shape (F,), or
+    (P, F) for a stacked table.  Copied out of the reversed view so that
+    np.cos and np.sin run on contiguous data."""
+    return theta.admissible_arguments()[1][..., ::-1].copy()
 
 
-def rotation_product(theta: ThetaSequence, rho: float | np.ndarray) -> np.ndarray:
-    """Ordered product of rotations by rho about the in-plane axes
-    (cos theta_n, sin theta_n, 0), computed both as 3x3 matrices and as
+def _ordered_products(args: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """Ordered products (P, k, 3, 3) of rotations by each of the k angles
+    rhos about the in-plane axes (cos a, sin a, 0), for argument rows
+    args of shape (P, F), computed both as 3x3 matrices and as
     quaternions; the two routes must agree.
 
-    rho is one angle, giving one 3x3 matrix, or a 1-D array of k angles,
-    giving a (k, 3, 3) stack.  All F x k factors are built at once: the
-    (F, k, 3, 3) Rodrigues matrices and the (F, k, 4, 4) matrices of
-    right multiplication by each factor's quaternion.  Each route is then
-    one ordered loop over the F factors, each step one stacked matmul."""
-    rhos = np.asarray(rho, dtype=float)
-    if rhos.ndim > 1:
-        raise ValueError(f"rho must be a number or a 1-D array, got shape {rhos.shape}")
-    flat = rhos.reshape(-1)
-    if not np.all((flat > 0.0) & (flat < math.pi)):
-        raise ValueError(f"rho must lie in (0, pi), got {rho}")
-    args = _product_factors(theta)
+    Only one factor's (P, k) stack of Rodrigues matrices and of
+    right-multiplication matrices exists at a time; each route is one
+    ordered loop over the F factors, each step one stacked matmul."""
+    if not np.all((rhos > 0.0) & (rhos < math.pi)):
+        raise ValueError(f"rho must lie in (0, pi), got {rhos}")
     c, s = np.cos(args), np.sin(args)
     # Rodrigues, with k the cross-product matrix of the axis (c, s, 0)
-    k = _cross_matrices(np.stack([c, s, np.zeros_like(c)], -1))[:, None]
-    factors = (np.eye(3) + np.sin(flat)[:, None, None] * k
-               + (1.0 - np.cos(flat))[:, None, None] * (k @ k))
+    k = _cross_matrices(np.stack([c, s, np.zeros_like(c)], -1))[:, :, None]
+    kk = k @ k
+    sin_rho = np.sin(rhos)[:, None, None]
+    versin_rho = (1.0 - np.cos(rhos))[:, None, None]
     # spin * (cos(rho/2) + sin(rho/2) (c i + s j)); `spin @ pure` is the
     # quaternion product spin * (c i + s j)
-    pure = c[:, None, None, None] * _RIGHT_I + s[:, None, None, None] * _RIGHT_J
-    spin_factors = (np.cos(0.5 * flat)[:, None, None] * np.eye(4)
-                    + np.sin(0.5 * flat)[:, None, None] * pure)
-    total = factors[0]
-    for factor in factors[1:]:
-        total = total @ factor
-    # row 0 of the product of the right-multiplication matrices is the
-    # quaternion product 1 * s_0 * s_1 * ... of the factors
-    spin = spin_factors[0]
-    for factor in spin_factors[1:]:
-        spin = spin @ factor
-    mismatch = np.abs(_spinor_matrices(spin[:, 0]) - total).max(initial=0.0)
+    pure = c[..., None, None, None] * _RIGHT_I + s[..., None, None, None] * _RIGHT_J
+    cos_half = np.cos(0.5 * rhos)[:, None, None] * np.eye(4)
+    sin_half = np.sin(0.5 * rhos)[:, None, None]
+    total = spin = None
+    for f in range(args.shape[1]):
+        factor = np.eye(3) + sin_rho * k[:, f] + versin_rho * kk[:, f]
+        spin_factor = cos_half + sin_half * pure[:, f]
+        # row 0 of the product of the right-multiplication matrices is
+        # the quaternion product 1 * s_0 * s_1 * ... of the factors
+        total = factor if total is None else total @ factor
+        spin = spin_factor if spin is None else spin @ spin_factor
+    mismatch = np.abs(_spinor_matrices(spin[..., 0, :]) - total).max(initial=0.0)
     if not mismatch <= _CROSS_CHECK_TOL:
         raise CrossCheckFailure(
             f"matrix and quaternion products disagree by {mismatch}"
         )
+    return total
+
+
+def rotation_product(theta: ThetaSequence, rho: float | np.ndarray) -> np.ndarray:
+    """Ordered product of rotations by rho about the in-plane axes
+    (cos theta_n, sin theta_n, 0) of a one-row table, computed both as
+    3x3 matrices and as quaternions; the two routes must agree.
+
+    rho is one angle, giving one 3x3 matrix, or a 1-D array of k angles,
+    giving a (k, 3, 3) stack: the one-row call of _ordered_products."""
+    if theta.values.ndim != 1:
+        raise ValueError("rotation_product takes a one-row table; see certify_rotation_table")
+    rhos = np.asarray(rho, dtype=float)
+    if rhos.ndim > 1:
+        raise ValueError(f"rho must be a number or a 1-D array, got shape {rhos.shape}")
+    total = _ordered_products(_product_factors(theta)[None], rhos.reshape(-1))[0]
     return total[0] if rhos.ndim == 0 else total
 
 
-def certify_rotation_angles(p: int, q: int, Ms) -> list[RotationCertificate]:
-    """Certificates for several M at one (p, q): one Gauss table and one
-    product call for the 3*len(Ms) angles rho, 0.95*rho and 1.05*rho.
+def _detuned_angles(q: int, Ms: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The predicted angles rho for each M and the 3*len(Ms) angles rho,
+    0.95*rho and 1.05*rho that one certificate product call takes."""
+    rhos = np.array([inter_side_angle(M, q) for M in Ms])
+    return rhos, np.concatenate([rhos, 0.95 * rhos, 1.05 * rhos])
+
+
+def _certificates(ps: list[int], q: int, Ms: list[int], rhos: np.ndarray,
+                  products: np.ndarray) -> list[list[RotationCertificate]]:
+    """Certificates per p and M from the (P, 3*len(Ms), 3, 3) products at
+    the angles of _detuned_angles.
 
     Each checks that the product has angle exactly 2*pi/M at the predicted
     inter-side angle rho, and that detuning rho by +-5% visibly breaks it
     (falsification_margin is the smaller miss of the two detunings)."""
+    angles = rotation_angle(products).reshape(len(ps), 3, len(Ms)).transpose(0, 2, 1)
+    rows = []
+    for p, row_angles, row_products in zip(ps, angles.tolist(), products):
+        certs = []
+        for M, rho, (angle, low, high), product in zip(
+            Ms, rhos.tolist(), row_angles, row_products
+        ):
+            target = 2.0 * math.pi / M
+            certs.append(RotationCertificate(
+                M=M, p=p, q=q, rho=rho, angle=angle, angle_error=abs(angle - target),
+                falsification_margin=min(abs(low - target), abs(high - target)),
+                product=product,
+            ))
+        rows.append(certs)
+    return rows
+
+
+def certify_rotation_angles(p: int, q: int, Ms) -> list[RotationCertificate]:
+    """Certificates for several M at one (p, q) (see _certificates): one
+    Gauss table and one rotation_product call for the 3*len(Ms) angles
+    rho, 0.95*rho and 1.05*rho."""
     Ms = list(Ms)
-    theta = theta_sequence(p, q)
-    rhos = np.array([inter_side_angle(M, q) for M in Ms])
-    products = rotation_product(theta, np.concatenate([rhos, 0.95 * rhos, 1.05 * rhos]))
-    angles = rotation_angle(products).reshape(3, len(Ms)).T.tolist()
-    certs = []
-    for M, rho, (angle, low, high), product in zip(Ms, rhos.tolist(), angles, products):
-        target = 2.0 * math.pi / M
-        certs.append(RotationCertificate(
-            M=M, p=p, q=q, rho=rho, angle=angle, angle_error=abs(angle - target),
-            falsification_margin=min(abs(low - target), abs(high - target)),
-            product=product,
-        ))
-    return certs
+    rhos, angles = _detuned_angles(q, Ms)
+    products = rotation_product(theta_sequence(p, q), angles)
+    return _certificates([p], q, Ms, rhos, products[None])[0]
+
+
+def certify_rotation_table(theta: ThetaSequence, Ms) -> list[list[RotationCertificate]]:
+    """Certificates for every p of a stacked table (gauss.theta_sequences)
+    and several M, row i for theta.p[i]: one kernel call for all p, all M
+    and the three angles per M.  Each row equals
+    certify_rotation_angles(theta.p[i], theta.q, Ms)."""
+    Ms = list(Ms)
+    rhos, angles = _detuned_angles(theta.q, Ms)
+    products = _ordered_products(np.atleast_2d(_product_factors(theta)), angles)
+    return _certificates(np.atleast_1d(theta.p).tolist(), theta.q, Ms, rhos, products)
 
 
 def certify_rotation_angle(M: int, p: int, q: int) -> RotationCertificate:

@@ -32,6 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arith import alternating_products
 from .errors import RangeError
 from .gauss import QuadraticPhase, ThetaSequence, _fit_phase, theta_sequence, unit_roots
@@ -93,12 +95,17 @@ def sum_report(
     theta: ThetaSequence | None = None,
     phase: QuadraticPhase | None = None,
 ) -> SumReport:
-    """Evaluate both sums for one k."""
+    """Evaluate both sums for one k.  A theta or phase passed in must be
+    the one-row table or fit of this (p, q); any other raises ValueError."""
     _check_k(k, q)
     if theta is None:
         theta = theta_sequence(p, q)
+    elif np.ndim(theta.p) != 0 or (theta.p, theta.q) != (p, q):
+        raise ValueError(f"theta is the table of p={theta.p}, q={theta.q}, not of ({p}, {q})")
     if phase is None:
         phase = _fit_phase(theta)
+    elif np.ndim(phase.p) != 0 or (phase.p, phase.q) != (p, q):
+        raise ValueError(f"phase is the fit of p={phase.p}, q={phase.q}, not of ({p}, {q})")
     return _reports(p, q, [k], theta, phase)[0]
 
 

@@ -1,0 +1,233 @@
+"""Stacked (per-q) tables, phase fits and rotation certificates against
+the per-pair functions, and the per-q verify suites against a per-pair
+loop kept here.  Every row of a batch must equal the one-pair result
+under np.array_equal, not within a tolerance: the batch runs the same
+arithmetic, so any difference is a bug (a row mix-up, a shared
+coefficient, a wrong factor order).  The mutation tests check that each
+oracle catches such a bug."""
+
+import dataclasses
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from polyfil import arith, cli, gauss, rotor
+from polyfil.errors import NotCoprime, UndefinedTheta
+
+MS = list(range(3, 11))
+
+
+def coprime(q):
+    return [p for p in range(1, q + 1) if math.gcd(p, q) == 1]
+
+
+# ----------------------------------------------------------------- oracles
+
+
+def table_rows_match(q):
+    ps = coprime(q)
+    stacked = gauss.theta_sequences(ps, q)
+    if stacked.p.tolist() != ps or stacked.values.shape != (len(ps), q):
+        return False
+    for i, p in enumerate(ps):
+        one = gauss.theta_sequence(p, q)
+        for name in ("values", "moduli", "arguments", "vanishing"):
+            if not np.array_equal(getattr(stacked, name)[i], getattr(one, name),
+                                  equal_nan=True):
+                return False
+    return True
+
+
+def defect_rows_match(q):
+    ps = coprime(q)
+    stacked = gauss.theta_sequences(ps, q)
+    defects = gauss.max_phase_defects(stacked)
+    phase = gauss._fit_phase(stacked)
+    for i, p in enumerate(ps):
+        one = gauss.quadratic_phase(p, q)
+        if (phase.a[i], phase.b[i]) != (one.a, one.b):
+            return False
+        if defects[i] != gauss.max_phase_defect(p, q):
+            return False
+    return defects.shape == (len(ps),)
+
+
+def certificate_rows_match(q):
+    ps = coprime(q)
+    rows = rotor.certify_rotation_table(gauss.theta_sequences(ps, q), MS)
+    if len(rows) != len(ps):
+        return False
+    for p, row in zip(ps, rows):
+        for batched, one in zip(row, rotor.certify_rotation_angles(p, q, MS), strict=True):
+            if batched != one or not np.array_equal(batched.product, one.product):
+                return False
+    return True
+
+
+def test_table_rows_equal_the_per_pair_tables():
+    # every coprime pair with q <= 60
+    for q in range(1, 61):
+        assert table_rows_match(q), q
+
+
+def test_phase_fit_and_defect_rows_equal_the_per_pair_values():
+    for q in range(1, 61):
+        assert defect_rows_match(q), q
+
+
+def test_certificate_rows_equal_the_per_pair_certificates():
+    # products, angles, errors and margins, q <= 30 and M 3..10
+    for q in range(1, 31):
+        assert certificate_rows_match(q), q
+
+
+def test_one_row_table_is_the_p_equals_one_call():
+    stacked = gauss.theta_sequences([3], 7)
+    one = gauss.theta_sequence(3, 7)
+    assert stacked.values.shape == (1, 7) and one.values.shape == (7,)
+    assert np.array_equal(stacked.values[0], one.values)
+    assert np.ndim(gauss.max_phase_defects(one)) == 0
+    with pytest.raises(ValueError, match="one-row"):
+        stacked.entry(0)
+
+
+def test_stacked_table_rejects_a_pair_that_is_not_coprime():
+    with pytest.raises(NotCoprime):
+        gauss.theta_sequences([1, 2], 4)
+
+
+def test_stacked_admissible_arguments_name_the_row_that_vanishes():
+    stacked = gauss.theta_sequences([1, 2, 4], 5)
+    n, arguments = stacked.admissible_arguments()
+    assert n.tolist() == [0, 1, 2, 3, 4] and arguments.shape == (3, 5)
+    vanishing = stacked.vanishing.copy()
+    vanishing[2, 3] = True
+    doctored = dataclasses.replace(stacked, vanishing=vanishing)
+    with pytest.raises(UndefinedTheta, match=r"G\(-4,3,5\)"):
+        doctored.admissible_arguments()
+
+
+def test_stacked_residues_keep_the_p_axis():
+    phase = gauss._fit_phase(gauss.theta_sequences([1, 3, 5, 7], 8))
+    n = np.arange(8)
+    residues = phase.residues(n)
+    assert residues.shape == (4, 8)
+    for i, p in enumerate([1, 3, 5, 7]):
+        assert np.array_equal(residues[i], gauss.quadratic_phase(p, 8).residues(n))
+
+
+# ------------------------------------------------------ suites against loops
+
+
+def outcome(case_id, passed, residual):
+    return {"case_id": case_id, "passed": bool(passed), "residual": residual}
+
+
+def vanishing_per_pair(q_max):
+    outcomes = []
+    for q in range(1, q_max + 1):
+        for p in coprime(q):
+            theta = gauss.theta_sequence(p, q)
+            expected = math.sqrt(q) if q % 2 else math.sqrt(2 * q)
+            should_vanish = ~arith.admissible_mask(q)
+            residual = max(
+                theta.moduli[should_vanish].max(initial=0.0),
+                np.abs(theta.moduli[~should_vanish] - expected).max(initial=0.0),
+            )
+            passed = (np.array_equal(theta.vanishing, should_vanish)
+                      and residual <= cli.TOL_VANISHING * max(1.0, math.sqrt(q)))
+            outcomes.append(outcome(f"vanishing/p={p}/q={q}", passed, float(residual)))
+    return outcomes
+
+
+def lemma4_per_pair(q_max):
+    return [
+        outcome(f"lemma4/p={p}/q={q}", d <= cli.TOL_PHASE_MODEL, d)
+        for q in range(1, q_max + 1) for p in coprime(q)
+        for d in [gauss.max_phase_defect(p, q)]
+    ]
+
+
+def theorem2_per_pair(q_max, m_max):
+    return [
+        outcome(f"theorem2/M={c.M}/p={p}/q={q}", cli._theorem2_passed(c), c.angle_error)
+        for q in range(1, q_max + 1) for p in coprime(q)
+        for c in rotor.certify_rotation_angles(p, q, range(3, m_max + 1))
+    ]
+
+
+def test_batched_suites_equal_the_per_pair_loops():
+    assert cli._suite_vanishing(60) == vanishing_per_pair(60)
+    assert cli._suite_lemma4(60) == lemma4_per_pair(60)
+    assert cli._suite_theorem2(16, 10) == theorem2_per_pair(16, 10)
+
+
+# ---------------------------------------------------------------- mutations
+
+
+def test_oracles_catch_permuted_rows(monkeypatch):
+    original = gauss._gauss_table
+
+    def permuted(p, q):
+        # each row built for the next row's p
+        return original(np.roll(p, 1), q)
+
+    monkeypatch.setattr(gauss, "_gauss_table", permuted)
+    assert not table_rows_match(7)
+    assert not defect_rows_match(7)
+    assert not certificate_rows_match(7)
+    assert cli._suite_vanishing(12) != vanishing_per_pair(12)
+    assert cli._suite_lemma4(12) != lemma4_per_pair(12)
+    assert cli._suite_theorem2(8, 10) != theorem2_per_pair(8, 10)
+
+
+def test_oracles_catch_a_shared_phase_coefficient(monkeypatch):
+    original = gauss._fit_phase
+
+    def shared(table):
+        phase = original(table)
+        if np.ndim(phase.a) == 0:
+            return phase
+        return dataclasses.replace(phase, a=np.full_like(phase.a, phase.a[0]))
+
+    monkeypatch.setattr(gauss, "_fit_phase", shared)
+    assert not defect_rows_match(7)
+    assert cli._suite_lemma4(7) != lemma4_per_pair(7)
+
+
+def test_oracles_catch_reversed_factor_order(monkeypatch):
+    original = rotor._product_factors
+
+    def reversed_rows(theta):
+        args = original(theta)
+        return args[..., ::-1].copy() if args.ndim == 2 else args
+
+    monkeypatch.setattr(rotor, "_product_factors", reversed_rows)
+    # the reversed product is a mirror image with the same angle, so the
+    # angle errors differ from the per-pair ones only by roundoff
+    assert not certificate_rows_match(5)
+    assert cli._suite_theorem2(8, 10) != theorem2_per_pair(8, 10)
+
+
+# -------------------------------------------------------------------- memory
+
+
+def test_batched_theorem2_product_memory_stays_linear_in_p_times_k():
+    # q = 29: 28 rows of 29 factors at 24 angles.  Building all factors
+    # up front would hold 28*29*24 matrices per route (6.3 MB); one
+    # factor at a time keeps the peak under 1 MB.
+    q = 29
+    args = rotor._product_factors(gauss.theta_sequences(coprime(q), q))
+    _, angles = rotor._detuned_angles(q, MS)
+    assert args.shape == (28, 29) and angles.shape == (24,)
+    rotor._ordered_products(args, angles)  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        rotor._ordered_products(args, angles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000, peak

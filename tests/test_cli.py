@@ -151,8 +151,8 @@ def test_rho_and_rotation_reject_values_beyond_float(capsys, argv):
 
 def count_calls(monkeypatch, names):
     """Wrap `names` wherever cli, rotor or gauss binds them; return a dict
-    with the call count of each and the values of rho passed per product
-    call."""
+    with the call count of each and the number of rho values passed per
+    product call (rotation_product or the kernel _ordered_products)."""
     calls = {name: 0 for name in names}
     calls["rho_sizes"] = []
 
@@ -161,7 +161,7 @@ def count_calls(monkeypatch, names):
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            if name == "rotation_product":
+            if name in ("rotation_product", "_ordered_products"):
                 calls["rho_sizes"].append(np.size(args[1]))
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
@@ -181,8 +181,12 @@ def test_rotation_builds_one_table_and_three_products(capsys, monkeypatch):
     assert calls == {"theta_sequence": 1, "rotation_product": 1, "rho_sizes": [3]}
 
 
-def test_verify_theorem2_one_table_and_one_product_per_pair(capsys, monkeypatch):
-    calls = count_calls(monkeypatch, ("theta_sequence", "_gauss_table", "rotation_product"))
+def test_verify_theorem2_one_table_and_one_product_per_q(capsys, monkeypatch):
+    # one stacked table and one kernel call serve every p of a q; the
+    # per-pair functions are not called at all
+    names = ("theta_sequence", "theta_sequences", "_gauss_table",
+             "rotation_product", "_ordered_products")
+    calls = count_calls(monkeypatch, names)
     code, payload = run_json(
         capsys, "verify", "--suite", "theorem2", "--q-max", "8", "--m-max", "10"
     )
@@ -190,17 +194,17 @@ def test_verify_theorem2_one_table_and_one_product_per_pair(capsys, monkeypatch)
     assert code == 0 and pairs == 22
     assert payload["total"] == 8 * pairs
     assert calls == {
-        "theta_sequence": pairs, "_gauss_table": pairs, "rotation_product": pairs,
-        "rho_sizes": [24] * pairs,
+        "theta_sequence": 0, "theta_sequences": 8, "_gauss_table": 8,
+        "rotation_product": 0, "_ordered_products": 8, "rho_sizes": [24] * 8,
     }
 
 
-def test_verify_lemma4_one_table_per_pair(capsys, monkeypatch):
-    # the phase fit and the comparison read the same table
-    calls = count_calls(monkeypatch, ("_gauss_table",))
+def test_verify_lemma4_one_table_per_q(capsys, monkeypatch):
+    # the phase fit and the comparison read the same stacked table
+    calls = count_calls(monkeypatch, ("_gauss_table", "theta_sequence"))
     code, payload = run_json(capsys, "verify", "--suite", "lemma4", "--q-max", "8")
     assert code == 0 and payload["total"] == 22
-    assert calls == {"_gauss_table": 22, "rho_sizes": []}
+    assert calls == {"_gauss_table": 8, "theta_sequence": 0, "rho_sizes": []}
 
 
 def test_verify_sums_suite(capsys):
@@ -255,13 +259,15 @@ def test_verify_vanishing_residuals_match_per_entry_loop(capsys):
 def test_verify_vanishing_fails_on_a_wrong_flag(capsys, monkeypatch):
     # clear the flag of G(-1, 3, 4), which vanishes; its modulus stays 0,
     # so only the pattern check can catch it
-    def flipped(p, q):
-        theta = gauss.theta_sequence(p, q)
-        if (p, q) != (1, 4):
+    def flipped(ps, q):
+        theta = gauss.theta_sequences(ps, q)
+        if q != 4:
             return theta
-        return dataclasses.replace(theta, vanishing=np.array([False, True, False, False]))
+        vanishing = theta.vanishing.copy()
+        vanishing[list(ps).index(1)] = [False, True, False, False]
+        return dataclasses.replace(theta, vanishing=vanishing)
 
-    monkeypatch.setattr(cli, "theta_sequence", flipped)
+    monkeypatch.setattr(cli, "theta_sequences", flipped)
     code, payload = run_json(capsys, "verify", "--suite", "vanishing", "--q-max", "4")
     assert code == 1
     assert [o["case_id"] for o in payload["outcomes"] if not o["passed"]] == [
@@ -345,6 +351,18 @@ def test_simulate_writes_files(tmp_path, monkeypatch, capsys):
     summary = json.loads((tmp_path / "tri.summary.json").read_text())
     assert summary["manifest"]["command"] == "simulate"
     assert summary["angle_median"] == payload["angle_median"]
+
+
+def test_simulate_summary_file_is_the_stdout_bytes(tmp_path, monkeypatch, capsys):
+    # one encoding of the summary serves both the file and stdout
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(
+        capsys, "simulate", "--M", "3", "--p", "1", "--q", "1",
+        "--grid", "96", "--out", "tri",
+    )
+    assert code == 0
+    assert (tmp_path / "tri.summary.json").read_bytes() == out.encode()
+    assert out.endswith("}\n") and not out.endswith("\n\n")
 
 
 def test_simulate_even_q_side_count(tmp_path, monkeypatch, capsys):

@@ -138,3 +138,17 @@ def test_verify_sum_identities_matches_sum_report_exactly():
             reports = [sums.sum_report(p, q, k) for k in range(1, q // 2 + 1)]
             assert sums.verify_sum_identities(p, q) == reports, (p, q)
             assert sums.verify_sum_identities(p, q, k_max=2) == reports[:2], (p, q)
+
+
+def test_sum_report_rejects_a_table_or_fit_of_another_pair():
+    # a q = 3 table must not come back labelled q = 7
+    with pytest.raises(ValueError, match=r"p=1, q=3, not of \(1, 7\)"):
+        sums.sum_report(1, 7, 1, theta=gauss.theta_sequence(1, 3))
+    with pytest.raises(ValueError, match=r"p=2, q=7, not of \(1, 7\)"):
+        sums.sum_report(1, 7, 1, phase=gauss.quadratic_phase(2, 7))
+    with pytest.raises(ValueError, match="table of p="):
+        sums.sum_report(1, 7, 1, theta=gauss.theta_sequences([1], 7))
+    # the table and fit of the pair itself give the default report
+    own = sums.sum_report(2, 7, 1, theta=gauss.theta_sequence(2, 7),
+                          phase=gauss.quadratic_phase(2, 7))
+    assert own == sums.sum_report(2, 7, 1)

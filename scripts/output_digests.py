@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of the CLI's canonical outputs, one per stdout and one
+per sidecar file, so that two checkouts can be shown to write the same
+bytes.
+
+Every invocation runs in-process under SOURCE_DATE_EPOCH=0, which pins
+the manifest timestamp, inside a scratch directory, so that simulate's
+relative --out prefix (and with it the manifest) does not depend on
+where the script runs.  The invocations are the canonical list below
+(every command, verify in JSON and in CSV) and the benchmark
+workloads' operations at their smoke sizes.
+
+Usage:
+    PYTHONPATH=src python scripts/output_digests.py [--smoke] > digests.txt
+    diff digests-before.txt digests-after.txt
+
+Each line is "<sha256>  rc=<exit code>  <invocation> | <stream>", where
+the stream is stdout or the name of a file the invocation wrote.
+--smoke runs only the workload operations at smoke sizes.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+from polyfil import cli
+
+CANONICAL = (
+    "verify --suite all --q-max 17 --m-max 10",
+    "verify --suite all --q-max 17 --m-max 10 --format csv",
+    "verify --suite theorem2 --q-max 30 --m-max 10",
+    "verify --suite vanishing --q-max 60",
+    "verify --suite lemma4 --q-max 60",
+    "sums --p 1 --q 12",
+    "rotation --M 5 --p 1 --q 3",
+    "gauss --p 5 --q 12",
+    "simulate --M 5 --p 1 --q 3 --grid 240 --out sim",
+)
+
+# verify_all, verify_wide, pentagon_evolve and sim_sweep (seed 1) at smoke sizes
+SMOKE = (
+    "verify --suite all --q-max 6 --m-max 4",
+    "verify --suite theorem2 --q-max 6 --m-max 4",
+    "verify --suite vanishing --q-max 8",
+    "verify --suite lemma4 --q-max 8",
+    "simulate --M 5 --p 1 --q 3 --grid 240 --out sim",
+    "simulate --M 5 --p 1 --q 1 --grid 80 --out sim",
+    "simulate --M 6 --p 1 --q 2 --grid 192 --out sim",
+    "simulate --M 4 --p 1 --q 1 --grid 64 --out sim",
+)
+
+
+def digest_lines(invocation: str) -> list[str]:
+    """Run one invocation in the current directory, which it must leave
+    empty of files it did not write; return its digest lines."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(invocation.split())
+    streams = [("stdout", out.getvalue().encode())]
+    for name in sorted(os.listdir(os.curdir)):
+        with open(name, "rb") as handle:
+            streams.append((name, handle.read()))
+        os.remove(name)
+    return [f"{hashlib.sha256(data).hexdigest()}  rc={rc}  {invocation} | {stream}"
+            for stream, data in streams]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--smoke", action="store_true",
+                        help="run only the workload operations at smoke sizes")
+    args = parser.parse_args(argv)
+    invocations = SMOKE if args.smoke else CANONICAL + tuple(
+        line for line in SMOKE if line not in CANONICAL)
+    os.environ["SOURCE_DATE_EPOCH"] = "0"
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            for invocation in invocations:
+                print("\n".join(digest_lines(invocation)), flush=True)
+        finally:
+            os.chdir(home)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

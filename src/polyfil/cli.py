@@ -8,16 +8,24 @@ manifest lives in the accompanying summary JSON.
 The vanishing, lemma4 and theorem2 suites of verify run per q, not per
 (p, q): one stacked Gauss table (gauss.theta_sequences) of every p
 coprime to q serves the checks of all those p at once, through
-gauss.max_phase_defects and rotor.certify_rotation_table.  Their
-outcomes equal those of the per-pair functions bit for bit.  The sums
-suite runs per pair, through sums.verify_sum_identities.  Each JSON
-payload is encoded once, as one string.
+gauss.max_phase_defects and rotor.certificate_arrays, whose arrays
+become outcomes with no per-case object in between.  Their outcomes
+equal those of the per-pair functions bit for bit.  The sums suite runs
+per pair, through sums.verify_sum_identities.
+
+Each JSON payload is encoded once, as one string, by _json_text: the
+bytes of json.dumps(payload, indent=2, allow_nan=False) plus a newline,
+written without json's pure-Python indent encoder (see the JSON writer
+section below).  The manifest timestamp is the current UTC time, or the
+time in SOURCE_DATE_EPOCH (integer seconds) when that is set, so that
+two runs can give byte-identical output.
 
 Exit codes: 0 all checks passed, 1 verification failure, 2 usage error
 (including a verify range or a sums k range that selects no case, an
-unwritable simulate --out, a simulate --grid below 1, a --tol that is
-negative or not finite and an --M or --q too large for a float), 3
-numerical abort (blow-up).
+unwritable simulate --out, found before the evolution starts, a
+simulate --grid below 1, a --tol that is negative or not finite, an --M
+or --q too large for a float and a SOURCE_DATE_EPOCH that is not an
+integer), 3 numerical abort (blow-up).
 """
 
 from __future__ import annotations
@@ -26,9 +34,11 @@ import argparse
 import csv
 import json
 import math
+import os
 import random
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from math import gcd
 
 import numpy as np
@@ -45,10 +55,11 @@ from .gauss import (
     theta_sequences,
 )
 from .rotor import (
+    CertificateArrays,
     RotationCertificate,
     axis_angle_of,
+    certificate_arrays,
     certify_rotation_angle,
-    certify_rotation_table,
     inter_side_angle,
     trace_identity_eval,
 )
@@ -82,8 +93,29 @@ EXIT_USAGE = 2
 EXIT_BLOWUP = 3
 
 
+def _source_date_epoch() -> int | None:
+    """The integer in SOURCE_DATE_EPOCH, or None when it is unset or
+    empty; any other value raises ValueError."""
+    value = os.environ.get("SOURCE_DATE_EPOCH", "")
+    if not value:
+        return None
+    try:
+        seconds = int(value)
+        datetime.fromtimestamp(seconds, timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        raise ValueError(
+            f"SOURCE_DATE_EPOCH must be an integer count of seconds, got {value!r}"
+        ) from None
+    return seconds
+
+
 def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
+    """UTC now in ISO 8601, or the SOURCE_DATE_EPOCH time when it is set,
+    so that two runs give byte-identical output."""
+    seconds = _source_date_epoch()
+    if seconds is None:
+        return datetime.now(timezone.utc).isoformat()
+    return datetime.fromtimestamp(seconds, timezone.utc).isoformat()
 
 
 def _manifest(command: str, parameters: dict, tolerances: dict) -> dict:
@@ -96,9 +128,112 @@ def _manifest(command: str, parameters: dict, tolerances: dict) -> dict:
     }
 
 
+# ------------------------------------------------------------- JSON writer
+#
+# json.dumps(..., indent=2) runs CPython's pure-Python encoder.  The
+# writer below gives the same bytes, with each scalar encoded as json
+# encodes it (its C string encoder, float.__repr__, int.__repr__); a
+# list of flat dicts that share one key order (the verify outcomes) is
+# written through one line template per list, its values encoded a
+# column at a time.  Nothing is substituted in encoded text, so no
+# string value can change the layout.
+
+_INDENT = "  "
+_BOOL_TEXT = {True: "true", False: "false"}.__getitem__
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    if text[-1] in "nf":  # nan, inf, -inf
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return text
+
+
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+    bool: _BOOL_TEXT, type(None): lambda value: "null",
+}
+_SCALAR_TYPES = frozenset(_SCALAR_TEXT)
+
+
+def _scalar_text(value) -> str:
+    """One scalar as json.dumps writes it (subclasses as their base)."""
+    encode = _SCALAR_TEXT.get(type(value))
+    if encode is not None:
+        return encode(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    """A dict key as json.dumps writes it: str as is, float, bool, None
+    and int converted to their JSON text."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        return encode_basestring_ascii(_scalar_text(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _column_text(column: tuple, types: set) -> list[str]:
+    """The scalars of one column, encoded; a column of one type (`types`
+    holds the column's types) is mapped at C speed."""
+    kind = next(iter(types)) if len(types) == 1 else None
+    if kind is float and all(map(math.isfinite, column)):
+        return list(map(float.__repr__, column))
+    if kind in (str, int, bool):
+        return list(map(_SCALAR_TEXT[kind], column))
+    return list(map(_scalar_text, column))
+
+
+def _flat_records_text(items: list, level: int) -> list[str] | None:
+    """Items that are all plain dicts with one key order and scalar
+    values, each written through one template; None for any other list."""
+    first = items[0]
+    if (type(first) is not dict or not first or set(map(type, items)) != {dict}
+            or len(set(map(tuple, items))) != 1 or set(map(type, first)) != {str}):
+        return None
+    columns = list(zip(*map(dict.values, items)))
+    types = [set(map(type, column)) for column in columns]
+    if not all(kinds <= _SCALAR_TYPES for kinds in types):
+        return None
+    inner = "\n" + _INDENT * (level + 1)
+    template = ("{" + inner + ("," + inner).join(
+        _key_text(key).replace("%", "%%") + ": %s" for key in first
+    ) + "\n" + _INDENT * level + "}")
+    return list(map(template.__mod__, zip(*map(_column_text, columns, types))))
+
+
+def _value_text(value, level: int) -> str:
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = [_key_text(key) + ": " + _value_text(item, level + 1)
+                 for key, item in value.items()]
+        opener, closer = "{", "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        parts = _flat_records_text(value, level + 1)
+        if parts is None:
+            parts = [_value_text(item, level + 1) for item in value]
+        opener, closer = "[", "]"
+    else:
+        return _scalar_text(value)
+    inner = "\n" + _INDENT * (level + 1)
+    return opener + inner + ("," + inner).join(parts) + "\n" + _INDENT * level + closer
+
+
 def _json_text(payload: dict) -> str:
-    """The payload as indented JSON with a final newline; NaN raises."""
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """The payload as indented JSON with a final newline: the bytes of
+    json.dumps(payload, indent=2, allow_nan=False) + "\\n".  NaN and
+    infinity raise ValueError; the payload must be a tree (no cycles)."""
+    return _value_text(payload, 0) + "\n"
 
 
 def _emit(payload: dict) -> None:
@@ -135,11 +270,10 @@ def _sums_passed(report: SumReport) -> bool:
     return report.residual <= TOL_SUMS_PER_TERM * max(1, report.term_count)
 
 
-def _theorem2_passed(cert: RotationCertificate) -> bool:
-    return (
-        cert.angle_error <= TOL_ROTATION_ANGLE
-        and cert.falsification_margin > MIN_FALSIFICATION_MARGIN
-    )
+def _theorem2_passed(cert: RotationCertificate | CertificateArrays):
+    """A bool for one certificate, a (P, k) bool array for the arrays."""
+    return ((cert.angle_error <= TOL_ROTATION_ANGLE)
+            & (cert.falsification_margin > MIN_FALSIFICATION_MARGIN))
 
 
 # ---------------------------------------------------------------- commands
@@ -311,12 +445,14 @@ def _suite_theorem2(q_max: int, m_max: int) -> list[dict]:
         return []
     outcomes = []
     for q, ps in _coprime_rows(q_max):
-        for p, certs in zip(ps, certify_rotation_table(theta_sequences(ps, q), Ms)):
-            for cert in certs:
-                outcomes.append(_outcome(
-                    f"theorem2/M={cert.M}/p={p}/q={q}", _theorem2_passed(cert),
-                    cert.angle_error,
-                ))
+        checks = certificate_arrays(theta_sequences(ps, q), Ms)
+        for p, passed, errors in zip(
+            ps, _theorem2_passed(checks).tolist(), checks.angle_error.tolist()
+        ):
+            outcomes.extend(
+                _outcome(f"theorem2/M={M}/p={p}/q={q}", ok, error)
+                for M, ok, error in zip(Ms, passed, errors)
+            )
     return outcomes
 
 
@@ -427,6 +563,11 @@ def cmd_simulate(args) -> int:
     except (ValueError, PolyfilError) as exc:
         return _usage_error(str(exc))
 
+    prefix = args.out or f"simulate_M{config.M}_p{config.p}_q{config.q}"
+    directory = os.path.dirname(prefix) or os.curdir
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        return _usage_error(f"cannot write output: {directory!r} is not a writable directory")
+
     start = initial_tangent(config.M, config.grid_points)
     try:
         evolved = evolve(start, config.rational_time, config)
@@ -438,7 +579,6 @@ def cmd_simulate(args) -> int:
     curve = reconstruct_curve(evolved)
     rms_initial = rms_distance(evolved, start)
 
-    prefix = args.out or f"simulate_M{config.M}_p{config.p}_q{config.q}"
     summary = {
         "manifest": _manifest(
             "simulate",
@@ -530,6 +670,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        _source_date_epoch()
+    except ValueError as exc:
+        return _usage_error(str(exc))
     return args.func(args)
 
 

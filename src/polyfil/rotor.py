@@ -5,8 +5,11 @@ and axis extraction; and the inter-side angle formula.
 Conventions, fixed once: quaternions are scalar-first (w, x, y, z),
 right-handed, acting on vectors by v -> s v s^-1, so the quaternion
 product composes in the same left-to-right order as the matrix product.
-Angles are extracted from the trace (well defined up to the pi edge);
-axes are best effort and flagged near the 0 and pi edge cases.
+The product kernel holds a quaternion as the complex pair (alpha, beta)
+with s = alpha + beta j, alpha = w + x i and beta = y + z i (the
+Cayley-Dickson form).  Angles are extracted from the trace (well
+defined up to the pi edge); axes are best effort and flagged near the 0
+and pi edge cases.
 
 The factors are the table's admissible arguments, as returned by their
 one owner ThetaSequence.admissible_arguments, in descending index order.
@@ -14,17 +17,20 @@ One kernel, _ordered_products, takes argument rows (P, F), one row of F
 factor arguments per p, and k angles, and returns the (P, k, 3, 3)
 products.  It builds the small per-axis pieces of all P*F factors up
 front, then walks the F factors in order; at each it builds that
-factor's (P*k, 3, 3) Rodrigues matrices and (P*k, 4, 4) quaternion
-right-multiplication matrices and multiplies them on, so memory grows
-with P*(F + k), never with P*F*k.  The quaternion cross-check and the checks of
-rotation_angle run over the whole stack.
+factor's (P, k, 3, 3) Rodrigues matrices and (P, k) complex spinor pair
+and multiplies both on, so memory grows with P*(F + k), never with
+P*F*k.  The quaternion cross-check and the checks of rotation_angle run
+over the whole stack.
 
 rotation_product is the one-row call of that kernel for one table.  The
-theorem-2 certificate is batched per q: certify_rotation_table takes a
-stacked table (gauss.theta_sequences) and makes one kernel call for
-every p in it, every M and the three angles rho, 0.95*rho and 1.05*rho;
-certify_rotation_angles is the same certificate for one (p, q) through
-rotation_product.
+theorem-2 check is batched per q and has one owner, _scored:
+certificate_arrays takes a stacked table (gauss.theta_sequences), makes
+one kernel call for every p in it, every M and the three angles rho,
+0.95*rho and 1.05*rho, and returns the angle errors and falsification
+margins as (P, k) arrays (CertificateArrays), which the verify suite
+reads.  certify_rotation_table is the same check as one
+RotationCertificate per (p, M), and certify_rotation_angles the same
+for one (p, q) through rotation_product.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .gauss import ThetaSequence, theta_sequence
 __all__ = [
     "AxisAngle",
     "RotationCertificate",
+    "CertificateArrays",
     "TraceIdentityResult",
     "rotation_angle",
     "axis_angle_of",
@@ -49,6 +56,7 @@ __all__ = [
     "certify_rotation_angle",
     "certify_rotation_angles",
     "certify_rotation_table",
+    "certificate_arrays",
     "trace_identity_eval",
 ]
 
@@ -63,13 +71,6 @@ _CROSS = np.array([
     [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
     [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
     [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-])
-# right multiplication by the quaternions i and j: spin @ _RIGHT_I = spin * i
-_RIGHT_I = np.array([
-    [0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0],
-])
-_RIGHT_J = np.array([
-    [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0],
 ])
 
 
@@ -97,6 +98,25 @@ class RotationCertificate:
     angle_error: float
     falsification_margin: float
     product: np.ndarray = field(compare=False)
+
+
+@dataclass(frozen=True, eq=False)
+class CertificateArrays:
+    """The fields of RotationCertificate for every p of a table and every
+    M, as arrays: `rho` (k,); `angle`, `angle_error` and
+    `falsification_margin` (P, k); `product` (P, k, 3, 3).  `p` and `M`
+    are tuples of ints, so that no M is too large for an int64.  Entry
+    [i, j] is the certificate of (M[j], p[i], q).  Compared by identity
+    (eq=False), since arrays have no single-bool ==."""
+
+    p: tuple[int, ...]
+    q: int
+    M: tuple[int, ...]
+    rho: np.ndarray
+    angle: np.ndarray
+    angle_error: np.ndarray
+    falsification_margin: np.ndarray
+    product: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -192,15 +212,29 @@ def _product_factors(theta: ThetaSequence) -> np.ndarray:
     return theta.admissible_arguments()[1][..., ::-1].copy()
 
 
+def _spinor_factor(cos_half: np.ndarray, sin_half: np.ndarray, c: np.ndarray,
+                   s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The complex pair (alpha, beta) of the quaternions
+    cos(rho/2) + sin(rho/2) (c i + s j) = alpha + beta j, for angle
+    halves (k,) and axis components (P, 1): alpha = cos(rho/2) +
+    i sin(rho/2) c and the real beta = sin(rho/2) s, each (P, k)."""
+    return cos_half + 1j * (sin_half * c), sin_half * s
+
+
 def _ordered_products(args: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     """Ordered products (P, k, 3, 3) of rotations by each of the k angles
     rhos about the in-plane axes (cos a, sin a, 0), for argument rows
     args of shape (P, F), computed both as 3x3 matrices and as
     quaternions; the two routes must agree.
 
-    Only one factor's (P, k) stack of Rodrigues matrices and of
-    right-multiplication matrices exists at a time; each route is one
-    ordered loop over the F factors, each step one stacked matmul."""
+    The quaternion route holds each product as a complex pair,
+    alpha + beta j with alpha = w + x i and beta = y + z i, and
+    multiplies a factor alpha_f + beta_f j on the right by
+    alpha <- alpha alpha_f - beta conj(beta_f) and
+    beta <- alpha beta_f + beta conj(alpha_f) (beta_f is real here).
+    Only one factor's (P, k) stack of Rodrigues matrices and of spinor
+    pairs exists at a time; each route is one ordered loop over the F
+    factors."""
     if not np.all((rhos > 0.0) & (rhos < math.pi)):
         raise ValueError(f"rho must lie in (0, pi), got {rhos}")
     c, s = np.cos(args), np.sin(args)
@@ -209,20 +243,18 @@ def _ordered_products(args: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     kk = k @ k
     sin_rho = np.sin(rhos)[:, None, None]
     versin_rho = (1.0 - np.cos(rhos))[:, None, None]
-    # spin * (cos(rho/2) + sin(rho/2) (c i + s j)); `spin @ pure` is the
-    # quaternion product spin * (c i + s j)
-    pure = c[..., None, None, None] * _RIGHT_I + s[..., None, None, None] * _RIGHT_J
-    cos_half = np.cos(0.5 * rhos)[:, None, None] * np.eye(4)
-    sin_half = np.sin(0.5 * rhos)[:, None, None]
-    total = spin = None
+    cos_half, sin_half = np.cos(0.5 * rhos), np.sin(0.5 * rhos)
+    total = alpha = beta = None
     for f in range(args.shape[1]):
         factor = np.eye(3) + sin_rho * k[:, f] + versin_rho * kk[:, f]
-        spin_factor = cos_half + sin_half * pure[:, f]
-        # row 0 of the product of the right-multiplication matrices is
-        # the quaternion product 1 * s_0 * s_1 * ... of the factors
-        total = factor if total is None else total @ factor
-        spin = spin_factor if spin is None else spin @ spin_factor
-    mismatch = np.abs(_spinor_matrices(spin[..., 0, :]) - total).max(initial=0.0)
+        alpha_f, beta_f = _spinor_factor(cos_half, sin_half, c[:, f, None], s[:, f, None])
+        if total is None:
+            total, alpha, beta = factor, alpha_f, beta_f
+        else:
+            total = total @ factor
+            alpha, beta = alpha * alpha_f - beta * beta_f, alpha * beta_f + beta * alpha_f.conj()
+    spin = np.stack([alpha.real, alpha.imag, beta.real, beta.imag], axis=-1)
+    mismatch = np.abs(_spinor_matrices(spin) - total).max(initial=0.0)
     if not mismatch <= _CROSS_CHECK_TOL:
         raise CrossCheckFailure(
             f"matrix and quaternion products disagree by {mismatch}"
@@ -253,50 +285,68 @@ def _detuned_angles(q: int, Ms: list[int]) -> tuple[np.ndarray, np.ndarray]:
     return rhos, np.concatenate([rhos, 0.95 * rhos, 1.05 * rhos])
 
 
-def _certificates(ps: list[int], q: int, Ms: list[int], rhos: np.ndarray,
-                  products: np.ndarray) -> list[list[RotationCertificate]]:
-    """Certificates per p and M from the (P, 3*len(Ms), 3, 3) products at
-    the angles of _detuned_angles.
+def _scored(ps, q: int, Ms: list[int], rhos: np.ndarray,
+            products: np.ndarray) -> CertificateArrays:
+    """The theorem-2 check as arrays, from the (P, 3*len(Ms), 3, 3)
+    products at the angles of _detuned_angles.
 
-    Each checks that the product has angle exactly 2*pi/M at the predicted
-    inter-side angle rho, and that detuning rho by +-5% visibly breaks it
+    The product must have angle exactly 2*pi/M at the predicted
+    inter-side angle rho, and detuning rho by +-5% must visibly break it
     (falsification_margin is the smaller miss of the two detunings)."""
-    angles = rotation_angle(products).reshape(len(ps), 3, len(Ms)).transpose(0, 2, 1)
-    rows = []
-    for p, row_angles, row_products in zip(ps, angles.tolist(), products):
-        certs = []
-        for M, rho, (angle, low, high), product in zip(
-            Ms, rhos.tolist(), row_angles, row_products
-        ):
-            target = 2.0 * math.pi / M
-            certs.append(RotationCertificate(
-                M=M, p=p, q=q, rho=rho, angle=angle, angle_error=abs(angle - target),
-                falsification_margin=min(abs(low - target), abs(high - target)),
-                product=product,
-            ))
-        rows.append(certs)
-    return rows
+    angles = rotation_angle(products).reshape(len(ps), 3, len(Ms))
+    target = np.array([2.0 * math.pi / M for M in Ms])
+    return CertificateArrays(
+        p=tuple(ps), q=q, M=tuple(Ms), rho=rhos,
+        angle=angles[:, 0], angle_error=np.abs(angles[:, 0] - target),
+        falsification_margin=np.minimum(np.abs(angles[:, 1] - target),
+                                        np.abs(angles[:, 2] - target)),
+        product=products[:, :len(Ms)],
+    )
+
+
+def _certificates(arrays: CertificateArrays) -> list[list[RotationCertificate]]:
+    """One RotationCertificate per entry of the arrays, row i for p[i]."""
+    return [
+        [
+            RotationCertificate(M=M, p=p, q=arrays.q, rho=rho, angle=angle,
+                                angle_error=error, falsification_margin=margin,
+                                product=product)
+            for M, rho, angle, error, margin, product in zip(
+                arrays.M, arrays.rho.tolist(), row_angles, row_errors, row_margins,
+                row_products)
+        ]
+        for p, row_angles, row_errors, row_margins, row_products in zip(
+            arrays.p, arrays.angle.tolist(), arrays.angle_error.tolist(),
+            arrays.falsification_margin.tolist(), arrays.product)
+    ]
 
 
 def certify_rotation_angles(p: int, q: int, Ms) -> list[RotationCertificate]:
-    """Certificates for several M at one (p, q) (see _certificates): one
-    Gauss table and one rotation_product call for the 3*len(Ms) angles
-    rho, 0.95*rho and 1.05*rho."""
+    """Certificates for several M at one (p, q) (see _scored): one Gauss
+    table and one rotation_product call for the 3*len(Ms) angles rho,
+    0.95*rho and 1.05*rho."""
     Ms = list(Ms)
     rhos, angles = _detuned_angles(q, Ms)
     products = rotation_product(theta_sequence(p, q), angles)
-    return _certificates([p], q, Ms, rhos, products[None])[0]
+    return _certificates(_scored([p], q, Ms, rhos, products[None]))[0]
 
 
-def certify_rotation_table(theta: ThetaSequence, Ms) -> list[list[RotationCertificate]]:
-    """Certificates for every p of a stacked table (gauss.theta_sequences)
-    and several M, row i for theta.p[i]: one kernel call for all p, all M
-    and the three angles per M.  Each row equals
-    certify_rotation_angles(theta.p[i], theta.q, Ms)."""
+def certificate_arrays(theta: ThetaSequence, Ms) -> CertificateArrays:
+    """The theorem-2 check of every p of a stacked table
+    (gauss.theta_sequences) and several M as (P, len(Ms)) arrays, row i
+    for theta.p[i]: one kernel call for all p, all M and the three
+    angles per M.  Each row equals certify_rotation_angles(theta.p[i],
+    theta.q, Ms), field by field."""
     Ms = list(Ms)
     rhos, angles = _detuned_angles(theta.q, Ms)
     products = _ordered_products(np.atleast_2d(_product_factors(theta)), angles)
-    return _certificates(np.atleast_1d(theta.p).tolist(), theta.q, Ms, rhos, products)
+    return _scored(np.atleast_1d(theta.p).tolist(), theta.q, Ms, rhos, products)
+
+
+def certify_rotation_table(theta: ThetaSequence, Ms) -> list[list[RotationCertificate]]:
+    """certificate_arrays as one RotationCertificate per p and M, row i
+    for theta.p[i]."""
+    return _certificates(certificate_arrays(theta, Ms))
 
 
 def certify_rotation_angle(M: int, p: int, q: int) -> RotationCertificate:

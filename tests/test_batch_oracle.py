@@ -66,6 +66,29 @@ def certificate_rows_match(q):
     return True
 
 
+def test_certificate_arrays_equal_the_certificate_objects():
+    # every coprime pair with q <= 30: the arrays the theorem2 suite
+    # reads hold exactly the fields of certify_rotation_table's objects
+    for q in range(1, 31):
+        ps = coprime(q)
+        table = gauss.theta_sequences(ps, q)
+        arrays = rotor.certificate_arrays(table, MS)
+        rows = rotor.certify_rotation_table(table, MS)
+        assert arrays.p == tuple(ps) and arrays.M == tuple(MS) and arrays.q == q
+        assert arrays.angle_error.shape == (len(ps), len(MS))
+        assert arrays.product.shape == (len(ps), len(MS), 3, 3)
+        for i, row in enumerate(rows):
+            for j, cert in enumerate(row):
+                assert (cert.M, cert.p, cert.q) == (MS[j], ps[i], q)
+                assert cert.rho == arrays.rho[j]
+                assert cert.angle == arrays.angle[i, j]
+                assert cert.angle_error == arrays.angle_error[i, j]
+                assert cert.falsification_margin == arrays.falsification_margin[i, j]
+                assert np.array_equal(cert.product, arrays.product[i, j])
+        passed = cli._theorem2_passed(arrays)
+        assert passed.tolist() == [[cli._theorem2_passed(c) for c in row] for row in rows]
+
+
 def test_table_rows_equal_the_per_pair_tables():
     # every coprime pair with q <= 60
     for q in range(1, 61):

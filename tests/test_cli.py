@@ -312,6 +312,37 @@ def test_verify_determinism_up_to_timestamp(capsys):
     assert first == second
 
 
+def test_source_date_epoch_makes_runs_byte_identical(capsys, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    argv = ("verify", "--suite", "theorem2", "--q-max", "5", "--m-max", "4")
+    first = run_cli(capsys, *argv)
+    second = run_cli(capsys, *argv)
+    assert first == second and first[0] == 0
+    manifest = json.loads(first[1])["manifest"]
+    assert manifest["timestamp"] == "2023-11-14T22:13:20+00:00"
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    code, payload = run_json(capsys, "rho", "--M", "5", "--q", "3")
+    assert code == 0 and payload["manifest"]["timestamp"] == "1970-01-01T00:00:00+00:00"
+
+
+def test_unset_or_empty_source_date_epoch_gives_the_current_time(capsys, monkeypatch):
+    for value in (None, ""):
+        if value is None:
+            monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+        else:
+            monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
+        _, payload = run_json(capsys, "rho", "--M", "5", "--q", "3")
+        assert not payload["manifest"]["timestamp"].startswith("1970")
+
+
+@pytest.mark.parametrize("value", ["yesterday", "1.5", "0x10", "1" + "0" * 30])
+def test_bad_source_date_epoch_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
+    code, out, err = run_cli(capsys, "rho", "--M", "5", "--q", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: SOURCE_DATE_EPOCH") and "Traceback" not in err
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     # force a failure by making the phase-model tolerance unattainable
     monkeypatch.setattr("polyfil.cli.TOL_PHASE_MODEL", -1.0)
@@ -416,6 +447,20 @@ def test_simulate_unwritable_out_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: ")
     assert out == ""
+
+
+def test_simulate_checks_out_before_evolving(tmp_path, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("evolve ran although --out cannot be written")
+
+    monkeypatch.setattr(cli, "evolve", must_not_run)
+    code, out, err = run_cli(
+        capsys, "simulate", "--M", "3", "--p", "1", "--q", "1",
+        "--grid", "96", "--out", str(tmp_path / "missing" / "x"),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write output")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("flag", [

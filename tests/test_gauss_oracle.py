@@ -1,11 +1,26 @@
 """The FFT Gauss table against two references: compensated direct
-summation (exponents reduced exactly, math.fsum accumulation) and, for
-odd q, the classical closed form
+summation (exponents reduced exactly, math.fsum accumulation) and the
+classical closed forms (Berndt, Evans and Williams, *Gauss and Jacobi
+Sums*, ch. 1), with e(x) = exp(2*pi*i*x), (. | m) the Jacobi symbol and
+eps_m = 1 or i as m = 1 or 3 mod 4.  For odd q
 
-    G(-p, n, q) = (-p | q) * eps_q * sqrt(q) * e(inv(4p) * n^2 / q),
+    G(-p, n, q) = (-p | q) * eps_q * sqrt(q) * e(inv(4p) * n^2 / q).
 
-with (. | q) the Jacobi symbol and eps_q = 1 or i as q = 1 or 3 mod 4
-(Berndt, Evans and Williams, *Gauss and Jacobi Sums*, ch. 1).
+For even q write a = -p mod q, an odd number in (0, q).  If q = 2m with
+m odd, the sum splits by the Chinese remainder theorem into a mod-2 sum,
+1 + (-1)^(a*m + n), and the odd-modulus sum G(2a, n, m):
+
+    G(-p, n, q) = 0 for even n,
+    G(-p, n, q) = 2 * (2a | m) * eps_m * sqrt(m) * e(-inv(8a) * n^2 / m) for odd n.
+
+If 4 | q, shifting k by q/2 multiplies the sum by (-1)^n, and completing
+the square at n = 2h leaves G(a, 0, q) = (1 + i) * conj(eps_a) * (q | a) * sqrt(q):
+
+    G(-p, n, q) = 0 for odd n,
+    G(-p, n, q) = e(-inv(a) * h^2 / q) * (1 + i) * conj(eps_a) * (q | a) * sqrt(q)
+                  for n = 2h.
+
+In both cases the vanishing entries are the n with 4 | 2n + 2 - q.
 """
 
 import cmath
@@ -55,6 +70,24 @@ def closed_form(p, q, n):
     eps = 1 if q % 4 == 1 else 1j
     m = pow(4 * p, -1, q) * n * n % q if q > 1 else 0
     return jacobi(-p, q) * eps * math.sqrt(q) * cmath.exp(2j * math.pi * m / q)
+
+
+def even_closed_form(p, q, n):
+    a = -p % q
+    if q % 4 == 2:
+        m = q // 2
+        if n % 2 == 0:
+            return 0j
+        eps = 1 if m % 4 == 1 else 1j
+        phase = -pow(8 * a, -1, m) * n * n % m if m > 1 else 0
+        return 2 * jacobi(2 * a, m) * eps * math.sqrt(m) * cmath.exp(2j * math.pi * phase / m)
+    if n % 2 == 1:
+        return 0j
+    h = n // 2
+    eps_conj = 1 if a % 4 == 1 else -1j
+    phase = -pow(a, -1, q) * h * h % q
+    return ((1 + 1j) * eps_conj * jacobi(q, a) * math.sqrt(q)
+            * cmath.exp(2j * math.pi * phase / q))
 
 
 def circular_distance(a, b):
@@ -121,5 +154,23 @@ def test_odd_q_closed_form():
         for n, entry in enumerate(gauss.theta_sequence(p, q).entries):
             want = closed_form(p, q, n)
             assert abs(entry.value - want) <= tol, (p, q, n)
+            if reference is not None:
+                assert abs(reference[n] - want) <= tol, (p, q, n)
+
+
+EVEN_LARGE = [(7, 1000), (3, 998)]
+
+
+def test_even_q_closed_form():
+    # every even coprime pair with q <= 60 against the table and the
+    # direct summation; one large q of each class mod 4 against the table
+    for p, q in [pair for pair in PAIRS if pair[1] % 2 == 0] + EVEN_LARGE:
+        tol = 1e-12 * math.sqrt(q)
+        theta = gauss.theta_sequence(p, q)
+        reference = fsum_table(p, q) if q <= 60 else None
+        for n in range(q):
+            want = even_closed_form(p, q, n)
+            assert abs(theta.values[n] - want) <= tol, (p, q, n)
+            assert (want == 0) == ((2 * n + 2 - q) % 4 == 0) == theta.vanishing[n], (p, q, n)
             if reference is not None:
                 assert abs(reference[n] - want) <= tol, (p, q, n)

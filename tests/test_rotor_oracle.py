@@ -150,3 +150,48 @@ def test_cross_check_fires_when_the_quaternion_route_is_wrong(monkeypatch):
         rotor.rotation_product(theta, rho)
     with pytest.raises(CrossCheckFailure):
         rotor.certify_rotation_angles(1, 3, [5, 6])
+
+
+def test_cross_check_fires_when_a_spinor_factor_is_conjugated(monkeypatch):
+    # conjugating alpha_f mirrors the factor's axis to (-cos a, sin a, 0),
+    # which the matrix route does not do
+    theta = gauss.theta_sequence(2, 5)
+    rho = rotor.inter_side_angle(7, 5)
+    rotor.rotation_product(theta, rho)
+    correct = rotor._spinor_factor
+
+    def conjugated(*args):
+        alpha, beta = correct(*args)
+        return alpha.conj(), beta
+
+    monkeypatch.setattr(rotor, "_spinor_factor", conjugated)
+    with pytest.raises(CrossCheckFailure):
+        rotor.rotation_product(theta, rho)
+    with pytest.raises(CrossCheckFailure):
+        rotor.certificate_arrays(gauss.theta_sequences([1, 2, 3, 4], 5), [7])
+
+
+def test_complex_pair_route_matches_the_per_factor_quaternions():
+    # the spinor pair the kernel ends with, rebuilt from the Hamilton
+    # product of the oracle, for a product of several factors
+    theta = gauss.theta_sequence(3, 8)
+    rho = 0.7
+    args = rotor._product_factors(theta)
+    cos_half, sin_half = np.cos(np.array([0.5 * rho])), np.sin(np.array([0.5 * rho]))
+    alpha, beta = None, None
+    spin = np.array([1.0, 0.0, 0.0, 0.0])
+    for arg in args:
+        alpha_f, beta_f = rotor._spinor_factor(
+            cos_half, sin_half, np.array([[math.cos(arg)]]), np.array([[math.sin(arg)]]))
+        if alpha is None:
+            alpha, beta = alpha_f, beta_f + 0j
+        else:
+            alpha, beta = (alpha * alpha_f - beta * beta_f,
+                           alpha * beta_f + beta * alpha_f.conj())
+        half = 0.5 * rho
+        spin = quaternion_product(
+            spin, np.array([math.cos(half), math.sin(half) * math.cos(arg),
+                            math.sin(half) * math.sin(arg), 0.0]))
+    got = np.array([alpha.real[0, 0], alpha.imag[0, 0], beta.real[0, 0], beta.imag[0, 0]])
+    assert np.abs(got - spin).max() <= 1e-14
+    assert np.abs(quaternion_rotation(spin) - rotor.rotation_product(theta, rho)).max() <= 1e-12

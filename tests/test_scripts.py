@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -23,3 +24,34 @@ def test_pentagon_experiment_script(tmp_path):
     tangent = (tmp_path / "t_third.tangent.csv").read_text().splitlines()
     curve = (tmp_path / "t_third.curve.csv").read_text().splitlines()
     assert len(tangent) == 121 and len(curve) == 122
+
+
+def test_output_digests_script(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("SOURCE_DATE_EPOCH", None)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "output_digests.py"), "--smoke"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.iterdir())
+    lines = proc.stdout.splitlines()
+    # four verify calls with one stdout each, four simulate calls with
+    # stdout, two CSVs and the summary each
+    assert len(lines) == 4 + 4 * 4
+    digests = {}
+    for line in lines:
+        digest, rc, rest = line.split("  ", 2)
+        assert len(digest) == 64 and rc == "rc=0"
+        digests[rest] = digest
+    # the digest is of the bytes the command line writes, timestamp pinned
+    cli = subprocess.run(
+        [sys.executable, "-m", "polyfil", "verify", "--suite", "lemma4", "--q-max", "8"],
+        capture_output=True, env=dict(env, SOURCE_DATE_EPOCH="0"), cwd=tmp_path, timeout=120,
+    )
+    assert cli.returncode == 0
+    want = hashlib.sha256(cli.stdout).hexdigest()
+    assert digests["verify --suite lemma4 --q-max 8 | stdout"] == want
+    # the summary file holds the stdout bytes
+    sim = "simulate --M 5 --p 1 --q 3 --grid 240 --out sim"
+    assert digests[f"{sim} | stdout"] == digests[f"{sim} | sim.summary.json"]

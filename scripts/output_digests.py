@@ -37,6 +37,10 @@ CANONICAL = (
     "verify --suite lemma4 --q-max 60",
     "sums --p 1 --q 12",
     "rotation --M 5 --p 1 --q 3",
+    "rotation --M 5 --p 1 --q 1",
+    "rotation --M 7 --p 3 --q 8",
+    "rotation --M 100000000000000000000 --p 1 --q 1",
+    "rotation --M 5 --p 100000000000000000001 --q 3",
     "gauss --p 5 --q 12",
     "simulate --M 5 --p 1 --q 3 --grid 240 --out sim",
 )

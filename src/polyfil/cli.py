@@ -10,8 +10,10 @@ The vanishing, lemma4 and theorem2 suites of verify run per q, not per
 coprime to q serves the checks of all those p at once, through
 gauss.max_phase_defects and rotor.certificate_arrays, whose arrays
 become outcomes with no per-case object in between.  Their outcomes
-equal those of the per-pair functions bit for bit.  The sums suite runs
-per pair, through sums.verify_sum_identities.
+equal those of a loop over single pairs bit for bit.  The rotation
+command is the one-row call of the same theorem-2 check
+(rotor.certify_rotation_angle).  The sums suite runs per pair, through
+sums.verify_sum_identities.
 
 Each JSON payload is encoded once, as one string, by _json_text: the
 bytes of json.dumps(payload, indent=2, allow_nan=False) plus a newline,

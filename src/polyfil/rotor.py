@@ -22,15 +22,13 @@ and multiplies both on, so memory grows with P*(F + k), never with
 P*F*k.  The quaternion cross-check and the checks of rotation_angle run
 over the whole stack.
 
-rotation_product is the one-row call of that kernel for one table.  The
-theorem-2 check is batched per q and has one owner, _scored:
-certificate_arrays takes a stacked table (gauss.theta_sequences), makes
-one kernel call for every p in it, every M and the three angles rho,
-0.95*rho and 1.05*rho, and returns the angle errors and falsification
-margins as (P, k) arrays (CertificateArrays), which the verify suite
-reads.  certify_rotation_table is the same check as one
-RotationCertificate per (p, M), and certify_rotation_angles the same
-for one (p, q) through rotation_product.
+The theorem-2 check has one owner, certificate_arrays.  It takes a
+stacked table (gauss.theta_sequences), makes one kernel call for every p
+in it, every M and the three angles rho, 0.95*rho and 1.05*rho, and
+returns the angle errors and falsification margins as (P, k) arrays
+(CertificateArrays), which the verify suite reads.
+certify_rotation_angle, behind the rotation command, is its one-row,
+one-M call, returned as a RotationCertificate.
 """
 
 from __future__ import annotations
@@ -52,10 +50,7 @@ __all__ = [
     "rotation_angle",
     "axis_angle_of",
     "inter_side_angle",
-    "rotation_product",
     "certify_rotation_angle",
-    "certify_rotation_angles",
-    "certify_rotation_table",
     "certificate_arrays",
     "trace_identity_eval",
 ]
@@ -262,22 +257,6 @@ def _ordered_products(args: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     return total
 
 
-def rotation_product(theta: ThetaSequence, rho: float | np.ndarray) -> np.ndarray:
-    """Ordered product of rotations by rho about the in-plane axes
-    (cos theta_n, sin theta_n, 0) of a one-row table, computed both as
-    3x3 matrices and as quaternions; the two routes must agree.
-
-    rho is one angle, giving one 3x3 matrix, or a 1-D array of k angles,
-    giving a (k, 3, 3) stack: the one-row call of _ordered_products."""
-    if theta.values.ndim != 1:
-        raise ValueError("rotation_product takes a one-row table; see certify_rotation_table")
-    rhos = np.asarray(rho, dtype=float)
-    if rhos.ndim > 1:
-        raise ValueError(f"rho must be a number or a 1-D array, got shape {rhos.shape}")
-    total = _ordered_products(_product_factors(theta)[None], rhos.reshape(-1))[0]
-    return total[0] if rhos.ndim == 0 else total
-
-
 def _detuned_angles(q: int, Ms: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """The predicted angles rho for each M and the 3*len(Ms) angles rho,
     0.95*rho and 1.05*rho that one certificate product call takes."""
@@ -285,18 +264,23 @@ def _detuned_angles(q: int, Ms: list[int]) -> tuple[np.ndarray, np.ndarray]:
     return rhos, np.concatenate([rhos, 0.95 * rhos, 1.05 * rhos])
 
 
-def _scored(ps, q: int, Ms: list[int], rhos: np.ndarray,
-            products: np.ndarray) -> CertificateArrays:
-    """The theorem-2 check as arrays, from the (P, 3*len(Ms), 3, 3)
-    products at the angles of _detuned_angles.
+def certificate_arrays(theta: ThetaSequence, Ms) -> CertificateArrays:
+    """The theorem-2 check of every p of a stacked table
+    (gauss.theta_sequences) and several M as (P, len(Ms)) arrays, row i
+    for theta.p[i]: one kernel call for all p, all M and the three
+    angles per M.
 
     The product must have angle exactly 2*pi/M at the predicted
     inter-side angle rho, and detuning rho by +-5% must visibly break it
     (falsification_margin is the smaller miss of the two detunings)."""
+    Ms = list(Ms)
+    ps = np.atleast_1d(theta.p).tolist()
+    rhos, detuned = _detuned_angles(theta.q, Ms)
+    products = _ordered_products(np.atleast_2d(_product_factors(theta)), detuned)
     angles = rotation_angle(products).reshape(len(ps), 3, len(Ms))
     target = np.array([2.0 * math.pi / M for M in Ms])
     return CertificateArrays(
-        p=tuple(ps), q=q, M=tuple(Ms), rho=rhos,
+        p=tuple(ps), q=theta.q, M=tuple(Ms), rho=rhos,
         angle=angles[:, 0], angle_error=np.abs(angles[:, 0] - target),
         falsification_margin=np.minimum(np.abs(angles[:, 1] - target),
                                         np.abs(angles[:, 2] - target)),
@@ -304,54 +288,18 @@ def _scored(ps, q: int, Ms: list[int], rhos: np.ndarray,
     )
 
 
-def _certificates(arrays: CertificateArrays) -> list[list[RotationCertificate]]:
-    """One RotationCertificate per entry of the arrays, row i for p[i]."""
-    return [
-        [
-            RotationCertificate(M=M, p=p, q=arrays.q, rho=rho, angle=angle,
-                                angle_error=error, falsification_margin=margin,
-                                product=product)
-            for M, rho, angle, error, margin, product in zip(
-                arrays.M, arrays.rho.tolist(), row_angles, row_errors, row_margins,
-                row_products)
-        ]
-        for p, row_angles, row_errors, row_margins, row_products in zip(
-            arrays.p, arrays.angle.tolist(), arrays.angle_error.tolist(),
-            arrays.falsification_margin.tolist(), arrays.product)
-    ]
-
-
-def certify_rotation_angles(p: int, q: int, Ms) -> list[RotationCertificate]:
-    """Certificates for several M at one (p, q) (see _scored): one Gauss
-    table and one rotation_product call for the 3*len(Ms) angles rho,
-    0.95*rho and 1.05*rho."""
-    Ms = list(Ms)
-    rhos, angles = _detuned_angles(q, Ms)
-    products = rotation_product(theta_sequence(p, q), angles)
-    return _certificates(_scored([p], q, Ms, rhos, products[None]))[0]
-
-
-def certificate_arrays(theta: ThetaSequence, Ms) -> CertificateArrays:
-    """The theorem-2 check of every p of a stacked table
-    (gauss.theta_sequences) and several M as (P, len(Ms)) arrays, row i
-    for theta.p[i]: one kernel call for all p, all M and the three
-    angles per M.  Each row equals certify_rotation_angles(theta.p[i],
-    theta.q, Ms), field by field."""
-    Ms = list(Ms)
-    rhos, angles = _detuned_angles(theta.q, Ms)
-    products = _ordered_products(np.atleast_2d(_product_factors(theta)), angles)
-    return _scored(np.atleast_1d(theta.p).tolist(), theta.q, Ms, rhos, products)
-
-
-def certify_rotation_table(theta: ThetaSequence, Ms) -> list[list[RotationCertificate]]:
-    """certificate_arrays as one RotationCertificate per p and M, row i
-    for theta.p[i]."""
-    return _certificates(certificate_arrays(theta, Ms))
-
-
 def certify_rotation_angle(M: int, p: int, q: int) -> RotationCertificate:
-    """The certificate of one M (see certify_rotation_angles)."""
-    return certify_rotation_angles(p, q, [M])[0]
+    """The certificate of one (M, p, q): the one-row, one-M call of
+    certificate_arrays.  rho comes first, so that an M or q out of range
+    is reported before a p that is not coprime to q."""
+    rho = inter_side_angle(M, q)
+    arrays = certificate_arrays(theta_sequence(p, q), [M])
+    return RotationCertificate(
+        M=M, p=p, q=q, rho=rho, angle=arrays.angle.item(),
+        angle_error=arrays.angle_error.item(),
+        falsification_margin=arrays.falsification_margin.item(),
+        product=arrays.product[0, 0],
+    )
 
 
 def trace_identity_eval(x: float, phis) -> TraceIdentityResult:

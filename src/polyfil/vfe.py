@@ -23,7 +23,8 @@ it steps the first h = m/2 samples, with ghost cells R_a T[0] below and
 R_b T[h - 1] above; with the rotation only (or m odd) the first m,
 with ghosts R^-1 T[m - 1] and R T[0]; with neither all n, with R = I.
 The three are one kernel: the Workspace holds the ghost rule, a
-(source sample, 3x3 matrix) pair per end.  The full field is unfolded
+(source sample, 3x3 matrix) pair per end, and rk4_step, the one stepping
+entry point, takes the Workspace as a required argument.  The full field is unfolded
 once at the end, mirrored by R_b and then rotated as T[k*m + j] =
 R^k T[j].
 
@@ -62,7 +63,6 @@ __all__ = [
     "PolygonAngleReport",
     "initial_tangent",
     "Workspace",
-    "flow_rhs",
     "rk4_step",
     "evolve",
     "rms_distance",
@@ -214,8 +214,7 @@ class Workspace:
 
     `ghosts` continues the grid past its two ends, one (source, matrix)
     pair per end: the sample below T[0] is matrix @ T[source] of the
-    first pair, the sample above T[cells - 1] that of the second.  The
-    default continues periodically.
+    first pair, the sample above T[cells - 1] that of the second.
 
     Each buffer is a structure of arrays, one row per vector component
     and cells + 2 columns: columns 1..cells hold the samples, columns 0
@@ -232,9 +231,7 @@ class Workspace:
     `stepped`.
     """
 
-    def __init__(self, cells: int, ghosts: GhostRule | None = None) -> None:
-        if ghosts is None:
-            ghosts = _rotation_ghosts(cells, np.eye(3))
+    def __init__(self, cells: int, ghosts: GhostRule) -> None:
         (low, low_matrix), (high, high_matrix) = ghosts
         width = cells + 2
         self.stack = np.zeros((5, 3, width))
@@ -318,33 +315,18 @@ def _rotation_ghosts(cells: int, rotation: np.ndarray) -> GhostRule:
     return (cells - 1, rotation.T), (0, rotation)
 
 
-def flow_rhs(samples: np.ndarray, ds: float, rotation: np.ndarray | None = None) -> np.ndarray:
-    """T x T_ss = T x (T+ + T-) / ds^2 at each of the (cells, 3) samples,
-    the grid continuing as T[j + cells] = rotation @ T[j] (default I, the
-    periodic grid).  Returns a new (cells, 3) array."""
-    cells = samples.shape[0]
-    ghosts = None if rotation is None else _rotation_ghosts(cells, rotation)
-    work = Workspace(cells, ghosts)
-    np.copyto(work._stage_xyz[:, 1:-1].T, samples)
-    work._slope(work.stack[1])
-    return work.stack[1, :, 1:-1].T / (ds * ds)
-
-
 def rk4_step(
     samples: np.ndarray,
     dt: float,
     ds: float,
-    work: Workspace | None = None,
+    work: Workspace,
 ) -> np.ndarray:
     """One classical fourth-order step of the (cells, 3) samples, without
-    renormalization, on the grid continued by work's ghost rule (a new
-    periodic Workspace without work).
+    renormalization, on the grid continued by work's ghost rule.
 
     samples are copied into work.cells first unless they already are
     work.cells.  Returns the view work.stepped, valid until the next
     call; work.cells still holds the samples."""
-    if work is None:
-        work = Workspace(samples.shape[0])
     if samples is not work.cells:
         np.copyto(work.cells, samples)
     dt_now, ds_now = work._step

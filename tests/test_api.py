@@ -1,5 +1,5 @@
+import ast
 import importlib
-import re
 from pathlib import Path
 
 import pytest
@@ -34,18 +34,25 @@ USAGE_SOURCES = (
 )
 
 
+def _identifiers(path: Path) -> set[str]:
+    """The names a file's code uses: every ast.Name, every attribute and
+    every imported name.  Docstrings, comments and other strings do not
+    count, nor do the names a def or class line binds."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
 def _unused_public_names(name: str) -> list[str]:
     module = importlib.import_module(f"polyfil.{name}")
-    own = ROOT / "src" / "polyfil" / f"{name}.py"
-    others = "\n".join(path.read_text() for path in USAGE_SOURCES if path != own)
-    # a name's own __all__ entry and def/class line do not count as uses
-    own_text = re.sub(r"^__all__ = \[.*?^\]", "", own.read_text(), flags=re.S | re.M)
-    unused = []
-    for entry in module.__all__:
-        uses = others + re.sub(rf"^\s*(?:def|class)\s+{entry}\b.*$", "", own_text, flags=re.M)
-        if not re.search(rf"\b{entry}\b", uses):
-            unused.append(entry)
-    return unused
+    used = set().union(*map(_identifiers, USAGE_SOURCES))
+    return [entry for entry in module.__all__ if entry not in used]
 
 
 @pytest.mark.parametrize("name", ["arith", "gauss", "rotor", "sums", "vfe"])

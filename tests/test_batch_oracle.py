@@ -54,37 +54,39 @@ def defect_rows_match(q):
     return defects.shape == (len(ps),)
 
 
+def per_pair_certificates(q):
+    """certify_rotation_angle of every (M, p) at this q, row i for the
+    i-th p coprime to q."""
+    return [[rotor.certify_rotation_angle(M, p, q) for M in MS] for p in coprime(q)]
+
+
 def certificate_rows_match(q):
     ps = coprime(q)
-    rows = rotor.certify_rotation_table(gauss.theta_sequences(ps, q), MS)
-    if len(rows) != len(ps):
+    arrays = rotor.certificate_arrays(gauss.theta_sequences(ps, q), MS)
+    if arrays.p != tuple(ps) or arrays.M != tuple(MS):
         return False
-    for p, row in zip(ps, rows):
-        for batched, one in zip(row, rotor.certify_rotation_angles(p, q, MS), strict=True):
-            if batched != one or not np.array_equal(batched.product, one.product):
+    for i, row in enumerate(per_pair_certificates(q)):
+        for j, one in enumerate(row):
+            fields = (one.rho, one.angle, one.angle_error, one.falsification_margin)
+            batched = (arrays.rho[j], arrays.angle[i, j], arrays.angle_error[i, j],
+                       arrays.falsification_margin[i, j])
+            if fields != batched or not np.array_equal(one.product, arrays.product[i, j]):
                 return False
     return True
 
 
 def test_certificate_arrays_equal_the_certificate_objects():
     # every coprime pair with q <= 30: the arrays the theorem2 suite
-    # reads hold exactly the fields of certify_rotation_table's objects
+    # reads have the certificates' shape, labels and pass/fail verdicts
     for q in range(1, 31):
         ps = coprime(q)
-        table = gauss.theta_sequences(ps, q)
-        arrays = rotor.certificate_arrays(table, MS)
-        rows = rotor.certify_rotation_table(table, MS)
+        arrays = rotor.certificate_arrays(gauss.theta_sequences(ps, q), MS)
+        rows = per_pair_certificates(q)
         assert arrays.p == tuple(ps) and arrays.M == tuple(MS) and arrays.q == q
         assert arrays.angle_error.shape == (len(ps), len(MS))
         assert arrays.product.shape == (len(ps), len(MS), 3, 3)
-        for i, row in enumerate(rows):
-            for j, cert in enumerate(row):
-                assert (cert.M, cert.p, cert.q) == (MS[j], ps[i], q)
-                assert cert.rho == arrays.rho[j]
-                assert cert.angle == arrays.angle[i, j]
-                assert cert.angle_error == arrays.angle_error[i, j]
-                assert cert.falsification_margin == arrays.falsification_margin[i, j]
-                assert np.array_equal(cert.product, arrays.product[i, j])
+        assert [[(c.M, c.p, c.q) for c in row] for row in rows] == [
+            [(M, p, q) for M in MS] for p in ps]
         passed = cli._theorem2_passed(arrays)
         assert passed.tolist() == [[cli._theorem2_passed(c) for c in row] for row in rows]
 
@@ -175,9 +177,9 @@ def lemma4_per_pair(q_max):
 
 def theorem2_per_pair(q_max, m_max):
     return [
-        outcome(f"theorem2/M={c.M}/p={p}/q={q}", cli._theorem2_passed(c), c.angle_error)
-        for q in range(1, q_max + 1) for p in coprime(q)
-        for c in rotor.certify_rotation_angles(p, q, range(3, m_max + 1))
+        outcome(f"theorem2/M={M}/p={p}/q={q}", cli._theorem2_passed(c), c.angle_error)
+        for q in range(1, q_max + 1) for p in coprime(q) for M in range(3, m_max + 1)
+        for c in [rotor.certify_rotation_angle(M, p, q)]
     ]
 
 

@@ -149,10 +149,22 @@ def test_rho_and_rotation_reject_values_beyond_float(capsys, argv):
     assert err.startswith("error: ") and "float" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--M", "2", "--p", "2", "--q", "4"), "M must be at least 3"),
+    # M is in range, so the pair's coprimality is checked next
+    (("--M", "3", "--p", "2", "--q", "4"), "p=2 and q=4 must be coprime"),
+    (("--M", "5", "--p", "1", "--q", "-3"), "q must be positive"),
+], ids=["M-below-3", "not-coprime", "q-negative"])
+def test_rotation_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, "rotation", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def count_calls(monkeypatch, names):
     """Wrap `names` wherever cli, rotor or gauss binds them; return a dict
     with the call count of each and the number of rho values passed per
-    product call (rotation_product or the kernel _ordered_products)."""
+    call of the product kernel _ordered_products."""
     calls = {name: 0 for name in names}
     calls["rho_sizes"] = []
 
@@ -161,7 +173,7 @@ def count_calls(monkeypatch, names):
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            if name in ("rotation_product", "_ordered_products"):
+            if name == "_ordered_products":
                 calls["rho_sizes"].append(np.size(args[1]))
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
@@ -175,17 +187,16 @@ def count_calls(monkeypatch, names):
 
 def test_rotation_builds_one_table_and_three_products(capsys, monkeypatch):
     # the three products (rho, 0.95 rho, 1.05 rho) are one batched call
-    calls = count_calls(monkeypatch, ("theta_sequence", "rotation_product"))
+    calls = count_calls(monkeypatch, ("theta_sequence", "_ordered_products"))
     code, _ = run_json(capsys, "rotation", "--M", "5", "--p", "1", "--q", "3")
     assert code == 0
-    assert calls == {"theta_sequence": 1, "rotation_product": 1, "rho_sizes": [3]}
+    assert calls == {"theta_sequence": 1, "_ordered_products": 1, "rho_sizes": [3]}
 
 
 def test_verify_theorem2_one_table_and_one_product_per_q(capsys, monkeypatch):
     # one stacked table and one kernel call serve every p of a q; the
     # per-pair functions are not called at all
-    names = ("theta_sequence", "theta_sequences", "_gauss_table",
-             "rotation_product", "_ordered_products")
+    names = ("theta_sequence", "theta_sequences", "_gauss_table", "_ordered_products")
     calls = count_calls(monkeypatch, names)
     code, payload = run_json(
         capsys, "verify", "--suite", "theorem2", "--q-max", "8", "--m-max", "10"
@@ -195,7 +206,7 @@ def test_verify_theorem2_one_table_and_one_product_per_q(capsys, monkeypatch):
     assert payload["total"] == 8 * pairs
     assert calls == {
         "theta_sequence": 0, "theta_sequences": 8, "_gauss_table": 8,
-        "rotation_product": 0, "_ordered_products": 8, "rho_sizes": [24] * 8,
+        "_ordered_products": 8, "rho_sizes": [24] * 8,
     }
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from polyfil import gauss, rotor
 from polyfil.errors import NonUnitSpinor, NotARotation, UndefinedTheta
-from test_rotor_oracle import quaternion_product, rodrigues
+from test_rotor_oracle import kernel_product, quaternion_product, rodrigues
 
 X_AXIS = (1.0, 0.0, 0.0)
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -107,18 +107,18 @@ def test_rotation_angle_basics():
 def test_product_single_factor_cases():
     # q = 1: single factor about theta_0 = 0
     theta = gauss.theta_sequence(1, 1)
-    r = rotor.rotation_product(theta, 2 * math.pi / 5)
+    r = kernel_product(theta, 2 * math.pi / 5)
     assert np.allclose(r, rodrigues(X_AXIS, 2 * math.pi / 5))
     # q = 2: the only admissible index has theta_1 = 0
     theta2 = gauss.theta_sequence(1, 2)
-    r2 = rotor.rotation_product(theta2, 2 * math.pi / 5)
+    r2 = kernel_product(theta2, 2 * math.pi / 5)
     assert np.allclose(r2, rodrigues(X_AXIS, 2 * math.pi / 5))
 
 
 def test_product_pentagon_angle():
     theta = gauss.theta_sequence(1, 3)
     rho = rotor.inter_side_angle(5, 3)
-    angle = rotor.rotation_angle(rotor.rotation_product(theta, rho))
+    angle = rotor.rotation_angle(kernel_product(theta, rho))
     assert abs(angle - 2 * math.pi / 5) < 1e-9
 
 
@@ -133,7 +133,9 @@ def test_product_rejects_vanishing_factor():
         vanishing=np.array([theta.vanishing[0], True]),
     )
     with pytest.raises(UndefinedTheta):
-        rotor.rotation_product(broken, 1.0)
+        kernel_product(broken, 1.0)
+    with pytest.raises(UndefinedTheta):
+        rotor.certificate_arrays(broken, [5])
 
 
 def test_certificates_small_cases():
@@ -167,7 +169,7 @@ def test_equal_angle_consistency_q1():
     # a single corner rotation at the planar polygon's exterior angle
     for m in range(3, 11):
         theta = gauss.theta_sequence(1, 1)
-        angle = rotor.rotation_angle(rotor.rotation_product(theta, 2 * math.pi / m))
+        angle = rotor.rotation_angle(kernel_product(theta, 2 * math.pi / m))
         assert abs(angle - 2 * math.pi / m) < 1e-14
 
 

@@ -59,6 +59,12 @@ def product_per_factor(theta, rho):
     return total
 
 
+def kernel_product(theta, rho):
+    """The library's ordered product of a one-row table at one angle:
+    the one-row, one-angle call of the kernel."""
+    return rotor._ordered_products(rotor._product_factors(theta)[None], np.array([rho]))[0, 0]
+
+
 def trace_angle(r):
     return math.acos(min(1.0, max(-1.0, (float(np.trace(r)) - 1.0) / 2.0)))
 
@@ -80,44 +86,47 @@ def test_certificates_match_per_factor_loop():
         for p in range(1, q + 1):
             if math.gcd(p, q) != 1:
                 continue
-            for cert in rotor.certify_rotation_angles(p, q, Ms):
-                product, angle_error, margin = certificate_per_factor(cert.M, p, q)
-                assert np.abs(cert.product - product).max() <= 1e-12, (cert.M, p, q)
-                assert abs(cert.angle_error - angle_error) <= 1e-12, (cert.M, p, q)
-                assert abs(cert.falsification_margin - margin) <= 1e-12, (cert.M, p, q)
+            for M in Ms:
+                cert = rotor.certify_rotation_angle(M, p, q)
+                assert (cert.M, cert.p, cert.q) == (M, p, q)
+                assert cert.rho == rotor.inter_side_angle(M, q)
+                product, angle_error, margin = certificate_per_factor(M, p, q)
+                assert np.abs(cert.product - product).max() <= 1e-12, (M, p, q)
+                assert abs(cert.angle_error - angle_error) <= 1e-12, (M, p, q)
+                assert abs(cert.falsification_margin - margin) <= 1e-12, (M, p, q)
 
 
 def test_certify_rotation_angle_is_one_entry_of_the_batch():
     one = rotor.certify_rotation_angle(7, 2, 5)
-    batch = rotor.certify_rotation_angles(2, 5, [3, 7, 9])
-    assert one == batch[1]
-    assert np.array_equal(one.product, batch[1].product)
+    arrays = rotor.certificate_arrays(gauss.theta_sequence(2, 5), [3, 7, 9])
+    assert arrays.p == (2,) and arrays.M == (3, 7, 9)
+    assert (one.rho, one.angle, one.angle_error, one.falsification_margin) == (
+        arrays.rho[1], arrays.angle[0, 1], arrays.angle_error[0, 1],
+        arrays.falsification_margin[0, 1])
+    assert np.array_equal(one.product, arrays.product[0, 1])
 
 
 def test_product_shape_follows_rho():
-    theta = gauss.theta_sequence(3, 7)
-    rhos = np.array([0.2, 1.0, 3.0])
-    stack = rotor.rotation_product(theta, rhos)
-    assert stack.shape == (3, 3, 3)
-    single = rotor.rotation_product(theta, 1.0)
-    assert single.shape == (3, 3)
-    assert np.array_equal(single, stack[1])
-    for i, rho in enumerate(rhos):
-        assert np.abs(stack[i] - product_per_factor(theta, rho)).max() <= 1e-12
-    assert rotor.rotation_product(theta, np.array([])).shape == (0, 3, 3)
+    theta = gauss.theta_sequences([1, 3, 5], 7)
+    rhos = np.array([0.2, 1.0, 3.0, 0.5])
+    stack = rotor._ordered_products(rotor._product_factors(theta), rhos)
+    assert stack.shape == (3, 4, 3, 3)
+    for i, p in enumerate([1, 3, 5]):
+        one = gauss.theta_sequence(p, 7)
+        for j, rho in enumerate(rhos):
+            assert np.array_equal(stack[i, j], kernel_product(one, rho))
+            assert np.abs(stack[i, j] - product_per_factor(one, rho)).max() <= 1e-12
+    args = rotor._product_factors(gauss.theta_sequence(3, 7))[None]
+    assert rotor._ordered_products(args, np.array([])).shape == (1, 0, 3, 3)
 
 
 @pytest.mark.parametrize("rho", [
     0.0, math.pi, -0.5, float("nan"), [0.5, 3.2], [0.5, float("nan")],
 ])
 def test_product_rejects_rho_outside_open_interval(rho):
+    args = rotor._product_factors(gauss.theta_sequence(1, 3))[None]
     with pytest.raises(ValueError, match="rho must lie in"):
-        rotor.rotation_product(gauss.theta_sequence(1, 3), rho)
-
-
-def test_product_rejects_two_dimensional_rho():
-    with pytest.raises(ValueError, match="1-D"):
-        rotor.rotation_product(gauss.theta_sequence(1, 3), np.full((2, 2), 0.5))
+        rotor._ordered_products(args, np.atleast_1d(np.asarray(rho, dtype=float)))
 
 
 def test_rotation_angle_of_a_stack():
@@ -137,7 +146,7 @@ def test_rotation_angle_of_a_stack():
 def test_cross_check_fires_when_the_quaternion_route_is_wrong(monkeypatch):
     theta = gauss.theta_sequence(1, 3)
     rho = rotor.inter_side_angle(5, 3)
-    rotor.rotation_product(theta, rho)  # both routes agree
+    kernel_product(theta, rho)  # both routes agree
 
     correct = rotor._spinor_matrices
 
@@ -147,9 +156,9 @@ def test_cross_check_fires_when_the_quaternion_route_is_wrong(monkeypatch):
 
     monkeypatch.setattr(rotor, "_spinor_matrices", conjugated)
     with pytest.raises(CrossCheckFailure):
-        rotor.rotation_product(theta, rho)
+        kernel_product(theta, rho)
     with pytest.raises(CrossCheckFailure):
-        rotor.certify_rotation_angles(1, 3, [5, 6])
+        rotor.certify_rotation_angle(5, 1, 3)
 
 
 def test_cross_check_fires_when_a_spinor_factor_is_conjugated(monkeypatch):
@@ -157,7 +166,7 @@ def test_cross_check_fires_when_a_spinor_factor_is_conjugated(monkeypatch):
     # which the matrix route does not do
     theta = gauss.theta_sequence(2, 5)
     rho = rotor.inter_side_angle(7, 5)
-    rotor.rotation_product(theta, rho)
+    kernel_product(theta, rho)
     correct = rotor._spinor_factor
 
     def conjugated(*args):
@@ -166,7 +175,7 @@ def test_cross_check_fires_when_a_spinor_factor_is_conjugated(monkeypatch):
 
     monkeypatch.setattr(rotor, "_spinor_factor", conjugated)
     with pytest.raises(CrossCheckFailure):
-        rotor.rotation_product(theta, rho)
+        rotor.certify_rotation_angle(7, 2, 5)
     with pytest.raises(CrossCheckFailure):
         rotor.certificate_arrays(gauss.theta_sequences([1, 2, 3, 4], 5), [7])
 
@@ -194,4 +203,4 @@ def test_complex_pair_route_matches_the_per_factor_quaternions():
                             math.sin(half) * math.sin(arg), 0.0]))
     got = np.array([alpha.real[0, 0], alpha.imag[0, 0], beta.real[0, 0], beta.imag[0, 0]])
     assert np.abs(got - spin).max() <= 1e-14
-    assert np.abs(quaternion_rotation(spin) - rotor.rotation_product(theta, rho)).max() <= 1e-12
+    assert np.abs(quaternion_rotation(spin) - kernel_product(theta, rho)).max() <= 1e-12

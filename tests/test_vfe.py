@@ -6,6 +6,7 @@ import pytest
 
 from polyfil import vfe
 from polyfil.errors import BlowUp, GridNotDivisible, NotCoprime, RangeError
+from test_vfe_oracle import continued_workspace
 
 
 def unit_rows(a):
@@ -109,7 +110,7 @@ def test_evolve_rejects_non_finite_time(t_target):
 
 def test_warm_rk4_step_allocates_no_buffers():
     cfg = vfe.SimulationConfig(M=5, p=1, q=3, grid_points=1920)
-    work = vfe.Workspace(384)
+    work = continued_workspace(384, np.eye(3))
     work.cells[...] = vfe.initial_tangent(5, 1920).samples[:384]
     for _ in range(3):
         vfe.rk4_step(work.cells, cfg.dt, cfg.ds, work)
@@ -175,8 +176,9 @@ def test_smooth_field_step_drift_is_tiny():
     field = vfe.TangentField(0.0, samples)
     cfg = vfe.SimulationConfig(M=4, p=1, q=1, grid_points=n)
     current = field.samples
+    work = continued_workspace(n, np.eye(3))
     for _ in range(50):
-        stepped = vfe.rk4_step(current, cfg.dt, cfg.ds)
+        stepped = vfe.rk4_step(current, cfg.dt, cfg.ds, work)
         norms = np.linalg.norm(stepped, axis=1)
         assert np.abs(norms - 1).max() <= 1e-6
         current = stepped / norms[:, None]

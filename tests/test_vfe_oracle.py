@@ -54,6 +54,13 @@ def random_unit_field(n, seed):
     return samples / np.linalg.norm(samples, axis=1, keepdims=True)
 
 
+def continued_workspace(cells, rotation):
+    """A Workspace whose grid continues as T[j + cells] = rotation @ T[j]:
+    the ghost below T[0] is rotation^T @ T[cells - 1], the one above
+    T[cells - 1] is rotation @ T[0]."""
+    return vfe.Workspace(cells, ((cells - 1, rotation.T), (0, rotation)))
+
+
 def z_rotation(angle):
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -162,17 +169,17 @@ def test_equivariant_field_steps_fundamental_domain(monkeypatch):
     assert np.abs(evolved.samples - reference_evolve(start, 0.003, cfg)).max() <= TOL
 
 
-def test_flow_rhs_matches_reference():
-    n = 48
-    ds = 2 * math.pi / n
-    scale = 4.0 / ds**2  # |T x T_ss| <= |T_ss| <= 4 / ds^2 for unit T
-    periodic = random_unit_field(n, seed=11)
-    assert np.abs(vfe.flow_rhs(periodic, ds) - reference_rhs(periodic, ds)).max() <= 1e-15 * scale
-    # a fundamental domain with its rotated continuation
+def test_rotation_ghost_step_matches_reference():
+    # a fundamental domain stepped with its rotated continuation, against
+    # the reference step of the full periodic field
     M, cells = 4, 12
+    n = M * cells
+    ds = 2 * math.pi / n
+    dt = 0.1 * ds**2
     full = equivariant_field(M, cells, seed=5)
-    domain = vfe.flow_rhs(full[:cells], ds, z_rotation(2 * math.pi / M))
-    assert np.abs(domain - reference_rhs(full, ds)[:cells]).max() <= 1e-15 * scale
+    work = continued_workspace(cells, z_rotation(2 * math.pi / M))
+    domain = vfe.rk4_step(full[:cells], dt, ds, work)
+    assert np.abs(domain - reference_step(full, dt, ds)[:cells]).max() <= TOL
 
 
 def test_rk4_step_matches_reference_and_leaves_input():
@@ -180,7 +187,7 @@ def test_rk4_step_matches_reference_and_leaves_input():
     ds = 2 * math.pi / n
     samples = random_unit_field(n, seed=2)
     before = samples.copy()
-    stepped = vfe.rk4_step(samples, 0.1 * ds**2, ds)
+    stepped = vfe.rk4_step(samples, 0.1 * ds**2, ds, continued_workspace(n, np.eye(3)))
     assert stepped.shape == (n, 3)
     assert np.array_equal(samples, before)
     assert np.abs(stepped - reference_step(samples, 0.1 * ds**2, ds)).max() <= TOL

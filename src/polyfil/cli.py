@@ -541,17 +541,19 @@ def cmd_verify(args) -> int:
 
 def write_field_csvs(prefix: str, field: TangentField, curve: CurveSample) -> None:
     """Write PREFIX.tangent.csv (s, Tx, Ty, Tz; n rows) and PREFIX.curve.csv
-    (s, Xx, Xy, Xz; n + 1 rows, the last one closing the period)."""
+    (s, Xx, Xy, Xz; n + 1 rows, the last one closing the period).
+
+    Each file is one format pass: the bytes csv.writer would write (repr
+    of each float, CRLF line ends), without a writerow call per row."""
     ds = 2.0 * math.pi / field.grid_points
     for name, header, rows in (
-        ("tangent", ["s", "Tx", "Ty", "Tz"], field.samples),
-        ("curve", ["s", "Xx", "Xy", "Xz"], curve.positions),
+        ("tangent", "s,Tx,Ty,Tz", field.samples),
+        ("curve", "s,Xx,Xy,Xz", curve.positions),
     ):
+        s = [j * ds for j in range(len(rows))]
+        lines = map("%r,%r,%r,%r".__mod__, zip(s, *rows.T.tolist()))
         with open(f"{prefix}.{name}.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            for j, row in enumerate(rows):
-                writer.writerow([j * ds, *row])
+            handle.write("\r\n".join([header, *lines, ""]))
 
 
 def cmd_simulate(args) -> int:
@@ -599,6 +601,8 @@ def cmd_simulate(args) -> int:
         "rms_from_initial": rms_initial,
         "mean_height": curve.mean_height,
         "vertical_drift_rate": vertical_drift_rate(evolved),
+        "steps": evolved.steps,
+        "max_norm_deviation": evolved.max_norm_deviation,
         "files": [f"{prefix}.tangent.csv", f"{prefix}.curve.csv"],
     }
     text = _json_text(summary)

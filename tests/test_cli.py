@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -7,6 +8,9 @@ import pytest
 
 from polyfil import cli, gauss, rotor
 from polyfil.cli import main
+from polyfil.vfe import (
+    CurveSample, SimulationConfig, TangentField, evolve, initial_tangent,
+)
 
 
 def run_cli(capsys, *argv):
@@ -393,6 +397,59 @@ def test_simulate_writes_files(tmp_path, monkeypatch, capsys):
     summary = json.loads((tmp_path / "tri.summary.json").read_text())
     assert summary["manifest"]["command"] == "simulate"
     assert summary["angle_median"] == payload["angle_median"]
+
+
+def test_simulate_summary_reports_the_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, payload = run_json(
+        capsys, "simulate", "--M", "3", "--p", "1", "--q", "1",
+        "--grid", "96", "--out", "tri",
+    )
+    assert code == 0
+    cfg = SimulationConfig(M=3, p=1, q=1, grid_points=96)
+    evolved = evolve(initial_tangent(3, 96), cfg.rational_time, cfg)
+    assert payload["steps"] == evolved.steps > 0
+    assert payload["max_norm_deviation"] == evolved.max_norm_deviation > 0
+
+
+def reference_field_csvs(prefix, field, curve):
+    """The CSVs as one csv.writer.writerow call per row writes them."""
+    ds = 2.0 * math.pi / field.grid_points
+    for name, header, rows in (
+        ("tangent", ["s", "Tx", "Ty", "Tz"], field.samples),
+        ("curve", ["s", "Xx", "Xy", "Xz"], curve.positions),
+    ):
+        with open(f"{prefix}.{name}.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            for j, row in enumerate(rows):
+                writer.writerow([j * ds, *row])
+
+
+def test_field_csvs_match_csv_writer_bytes(tmp_path):
+    # exact zeros, negative zero, values near 1e-17 and above 1e16, where
+    # repr switches between fixed and exponent notation
+    samples = np.array([
+        [1.0, 0.0, -0.0],
+        [-0.0, 1.0, 1.3e-17],
+        [0.6, -0.8, -7.0e-18],
+        [1.0 / 3.0, 2.0 / 3.0, -2.0 / 3.0],
+    ])
+    field = TangentField(0.0, samples)
+    positions = np.array([
+        [0.0, -0.0, 1e-17],
+        [1e16, -1.5e16, 3.0e17],
+        [123456789.125, -2.5e-5, 1e-4],
+        [-0.0, 9.999999999999999e15, 1.0000000000000002],
+        [math.pi, -math.e, 0.1],
+    ])
+    curve = CurveSample(positions=positions, mean_height=0.0)
+    cli.write_field_csvs(str(tmp_path / "new"), field, curve)
+    reference_field_csvs(str(tmp_path / "old"), field, curve)
+    for name in ("tangent", "curve"):
+        written = (tmp_path / f"new.{name}.csv").read_bytes()
+        assert written == (tmp_path / f"old.{name}.csv").read_bytes()
+        assert written.endswith(b"\r\n")
 
 
 def test_simulate_summary_file_is_the_stdout_bytes(tmp_path, monkeypatch, capsys):

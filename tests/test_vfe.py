@@ -141,6 +141,21 @@ def test_step_weights_built_once_per_step_size(monkeypatch):
     assert built[0] == cfg.dt > built[1]
 
 
+def test_evolve_records_steps_and_norm_deviation():
+    cfg = vfe.SimulationConfig(M=3, p=1, q=1, grid_points=96)
+    field = vfe.initial_tangent(3, 96)
+    assert (field.steps, field.max_norm_deviation) == (0, 0.0)
+    out = vfe.evolve(field, cfg.rational_time, cfg)
+    # the schedule: full steps of dt, then the shortened last one
+    n_full = int(cfg.rational_time // cfg.dt)
+    assert cfg.rational_time - n_full * cfg.dt > 0
+    assert out.steps == n_full + 1
+    # inside the blow-up guard's bound: a norm in [0.5, 2] is at most 1
+    # away from 1
+    assert math.isfinite(out.max_norm_deviation)
+    assert 0 < out.max_norm_deviation <= 1.0
+
+
 def test_unstable_step_blows_up():
     cfg = vfe.SimulationConfig(M=3, p=1, q=1, grid_points=96, dt_factor=100.0)
     field = vfe.initial_tangent(3, 96)

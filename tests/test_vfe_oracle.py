@@ -56,9 +56,13 @@ def random_unit_field(n, seed):
 
 def continued_workspace(cells, rotation):
     """A Workspace whose grid continues as T[j + cells] = rotation @ T[j]:
-    the ghost below T[0] is rotation^T @ T[cells - 1], the one above
-    T[cells - 1] is rotation @ T[0]."""
-    return vfe.Workspace(cells, ((cells - 1, rotation.T), (0, rotation)))
+    ghost column i, for i = -4..-1 and cells..cells + 3, is
+    rotation^(i // cells) @ T[i % cells]."""
+    offsets = [*range(-4, 0), *range(cells, cells + 4)]
+    return vfe.Workspace(cells, (
+        [i % cells for i in offsets],
+        [np.linalg.matrix_power(rotation, i // cells) for i in offsets],
+    ))
 
 
 def z_rotation(angle):
@@ -109,6 +113,9 @@ def record_rk4_shapes(monkeypatch):
     (5, 1, 4, 160),
     (8, 1, 1, 128),
     (8, 3, 2, 128),
+    # half domains of one cell, narrower than the four-column halo
+    (4, 1, 1, 8),
+    (5, 1, 1, 10),
 ])
 def test_polygon_evolution_matches_full_grid_reference(monkeypatch, M, p, q, n):
     cfg = vfe.SimulationConfig(M=M, p=p, q=q, grid_points=n)
@@ -120,9 +127,10 @@ def test_polygon_evolution_matches_full_grid_reference(monkeypatch, M, p, q, n):
     assert np.abs(evolved.samples - reference).max() <= TOL
 
 
-def test_odd_block_polygon_steps_rotation_domain(monkeypatch):
-    # m = n/M = 33 is odd, so there is no half domain
-    M, p, q, n = 3, 1, 1, 99
+@pytest.mark.parametrize("n", [99, 3])
+def test_odd_block_polygon_steps_rotation_domain(monkeypatch, n):
+    # m = n/M (33, or one cell) is odd, so there is no half domain
+    M, p, q = 3, 1, 1
     cfg = vfe.SimulationConfig(M=M, p=p, q=q, grid_points=n)
     start = vfe.initial_tangent(M, n)
     shapes = record_rk4_shapes(monkeypatch)
@@ -147,8 +155,8 @@ def test_mirrored_field_steps_half_domain_unless_kicked(monkeypatch, kick, cells
     assert np.abs(evolved.samples - reference_evolve(start, 0.003, cfg)).max() <= TOL
 
 
-def test_random_field_takes_periodic_path_and_matches(monkeypatch):
-    n = 60
+@pytest.mark.parametrize("n", [60, 3])
+def test_random_field_takes_periodic_path_and_matches(monkeypatch, n):
     cfg = vfe.SimulationConfig(M=3, p=1, q=1, grid_points=n, dt_factor=0.1)
     start = vfe.TangentField(0.0, random_unit_field(n, seed=7))
     shapes = record_rk4_shapes(monkeypatch)

@@ -35,7 +35,10 @@ CANONICAL = (
     "verify --suite theorem2 --q-max 30 --m-max 10",
     "verify --suite vanishing --q-max 60",
     "verify --suite lemma4 --q-max 60",
+    "verify --suite sums --q-max 60",
+    "verify --suite lemma3",
     "sums --p 1 --q 12",
+    "sums --p 29 --q 59",
     "rotation --M 5 --p 1 --q 3",
     "rotation --M 5 --p 1 --q 1",
     "rotation --M 7 --p 3 --q 8",

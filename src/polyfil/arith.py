@@ -3,7 +3,8 @@
 Everything here is pure and deterministic.  All arithmetic uses Python
 integers, which are exact at any size, except admissible_mask, whose
 int64 indices stay below 2q, and alternating_products, which sums
-complex floats in a fixed order.
+complex floats in a fixed order: an array kernel over many rows that
+rounds every step as the scalar Python recurrence does, bit for bit.
 """
 
 from __future__ import annotations
@@ -116,21 +117,55 @@ def alternating_square_sum(v: Sequence[int]) -> int:
     return sum(-c * c if j % 2 else c * c for j, c in enumerate(v))
 
 
-def alternating_products(z: Sequence[complex], m_max: int) -> list[complex]:
-    """Alternating elementary sums S_0, ..., S_{m_max} of the sequence z,
+def alternating_products(z, m_max: int) -> np.ndarray:
+    """Alternating elementary sums S_0, ..., S_{m_max} of each row of the
+    complex (R, N) array z, as a complex (R, m_max + 1) array:
 
         S_m = sum over n1 < ... < nm of z_{n1} conj(z_{n2}) z_{n3} ...,
 
     with S_0 = 1.  Each z_n in turn becomes the newest, m-th factor of
     every (m-1)-tuple before it, conjugated when m is even, so the cost
-    is O(len(z) * m_max) instead of the C(len(z), m) tuples.  These are
-    the coefficients of the half-trace of prod_n (x I + i v_n . sigma).
-    """
+    is O(N * m_max) instead of the C(N, m) tuples.  These are the
+    coefficients of the half-trace of prod_n (x I + i v_n . sigma).
+
+    One loop runs over the N indices, each step a few numpy calls over
+    all rows and orders at once.  Real and imaginary parts are held as
+    one float (2, R, m_max + 1) stack, and every product is written out
+    as (sr*wr - si*wi, sr*wi + si*wr), the formulas of CPython's complex
+    multiply, so each row equals the scalar recurrence over Python
+    complex numbers bit for bit (numpy's complex multiply may fuse a
+    multiply-add, and then it does not).  Conjugation is a sign flip of
+    wi on the even orders, which is exact.  Working memory is O(R *
+    m_max): one index's weights at a time, never an (N, R, m_max) stack.
+
+    A zero entry leaves S = [1, 0, ..., 0] exactly as it is, so rows of
+    different lengths are passed front-padded with 0; each row then
+    gives the sums of its own entries."""
     if m_max < 0:
         raise ValueError(f"m_max must be nonnegative, got {m_max}")
-    s = [1.0 + 0.0j] + [0.0j] * m_max
-    for w in z:
-        w_conj = w.conjugate()
-        for m in range(m_max, 0, -1):
-            s[m] += s[m - 1] * (w if m % 2 else w_conj)
-    return s
+    z = np.asarray(z, dtype=complex)
+    if z.ndim != 2:
+        raise ValueError(f"z must be a 2-d array of rows, got shape {z.shape}")
+    rows, length = z.shape
+    s = np.zeros((2, rows, m_max + 1))
+    s[0, :, 0] = 1.0
+    # index n as the real 2x2 matrix [[wr, -wi], [wi, wr]] of each row,
+    # index-major so that each step reads one contiguous (2, 2, R, 1) block
+    factors = np.empty((length, 2, 2, rows, 1))
+    factors[:, 0, 0, :, 0] = factors[:, 1, 1, :, 0] = z.real.T
+    factors[:, 1, 0, :, 0] = z.imag.T
+    factors[:, 0, 1, :, 0] = -z.imag.T
+    sign = np.where(np.arange(1, m_max + 1) % 2 == 1, 1.0, -1.0)
+    flip = np.array([[np.ones_like(sign), sign], [sign, np.ones_like(sign)]])[:, :, None]
+    terms = np.empty((2, 2, rows, m_max))
+    step = np.empty((2, rows, m_max))
+    lower, upper = s[:, :, :-1], s[:, :, 1:]
+    for factor in factors:
+        np.multiply(factor, flip, out=terms)
+        # terms[i, j] = s[j] * weight[i, j]: (sr*wr, si*-wi) and (sr*wi, si*wr)
+        np.multiply(lower, terms, out=terms)
+        np.add(terms[:, 0], terms[:, 1], out=step)
+        np.add(upper, step, out=upper)
+    out = np.empty((rows, m_max + 1), dtype=complex)
+    out.real, out.imag = s
+    return out

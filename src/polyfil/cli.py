@@ -9,11 +9,13 @@ The vanishing, lemma4 and theorem2 suites of verify run per q, not per
 (p, q): one stacked Gauss table (gauss.theta_sequences) of every p
 coprime to q serves the checks of all those p at once, through
 gauss.max_phase_defects and rotor.certificate_arrays, whose arrays
-become outcomes with no per-case object in between.  Their outcomes
-equal those of a loop over single pairs bit for bit.  The rotation
-command is the one-row call of the same theorem-2 check
-(rotor.certify_rotation_angle).  The sums suite runs per pair, through
-sums.verify_sum_identities.
+become outcomes with no per-case object in between.  The sums suite
+runs the same way, per q, through sums.sum_arrays, and the lemma3
+suite draws all its cases first and evaluates them in one call
+(rotor.trace_identity_evals).  Their outcomes equal those of a loop
+over single pairs or cases bit for bit.  The rotation and sums
+commands are the one-row calls of the same checks
+(rotor.certify_rotation_angle, sums.verify_sum_identities).
 
 Each JSON payload is encoded once, as one string, by _json_text: the
 bytes of json.dumps(payload, indent=2, allow_nan=False) plus a newline,
@@ -63,9 +65,9 @@ from .rotor import (
     certificate_arrays,
     certify_rotation_angle,
     inter_side_angle,
-    trace_identity_eval,
+    trace_identity_evals,
 )
-from .sums import SumReport, sum_report, verify_sum_identities
+from .sums import SumArrays, SumReport, sum_arrays, sum_report, verify_sum_identities
 from .vfe import (
     CurveSample,
     SimulationConfig,
@@ -268,8 +270,12 @@ def _coprime_rows(q_max: int):
         yield q, [p for p in range(1, q + 1) if gcd(p, q) == 1]
 
 
-def _sums_passed(report: SumReport) -> bool:
-    return report.residual <= TOL_SUMS_PER_TERM * max(1, report.term_count)
+def _sums_passed(sums: SumReport | SumArrays):
+    """A bool for one report, a (P, K) bool array for the arrays."""
+    if isinstance(sums, SumReport):
+        return sums.residual <= TOL_SUMS_PER_TERM * max(1, sums.term_count)
+    bounds = [TOL_SUMS_PER_TERM * max(1, count) for count in sums.term_count]
+    return sums.residual <= np.array(bounds)
 
 
 def _theorem2_passed(cert: RotationCertificate | CertificateArrays):
@@ -432,12 +438,14 @@ def _suite_sums(q_max: int) -> list[dict]:
     for q, ps in _coprime_rows(q_max):
         if q < 2:
             continue
-        for p in ps:
-            for report in verify_sum_identities(p, q):
-                outcomes.append(_outcome(
-                    f"sums/p={p}/q={q}/k={report.k}", _sums_passed(report),
-                    report.residual,
-                ))
+        sums = sum_arrays(ps, q)
+        for p, passed, residuals in zip(
+            ps, _sums_passed(sums).tolist(), sums.residual.tolist()
+        ):
+            outcomes.extend(
+                _outcome(f"sums/p={p}/q={q}/k={k}", ok, residual)
+                for k, ok, residual in zip(sums.k, passed, residuals)
+            )
     return outcomes
 
 
@@ -460,22 +468,22 @@ def _suite_theorem2(q_max: int, m_max: int) -> list[dict]:
 
 def _suite_lemma3() -> list[dict]:
     rng = random.Random(_LEMMA3_SEED)
-    outcomes = []
     # sign anchor: two opposite in-plane vectors at x = 1 must give 2
-    anchor = trace_identity_eval(1.0, [0.0, math.pi])
-    outcomes.append(
+    xs, phi_rows = [1.0], [[0.0, math.pi]]
+    for _ in range(100):
+        n = rng.randint(1, 8)
+        xs.append(rng.uniform(-2.0, 2.0))
+        phi_rows.append([rng.uniform(0.0, 2.0 * math.pi) for _ in range(n)])
+    anchor, *results = trace_identity_evals(xs, phi_rows)
+    outcomes = [
         _outcome(
             "lemma3/anchor-opposite-pair",
             abs(anchor.lhs - 2.0) <= 1e-12 and abs(anchor.rhs - 2.0) <= 1e-12,
             max(abs(anchor.lhs - 2.0), abs(anchor.rhs - 2.0)),
         )
-    )
-    for i in range(100):
-        n = rng.randint(1, 8)
-        x = rng.uniform(-2.0, 2.0)
-        phis = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(n)]
-        result = trace_identity_eval(x, phis)
-        tol = TOL_TRACE_IDENTITY * (1.0 + abs(x)) ** n
+    ]
+    for i, (x, phis, result) in enumerate(zip(xs[1:], phi_rows[1:], results)):
+        tol = TOL_TRACE_IDENTITY * (1.0 + abs(x)) ** len(phis)
         residual = abs(result.lhs - result.rhs)
         outcomes.append(_outcome(f"lemma3/random-{i:03d}", residual <= tol, residual))
     return outcomes

@@ -29,6 +29,12 @@ returns the angle errors and falsification margins as (P, k) arrays
 (CertificateArrays), which the verify suite reads.
 certify_rotation_angle, behind the rotation command, is its one-row,
 one-M call, returned as a RotationCertificate.
+
+The Lemma 3 half-trace identity is checked the same way:
+trace_identity_evals takes every case at once and reads the expansion
+coefficients of all of them from one alternating-sum kernel call
+(arith.alternating_products, rows front-padded with zeros);
+trace_identity_eval is its one-case call.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ __all__ = [
     "certify_rotation_angle",
     "certificate_arrays",
     "trace_identity_eval",
+    "trace_identity_evals",
 ]
 
 _UNIT_TOL = 1e-9
@@ -303,34 +310,51 @@ def certify_rotation_angle(M: int, p: int, q: int) -> RotationCertificate:
 
 
 def trace_identity_eval(x: float, phis) -> TraceIdentityResult:
+    """Both sides of the half-trace expansion for one case: the one-row
+    call of trace_identity_evals."""
+    return trace_identity_evals([x], [phis])[0]
+
+
+def trace_identity_evals(xs, phi_rows) -> list[TraceIdentityResult]:
     """Both sides of the half-trace expansion of the ordered product
-    prod_n (x I + i v_n . sigma) with in-plane unit vectors v_n.
+    prod_n (x I + i v_n . sigma) with in-plane unit vectors v_n, for
+    each case (x, phis) of xs and phi_rows (rows may differ in length).
 
-    lhs: direct 2x2 complex multiplication.  rhs: the cosine expansion
-    sum_k (-1)^k x^(N-2k) sum cos(phi_{n1} - phi_{n2} + ...), whose k-th
-    coefficient carries the sign (-1)^k from i^(2k); the k = 0 inner sum
-    is 1 by the empty-product convention.  Each inner sum is Re S_2k of
-    z_n = exp(i phi_n) (arith.alternating_products).
+    lhs: direct 2x2 complex multiplication, case by case.  rhs: the
+    cosine expansion sum_k (-1)^k x^(N-2k) sum cos(phi_{n1} - phi_{n2} +
+    ...), whose k-th coefficient carries the sign (-1)^k from i^(2k); the
+    k = 0 inner sum is 1 by the empty-product convention.  Each inner sum
+    is Re S_2k of z_n = exp(i phi_n), and the S of every case come from
+    one arith.alternating_products call over the rows front-padded with
+    zeros, which leaves each row's values as they are.
     """
-    phis = list(phis)
-    if not phis:
+    xs, phi_rows = list(xs), [list(phis) for phis in phi_rows]
+    if len(xs) != len(phi_rows):
+        raise ValueError(f"{len(xs)} values of x for {len(phi_rows)} rows of angles")
+    if any(not phis for phis in phi_rows):
         raise ValueError("need at least one angle")
-    n_factors = len(phis)
+    width = max(map(len, phi_rows), default=0)
+    padded = [
+        [0j] * (width - len(phis)) + [complex(math.cos(phi), math.sin(phi)) for phi in phis]
+        for phis in phi_rows
+    ]
+    coeff_rows = alternating_products(np.array(padded, dtype=complex).reshape(len(padded), width),
+                                      width).real.tolist()
 
-    prod = np.eye(2, dtype=complex)
-    for phi in phis:
-        factor = np.array([
-            [x, 1j * complex(math.cos(phi), -math.sin(phi))],
-            [1j * complex(math.cos(phi), math.sin(phi)), x],
-        ])
-        prod = prod @ factor
-    lhs = 0.5 * float(prod.trace().real)
-
-    coeffs = alternating_products(
-        [complex(math.cos(phi), math.sin(phi)) for phi in phis], n_factors
-    )
-    rhs = math.fsum(
-        (-1.0) ** k * x ** (n_factors - 2 * k) * coeffs[2 * k].real
-        for k in range(n_factors // 2 + 1)
-    )
-    return TraceIdentityResult(lhs=lhs, rhs=rhs)
+    results = []
+    for x, phis, coeffs in zip(xs, phi_rows, coeff_rows):
+        n_factors = len(phis)
+        prod = np.eye(2, dtype=complex)
+        for phi in phis:
+            factor = np.array([
+                [x, 1j * complex(math.cos(phi), -math.sin(phi))],
+                [1j * complex(math.cos(phi), math.sin(phi)), x],
+            ])
+            prod = prod @ factor
+        lhs = 0.5 * float(prod.trace().real)
+        rhs = math.fsum(
+            (-1.0) ** k * x ** (n_factors - 2 * k) * coeffs[2 * k]
+            for k in range(n_factors // 2 + 1)
+        )
+        results.append(TraceIdentityResult(lhs=lhs, rhs=rhs))
+    return results

@@ -21,10 +21,23 @@ over z_n = exp(i theta_n) and over the exactly reduced roots of unity
 z_n = exp(2*pi*i*(a n^2 mod denom) / denom).  Both sequences run over
 the same index set, ThetaSequence.admissible_arguments, and the
 exponents are QuadraticPhase.residues; this module restates neither
-rule.  The recurrence costs O(q * k) and its evaluation order is fixed,
-so results are reproducible bit for bit.  verify_sum_identities runs it
-once per sum, to the top order, and reads S_2k for every k from that
-one pass.
+rule.
+
+The check runs once per q, not per (p, q).  sum_arrays(ps, q) builds
+one stacked table (gauss.theta_sequences) of every p, one phase fit,
+and one kernel call over the (2P, N) stack of both sequences of every
+p, run to the top order 2*(q // 2); S_2k is read for every k from that
+one pass, and the results come back as (P, K) arrays (SumArrays).
+verify_sum_identities and sum_report are its one-row calls, returned
+as SumReport objects.
+
+Every value is reproducible bit for bit, and equals the scalar Python
+recurrence over one (p, q) at a time.  The trig terms are math.cos and
+math.sin of each argument, since numpy's cos and sin may differ in the
+last bit.  The kernel works in split real arithmetic and rounds each
+step as CPython's complex multiply and add do.  And S_m never reads an
+order above m, so a pass to a higher order, or over more rows, changes
+no value.
 """
 
 from __future__ import annotations
@@ -36,11 +49,20 @@ import numpy as np
 
 from .arith import alternating_products
 from .errors import RangeError
-from .gauss import QuadraticPhase, ThetaSequence, _fit_phase, theta_sequence, unit_roots
+from .gauss import (
+    QuadraticPhase,
+    ThetaSequence,
+    _fit_phase,
+    theta_sequence,
+    theta_sequences,
+    unit_roots,
+)
 
 __all__ = [
     "SumReport",
+    "SumArrays",
     "sum_report",
+    "sum_arrays",
     "verify_sum_identities",
 ]
 
@@ -58,6 +80,24 @@ class SumReport:
     residual: float  # max of |T|, |Re E|, |T - Re E|
 
 
+@dataclass(frozen=True, eq=False)
+class SumArrays:
+    """The fields of SumReport for every p of a table and every k, as
+    arrays: `t_values`, `e_values` (complex) and `residual` (P, K), entry
+    [i, j] for (p[i], q, k[j]).  `p`, `k` and `term_count` (one count
+    per k, C(N, 2k) for N admissible indices) are tuples of ints, since
+    a count outgrows an int64 from q of about 70.  Compared by identity
+    (eq=False), since arrays have no single-bool ==."""
+
+    p: tuple[int, ...]
+    q: int
+    k: tuple[int, ...]
+    t_values: np.ndarray
+    e_values: np.ndarray
+    term_count: tuple[int, ...]
+    residual: np.ndarray
+
+
 def _check_k(k: int, q: int) -> None:
     if k < 1:
         raise RangeError(f"k must be positive, got {k}")
@@ -65,27 +105,47 @@ def _check_k(k: int, q: int) -> None:
         raise RangeError(f"need 2k <= q, got k={k}, q={q}")
 
 
-def _reports(
-    p: int, q: int, ks: list[int], theta: ThetaSequence, phase: QuadraticPhase
-) -> list[SumReport]:
-    """Reports for every k in ks from one recurrence pass per sum, run to
-    order 2*max(ks).  S_m never reads an order above m, so each value is
-    bit for bit the one a pass to order 2k gives."""
-    m_max = 2 * max(ks, default=0)
+def _sum_arrays(theta: ThetaSequence, phase: QuadraticPhase, ks: list[int]) -> SumArrays:
+    """Both sums for every row of a table (one-row or stacked) and every
+    k in ks, from one kernel call over the stacked trig and quadratic
+    sequences of all rows, run to order 2*max(ks)."""
     n, arguments = theta.admissible_arguments()
-    roots = unit_roots(phase.denominator)
-    trig_terms = [complex(math.cos(t), math.sin(t)) for t in arguments.tolist()]
-    quad_terms = [roots[m] for m in phase.residues(n).tolist()]
-    t_values = alternating_products(trig_terms, m_max)
-    e_values = alternating_products(quad_terms, m_max)
-    count = len(n)
-    reports = []
-    for k in ks:
-        t_value, e_value = t_values[2 * k].real, e_values[2 * k]
-        residual = max(abs(t_value), abs(e_value.real), abs(t_value - e_value.real))
-        reports.append(SumReport(p=p, q=q, k=k, t_value=t_value, e_value=e_value,
-                                 term_count=math.comb(count, 2 * k), residual=residual))
-    return reports
+    arguments = np.atleast_2d(arguments)
+    rows = len(arguments)
+    trig_terms = np.array([complex(math.cos(t), math.sin(t)) for t in arguments.ravel().tolist()],
+                          dtype=complex).reshape(arguments.shape)
+    quad_terms = np.array(unit_roots(phase.denominator))[np.atleast_2d(phase.residues(n))]
+    values = alternating_products(np.concatenate([trig_terms, quad_terms]),
+                                  2 * max(ks, default=0))
+    orders = [2 * k for k in ks]
+    t_values, e_values = values[:rows, orders].real, values[rows:, orders]
+    residual = np.maximum(np.maximum(np.abs(t_values), np.abs(e_values.real)),
+                          np.abs(t_values - e_values.real))
+    return SumArrays(
+        p=tuple(np.atleast_1d(theta.p).tolist()), q=theta.q, k=tuple(ks),
+        t_values=t_values, e_values=e_values,
+        term_count=tuple(math.comb(len(n), order) for order in orders), residual=residual,
+    )
+
+
+def _reports(arrays: SumArrays) -> list[SumReport]:
+    """The reports of the one row of `arrays`, one per k."""
+    (p,), q = arrays.p, arrays.q
+    return [
+        SumReport(p=p, q=q, k=k, t_value=t_value, e_value=e_value, term_count=count,
+                  residual=residual)
+        for k, t_value, e_value, count, residual in zip(
+            arrays.k, arrays.t_values[0].tolist(), arrays.e_values[0].tolist(),
+            arrays.term_count, arrays.residual[0].tolist())
+    ]
+
+
+def sum_arrays(ps, q: int) -> SumArrays:
+    """Both sums for every p in ps at one q and every k with 0 < 2k <= q,
+    from one stacked table, one phase fit and one kernel call; row i
+    equals verify_sum_identities(ps[i], q) bit for bit."""
+    theta = theta_sequences(ps, q)
+    return _sum_arrays(theta, _fit_phase(theta), list(range(1, q // 2 + 1)))
 
 
 def sum_report(
@@ -106,12 +166,12 @@ def sum_report(
         phase = _fit_phase(theta)
     elif np.ndim(phase.p) != 0 or (phase.p, phase.q) != (p, q):
         raise ValueError(f"phase is the fit of p={phase.p}, q={phase.q}, not of ({p}, {q})")
-    return _reports(p, q, [k], theta, phase)[0]
+    return _reports(_sum_arrays(theta, phase, [k]))[0]
 
 
 def verify_sum_identities(p: int, q: int, k_max: int | None = None) -> list[SumReport]:
     """Reports for every k with 0 < 2k <= q (optionally capped by k_max),
-    from one table and one recurrence pass per sum."""
+    from one table and one kernel call: the one-row call of sum_arrays."""
     theta = theta_sequence(p, q)
     ks = [k for k in range(1, q // 2 + 1) if k_max is None or k <= k_max]
-    return _reports(p, q, ks, theta, _fit_phase(theta))
+    return _reports(_sum_arrays(theta, _fit_phase(theta), ks))

@@ -520,6 +520,21 @@ def _adjacent_turns(means: np.ndarray) -> np.ndarray:
     return np.arccos(dots)
 
 
+def _median(values: np.ndarray) -> float:
+    """The median of a nonempty 1-d array, equal to np.median bit for
+    bit: the middle sorted value, or the mean of the two middle ones for
+    an even count, and NaN when any value is NaN.  np.median itself
+    imports numpy.ma on its first call in a process, a cost every
+    one-shot simulate run would pay."""
+    ordered = np.sort(values)  # NaN sorts last
+    if math.isnan(ordered[-1]):
+        return math.nan
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[middle])
+    return float((ordered[middle - 1] + ordered[middle]) / 2)
+
+
 def measure_plateaus(field: TangentField, expected_sides: int) -> PlateauReport:
     """Average the central half of each of expected_sides equal blocks
     (aligned with s = 0) and report the cyclic adjacent angles."""
@@ -533,7 +548,7 @@ def measure_plateaus(field: TangentField, expected_sides: int) -> PlateauReport:
         expected_sides=expected_sides,
         plateau_means=means,
         adjacent_angles=angles,
-        angle_median=float(np.median(angles)),
+        angle_median=_median(angles),
         angle_spread=float(angles.max() - angles.min()),
     )
 

@@ -165,18 +165,23 @@ def test_quadratic_plus_parity_is_well_defined_mod_q():
 
 
 def test_alternating_products_every_order():
-    # odd and even orders against the defining sum, including m past len(z)
+    # odd and even orders against the defining sum, including m past len(z),
+    # for two rows at once
     z = [complex(0.3, 0.8), complex(-1.1, 0.2), complex(0.5, -0.4), 2.0, complex(0.0, 1.0)]
-    s = arith.alternating_products(z, 6)
-    assert len(s) == 7 and s[0] == 1
-    for m in range(1, 7):
-        expected = 0j
-        for v in arith.enumerate_index_vectors(m, len(z)):
-            term = 1 + 0j
-            for j, n in enumerate(v):
-                term *= z[n] if j % 2 == 0 else z[n].conjugate()
-            expected += term
-        assert abs(s[m] - expected) < 1e-12, m
-    assert arith.alternating_products([], 2) == [1, 0, 0]
+    rows = np.array([z, [w.conjugate() for w in z[::-1]]])
+    s = arith.alternating_products(rows, 6)
+    assert s.shape == (2, 7) and (s[:, 0] == 1).all()
+    for row, values in zip(rows.tolist(), s.tolist()):
+        for m in range(1, 7):
+            expected = 0j
+            for v in arith.enumerate_index_vectors(m, len(row)):
+                term = 1 + 0j
+                for j, n in enumerate(v):
+                    term *= row[n] if j % 2 == 0 else row[n].conjugate()
+                expected += term
+            assert abs(values[m] - expected) < 1e-12, m
+    assert arith.alternating_products(np.zeros((1, 0)), 2).tolist() == [[1, 0, 0]]
     with pytest.raises(ValueError):
-        arith.alternating_products(z, -1)
+        arith.alternating_products(rows, -1)
+    with pytest.raises(ValueError, match="2-d array"):
+        arith.alternating_products(z, 2)

@@ -1,5 +1,5 @@
-"""Stacked (per-q) tables, phase fits and rotation certificates against
-the per-pair functions, and the per-q verify suites against a per-pair
+"""Stacked (per-q) tables, phase fits, rotation certificates and sums
+against the per-pair functions, and the per-q verify suites against a per-pair
 loop kept here.  Every row of a batch must equal the one-pair result
 under np.array_equal, not within a tolerance: the batch runs the same
 arithmetic, so any difference is a bug (a row mix-up, a shared
@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polyfil import arith, cli, gauss, rotor
+from polyfil import arith, cli, gauss, rotor, sums
 from polyfil.errors import NotCoprime, UndefinedTheta
 
 MS = list(range(3, 11))
@@ -75,6 +75,25 @@ def certificate_rows_match(q):
     return True
 
 
+def sum_rows_match(q):
+    ps = coprime(q)
+    arrays = sums.sum_arrays(ps, q)
+    ks = tuple(range(1, q // 2 + 1))
+    if arrays.p != tuple(ps) or arrays.k != ks or arrays.residual.shape != (len(ps), len(ks)):
+        return False
+    for i, p in enumerate(ps):
+        batched = [
+            sums.SumReport(p=p, q=q, k=k, t_value=arrays.t_values[i, j].item(),
+                           e_value=arrays.e_values[i, j].item(),
+                           term_count=arrays.term_count[j],
+                           residual=arrays.residual[i, j].item())
+            for j, k in enumerate(arrays.k)
+        ]
+        if batched != sums.verify_sum_identities(p, q):
+            return False
+    return True
+
+
 def test_certificate_arrays_equal_the_certificate_objects():
     # every coprime pair with q <= 30: the arrays the theorem2 suite
     # reads have the certificates' shape, labels and pass/fail verdicts
@@ -106,6 +125,11 @@ def test_certificate_rows_equal_the_per_pair_certificates():
     # products, angles, errors and margins, q <= 30 and M 3..10
     for q in range(1, 31):
         assert certificate_rows_match(q), q
+
+
+def test_sum_array_rows_equal_the_per_pair_reports():
+    for q in range(2, 61):
+        assert sum_rows_match(q), q
 
 
 def test_one_row_table_is_the_p_equals_one_call():
@@ -183,7 +207,16 @@ def theorem2_per_pair(q_max, m_max):
     ]
 
 
+def sums_per_pair(q_max):
+    return [
+        outcome(f"sums/p={p}/q={q}/k={r.k}", cli._sums_passed(r), r.residual)
+        for q in range(2, q_max + 1) for p in coprime(q)
+        for r in sums.verify_sum_identities(p, q)
+    ]
+
+
 def test_batched_suites_equal_the_per_pair_loops():
+    assert cli._suite_sums(30) == sums_per_pair(30)
     assert cli._suite_vanishing(60) == vanishing_per_pair(60)
     assert cli._suite_lemma4(60) == lemma4_per_pair(60)
     assert cli._suite_theorem2(16, 10) == theorem2_per_pair(16, 10)
@@ -203,6 +236,8 @@ def test_oracles_catch_permuted_rows(monkeypatch):
     assert not table_rows_match(7)
     assert not defect_rows_match(7)
     assert not certificate_rows_match(7)
+    assert not sum_rows_match(7)
+    assert cli._suite_sums(12) != sums_per_pair(12)
     assert cli._suite_vanishing(12) != vanishing_per_pair(12)
     assert cli._suite_lemma4(12) != lemma4_per_pair(12)
     assert cli._suite_theorem2(8, 10) != theorem2_per_pair(8, 10)
@@ -218,7 +253,9 @@ def test_oracles_catch_a_shared_phase_coefficient(monkeypatch):
         return dataclasses.replace(phase, a=np.full_like(phase.a, phase.a[0]))
 
     monkeypatch.setattr(gauss, "_fit_phase", shared)
+    monkeypatch.setattr(sums, "_fit_phase", shared)
     assert not defect_rows_match(7)
+    assert not sum_rows_match(7)
     assert cli._suite_lemma4(7) != lemma4_per_pair(7)
 
 

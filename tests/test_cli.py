@@ -2,15 +2,21 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polyfil import cli, gauss, rotor
+from polyfil import cli, gauss, rotor, sums
 from polyfil.cli import main
 from polyfil.vfe import (
     CurveSample, SimulationConfig, TangentField, evolve, initial_tangent,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -166,7 +172,7 @@ def test_rotation_usage_errors(capsys, argv, message):
 
 
 def count_calls(monkeypatch, names):
-    """Wrap `names` wherever cli, rotor or gauss binds them; return a dict
+    """Wrap `names` wherever cli, rotor, gauss or sums binds them; return a dict
     with the call count of each and the number of rho values passed per
     call of the product kernel _ordered_products."""
     calls = {name: 0 for name in names}
@@ -182,7 +188,7 @@ def count_calls(monkeypatch, names):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for module in (cli, rotor, gauss):
+    for module in (cli, rotor, gauss, sums):
         for name in names:
             if hasattr(module, name):
                 counted(module, name)
@@ -212,6 +218,26 @@ def test_verify_theorem2_one_table_and_one_product_per_q(capsys, monkeypatch):
         "theta_sequence": 0, "theta_sequences": 8, "_gauss_table": 8,
         "_ordered_products": 8, "rho_sizes": [24] * 8,
     }
+
+
+def test_verify_sums_one_table_and_one_kernel_call_per_q(capsys, monkeypatch):
+    # one stacked table and one alternating-sum kernel call serve every p
+    # of a q (both sequences of every p); no per-pair table is built
+    names = ("theta_sequence", "theta_sequences", "alternating_products")
+    calls = count_calls(monkeypatch, names)
+    code, payload = run_json(capsys, "verify", "--suite", "sums", "--q-max", "8")
+    assert code == 0
+    assert payload["total"] == sum(q // 2 for q in range(2, 9) for p in range(1, q + 1)
+                                   if math.gcd(p, q) == 1)
+    assert calls == {"theta_sequence": 0, "theta_sequences": 7,
+                     "alternating_products": 7, "rho_sizes": []}
+
+
+def test_verify_lemma3_evaluates_every_case_in_one_kernel_call(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, ("alternating_products",))
+    code, payload = run_json(capsys, "verify", "--suite", "lemma3")
+    assert code == 0 and payload["total"] == 101
+    assert calls == {"alternating_products": 1, "rho_sizes": []}
 
 
 def test_verify_lemma4_one_table_per_q(capsys, monkeypatch):
@@ -450,6 +476,22 @@ def test_field_csvs_match_csv_writer_bytes(tmp_path):
         written = (tmp_path / f"new.{name}.csv").read_bytes()
         assert written == (tmp_path / f"old.{name}.csv").read_bytes()
         assert written.endswith(b"\r\n")
+
+
+def test_simulate_does_not_import_numpy_ma(tmp_path):
+    # np.median would import numpy.ma on its first call, a cost every
+    # one-shot simulate run would pay
+    code = (
+        "import sys\n"
+        "from polyfil import cli\n"
+        "rc = cli.main(['simulate', '--M', '4', '--p', '1', '--q', '1', '--grid', '64',"
+        " '--out', 'sim'])\n"
+        "print(rc, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0 and proc.stderr.split() == ["0", "False"], proc.stderr
 
 
 def test_simulate_summary_file_is_the_stdout_bytes(tmp_path, monkeypatch, capsys):

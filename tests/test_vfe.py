@@ -226,6 +226,18 @@ def test_measure_plateaus_initial_polygon():
         assert abs(report.angle_median - 2 * math.pi / m) < 1e-12
 
 
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 15, 16, 30])
+def test_median_equals_np_median_bit_for_bit(length):
+    rng = np.random.default_rng(length)
+    for values in (rng.uniform(0.0, math.pi, length),
+                   np.full(length, 2 * math.pi / 5),
+                   np.repeat(rng.uniform(0.0, math.pi, 2), [length // 2, length - length // 2])):
+        assert vfe._median(values).hex() == float(np.median(values)).hex()
+    values = rng.uniform(0.0, math.pi, length)
+    values[length // 2] = math.nan
+    assert math.isnan(vfe._median(values)) and math.isnan(np.median(values))
+
+
 def test_measure_plateaus_validation():
     field = vfe.initial_tangent(3, 96)
     with pytest.raises(GridNotDivisible):

@@ -5,17 +5,18 @@ JSON on stdout (CSV available for verify), carrying a reproducibility
 manifest; bulk field data from simulate goes to CSV sidecar files whose
 manifest lives in the accompanying summary JSON.
 
-The vanishing, lemma4 and theorem2 suites of verify run per q, not per
-(p, q): one stacked Gauss table (gauss.theta_sequences) of every p
-coprime to q serves the checks of all those p at once, through
-gauss.max_phase_defects and rotor.certificate_arrays, whose arrays
-become outcomes with no per-case object in between.  The sums suite
-runs the same way, per q, through sums.sum_arrays, and the lemma3
-suite draws all its cases first and evaluates them in one call
-(rotor.trace_identity_evals).  Their outcomes equal those of a loop
-over single pairs or cases bit for bit.  The rotation and sums
-commands are the one-row calls of the same checks
-(rotor.certify_rotation_angle, sums.verify_sum_identities).
+verify runs per range, not per (p, q).  Each q's stacked table
+(gauss.theta_sequences) of every p coprime to q, and its phase fit, are
+built once and shared by every selected suite (_VerifyRange).  The
+vanishing, lemma4 and sums suites read them per q, through
+gauss.max_phase_defects and sums.sum_arrays; the theorem2 suite makes
+one rotor.certificate_arrays call over the tables of the whole range;
+the lemma3 suite draws all its cases first and evaluates them in one
+call (rotor.trace_identity_evals).  The arrays become outcomes with no
+per-case object in between, and the outcomes equal those of a loop over
+single pairs or cases bit for bit.  The rotation and sums commands are
+the one-row calls of the same checks (rotor.certify_rotation_angle,
+sums.verify_sum_identities).
 
 Each JSON payload is encoded once, as one string, by _json_text: the
 bytes of json.dumps(payload, indent=2, allow_nan=False) plus a newline,
@@ -25,11 +26,12 @@ time in SOURCE_DATE_EPOCH (integer seconds) when that is set, so that
 two runs can give byte-identical output.
 
 Exit codes: 0 all checks passed, 1 verification failure, 2 usage error
-(including a verify range or a sums k range that selects no case, an
-unwritable simulate --out, found before the evolution starts, a
-simulate --grid below 1, a --tol that is negative or not finite, an --M
-or --q too large for a float and a SOURCE_DATE_EPOCH that is not an
-integer), 3 numerical abort (blow-up).
+(including a verify range or a sums k range that selects no case, a
+sums bound TOL_SUMS_PER_TERM * C(N, 2k) beyond the float range, found
+before any sum is evaluated, an unwritable simulate --out, found before
+the evolution starts, a simulate --grid below 1, a --tol that is
+negative or not finite, an --M or --q too large for a float and a
+SOURCE_DATE_EPOCH that is not an integer), 3 numerical abort (blow-up).
 """
 
 from __future__ import annotations
@@ -49,10 +51,13 @@ import numpy as np
 
 from . import __version__
 from .arith import admissible_mask
-from .errors import BlowUp, NotCoprime, PolyfilError
+from .errors import BlowUp, NotCoprime, PolyfilError, RangeError
 from .gauss import (
     GaussSumValue,
+    QuadraticPhase,
+    ThetaSequence,
     VANISHING_RELATIVE_TOL,
+    _fit_phase,
     gauss_sum,
     max_phase_defects,
     theta_sequence,
@@ -264,10 +269,52 @@ def _entry_json(n: int, entry: GaussSumValue) -> dict:
     }
 
 
-def _coprime_rows(q_max: int):
-    """(q, [every p in 1..q coprime to q]) for q = 1..q_max."""
-    for q in range(1, q_max + 1):
-        yield q, [p for p in range(1, q + 1) if gcd(p, q) == 1]
+class _VerifyRange:
+    """The q of a verify range, each with every p in 1..q coprime to it
+    (`rows`), and each q's stacked table (gauss.theta_sequences) and
+    phase fit, built once, when a suite first reads them.  One range
+    serves every suite of a verify run.  A range that is not `shared`
+    (one suite reads it) keeps only the table of the last q read, since
+    a suite reads the q in order; the fits, one (a, b) per row, are all
+    kept."""
+
+    def __init__(self, q_max: int, shared: bool = False) -> None:
+        self.rows = {q: [p for p in range(1, q + 1) if gcd(p, q) == 1]
+                     for q in range(1, q_max + 1)}
+        self.shared = shared
+        self._tables: dict[int, ThetaSequence] = {}
+        self._fits: dict[int, QuadraticPhase] = {}
+
+    def table(self, q: int) -> ThetaSequence:
+        if q not in self._tables:
+            if not self.shared:
+                self._tables.clear()
+            self._tables[q] = theta_sequences(self.rows[q], q)
+        return self._tables[q]
+
+    def fit(self, q: int) -> QuadraticPhase:
+        if q not in self._fits:
+            self._fits[q] = _fit_phase(self.table(q))
+        return self._fits[q]
+
+
+def _check_sums_bounds(q: int, ks) -> None:
+    """Raise RangeError when the residual bound TOL_SUMS_PER_TERM *
+    C(N, 2k) of a k in ks (N admissible indices at q) exceeds the float
+    range; checked before any sum is evaluated.  A k outside 0 < 2k <= q
+    is left to the evaluation, which rejects it."""
+    ks = [k for k in ks if 0 < 2 * k <= q]
+    if not ks:
+        return
+    n = int(np.count_nonzero(admissible_mask(q)))
+    for k in ks:
+        try:
+            TOL_SUMS_PER_TERM * math.comb(n, 2 * k)
+        except OverflowError:
+            raise RangeError(
+                f"the sums bound {TOL_SUMS_PER_TERM} * C({n}, {2 * k}) for q={q}, k={k} "
+                "exceeds the float range"
+            ) from None
 
 
 def _sums_passed(sums: SumReport | SumArrays):
@@ -319,7 +366,10 @@ def cmd_gauss(args) -> int:
 
 
 def cmd_sums(args) -> int:
+    ks = [args.k] if args.k is not None else [
+        k for k in range(1, args.q // 2 + 1) if args.k_max is None or k <= args.k_max]
     try:
+        _check_sums_bounds(args.q, ks)
         if args.k is not None:
             reports = [sum_report(args.p, args.q, args.k)]
         else:
@@ -402,10 +452,11 @@ def _outcome(case_id: str, passed: bool, residual: float) -> dict:
     return {"case_id": case_id, "passed": bool(passed), "residual": residual}
 
 
-def _suite_vanishing(q_max: int) -> list[dict]:
+def _suite_vanishing(q_max: int, qs: _VerifyRange | None = None) -> list[dict]:
+    qs = qs or _VerifyRange(q_max)
     outcomes = []
-    for q, ps in _coprime_rows(q_max):
-        theta = theta_sequences(ps, q)
+    for q, ps in qs.rows.items():
+        theta = qs.table(q)
         expected_modulus = math.sqrt(q) if q % 2 == 1 else math.sqrt(2 * q)
         tol = TOL_VANISHING * max(1.0, math.sqrt(q))
         should_vanish = ~admissible_mask(q)
@@ -422,10 +473,11 @@ def _suite_vanishing(q_max: int) -> list[dict]:
     return outcomes
 
 
-def _suite_lemma4(q_max: int) -> list[dict]:
+def _suite_lemma4(q_max: int, qs: _VerifyRange | None = None) -> list[dict]:
+    qs = qs or _VerifyRange(q_max)
     outcomes = []
-    for q, ps in _coprime_rows(q_max):
-        defects = max_phase_defects(theta_sequences(ps, q))
+    for q, ps in qs.rows.items():
+        defects = max_phase_defects(qs.table(q), qs.fit(q))
         for p, defect in zip(ps, defects.tolist()):
             outcomes.append(
                 _outcome(f"lemma4/p={p}/q={q}", defect <= TOL_PHASE_MODEL, defect)
@@ -433,12 +485,15 @@ def _suite_lemma4(q_max: int) -> list[dict]:
     return outcomes
 
 
-def _suite_sums(q_max: int) -> list[dict]:
+def _suite_sums(q_max: int, qs: _VerifyRange | None = None) -> list[dict]:
+    qs = qs or _VerifyRange(q_max)
+    for q in reversed(qs.rows):  # the largest bounds first
+        _check_sums_bounds(q, range(1, q // 2 + 1))
     outcomes = []
-    for q, ps in _coprime_rows(q_max):
+    for q, ps in qs.rows.items():
         if q < 2:
             continue
-        sums = sum_arrays(ps, q)
+        sums = sum_arrays(qs.table(q), qs.fit(q))
         for p, passed, residuals in zip(
             ps, _sums_passed(sums).tolist(), sums.residual.tolist()
         ):
@@ -449,20 +504,20 @@ def _suite_sums(q_max: int) -> list[dict]:
     return outcomes
 
 
-def _suite_theorem2(q_max: int, m_max: int) -> list[dict]:
+def _suite_theorem2(q_max: int, m_max: int, qs: _VerifyRange | None = None) -> list[dict]:
     Ms = range(3, m_max + 1)
     if not Ms:
         return []
+    qs = qs or _VerifyRange(q_max)
+    checks = certificate_arrays(map(qs.table, qs.rows), Ms)
     outcomes = []
-    for q, ps in _coprime_rows(q_max):
-        checks = certificate_arrays(theta_sequences(ps, q), Ms)
-        for p, passed, errors in zip(
-            ps, _theorem2_passed(checks).tolist(), checks.angle_error.tolist()
-        ):
-            outcomes.extend(
-                _outcome(f"theorem2/M={M}/p={p}/q={q}", ok, error)
-                for M, ok, error in zip(Ms, passed, errors)
-            )
+    for p, q, passed, errors in zip(
+        checks.p, checks.q, _theorem2_passed(checks).tolist(), checks.angle_error.tolist()
+    ):
+        outcomes.extend(
+            _outcome(f"theorem2/M={M}/p={p}/q={q}", ok, error)
+            for M, ok, error in zip(Ms, passed, errors)
+        )
     return outcomes
 
 
@@ -490,18 +545,22 @@ def _suite_lemma3() -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    qs = _VerifyRange(args.q_max, shared=args.suite == "all")
     suites = {
-        "sums": lambda: _suite_sums(args.q_max),
-        "theorem2": lambda: _suite_theorem2(args.q_max, args.m_max),
+        "sums": lambda: _suite_sums(args.q_max, qs),
+        "theorem2": lambda: _suite_theorem2(args.q_max, args.m_max, qs),
         "lemma3": _suite_lemma3,
-        "lemma4": lambda: _suite_lemma4(args.q_max),
-        "vanishing": lambda: _suite_vanishing(args.q_max),
+        "lemma4": lambda: _suite_lemma4(args.q_max, qs),
+        "vanishing": lambda: _suite_vanishing(args.q_max, qs),
     }
     selected = list(suites) if args.suite == "all" else [args.suite]
     outcomes: list[dict] = []
     per_suite: dict[str, dict] = {}
     for name in selected:
-        suite_outcomes = suites[name]()
+        try:
+            suite_outcomes = suites[name]()
+        except RangeError as exc:
+            return _usage_error(str(exc))
         if not suite_outcomes:
             return _usage_error(
                 f"suite {name} selects no case for --q-max {args.q_max} "
@@ -610,7 +669,9 @@ def cmd_simulate(args) -> int:
         "mean_height": curve.mean_height,
         "vertical_drift_rate": vertical_drift_rate(evolved),
         "steps": evolved.steps,
+        "dt": config.dt,
         "max_norm_deviation": evolved.max_norm_deviation,
+        "closure_drift": float(np.linalg.norm(config.ds * evolved.samples.sum(axis=0))),
         "files": [f"{prefix}.tangent.csv", f"{prefix}.curve.csv"],
     }
     text = _json_text(summary)

@@ -295,6 +295,17 @@ def _fit_phase(table: ThetaSequence) -> QuadraticPhase:
                           epsilon=None if info.delta == 1 else ref)
 
 
+def _own_fit(theta: ThetaSequence, phase: QuadraticPhase | None) -> QuadraticPhase:
+    """The phase fit of a table: `phase` when one is passed in, which
+    must be fitted to the same rows (else ValueError), or a new fit."""
+    if phase is None:
+        return _fit_phase(theta)
+    if phase.q != theta.q or not np.array_equal(phase.p, theta.p):
+        raise ValueError(f"phase is the fit of p={phase.p}, q={phase.q}, "
+                         f"not of p={theta.p}, q={theta.q}")
+    return phase
+
+
 def max_phase_defect(p: int, q: int) -> float:
     """Largest distance, over admissible n, from the model-vs-actual phase
     difference to the nearest multiple of 2*pi, for one (p, q): the
@@ -302,12 +313,14 @@ def max_phase_defect(p: int, q: int) -> float:
     return float(max_phase_defects(theta_sequence(p, q)))
 
 
-def max_phase_defects(theta: ThetaSequence) -> np.ndarray:
+def max_phase_defects(theta: ThetaSequence, phase: QuadraticPhase | None = None) -> np.ndarray:
     """The phase defect of every row of a table: a 0-d array for a
     one-row table, shape (P,) for a stacked one.  One table serves both
     the fit and the comparison, read through its two owners:
-    ThetaSequence.admissible_arguments and QuadraticPhase.residues."""
-    phase = _fit_phase(theta)
+    ThetaSequence.admissible_arguments and QuadraticPhase.residues.  A
+    phase passed in must be the table's own fit (_fit_phase(theta));
+    one that belongs to other rows raises ValueError."""
+    phase = _own_fit(theta, phase)
     n, arguments = theta.admissible_arguments()
     model = (2.0 * math.pi * phase.residues(n) / phase.denominator
              + np.asarray(phase.b)[..., None])

@@ -23,9 +23,10 @@ the same index set, ThetaSequence.admissible_arguments, and the
 exponents are QuadraticPhase.residues; this module restates neither
 rule.
 
-The check runs once per q, not per (p, q).  sum_arrays(ps, q) builds
-one stacked table (gauss.theta_sequences) of every p, one phase fit,
-and one kernel call over the (2P, N) stack of both sequences of every
+The check runs once per q, not per (p, q).  sum_arrays(theta, phase)
+takes one stacked table (gauss.theta_sequences) of every p and its
+phase fit, which the verify command builds once for all its suites, and
+makes one kernel call over the (2P, N) stack of both sequences of every
 p, run to the top order 2*(q // 2); S_2k is read for every k from that
 one pass, and the results come back as (P, K) arrays (SumArrays).
 verify_sum_identities and sum_report are its one-row calls, returned
@@ -53,8 +54,8 @@ from .gauss import (
     QuadraticPhase,
     ThetaSequence,
     _fit_phase,
+    _own_fit,
     theta_sequence,
-    theta_sequences,
     unit_roots,
 )
 
@@ -140,12 +141,12 @@ def _reports(arrays: SumArrays) -> list[SumReport]:
     ]
 
 
-def sum_arrays(ps, q: int) -> SumArrays:
-    """Both sums for every p in ps at one q and every k with 0 < 2k <= q,
-    from one stacked table, one phase fit and one kernel call; row i
-    equals verify_sum_identities(ps[i], q) bit for bit."""
-    theta = theta_sequences(ps, q)
-    return _sum_arrays(theta, _fit_phase(theta), list(range(1, q // 2 + 1)))
+def sum_arrays(theta: ThetaSequence, phase: QuadraticPhase) -> SumArrays:
+    """Both sums for every p of a stacked table (gauss.theta_sequences)
+    and every k with 0 < 2k <= q, from the table, its phase fit and one
+    kernel call; row i equals verify_sum_identities(theta.p[i], q) bit
+    for bit.  A phase fitted to other rows raises ValueError."""
+    return _sum_arrays(theta, _own_fit(theta, phase), list(range(1, theta.q // 2 + 1)))
 
 
 def sum_report(

@@ -1,13 +1,19 @@
 """Stacked (per-q) tables, phase fits, rotation certificates and sums
-against the per-pair functions, and the per-q verify suites against a per-pair
-loop kept here.  Every row of a batch must equal the one-pair result
-under np.array_equal, not within a tolerance: the batch runs the same
-arithmetic, so any difference is a bug (a row mix-up, a shared
-coefficient, a wrong factor order).  The mutation tests check that each
-oracle catches such a bug."""
+against the per-pair functions, and the verify suites against a per-pair
+loop kept here.  The range-wide kernels (one ragged rotation product for
+every (p, q) of a range, and Lemma 3's stacked 2x2 product over cases)
+are checked against the per-q product kernel and the per-case 2x2 loop
+they replaced, both kept here.  Every row of a batch must equal the
+one-pair result under np.array_equal, not within a tolerance: the batch
+runs the same arithmetic, so any difference is a bug (a row mix-up, a
+shared coefficient, a wrong factor order, a wrong un-sort, a prefix one
+row short).  The mutation tests check that each oracle catches such a
+bug."""
 
 import dataclasses
+import json
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -62,13 +68,13 @@ def per_pair_certificates(q):
 
 def certificate_rows_match(q):
     ps = coprime(q)
-    arrays = rotor.certificate_arrays(gauss.theta_sequences(ps, q), MS)
-    if arrays.p != tuple(ps) or arrays.M != tuple(MS):
+    arrays = rotor.certificate_arrays([gauss.theta_sequences(ps, q)], MS)
+    if arrays.p != tuple(ps) or arrays.q != (q,) * len(ps) or arrays.M != tuple(MS):
         return False
     for i, row in enumerate(per_pair_certificates(q)):
         for j, one in enumerate(row):
             fields = (one.rho, one.angle, one.angle_error, one.falsification_margin)
-            batched = (arrays.rho[j], arrays.angle[i, j], arrays.angle_error[i, j],
+            batched = (arrays.rho[i, j], arrays.angle[i, j], arrays.angle_error[i, j],
                        arrays.falsification_margin[i, j])
             if fields != batched or not np.array_equal(one.product, arrays.product[i, j]):
                 return False
@@ -77,7 +83,8 @@ def certificate_rows_match(q):
 
 def sum_rows_match(q):
     ps = coprime(q)
-    arrays = sums.sum_arrays(ps, q)
+    stacked = gauss.theta_sequences(ps, q)
+    arrays = sums.sum_arrays(stacked, gauss._fit_phase(stacked))
     ks = tuple(range(1, q // 2 + 1))
     if arrays.p != tuple(ps) or arrays.k != ks or arrays.residual.shape != (len(ps), len(ks)):
         return False
@@ -99,9 +106,10 @@ def test_certificate_arrays_equal_the_certificate_objects():
     # reads have the certificates' shape, labels and pass/fail verdicts
     for q in range(1, 31):
         ps = coprime(q)
-        arrays = rotor.certificate_arrays(gauss.theta_sequences(ps, q), MS)
+        arrays = rotor.certificate_arrays([gauss.theta_sequences(ps, q)], MS)
         rows = per_pair_certificates(q)
-        assert arrays.p == tuple(ps) and arrays.M == tuple(MS) and arrays.q == q
+        assert arrays.p == tuple(ps) and arrays.M == tuple(MS) and arrays.q == (q,) * len(ps)
+        assert arrays.rho.shape == (len(ps), len(MS))
         assert arrays.angle_error.shape == (len(ps), len(MS))
         assert arrays.product.shape == (len(ps), len(MS), 3, 3)
         assert [[(c.M, c.p, c.q) for c in row] for row in rows] == [
@@ -140,6 +148,21 @@ def test_one_row_table_is_the_p_equals_one_call():
     assert np.ndim(gauss.max_phase_defects(one)) == 0
     with pytest.raises(ValueError, match="one-row"):
         stacked.entry(0)
+
+
+def test_a_phase_fit_of_other_rows_is_rejected():
+    # the verify command passes each table's fit along with it; a fit of
+    # other p or another q must not be read as the table's own
+    table = gauss.theta_sequences([1, 3], 8)
+    for other in (gauss.theta_sequences([1, 5], 8), gauss.theta_sequences([1, 3], 10),
+                  gauss.theta_sequence(1, 8)):
+        fit = gauss._fit_phase(other)
+        with pytest.raises(ValueError, match="phase is the fit of"):
+            sums.sum_arrays(table, fit)
+        with pytest.raises(ValueError, match="phase is the fit of"):
+            gauss.max_phase_defects(table, fit)
+    own = gauss._fit_phase(table)
+    assert np.array_equal(gauss.max_phase_defects(table, own), gauss.max_phase_defects(table))
 
 
 def test_stacked_table_rejects_a_pair_that_is_not_coprime():
@@ -222,6 +245,137 @@ def test_batched_suites_equal_the_per_pair_loops():
     assert cli._suite_theorem2(16, 10) == theorem2_per_pair(16, 10)
 
 
+# ---------------------------------------- range kernels against the loops
+
+
+def per_q_products(args, rhos):
+    """The per-q rotation product that the ragged kernel replaced (its
+    matrix route): argument rows (P, F) of one q and k angles shared by
+    every row, each row multiplied through all F factors in order."""
+    c, s = np.cos(args), np.sin(args)
+    k = rotor._cross_matrices(np.stack([c, s, np.zeros_like(c)], -1))[:, :, None]
+    kk = k @ k
+    sin_rho = np.sin(rhos)[:, None, None]
+    versin_rho = (1.0 - np.cos(rhos))[:, None, None]
+    total = None
+    for f in range(args.shape[1]):
+        factor = np.eye(3) + sin_rho * k[:, f] + versin_rho * kk[:, f]
+        total = factor if total is None else total @ factor
+    return total
+
+
+def range_inputs(q_max):
+    """The argument block of every q <= q_max (all p coprime to q) and
+    the detuned angles of each q, as certificate_arrays passes them."""
+    blocks, angles = [], []
+    for q in range(1, q_max + 1):
+        blocks.append(np.atleast_2d(rotor._product_factors(gauss.theta_sequences(coprime(q), q))))
+        angles.append(rotor._detuned_angles(q, MS)[1])
+    return blocks, angles
+
+
+def range_products_match(q_max):
+    """One ragged kernel call over every (p, q) with q <= q_max equals
+    the per-q kernel, block by block, under np.array_equal."""
+    blocks, angles = range_inputs(q_max)
+    got = rotor._ordered_products(
+        blocks, np.concatenate([np.tile(a, (len(b), 1)) for b, a in zip(blocks, angles)]))
+    want = np.concatenate([per_q_products(b, a) for b, a in zip(blocks, angles)])
+    return got.shape == want.shape and np.array_equal(got, want)
+
+
+def theorem2_per_q(q_max, m_max):
+    """The theorem2 outcomes from one per-q kernel call per q."""
+    Ms = list(range(3, m_max + 1))
+    target = np.array([2.0 * math.pi / M for M in Ms])
+    outcomes = []
+    for q in range(1, q_max + 1):
+        ps = coprime(q)
+        args = np.atleast_2d(rotor._product_factors(gauss.theta_sequences(ps, q)))
+        products = per_q_products(args, rotor._detuned_angles(q, Ms)[1])
+        angles = rotor.rotation_angle(products).reshape(len(ps), 3, len(Ms))
+        errors = np.abs(angles[:, 0] - target)
+        margins = np.minimum(np.abs(angles[:, 1] - target), np.abs(angles[:, 2] - target))
+        passed = (errors <= cli.TOL_ROTATION_ANGLE) & (margins > cli.MIN_FALSIFICATION_MARGIN)
+        for p, row_ok, row_errors in zip(ps, passed.tolist(), errors.tolist()):
+            outcomes.extend(outcome(f"theorem2/M={M}/p={p}/q={q}", ok, error)
+                            for M, ok, error in zip(Ms, row_ok, row_errors))
+    return outcomes
+
+
+def half_traces_per_case(xs, phi_rows):
+    """Lemma 3's lhs, one 2x2 product per factor per case."""
+    lhs = []
+    for x, phis in zip(xs, phi_rows):
+        prod = np.eye(2, dtype=complex)
+        for phi in phis:
+            prod = prod @ np.array([
+                [x, 1j * complex(math.cos(phi), -math.sin(phi))],
+                [1j * complex(math.cos(phi), math.sin(phi)), x],
+            ])
+        lhs.append(0.5 * float(prod.trace().real))
+    return lhs
+
+
+def lemma3_inputs():
+    """Ragged cases of 1 to 12 factors, in no order of length."""
+    rng = random.Random(5)
+    xs = [rng.uniform(-2.0, 2.0) for _ in range(60)]
+    phi_rows = [[rng.uniform(0.0, 2.0 * math.pi) for _ in range(rng.randint(1, 12))]
+                for _ in xs]
+    return xs, phi_rows
+
+
+def half_traces_match():
+    xs, phi_rows = lemma3_inputs()
+    got = [r.lhs for r in rotor.trace_identity_evals(xs, phi_rows)]
+    return got == half_traces_per_case(xs, phi_rows)
+
+
+def test_range_products_equal_the_per_q_kernel():
+    # every coprime pair with q <= 60, 1102 rows of 1 to 59 factors
+    assert range_products_match(60)
+
+
+def test_theorem2_suite_equals_the_per_q_loop():
+    assert cli._suite_theorem2(30, 10) == theorem2_per_q(30, 10)
+
+
+def test_certificate_rows_follow_the_tables_in_order():
+    # tables of several q, one of them one-row, in no order of q
+    tables = [gauss.theta_sequences([1, 3, 5, 7], 8), gauss.theta_sequence(2, 5),
+              gauss.theta_sequences([1, 2], 3)]
+    arrays = rotor.certificate_arrays(tables, MS)
+    assert arrays.p == (1, 3, 5, 7, 2, 1, 2) and arrays.q == (8, 8, 8, 8, 5, 3, 3)
+    for i, (p, q) in enumerate(zip(arrays.p, arrays.q)):
+        one = rotor.certificate_arrays([gauss.theta_sequence(p, q)], MS)
+        for name in ("rho", "angle", "angle_error", "falsification_margin", "product"):
+            assert np.array_equal(getattr(arrays, name)[i], getattr(one, name)[0]), (p, q, name)
+    empty = rotor.certificate_arrays([], MS)
+    assert empty.p == () and empty.angle.shape == (0, len(MS))
+
+
+def test_stacked_half_traces_equal_the_per_case_loop():
+    assert half_traces_match()
+    xs, phi_rows = lemma3_inputs()
+    assert len(set(map(len, phi_rows))) == 12
+
+
+def test_verify_all_equals_the_five_single_suite_runs(capsys):
+    def run(suite):
+        code = cli.main(["verify", "--suite", suite, "--q-max", "17", "--m-max", "10"])
+        return code, json.loads(capsys.readouterr().out)
+
+    code, together = run("all")
+    singles = {name: run(name) for name in ("sums", "theorem2", "lemma3", "lemma4", "vanishing")}
+    assert code == 0 and all(single == 0 for single, _ in singles.values())
+    assert together["outcomes"] == sorted(
+        (o for _, payload in singles.values() for o in payload["outcomes"]),
+        key=lambda o: o["case_id"])
+    assert together["suites"] == {name: payload["suites"][name]
+                                  for name, (_, payload) in singles.items()}
+
+
 # ---------------------------------------------------------------- mutations
 
 
@@ -254,6 +408,7 @@ def test_oracles_catch_a_shared_phase_coefficient(monkeypatch):
 
     monkeypatch.setattr(gauss, "_fit_phase", shared)
     monkeypatch.setattr(sums, "_fit_phase", shared)
+    monkeypatch.setattr(cli, "_fit_phase", shared)
     assert not defect_rows_match(7)
     assert not sum_rows_match(7)
     assert cli._suite_lemma4(7) != lemma4_per_pair(7)
@@ -273,6 +428,22 @@ def test_oracles_catch_reversed_factor_order(monkeypatch):
     assert cli._suite_theorem2(8, 10) != theorem2_per_pair(8, 10)
 
 
+@pytest.mark.parametrize("mutation", ["wrong-unsort", "prefix-one-row-short"])
+def test_oracles_catch_a_broken_ragged_layout(monkeypatch, mutation):
+    original = rotor._ragged_layout
+
+    def broken(counts):
+        order, unsort, live = original(counts)
+        if mutation == "wrong-unsort":
+            return order, np.roll(unsort, 1), live
+        return order, unsort, live[:-1] + [live[-1] - 1]
+
+    monkeypatch.setattr(rotor, "_ragged_layout", broken)
+    assert not range_products_match(8)
+    assert cli._suite_theorem2(8, 10) != theorem2_per_q(8, 10)
+    assert not half_traces_match()
+
+
 # -------------------------------------------------------------------- memory
 
 
@@ -284,12 +455,29 @@ def test_batched_theorem2_product_memory_stays_linear_in_p_times_k():
     args = rotor._product_factors(gauss.theta_sequences(coprime(q), q))
     _, angles = rotor._detuned_angles(q, MS)
     assert args.shape == (28, 29) and angles.shape == (24,)
-    rotor._ordered_products(args, angles)  # warm numpy's caches
+    rows = np.tile(angles, (28, 1))
+    rotor._ordered_products([args], rows)  # warm numpy's caches
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        rotor._ordered_products(args, angles)
+        rotor._ordered_products([args], rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1_000_000, peak
+
+
+def test_range_theorem2_suite_memory_stays_linear_in_rows():
+    # q <= 30: 278 rows of up to 29 factors (4640 in all) at 24 angles.
+    # Building every factor up front would hold 4640*24 matrices per
+    # route (8 MB); one factor at a time, the whole suite, outcomes
+    # included, stays under 3 MB.
+    cli._suite_theorem2(30, 10)  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        cli._suite_theorem2(30, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_000_000, peak

@@ -110,6 +110,42 @@ def test_sums_empty_k_range_is_usage_error(capsys, argv):
     assert out == ""
 
 
+def test_verify_range_keeps_every_table_only_when_shared():
+    # one suite reads each q once, in order, so it keeps one table; the
+    # suites of verify --suite all share every table and fit
+    for shared, kept in ((False, [8]), (True, list(range(1, 9)))):
+        qs = cli._VerifyRange(8, shared=shared)
+        for q in qs.rows:
+            table = qs.table(q)
+            assert qs.fit(q).q == q and qs.table(q) is table
+        assert sorted(qs._tables) == kept and sorted(qs._fits) == list(range(1, 9))
+
+
+@pytest.mark.parametrize("argv", [
+    ("sums", "--p", "1", "--q", "1031", "--k", "258"),
+    ("sums", "--p", "1", "--q", "1031"),
+    ("verify", "--suite", "sums", "--q-max", "1031"),
+    ("verify", "--suite", "all", "--q-max", "1031"),
+], ids=["sums-one-k", "sums-every-k", "verify-sums", "verify-all"])
+def test_sums_bound_beyond_the_float_range_is_usage_error(capsys, monkeypatch, argv):
+    # C(1031, 2k) * 1e-8 exceeds the float range from k = 246 on; the
+    # bound is checked before any sum is evaluated
+    calls = count_calls(monkeypatch, ("alternating_products", "_gauss_table"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "exceeds the float range" in err
+    assert "Traceback" not in err
+    assert calls == {"alternating_products": 0, "_gauss_table": 0, "rho_sizes": []}
+
+
+def test_sums_bound_inside_the_float_range_is_evaluated(capsys):
+    # k = 245 is the last k at q = 1031 whose bound is a float
+    code, payload = run_json(capsys, "sums", "--p", "1", "--q", "1031", "--k", "245")
+    [report] = payload["reports"]
+    assert report["k"] == 245 and report["term_count"] == math.comb(1031, 490)
+    assert code == (0 if report["passed"] else 1)
+
+
 @pytest.mark.parametrize("q", ["0", "-3"])
 def test_sums_non_positive_q_is_usage_error(capsys, q):
     code, out, err = run_cli(capsys, "sums", "--p", "1", "--q", q)
@@ -203,9 +239,10 @@ def test_rotation_builds_one_table_and_three_products(capsys, monkeypatch):
     assert calls == {"theta_sequence": 1, "_ordered_products": 1, "rho_sizes": [3]}
 
 
-def test_verify_theorem2_one_table_and_one_product_per_q(capsys, monkeypatch):
-    # one stacked table and one kernel call serve every p of a q; the
-    # per-pair functions are not called at all
+def test_verify_theorem2_one_table_and_one_product_per_range(capsys, monkeypatch):
+    # one stacked table per q, and one ragged kernel call over every
+    # (p, q) row of the range at 24 angles each; the per-pair functions
+    # are not called at all
     names = ("theta_sequence", "theta_sequences", "_gauss_table", "_ordered_products")
     calls = count_calls(monkeypatch, names)
     code, payload = run_json(
@@ -216,8 +253,19 @@ def test_verify_theorem2_one_table_and_one_product_per_q(capsys, monkeypatch):
     assert payload["total"] == 8 * pairs
     assert calls == {
         "theta_sequence": 0, "theta_sequences": 8, "_gauss_table": 8,
-        "_ordered_products": 8, "rho_sizes": [24] * 8,
+        "_ordered_products": 1, "rho_sizes": [pairs * 24],
     }
+
+
+def test_verify_all_builds_one_table_per_q_for_every_suite(capsys, monkeypatch):
+    # vanishing, lemma4, sums and theorem2 share each q's table (and
+    # lemma4 and sums its phase fit): 8 tables, not 8 + 8 + 7 + 8 = 31
+    calls = count_calls(monkeypatch, ("_gauss_table", "_fit_phase", "theta_sequence"))
+    code, payload = run_json(capsys, "verify", "--suite", "all", "--q-max", "8")
+    assert code == 0 and set(payload["suites"]) == {
+        "sums", "theorem2", "lemma3", "lemma4", "vanishing"}
+    assert calls == {"_gauss_table": 8, "_fit_phase": 8, "theta_sequence": 0,
+                     "rho_sizes": []}
 
 
 def test_verify_sums_one_table_and_one_kernel_call_per_q(capsys, monkeypatch):
@@ -436,6 +484,13 @@ def test_simulate_summary_reports_the_run(tmp_path, monkeypatch, capsys):
     evolved = evolve(initial_tangent(3, 96), cfg.rational_time, cfg)
     assert payload["steps"] == evolved.steps > 0
     assert payload["max_norm_deviation"] == evolved.max_norm_deviation > 0
+    # the configured step; the last step is shortened to land on the time
+    assert payload["dt"] == cfg.dt == 0.4 * (2.0 * math.pi / 96) ** 2
+    assert payload["steps"] == math.ceil(cfg.rational_time / cfg.dt)
+    # |ds * sum T|: the polygon closes, and the flow keeps it closed
+    drift = float(np.linalg.norm(cfg.ds * evolved.samples.sum(axis=0)))
+    assert payload["closure_drift"] == drift <= 1e-12
+    assert list(payload).index("dt") == list(payload).index("steps") + 1
 
 
 def reference_field_csvs(prefix, field, curve):

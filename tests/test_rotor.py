@@ -135,7 +135,7 @@ def test_product_rejects_vanishing_factor():
     with pytest.raises(UndefinedTheta):
         kernel_product(broken, 1.0)
     with pytest.raises(UndefinedTheta):
-        rotor.certificate_arrays(broken, [5])
+        rotor.certificate_arrays([broken], [5])
 
 
 def test_certificates_small_cases():

@@ -62,7 +62,7 @@ def product_per_factor(theta, rho):
 def kernel_product(theta, rho):
     """The library's ordered product of a one-row table at one angle:
     the one-row, one-angle call of the kernel."""
-    return rotor._ordered_products(rotor._product_factors(theta)[None], np.array([rho]))[0, 0]
+    return rotor._ordered_products([rotor._product_factors(theta)[None]], np.array([[rho]]))[0, 0]
 
 
 def trace_angle(r):
@@ -98,10 +98,10 @@ def test_certificates_match_per_factor_loop():
 
 def test_certify_rotation_angle_is_one_entry_of_the_batch():
     one = rotor.certify_rotation_angle(7, 2, 5)
-    arrays = rotor.certificate_arrays(gauss.theta_sequence(2, 5), [3, 7, 9])
-    assert arrays.p == (2,) and arrays.M == (3, 7, 9)
+    arrays = rotor.certificate_arrays([gauss.theta_sequence(2, 5)], [3, 7, 9])
+    assert arrays.p == (2,) and arrays.q == (5,) and arrays.M == (3, 7, 9)
     assert (one.rho, one.angle, one.angle_error, one.falsification_margin) == (
-        arrays.rho[1], arrays.angle[0, 1], arrays.angle_error[0, 1],
+        arrays.rho[0, 1], arrays.angle[0, 1], arrays.angle_error[0, 1],
         arrays.falsification_margin[0, 1])
     assert np.array_equal(one.product, arrays.product[0, 1])
 
@@ -109,7 +109,7 @@ def test_certify_rotation_angle_is_one_entry_of_the_batch():
 def test_product_shape_follows_rho():
     theta = gauss.theta_sequences([1, 3, 5], 7)
     rhos = np.array([0.2, 1.0, 3.0, 0.5])
-    stack = rotor._ordered_products(rotor._product_factors(theta), rhos)
+    stack = rotor._ordered_products([rotor._product_factors(theta)], np.tile(rhos, (3, 1)))
     assert stack.shape == (3, 4, 3, 3)
     for i, p in enumerate([1, 3, 5]):
         one = gauss.theta_sequence(p, 7)
@@ -117,7 +117,7 @@ def test_product_shape_follows_rho():
             assert np.array_equal(stack[i, j], kernel_product(one, rho))
             assert np.abs(stack[i, j] - product_per_factor(one, rho)).max() <= 1e-12
     args = rotor._product_factors(gauss.theta_sequence(3, 7))[None]
-    assert rotor._ordered_products(args, np.array([])).shape == (1, 0, 3, 3)
+    assert rotor._ordered_products([args], np.empty((1, 0))).shape == (1, 0, 3, 3)
 
 
 @pytest.mark.parametrize("rho", [
@@ -126,7 +126,7 @@ def test_product_shape_follows_rho():
 def test_product_rejects_rho_outside_open_interval(rho):
     args = rotor._product_factors(gauss.theta_sequence(1, 3))[None]
     with pytest.raises(ValueError, match="rho must lie in"):
-        rotor._ordered_products(args, np.atleast_1d(np.asarray(rho, dtype=float)))
+        rotor._ordered_products([args], np.atleast_2d(np.asarray(rho, dtype=float)))
 
 
 def test_rotation_angle_of_a_stack():
@@ -177,7 +177,7 @@ def test_cross_check_fires_when_a_spinor_factor_is_conjugated(monkeypatch):
     with pytest.raises(CrossCheckFailure):
         rotor.certify_rotation_angle(7, 2, 5)
     with pytest.raises(CrossCheckFailure):
-        rotor.certificate_arrays(gauss.theta_sequences([1, 2, 3, 4], 5), [7])
+        rotor.certificate_arrays([gauss.theta_sequences([1, 2, 3, 4], 5)], [7])
 
 
 def test_complex_pair_route_matches_the_per_factor_quaternions():
@@ -195,8 +195,7 @@ def test_complex_pair_route_matches_the_per_factor_quaternions():
         if alpha is None:
             alpha, beta = alpha_f, beta_f + 0j
         else:
-            alpha, beta = (alpha * alpha_f - beta * beta_f,
-                           alpha * beta_f + beta * alpha_f.conj())
+            alpha, beta = rotor._spinor_product(alpha, beta, alpha_f, beta_f)
         half = 0.5 * rho
         spin = quaternion_product(
             spin, np.array([math.cos(half), math.sin(half) * math.cos(arg),

@@ -14,9 +14,11 @@ one rotor.certificate_arrays call over the tables of the whole range;
 the lemma3 suite draws all its cases first and evaluates them in one
 call (rotor.trace_identity_evals).  The arrays become outcomes with no
 per-case object in between, and the outcomes equal those of a loop over
-single pairs or cases bit for bit.  The rotation and sums commands are
-the one-row calls of the same checks (rotor.certify_rotation_angle,
-sums.verify_sum_identities).
+single pairs or cases bit for bit.  Both rotor checks run on one spinor
+walk, and the angle is read from the half angle of the product.  The
+rotation and sums commands are the one-row calls of the same checks
+(rotor.certify_rotation_angle, whose matrix and axis come from the one
+spinor of the product, and sums.verify_sum_identities).
 
 Each JSON payload is encoded once, as one string, by _json_text: the
 bytes of json.dumps(payload, indent=2, allow_nan=False) plus a newline,
@@ -66,7 +68,6 @@ from .gauss import (
 from .rotor import (
     CertificateArrays,
     RotationCertificate,
-    axis_angle_of,
     certificate_arrays,
     certify_rotation_angle,
     inter_side_angle,
@@ -421,7 +422,6 @@ def cmd_rotation(args) -> int:
         cert = certify_rotation_angle(args.M, args.p, args.q)
     except (PolyfilError, ValueError) as exc:
         return _usage_error(str(exc))
-    aa = axis_angle_of(cert.product)
     passed = _theorem2_passed(cert)
     payload = {
         "manifest": _manifest(
@@ -435,7 +435,7 @@ def cmd_rotation(args) -> int:
         "q": args.q,
         "rho": cert.rho,
         "matrix": [list(row) for row in cert.product],
-        "axis": list(aa.axis) if aa.axis is not None and aa.axis_stable else None,
+        "axis": None if cert.axis is None else list(cert.axis),
         "angle": cert.angle,
         "angle_error": cert.angle_error,
         "falsification_margin": cert.falsification_margin,

@@ -34,14 +34,6 @@ class InternalVanishing(PolyfilError, ArithmeticError):
     inconsistency in the even-parity bookkeeping."""
 
 
-class NotARotation(PolyfilError, ValueError):
-    """A matrix failed the orthogonality / determinant / trace checks."""
-
-
-class CrossCheckFailure(PolyfilError, RuntimeError):
-    """The matrix-level and quaternion-level products disagree."""
-
-
 class GridNotDivisible(PolyfilError, ValueError):
     """The spatial grid is not divisible by the required block count."""
 

@@ -1,29 +1,30 @@
-"""The ordered corner-rotation product, computed both as rotation
-matrices and as unit-quaternion spinors under the double cover; angle
-and axis extraction; and the inter-side angle formula.
+"""The ordered corner-rotation product, computed as a unit-quaternion
+spinor under the double cover; its rotation angle and axis; and the
+inter-side angle formula.
 
 Conventions, fixed once: quaternions are scalar-first (w, x, y, z),
 right-handed, acting on vectors by v -> s v s^-1, so the quaternion
 product composes in the same left-to-right order as the matrix product.
 The product kernel holds a quaternion as the complex pair (alpha, beta)
 with s = alpha + beta j, alpha = w + x i and beta = y + z i (the
-Cayley-Dickson form).  Angles are extracted from the trace (well
-defined up to the pi edge); axes are best effort and flagged near the 0
-and pi edge cases.
+Cayley-Dickson form), which is the SU(2) matrix
+[[alpha, beta], [-conj(beta), conj(alpha)]].  The rotation angle is read
+from the half angle, 2*atan2(|(x, y, z)|, |w|), which keeps full
+relative precision at small angles and needs no clamp at pi.
 
 The factors are the table's admissible arguments, as returned by their
 one owner ThetaSequence.admissible_arguments, in descending index order.
-One kernel, _ordered_products, runs per range, not per q: it takes the
+One walk, _ragged_walk, multiplies spinor pairs (_spinor_product) over
+ragged rows: the rows are sorted by factor count, so that at factor f
+the rows that still have an f-th factor are a prefix, and only that
+prefix is multiplied on; each row sees the same float operations as a
+walk over its own row alone.  Each factor's pairs are formed inside the
+loop, so memory grows with R*(F + k), never with R*F*k.  The theorem-2
+kernel, _ordered_products, runs it per range, not per q: it takes the
 argument blocks of many tables (P_i rows of F_i factor arguments each,
 F_i differing from q to q) and one row of k angles per argument row, and
-returns the (R, k, 3, 3) products of all R rows.  The rows are sorted by
-factor count, so that at factor f the rows that still have an f-th
-factor are a prefix, and only that prefix is multiplied on; each row
-sees the same float operations as a call over its own table alone.
-Each factor's (R, k, 3, 3) Rodrigues matrices and (R, k) complex spinor
-pair are built inside the loop, so memory grows with R*(F + k), never
-with R*F*k.  The quaternion cross-check and the checks of rotation_angle
-run over the whole stack.
+returns the (R, k) spinor pairs of all R rows.  Every final pair must
+have unit norm, or it raises NonUnitSpinor.
 
 The theorem-2 check has one owner, certificate_arrays.  It takes a
 sequence of tables (gauss.theta_sequences, one per q), makes one kernel
@@ -31,14 +32,17 @@ call for every (p, q) in them, every M and the three angles rho,
 0.95*rho and 1.05*rho, and returns the angle errors and falsification
 margins as (R, k) arrays (CertificateArrays), which the verify suite
 reads.  certify_rotation_angle, behind the rotation command, is its
-one-row, one-M call, returned as a RotationCertificate.
+one-row, one-M call, returned as a RotationCertificate with the
+product's rotation matrix and axis.
 
 The Lemma 3 half-trace identity is checked the same way:
 trace_identity_evals takes every case at once, reads the expansion
 coefficients of all of them from one alternating-sum kernel call
 (arith.alternating_products, rows front-padded with zeros), and forms
-the direct 2x2 products of all of them as one stacked (R, 2, 2) product
-under the same prefix rule; trace_identity_eval is its one-case call.
+the direct products of all of them by the same walk, each factor
+[[x, i conj(z)], [i z, x]] being the pair alpha_f = x,
+beta_f = i conj(z); trace_identity_eval is its one-case call.  The
+matrix routes these replaced are the oracles in tests/.
 """
 
 from __future__ import annotations
@@ -49,16 +53,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import alternating_products
-from .errors import CrossCheckFailure, NonUnitSpinor, NotARotation
+from .errors import NonUnitSpinor
 from .gauss import ThetaSequence, theta_sequence
 
 __all__ = [
-    "AxisAngle",
     "RotationCertificate",
     "CertificateArrays",
     "TraceIdentityResult",
-    "rotation_angle",
-    "axis_angle_of",
     "inter_side_angle",
     "certify_rotation_angle",
     "certificate_arrays",
@@ -67,9 +68,8 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-9
-_ORTHO_TOL = 1e-10
-_CLAMP_TOL = 1e-9
-_CROSS_CHECK_TOL = 1e-10
+# below this angle the rotation command reports no axis
+_AXIS_MIN_ANGLE = 1e-6
 
 # _CROSS[i] is the cross-product matrix of the i-th axis, so that
 # v @ _CROSS.reshape(3, 9) lists the entries of [v]_x (see _cross_matrices)
@@ -81,20 +81,11 @@ _CROSS = np.array([
 
 
 @dataclass(frozen=True)
-class AxisAngle:
-    """Angle in [0, pi]; axis is None at angle 0 and sign-ambiguous at pi
-    (axis_stable is False in both edge cases)."""
-
-    axis: tuple[float, float, float] | None
-    angle: float
-    axis_stable: bool
-
-
-@dataclass(frozen=True)
 class RotationCertificate:
     """Angle agreement of the corner-rotation product at the predicted
     inter-side angle, plus how far a +-5% detuning drifts off target.
-    `product` is the rotation matrix at rho itself."""
+    `product` is the rotation matrix at rho itself and `axis` its unit
+    axis, None below an angle of 1e-6."""
 
     M: int
     p: int
@@ -104,14 +95,16 @@ class RotationCertificate:
     angle_error: float
     falsification_margin: float
     product: np.ndarray = field(compare=False)
+    axis: tuple[float, float, float] | None
 
 
 @dataclass(frozen=True, eq=False)
 class CertificateArrays:
     """The fields of RotationCertificate for R rows (p, q) and every M,
     as arrays: `rho`, `angle`, `angle_error` and `falsification_margin`
-    (R, k); `product` (R, k, 3, 3).  `p`, `q` (one each per row) and `M`
-    are tuples of ints, so that no M is too large for an int64.  Entry
+    (R, k), and the complex spinor pair `alpha`, `beta` (R, k) of the
+    product at rho.  `p`, `q` (one each per row) and `M` are tuples of
+    ints, so that no M is too large for an int64.  Entry
     [i, j] is the certificate of (M[j], p[i], q[i]).  Compared by
     identity (eq=False), since arrays have no single-bool ==."""
 
@@ -122,7 +115,8 @@ class CertificateArrays:
     angle: np.ndarray
     angle_error: np.ndarray
     falsification_margin: np.ndarray
-    product: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -152,60 +146,6 @@ def _spinor_matrices(spin: np.ndarray) -> np.ndarray:
     return r
 
 
-def _cross_check(total: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> None:
-    """Raise CrossCheckFailure unless the rotations of the spinor pairs
-    alpha + beta j equal the matrix products `total`, to _CROSS_CHECK_TOL."""
-    diff = _spinor_matrices(np.stack([alpha.real, alpha.imag, beta.real, beta.imag], axis=-1))
-    diff -= total
-    mismatch = np.abs(diff, out=diff).max(initial=0.0)
-    if not mismatch <= _CROSS_CHECK_TOL:
-        raise CrossCheckFailure(
-            f"matrix and quaternion products disagree by {mismatch}"
-        )
-
-
-def _check_rotation(r: np.ndarray) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    if r.ndim < 2 or r.shape[-2:] != (3, 3):
-        raise NotARotation(f"expected 3x3 matrices, got shape {r.shape}")
-    # written as "not <=" so that NaN fails too
-    ortho = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)).max(initial=0.0)
-    if not ortho <= _ORTHO_TOL:
-        raise NotARotation("matrix is not orthogonal")
-    if not np.abs(np.linalg.det(r) - 1.0).max(initial=0.0) <= _ORTHO_TOL:
-        raise NotARotation("determinant is not 1")
-    return r
-
-
-def rotation_angle(r: np.ndarray) -> float | np.ndarray:
-    """Rotation angle in [0, pi] from the trace; clamps only roundoff.
-    A float for one 3x3 matrix, an array of angles for a (..., 3, 3)
-    stack."""
-    r = _check_rotation(r)
-    c = (np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0
-    if np.any(np.abs(c) > 1.0 + _CLAMP_TOL):
-        raise NotARotation(f"trace-derived cosine {c} outside [-1, 1]")
-    angle = np.arccos(np.clip(c, -1.0, 1.0))
-    return float(angle) if angle.ndim == 0 else angle
-
-
-def axis_angle_of(r: np.ndarray) -> AxisAngle:
-    """Best-effort axis extraction; angle is always trace-derived."""
-    angle = rotation_angle(r)
-    if angle < 1e-6:
-        return AxisAngle(axis=None, angle=angle, axis_stable=False)
-    if math.pi - angle < 1e-6:
-        # near pi the skew part degenerates; use the dominant column of
-        # (R + I)/2 = axis axis^T, sign undetermined
-        m = (np.asarray(r) + np.eye(3)) / 2.0
-        col = int(np.argmax(np.diag(m)))
-        axis = m[:, col] / np.linalg.norm(m[:, col])
-        return AxisAngle(axis=tuple(axis), angle=angle, axis_stable=False)
-    v = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    axis = v / (2.0 * math.sin(angle))
-    return AxisAngle(axis=tuple(axis), angle=angle, axis_stable=True)
-
-
 def inter_side_angle(M: int, q: int) -> float:
     """The angle rho between adjacent sides of the time t_{p/q} polygon:
     cos(rho/2) = cos(pi/M)^(1/q) for odd q and cos(pi/M)^(2/q) for even q.
@@ -231,9 +171,8 @@ def _product_factors(theta: ThetaSequence) -> np.ndarray:
     """Arguments for the ordered product, leftmost factor first: the
     admissible arguments in descending index order (factor n uses index
     q-1-n and skips the indices that are not admissible), shape (F,), or
-    (P, F) for a stacked table.  Copied out of the reversed view so that
-    np.cos and np.sin run on contiguous data."""
-    return theta.admissible_arguments()[1][..., ::-1].copy()
+    (P, F) for a stacked table."""
+    return theta.admissible_arguments()[1][..., ::-1]
 
 
 def _spinor_factor(cos_half: np.ndarray, sin_half: np.ndarray, c: np.ndarray,
@@ -243,6 +182,19 @@ def _spinor_factor(cos_half: np.ndarray, sin_half: np.ndarray, c: np.ndarray,
     halves (P, k) and axis components (P, 1): alpha = cos(rho/2) +
     i sin(rho/2) c and the real beta = sin(rho/2) s, each (P, k)."""
     return cos_half + 1j * (sin_half * c), sin_half * s
+
+
+def _spinor_product(alpha: np.ndarray, beta: np.ndarray, alpha_f: np.ndarray,
+                    beta_f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha + beta j)(alpha_f + beta_f j) as the pair
+    alpha alpha_f - beta conj(beta_f) and alpha beta_f + beta conj(alpha_f).
+
+    The conjugates are named, not temporaries: numpy computes `a * tmp`
+    as `tmp * a` in place when `tmp` is a large temporary, and its fused
+    complex multiply is not commutative in the last bit, so a row's
+    product would depend on how many rows share the call."""
+    conj_alpha_f, conj_beta_f = alpha_f.conj(), beta_f.conj()
+    return alpha * alpha_f - beta * conj_beta_f, alpha * beta_f + beta * conj_alpha_f
 
 
 def _ragged_layout(counts) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -259,19 +211,31 @@ def _ragged_layout(counts) -> tuple[np.ndarray, np.ndarray, list[int]]:
     return order, unsort, live.tolist()
 
 
-def _ordered_products(blocks, rhos: np.ndarray) -> np.ndarray:
-    """Ordered products (R, k, 3, 3) of rotations about the in-plane axes
-    (cos a, sin a, 0), for R rows of factor arguments a given as blocks
-    (a sequence of (P_i, F_i) arrays, rows in block order; F_i >= 1) and
-    one row of k angles per argument row, rhos of shape (R, k).  Computed
-    both as 3x3 matrices and as quaternions (_ragged_walk); the two
-    routes must agree (_cross_check).
+def _ragged_walk(factor, live: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The ordered products alpha + beta j of sorted ragged rows, each
+    factor multiplied on the right (_spinor_product): factor(f, n) gives
+    the pairs (alpha_f, beta_f) of factor f for the first n = live[f]
+    rows, the rows that still have an f-th factor (live[0] is every
+    row).  Only one factor's pairs exist at a time."""
+    alpha, beta = (part.astype(complex) for part in factor(0, live[0]))
+    for f, n in enumerate(live[1:], start=1):
+        alpha[:n], beta[:n] = _spinor_product(alpha[:n], beta[:n], *factor(f, n))
+    return alpha, beta
 
-    The rows are ragged: they are sorted by factor count
-    (_ragged_layout), and at factor f only the prefix of rows that still
-    have an f-th factor is multiplied on.  Each row sees the same float
-    operations as a kernel call over its own block alone, and the
-    products come back in block order."""
+
+def _ordered_products(blocks, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered products of rotations about the in-plane axes
+    (cos a, sin a, 0), as spinor pairs (alpha, beta), each (R, k), for R
+    rows of factor arguments a given as blocks (a sequence of (P_i, F_i)
+    arrays, rows in block order; F_i >= 1) and one row of k angles per
+    argument row, rhos of shape (R, k).
+
+    The rows are ragged: they are placed in the order of _ragged_layout,
+    factor-major, and walked by _ragged_walk, with each factor's cosines
+    and sines taken inside the loop.  Each row sees the same float
+    operations as a walk over its own row alone, and the products come
+    back in block order.  A final pair off the unit sphere by more than
+    _UNIT_TOL (or NaN) raises NonUnitSpinor."""
     blocks = list(blocks)
     rhos = np.asarray(rhos, dtype=float)
     counts = np.repeat([block.shape[1] for block in blocks],
@@ -284,62 +248,35 @@ def _ordered_products(blocks, rhos: np.ndarray) -> np.ndarray:
     if not np.all(counts >= 1):
         raise ValueError("every argument row needs at least one factor")
     if not len(counts):
-        return np.empty(rhos.shape + (3, 3))
+        return np.empty(rhos.shape, dtype=complex), np.empty(rhos.shape, dtype=complex)
     order, unsort, live = _ragged_layout(counts)
-    args = np.zeros((len(counts), len(live)))
+    args = np.zeros((len(live), len(counts)))  # args[f, i]: factor f of sorted row i
     start = 0
     for block in blocks:
-        args[start:start + len(block), :block.shape[1]] = block
+        args[:block.shape[1], unsort[start:start + len(block)]] = block.T
         start += len(block)
-    total, alpha, beta = _ragged_walk(args[order], rhos[order], live)
-    _cross_check(total, alpha, beta)
-    return total[unsort]
-
-
-def _ragged_walk(args: np.ndarray, rhos: np.ndarray, live: list[int]):
-    """Both routes of the ordered products of sorted, zero-padded
-    argument rows (R, F) at angles rhos (R, k), factor f multiplied onto
-    the first live[f] rows: the matrices (R, k, 3, 3) and the spinor
-    pairs (alpha, beta), each (R, k).
-
-    The quaternion route holds each product as a complex pair,
-    alpha + beta j with alpha = w + x i and beta = y + z i, and
-    multiplies each factor alpha_f + beta_f j on the right
-    (_spinor_product).  Only one factor's Rodrigues matrices and spinor
-    pairs exist at a time, so memory grows with R*(F + k), never with
-    R*F*k."""
-    c, s = np.cos(args), np.sin(args)
-    sin_rho = np.sin(rhos)[..., None, None]
-    versin_rho = (1.0 - np.cos(rhos))[..., None, None]
+    rhos = rhos[order]
     cos_half, sin_half = np.cos(0.5 * rhos), np.sin(0.5 * rhos)
-    total = _rodrigues(c[:, 0], s[:, 0], sin_rho, versin_rho)
-    alpha, beta = _spinor_factor(cos_half, sin_half, c[:, :1], s[:, :1])
-    beta = beta.astype(complex)
-    for f, n in enumerate(live[1:], start=1):
-        total[:n] = total[:n] @ _rodrigues(c[:n, f], s[:n, f], sin_rho[:n], versin_rho[:n])
-        alpha[:n], beta[:n] = _spinor_product(alpha[:n], beta[:n], *_spinor_factor(
-            cos_half[:n], sin_half[:n], c[:n, f, None], s[:n, f, None]))
-    return total, alpha, beta
+
+    def factor(f, n):
+        column = args[f, :n, None]
+        return _spinor_factor(cos_half[:n], sin_half[:n], np.cos(column), np.sin(column))
+
+    alpha, beta = _ragged_walk(factor, live)
+    deviation = np.abs(alpha.real ** 2 + alpha.imag ** 2 + beta.real ** 2 + beta.imag ** 2
+                       - 1.0).max(initial=0.0)
+    # written as "not <=" so that NaN fails too
+    if not deviation <= _UNIT_TOL:
+        raise NonUnitSpinor(f"spinor norms deviate from 1 by {deviation}")
+    return alpha[unsort], beta[unsort]
 
 
-def _spinor_product(alpha: np.ndarray, beta: np.ndarray, alpha_f: np.ndarray,
-                    beta_f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha + beta j)(alpha_f + beta_f j) for a real beta_f, as the pair
-    alpha alpha_f - beta beta_f and alpha beta_f + beta conj(alpha_f)."""
-    return alpha * alpha_f - beta * beta_f, alpha * beta_f + beta * alpha_f.conj()
-
-
-def _rodrigues(c: np.ndarray, s: np.ndarray, sin_rho: np.ndarray,
-               versin_rho: np.ndarray) -> np.ndarray:
-    """Rotation matrices (n, k, 3, 3) about the axes (c, s, 0), c and s
-    of shape (n,), by the angles whose sine and 1 - cosine are sin_rho
-    and versin_rho (n, k, 1, 1): (I + sin(rho) K) + (1 - cos(rho)) K K,
-    in that order, with K the cross-product matrix of the axis."""
-    k = _cross_matrices(np.stack([c, s, np.zeros_like(c)], -1))[:, None]
-    factor = sin_rho * k
-    factor += np.eye(3)
-    factor += versin_rho * (k @ k)
-    return factor
+def _half_angle(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Rotation angles in [0, pi] of the unit spinors alpha + beta j:
+    2*atan2(|vector part|, |scalar part|), exact to a few ulps at any
+    angle, where an arccos of the trace loses relative accuracy as the
+    angle shrinks."""
+    return 2.0 * np.arctan2(np.hypot(alpha.imag, np.abs(beta)), np.abs(alpha.real))
 
 
 def _detuned_angles(q: int, Ms: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -367,11 +304,11 @@ def certificate_arrays(tables, Ms) -> CertificateArrays:
         rho, angles = _detuned_angles(theta.q, Ms)
         rhos.append(rho)
         detuned.append(angles)
-    products = _ordered_products(
+    alpha, beta = _ordered_products(
         [np.atleast_2d(_product_factors(theta)) for theta in tables],
         np.repeat(np.reshape(detuned, (len(tables), 3 * len(Ms))), sizes, axis=0),
     )
-    angles = rotation_angle(products).reshape(len(products), 3, len(Ms))
+    angles = _half_angle(alpha, beta).reshape(len(alpha), 3, len(Ms))
     target = np.array([2.0 * math.pi / M for M in Ms])
     return CertificateArrays(
         p=tuple(p for row in ps for p in row),
@@ -380,21 +317,30 @@ def certificate_arrays(tables, Ms) -> CertificateArrays:
         angle=angles[:, 0], angle_error=np.abs(angles[:, 0] - target),
         falsification_margin=np.minimum(np.abs(angles[:, 1] - target),
                                         np.abs(angles[:, 2] - target)),
-        product=products[:, :len(Ms)],
+        alpha=alpha[:, :len(Ms)], beta=beta[:, :len(Ms)],
     )
 
 
 def certify_rotation_angle(M: int, p: int, q: int) -> RotationCertificate:
     """The certificate of one (M, p, q): the one-row, one-M call of
-    certificate_arrays.  rho comes first, so that an M or q out of range
-    is reported before a p that is not coprime to q."""
+    certificate_arrays, with the rotation matrix of the product's spinor
+    and its axis, the vector part turned to the side of a positive
+    scalar part and normalised.  rho comes first, so that an M or q out
+    of range is reported before a p that is not coprime to q."""
     rho = inter_side_angle(M, q)
     arrays = certificate_arrays([theta_sequence(p, q)], [M])
+    alpha, beta = arrays.alpha.item(), arrays.beta.item()
+    spin = np.array([alpha.real, alpha.imag, beta.real, beta.imag])
+    angle = arrays.angle.item()
+    axis = None
+    if angle >= _AXIS_MIN_ANGLE:
+        vector = math.copysign(1.0, alpha.real) * spin[1:]
+        axis = tuple((vector / np.linalg.norm(vector)).tolist())
     return RotationCertificate(
-        M=M, p=p, q=q, rho=rho, angle=arrays.angle.item(),
+        M=M, p=p, q=q, rho=rho, angle=angle,
         angle_error=arrays.angle_error.item(),
         falsification_margin=arrays.falsification_margin.item(),
-        product=arrays.product[0, 0],
+        product=_spinor_matrices(spin), axis=axis,
     )
 
 
@@ -406,21 +352,20 @@ def trace_identity_eval(x: float, phis) -> TraceIdentityResult:
 
 def _half_traces(xs: list, z_rows: list) -> list[float]:
     """Half the real trace of prod_n [[x, i conj(z_n)], [i z_n, x]] for
-    each case (x, z) of xs and z_rows: one stacked (R, 2, 2) product from
-    the identity, rows sorted by length (_ragged_layout), each factor
-    multiplied onto the prefix of rows that still have one.  Each case
-    sees the same float operations as its own 2x2 product."""
+    each case (x, z) of xs and z_rows.  Each factor is the pair
+    alpha_f = x, beta_f = i conj(z_n), so the product is one ragged walk
+    (_ragged_walk, rows sorted by length) and the half-trace is Re alpha.
+    Each case sees the same float operations as its own walk."""
+    if not z_rows:
+        return []
     order, unsort, live = _ragged_layout(list(map(len, z_rows)))
-    pad = [[0j, 0j], [0j, 0j]]
-    factors = np.array([
-        [[[xs[i], 1j * z.conjugate()], [1j * z, xs[i]]] for z in z_rows[i]]
-        + [pad] * (len(live) - len(z_rows[i]))
-        for i in order.tolist()
-    ], dtype=complex).reshape(len(z_rows), len(live), 2, 2)
-    total = np.broadcast_to(np.eye(2, dtype=complex), (len(z_rows), 2, 2)).copy()
-    for f, n in enumerate(live):
-        total[:n] = total[:n] @ factors[:n, f]
-    return (0.5 * np.trace(total, axis1=-2, axis2=-1).real)[unsort].tolist()
+    z = np.zeros((len(live), len(z_rows)), dtype=complex)  # z[f, i]: factor f of sorted row i
+    for i, row in enumerate(order.tolist()):
+        z[:len(z_rows[row]), i] = z_rows[row]
+    beta_f = 1j * z.conj()
+    x = np.asarray(xs, dtype=float)[order]
+    alpha, _ = _ragged_walk(lambda f, n: (x[:n], beta_f[f, :n]), live)
+    return alpha.real[unsort].tolist()
 
 
 def trace_identity_evals(xs, phi_rows) -> list[TraceIdentityResult]:
@@ -428,8 +373,8 @@ def trace_identity_evals(xs, phi_rows) -> list[TraceIdentityResult]:
     prod_n (x I + i v_n . sigma) with in-plane unit vectors v_n, for
     each case (x, phis) of xs and phi_rows (rows may differ in length).
 
-    lhs: direct 2x2 complex multiplication, stacked over the cases
-    (_half_traces).  rhs: the cosine expansion sum_k (-1)^k x^(N-2k)
+    lhs: the direct product, as spinor pairs walked over all the cases
+    at once (_half_traces).  rhs: the cosine expansion sum_k (-1)^k x^(N-2k)
     sum cos(phi_{n1} - phi_{n2} + ...), whose k-th coefficient carries
     the sign (-1)^k from i^(2k); the k = 0 inner sum is 1 by the
     empty-product convention.  Each inner sum is Re S_2k of

@@ -58,3 +58,20 @@ def _unused_public_names(name: str) -> list[str]:
 @pytest.mark.parametrize("name", ["arith", "gauss", "rotor", "sums", "vfe"])
 def test_every_public_name_has_a_caller_outside_the_unit_tests(name):
     assert _unused_public_names(name) == []
+
+
+def test_every_error_type_is_raised_in_the_package():
+    # an exception class that nothing raises is dead API; the base class
+    # the others derive from is exempt
+    package = ROOT / "src" / "polyfil"
+    classes = [node for node in ast.parse((package / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)]
+    bases = {base.id for node in classes for base in node.bases if isinstance(base, ast.Name)}
+    raised = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "attr", getattr(exc, "id", None)))
+    defined = {node.name for node in classes} - bases
+    assert defined and sorted(defined - raised) == []

@@ -1,14 +1,15 @@
 """Stacked (per-q) tables, phase fits, rotation certificates and sums
 against the per-pair functions, and the verify suites against a per-pair
-loop kept here.  The range-wide kernels (one ragged rotation product for
-every (p, q) of a range, and Lemma 3's stacked 2x2 product over cases)
-are checked against the per-q product kernel and the per-case 2x2 loop
-they replaced, both kept here.  Every row of a batch must equal the
-one-pair result under np.array_equal, not within a tolerance: the batch
-runs the same arithmetic, so any difference is a bug (a row mix-up, a
-shared coefficient, a wrong factor order, a wrong un-sort, a prefix one
-row short).  The mutation tests check that each oracle catches such a
-bug."""
+loop kept here.  The range-wide spinor walk (one ragged rotation
+product for every (p, q) of a range, and Lemma 3's product over every
+case) is checked against a per-row spinor loop kept here.  Every row of
+a batch must equal the one-pair or one-row result under np.array_equal,
+not within a tolerance: the batch runs the same arithmetic, so any
+difference is a bug (a row mix-up, a shared coefficient, a wrong factor
+order, a wrong un-sort, a prefix one row short).  The mutation tests
+check that each oracle catches such a bug.  The matrix routes the walk
+replaced, the per-q Rodrigues kernel and the per-case 2x2 product, are
+the independent oracles here, at stated tolerances."""
 
 import dataclasses
 import json
@@ -76,7 +77,10 @@ def certificate_rows_match(q):
             fields = (one.rho, one.angle, one.angle_error, one.falsification_margin)
             batched = (arrays.rho[i, j], arrays.angle[i, j], arrays.angle_error[i, j],
                        arrays.falsification_margin[i, j])
-            if fields != batched or not np.array_equal(one.product, arrays.product[i, j]):
+            spin = [arrays.alpha[i, j].real, arrays.alpha[i, j].imag,
+                    arrays.beta[i, j].real, arrays.beta[i, j].imag]
+            if fields != batched or not np.array_equal(one.product,
+                                                       rotor._spinor_matrices(np.array(spin))):
                 return False
     return True
 
@@ -111,7 +115,7 @@ def test_certificate_arrays_equal_the_certificate_objects():
         assert arrays.p == tuple(ps) and arrays.M == tuple(MS) and arrays.q == (q,) * len(ps)
         assert arrays.rho.shape == (len(ps), len(MS))
         assert arrays.angle_error.shape == (len(ps), len(MS))
-        assert arrays.product.shape == (len(ps), len(MS), 3, 3)
+        assert arrays.alpha.shape == arrays.beta.shape == (len(ps), len(MS))
         assert [[(c.M, c.p, c.q) for c in row] for row in rows] == [
             [(M, p, q) for M in MS] for p in ps]
         passed = cli._theorem2_passed(arrays)
@@ -249,9 +253,10 @@ def test_batched_suites_equal_the_per_pair_loops():
 
 
 def per_q_products(args, rhos):
-    """The per-q rotation product that the ragged kernel replaced (its
-    matrix route): argument rows (P, F) of one q and k angles shared by
-    every row, each row multiplied through all F factors in order."""
+    """The per-q rotation product by Rodrigues matrices, the matrix route
+    the spinor walk replaced: argument rows (P, F) of one q and k angles
+    shared by every row, each row multiplied through all F factors in
+    order."""
     c, s = np.cos(args), np.sin(args)
     k = rotor._cross_matrices(np.stack([c, s, np.zeros_like(c)], -1))[:, :, None]
     kk = k @ k
@@ -264,6 +269,34 @@ def per_q_products(args, rhos):
     return total
 
 
+def trace_angles(products):
+    """Rotation angles of a stack of 3x3 matrices, read from the trace."""
+    cosine = (np.trace(products, axis1=-2, axis2=-1) - 1.0) / 2.0
+    return np.arccos(np.clip(cosine, -1.0, 1.0))
+
+
+def per_row_spinors(args, rhos):
+    """The ordered product of one argument row (F,) at angles (k,), as
+    the spinor pair (alpha, beta) of alpha + beta j, factor by factor:
+    the pair cos(rho/2) + i sin(rho/2) cos(a), sin(rho/2) sin(a) of each
+    factor multiplied on the right.  Kept in numpy arrays, whose complex
+    multiply rounds like the library's at any length (numpy's complex
+    scalars round differently)."""
+    cos_half, sin_half = np.cos(0.5 * rhos), np.sin(0.5 * rhos)
+    alpha = beta = None
+    for a in args:
+        alpha_f, beta_f = cos_half + 1j * (sin_half * np.cos(a)), sin_half * np.sin(a)
+        if alpha is None:
+            alpha, beta = alpha_f, beta_f.astype(complex)
+        else:
+            alpha, beta = alpha * alpha_f - beta * beta_f, alpha * beta_f + beta * alpha_f.conj()
+    return alpha, beta
+
+
+def half_angles(alpha, beta):
+    return 2.0 * np.arctan2(np.hypot(alpha.imag, np.abs(beta)), np.abs(alpha.real))
+
+
 def range_inputs(q_max):
     """The argument block of every q <= q_max (all p coprime to q) and
     the detuned angles of each q, as certificate_arrays passes them."""
@@ -274,36 +307,86 @@ def range_inputs(q_max):
     return blocks, angles
 
 
-def range_products_match(q_max):
-    """One ragged kernel call over every (p, q) with q <= q_max equals
-    the per-q kernel, block by block, under np.array_equal."""
+def range_walk(q_max):
+    """One ragged kernel call over every (p, q) with q <= q_max."""
     blocks, angles = range_inputs(q_max)
-    got = rotor._ordered_products(
+    return rotor._ordered_products(
         blocks, np.concatenate([np.tile(a, (len(b), 1)) for b, a in zip(blocks, angles)]))
-    want = np.concatenate([per_q_products(b, a) for b, a in zip(blocks, angles)])
-    return got.shape == want.shape and np.array_equal(got, want)
 
 
-def theorem2_per_q(q_max, m_max):
-    """The theorem2 outcomes from one per-q kernel call per q."""
-    Ms = list(range(3, m_max + 1))
+def range_products_match(q_max):
+    """The ragged kernel equals the per-row spinor loop, row by row,
+    under np.array_equal."""
+    blocks, angles = range_inputs(q_max)
+    want = [per_row_spinors(row, a) for b, a in zip(blocks, angles) for row in b]
+    alpha, beta = range_walk(q_max)
+    return (alpha.shape == beta.shape == (len(want), len(MS) * 3)
+            and np.array_equal(alpha, [w[0] for w in want])
+            and np.array_equal(beta, [w[1] for w in want]))
+
+
+def theorem2_outcomes(q, angles, Ms):
+    """The theorem2 outcomes of one q from its (P, 3*len(Ms)) angles."""
     target = np.array([2.0 * math.pi / M for M in Ms])
+    angles = angles.reshape(len(angles), 3, len(Ms))
+    errors = np.abs(angles[:, 0] - target)
+    margins = np.minimum(np.abs(angles[:, 1] - target), np.abs(angles[:, 2] - target))
+    passed = (errors <= cli.TOL_ROTATION_ANGLE) & (margins > cli.MIN_FALSIFICATION_MARGIN)
+    return [outcome(f"theorem2/M={M}/p={p}/q={q}", ok, error)
+            for p, row_ok, row_errors in zip(coprime(q), passed.tolist(), errors.tolist())
+            for M, ok, error in zip(Ms, row_ok, row_errors)]
+
+
+def theorem2_per_row(q_max, m_max):
+    """The theorem2 outcomes from the per-row spinor loop."""
+    Ms = list(range(3, m_max + 1))
     outcomes = []
     for q in range(1, q_max + 1):
-        ps = coprime(q)
-        args = np.atleast_2d(rotor._product_factors(gauss.theta_sequences(ps, q)))
-        products = per_q_products(args, rotor._detuned_angles(q, Ms)[1])
-        angles = rotor.rotation_angle(products).reshape(len(ps), 3, len(Ms))
-        errors = np.abs(angles[:, 0] - target)
-        margins = np.minimum(np.abs(angles[:, 1] - target), np.abs(angles[:, 2] - target))
-        passed = (errors <= cli.TOL_ROTATION_ANGLE) & (margins > cli.MIN_FALSIFICATION_MARGIN)
-        for p, row_ok, row_errors in zip(ps, passed.tolist(), errors.tolist()):
-            outcomes.extend(outcome(f"theorem2/M={M}/p={p}/q={q}", ok, error)
-                            for M, ok, error in zip(Ms, row_ok, row_errors))
+        args = np.atleast_2d(rotor._product_factors(gauss.theta_sequences(coprime(q), q)))
+        rhos = rotor._detuned_angles(q, Ms)[1]
+        angles = np.array([half_angles(*per_row_spinors(row, rhos)) for row in args])
+        outcomes += theorem2_outcomes(q, angles, Ms)
     return outcomes
 
 
+def theorem2_per_q(q_max, m_max):
+    """The theorem2 outcomes from one per-q matrix kernel call per q."""
+    Ms = list(range(3, m_max + 1))
+    outcomes = []
+    for q in range(1, q_max + 1):
+        args = np.atleast_2d(rotor._product_factors(gauss.theta_sequences(coprime(q), q)))
+        outcomes += theorem2_outcomes(
+            q, trace_angles(per_q_products(args, rotor._detuned_angles(q, Ms)[1])), Ms)
+    return outcomes
+
+
+def outcomes_close(got, want, tol):
+    """Same cases and verdicts, residuals within tol."""
+    return (len(got) == len(want)
+            and all((g["case_id"], g["passed"]) == (w["case_id"], w["passed"])
+                    and abs(g["residual"] - w["residual"]) <= tol
+                    for g, w in zip(got, want)))
+
+
 def half_traces_per_case(xs, phi_rows):
+    """Lemma 3's lhs, one spinor pair product per factor per case: the
+    factor [[x, i conj(z)], [i z, x]] is the pair (x, i conj(z)), and
+    the half-trace is Re alpha.  Each case is a one-element array."""
+    lhs = []
+    for x, phis in zip(xs, phi_rows):
+        x = np.array([x])
+        alpha = beta = None
+        for phi in phis:
+            beta_f = 1j * np.array([complex(math.cos(phi), math.sin(phi))]).conj()
+            if alpha is None:
+                alpha, beta = x.astype(complex), beta_f
+            else:
+                alpha, beta = alpha * x - beta * beta_f.conj(), alpha * beta_f + beta * x
+        lhs.append(float(alpha.real[0]))
+    return lhs
+
+
+def half_traces_by_matrices(xs, phi_rows):
     """Lemma 3's lhs, one 2x2 product per factor per case."""
     lhs = []
     for x, phis in zip(xs, phi_rows):
@@ -333,12 +416,25 @@ def half_traces_match():
 
 
 def test_range_products_equal_the_per_q_kernel():
-    # every coprime pair with q <= 60, 1102 rows of 1 to 59 factors
+    # every coprime pair with q <= 60, 1102 rows of 1 to 59 factors, at
+    # all 24 angles: the walk's angles against the matrix route's
+    blocks, angles = range_inputs(60)
+    got = half_angles(*range_walk(60))
+    want = np.concatenate([trace_angles(per_q_products(b, a)) for b, a in zip(blocks, angles)])
+    assert got.shape == want.shape == (1102, 24)
+    assert np.abs(got - want).max() <= 1e-13
+
+
+def test_range_products_equal_the_per_row_walk():
     assert range_products_match(60)
 
 
 def test_theorem2_suite_equals_the_per_q_loop():
-    assert cli._suite_theorem2(30, 10) == theorem2_per_q(30, 10)
+    assert outcomes_close(cli._suite_theorem2(30, 10), theorem2_per_q(30, 10), 1e-13)
+
+
+def test_theorem2_suite_equals_the_per_row_walk():
+    assert cli._suite_theorem2(30, 10) == theorem2_per_row(30, 10)
 
 
 def test_certificate_rows_follow_the_tables_in_order():
@@ -349,7 +445,7 @@ def test_certificate_rows_follow_the_tables_in_order():
     assert arrays.p == (1, 3, 5, 7, 2, 1, 2) and arrays.q == (8, 8, 8, 8, 5, 3, 3)
     for i, (p, q) in enumerate(zip(arrays.p, arrays.q)):
         one = rotor.certificate_arrays([gauss.theta_sequence(p, q)], MS)
-        for name in ("rho", "angle", "angle_error", "falsification_margin", "product"):
+        for name in ("rho", "angle", "angle_error", "falsification_margin", "alpha", "beta"):
             assert np.array_equal(getattr(arrays, name)[i], getattr(one, name)[0]), (p, q, name)
     empty = rotor.certificate_arrays([], MS)
     assert empty.p == () and empty.angle.shape == (0, len(MS))
@@ -359,6 +455,10 @@ def test_stacked_half_traces_equal_the_per_case_loop():
     assert half_traces_match()
     xs, phi_rows = lemma3_inputs()
     assert len(set(map(len, phi_rows))) == 12
+    got = [r.lhs for r in rotor.trace_identity_evals(xs, phi_rows)]
+    want = half_traces_by_matrices(xs, phi_rows)
+    assert all(abs(g - w) <= 1e-13 * (1.0 + abs(x)) ** len(phis)
+               for g, w, x, phis in zip(got, want, xs, phi_rows))
 
 
 def test_verify_all_equals_the_five_single_suite_runs(capsys):
@@ -440,7 +540,8 @@ def test_oracles_catch_a_broken_ragged_layout(monkeypatch, mutation):
 
     monkeypatch.setattr(rotor, "_ragged_layout", broken)
     assert not range_products_match(8)
-    assert cli._suite_theorem2(8, 10) != theorem2_per_q(8, 10)
+    assert cli._suite_theorem2(8, 10) != theorem2_per_row(8, 10)
+    assert not outcomes_close(cli._suite_theorem2(8, 10), theorem2_per_q(8, 10), 1e-13)
     assert not half_traces_match()
 
 
@@ -449,7 +550,7 @@ def test_oracles_catch_a_broken_ragged_layout(monkeypatch, mutation):
 
 def test_batched_theorem2_product_memory_stays_linear_in_p_times_k():
     # q = 29: 28 rows of 29 factors at 24 angles.  Building all factors
-    # up front would hold 28*29*24 matrices per route (6.3 MB); one
+    # up front as rotation matrices held 28*29*24 of them (6.3 MB); one
     # factor at a time keeps the peak under 1 MB.
     q = 29
     args = rotor._product_factors(gauss.theta_sequences(coprime(q), q))
@@ -469,8 +570,8 @@ def test_batched_theorem2_product_memory_stays_linear_in_p_times_k():
 
 def test_range_theorem2_suite_memory_stays_linear_in_rows():
     # q <= 30: 278 rows of up to 29 factors (4640 in all) at 24 angles.
-    # Building every factor up front would hold 4640*24 matrices per
-    # route (8 MB); one factor at a time, the whole suite, outcomes
+    # Building every factor up front as rotation matrices held 4640*24
+    # of them (8 MB); one factor at a time, the whole suite, outcomes
     # included, stays under 3 MB.
     cli._suite_theorem2(30, 10)  # warm numpy's caches
     tracemalloc.start()
@@ -481,3 +582,20 @@ def test_range_theorem2_suite_memory_stays_linear_in_rows():
     finally:
         tracemalloc.stop()
     assert peak <= 3_000_000, peak
+
+
+def test_range_theorem2_suite_memory_holds_no_matrix_or_full_factor_arrays():
+    # q <= 60: 1102 rows of up to 59 factors at 24 angles.  With a
+    # (R, k, 3, 3) matrix product per row and the cosines and sines of
+    # every factor held at once, the suite peaked at 12.1 MB; as spinor
+    # pairs, with one factor's cosines and sines at a time, it stays
+    # under 8 MB, outcomes included.
+    cli._suite_theorem2(60, 10)  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        cli._suite_theorem2(60, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8_000_000, peak

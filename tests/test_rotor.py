@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyfil import gauss, rotor
-from polyfil.errors import NonUnitSpinor, NotARotation, UndefinedTheta
-from test_rotor_oracle import kernel_product, quaternion_product, rodrigues
+from polyfil.errors import NonUnitSpinor, UndefinedTheta
+from test_rotor_oracle import kernel_product, quaternion_product, rodrigues, trace_angle
 
 X_AXIS = (1.0, 0.0, 0.0)
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -97,11 +97,18 @@ def test_inter_side_angle_defining_equation():
 
 
 def test_rotation_angle_basics():
-    assert rotor.rotation_angle(np.eye(3)) == 0.0
-    r = rodrigues(Z_AXIS, 2 * math.pi / 3)
-    assert abs(rotor.rotation_angle(r) - 2 * math.pi / 3) < 1e-14
-    with pytest.raises(NotARotation):
-        rotor.rotation_angle(np.diag([1.0, 2.0, 0.5]))
+    # the half-angle read 2*atan2(|vector part|, |scalar part|)
+    def angle(alpha, beta):
+        return rotor._half_angle(np.array([alpha]), np.array([beta]))[0]
+
+    assert angle(1 + 0j, 0j) == 0.0
+    assert angle(-1 + 0j, 0j) == 0.0  # -s is the same rotation as s
+    third = complex(math.cos(math.pi / 3), 0.0), 1j * math.sin(math.pi / 3)
+    assert abs(angle(*third) - 2 * math.pi / 3) < 1e-15
+    assert np.allclose(rotor._spinor_matrices(np.array([third[0].real, 0.0, 0.0, third[1].imag])),
+                       rodrigues(Z_AXIS, 2 * math.pi / 3), atol=1e-15)
+    # a half turn reads pi with no clamp
+    assert angle(1j, 0j) == math.pi
 
 
 def test_product_single_factor_cases():
@@ -118,7 +125,7 @@ def test_product_single_factor_cases():
 def test_product_pentagon_angle():
     theta = gauss.theta_sequence(1, 3)
     rho = rotor.inter_side_angle(5, 3)
-    angle = rotor.rotation_angle(kernel_product(theta, rho))
+    angle = trace_angle(kernel_product(theta, rho))
     assert abs(angle - 2 * math.pi / 5) < 1e-9
 
 
@@ -153,6 +160,16 @@ def test_certificates_small_cases():
     assert abs(cert.falsification_margin - 0.05 * 2 * math.pi / 5) < 1e-12
 
 
+def test_certificate_angle_keeps_relative_accuracy_at_small_angles():
+    # the half-angle read keeps full relative precision as 2*pi/M
+    # shrinks, where an arccos of the trace loses it (3.8e-9, 6% of
+    # 2*pi/M, at M = 1e8 and (p, q) = (1, 3))
+    for M in (10**3, 10**6, 10**8, 10**12):
+        for p, q in ((1, 1), (1, 3), (3, 8), (2, 7)):
+            cert = rotor.certify_rotation_angle(M, p, q)
+            assert cert.angle_error <= 1e-15 * (2 * math.pi / M), (M, p, q)
+
+
 def test_certificates_sweep_modest():
     # the acceptance suite extends this to M <= 10, q <= 16
     for q in range(1, 9):
@@ -169,7 +186,7 @@ def test_equal_angle_consistency_q1():
     # a single corner rotation at the planar polygon's exterior angle
     for m in range(3, 11):
         theta = gauss.theta_sequence(1, 1)
-        angle = rotor.rotation_angle(kernel_product(theta, 2 * math.pi / m))
+        angle = trace_angle(kernel_product(theta, 2 * math.pi / m))
         assert abs(angle - 2 * math.pi / m) < 1e-14
 
 
@@ -241,15 +258,17 @@ def test_trace_identity_random(n, x, rng):
 
 
 def test_axis_angle_extraction():
-    r = rodrigues(Z_AXIS, 1.0)
-    aa = rotor.axis_angle_of(r)
-    assert aa.axis_stable
-    assert np.allclose(aa.axis, Z_AXIS, atol=1e-12)
-    assert abs(aa.angle - 1.0) < 1e-12
-
-    aa0 = rotor.axis_angle_of(np.eye(3))
-    assert aa0.axis is None and not aa0.axis_stable
-
-    aa_pi = rotor.axis_angle_of(rodrigues(X_AXIS, math.pi))
-    assert not aa_pi.axis_stable
-    assert abs(abs(aa_pi.axis[0]) - 1.0) < 1e-6
+    # the certificate's axis is the product's: fixed by its matrix, and
+    # turned so that the rotation about it by `angle` is the product
+    cert = rotor.certify_rotation_angle(5, 1, 1)
+    assert np.allclose(cert.axis, X_AXIS, atol=1e-15)
+    assert abs(cert.angle - 2 * math.pi / 5) < 1e-15
+    for M, p, q in ((5, 1, 3), (7, 3, 8), (3, 2, 7)):
+        cert = rotor.certify_rotation_angle(M, p, q)
+        axis = np.array(cert.axis)
+        assert abs(np.linalg.norm(axis) - 1.0) < 1e-15
+        assert np.abs(cert.product @ axis - axis).max() < 1e-14
+        assert np.abs(rodrigues(axis, cert.angle) - cert.product).max() < 1e-14
+    # no axis below an angle of 1e-6
+    tiny = rotor.certify_rotation_angle(10**8, 1, 1)
+    assert tiny.axis is None and tiny.angle > 0.0

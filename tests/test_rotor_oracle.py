@@ -1,8 +1,10 @@
-"""Batched rotation products and certificates against the per-factor
+"""The library's spinor products and certificates against the per-factor
 loop: one Rodrigues matrix and one quaternion per factor, multiplied in
 order, with the angle read from the trace.  The loop is plain numpy and
 restates the factor order and the admissibility rule, so it shares no
-code with the library's product."""
+code with the library's product.  It is the matrix route that the
+library no longer runs; the mutation tests check that it catches a
+wrong spinor route."""
 
 import math
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from polyfil import gauss, rotor
-from polyfil.errors import CrossCheckFailure, NotARotation
+from polyfil.errors import NonUnitSpinor
 
 
 def rodrigues(axis, angle):
@@ -59,10 +61,22 @@ def product_per_factor(theta, rho):
     return total
 
 
+def kernel_pair(theta, rho):
+    """The library's ordered product of a one-row table at one angle, as
+    its spinor pair (alpha, beta): the one-row, one-angle kernel call."""
+    alpha, beta = rotor._ordered_products([rotor._product_factors(theta)[None]],
+                                          np.array([[rho]]))
+    return alpha[0, 0], beta[0, 0]
+
+
+def pair_matrix(alpha, beta):
+    """The rotation matrix of the spinor alpha + beta j."""
+    return rotor._spinor_matrices(np.array([alpha.real, alpha.imag, beta.real, beta.imag]))
+
+
 def kernel_product(theta, rho):
-    """The library's ordered product of a one-row table at one angle:
-    the one-row, one-angle call of the kernel."""
-    return rotor._ordered_products([rotor._product_factors(theta)[None]], np.array([[rho]]))[0, 0]
+    """The rotation matrix of the kernel's product (kernel_pair)."""
+    return pair_matrix(*kernel_pair(theta, rho))
 
 
 def trace_angle(r):
@@ -80,6 +94,18 @@ def certificate_per_factor(M, p, q):
     return product, abs(trace_angle(product) - target), margin
 
 
+def matches_per_factor(M, p, q):
+    """Whether certify_rotation_angle(M, p, q) agrees with the per-factor
+    loop: its rho exactly, and its product, angle error and margin to
+    1e-12."""
+    cert = rotor.certify_rotation_angle(M, p, q)
+    product, angle_error, margin = certificate_per_factor(M, p, q)
+    return ((cert.M, cert.p, cert.q, cert.rho) == (M, p, q, rotor.inter_side_angle(M, q))
+            and np.abs(cert.product - product).max() <= 1e-12
+            and abs(cert.angle_error - angle_error) <= 1e-12
+            and abs(cert.falsification_margin - margin) <= 1e-12)
+
+
 def test_certificates_match_per_factor_loop():
     Ms = range(3, 11)
     for q in range(1, 17):
@@ -87,13 +113,7 @@ def test_certificates_match_per_factor_loop():
             if math.gcd(p, q) != 1:
                 continue
             for M in Ms:
-                cert = rotor.certify_rotation_angle(M, p, q)
-                assert (cert.M, cert.p, cert.q) == (M, p, q)
-                assert cert.rho == rotor.inter_side_angle(M, q)
-                product, angle_error, margin = certificate_per_factor(M, p, q)
-                assert np.abs(cert.product - product).max() <= 1e-12, (M, p, q)
-                assert abs(cert.angle_error - angle_error) <= 1e-12, (M, p, q)
-                assert abs(cert.falsification_margin - margin) <= 1e-12, (M, p, q)
+                assert matches_per_factor(M, p, q), (M, p, q)
 
 
 def test_certify_rotation_angle_is_one_entry_of_the_batch():
@@ -103,21 +123,24 @@ def test_certify_rotation_angle_is_one_entry_of_the_batch():
     assert (one.rho, one.angle, one.angle_error, one.falsification_margin) == (
         arrays.rho[0, 1], arrays.angle[0, 1], arrays.angle_error[0, 1],
         arrays.falsification_margin[0, 1])
-    assert np.array_equal(one.product, arrays.product[0, 1])
+    assert np.array_equal(one.product, pair_matrix(arrays.alpha[0, 1], arrays.beta[0, 1]))
 
 
 def test_product_shape_follows_rho():
     theta = gauss.theta_sequences([1, 3, 5], 7)
     rhos = np.array([0.2, 1.0, 3.0, 0.5])
-    stack = rotor._ordered_products([rotor._product_factors(theta)], np.tile(rhos, (3, 1)))
-    assert stack.shape == (3, 4, 3, 3)
+    alpha, beta = rotor._ordered_products([rotor._product_factors(theta)],
+                                          np.tile(rhos, (3, 1)))
+    assert alpha.shape == beta.shape == (3, 4)
     for i, p in enumerate([1, 3, 5]):
         one = gauss.theta_sequence(p, 7)
         for j, rho in enumerate(rhos):
-            assert np.array_equal(stack[i, j], kernel_product(one, rho))
-            assert np.abs(stack[i, j] - product_per_factor(one, rho)).max() <= 1e-12
+            assert (alpha[i, j], beta[i, j]) == kernel_pair(one, rho)
+            assert np.abs(pair_matrix(alpha[i, j], beta[i, j])
+                          - product_per_factor(one, rho)).max() <= 1e-12
     args = rotor._product_factors(gauss.theta_sequence(3, 7))[None]
-    assert rotor._ordered_products([args], np.empty((1, 0))).shape == (1, 0, 3, 3)
+    alpha, beta = rotor._ordered_products([args], np.empty((1, 0)))
+    assert alpha.shape == beta.shape == (1, 0)
 
 
 @pytest.mark.parametrize("rho", [
@@ -130,43 +153,57 @@ def test_product_rejects_rho_outside_open_interval(rho):
 
 
 def test_rotation_angle_of_a_stack():
+    # the half-angle read of a stack of spinors, and the unit-norm check
+    # that every product of the kernel passes
     angles = np.array([[0.1, 1.0], [2.0, 3.0]])
-    stack = np.array([[rodrigues((0.0, 0.6, 0.8), a) for a in row] for row in angles])
-    got = rotor.rotation_angle(stack)
+    axis = np.array([0.0, 0.6, 0.8])
+    alpha = np.cos(0.5 * angles) + 0j
+    beta = np.sin(0.5 * angles) * complex(axis[1], axis[2])
+    got = rotor._half_angle(alpha, beta)
     assert got.shape == (2, 2)
-    assert np.abs(got - angles).max() <= 1e-14
-    bad = stack.copy()
-    bad[1, 0] *= 1.001  # one scaled matrix spoils the whole stack
-    with pytest.raises(NotARotation):
-        rotor.rotation_angle(bad)
-    with pytest.raises(NotARotation):
-        rotor.rotation_angle(np.full((3, 3), np.nan))
+    assert np.abs(got - angles).max() <= 1e-15
+    for a, b, angle in zip(alpha.ravel(), beta.ravel(), angles.ravel()):
+        assert np.abs(pair_matrix(a, b) - rodrigues(axis, angle)).max() <= 1e-15
+    args = rotor._product_factors(gauss.theta_sequences([1, 2], 3))
+    with pytest.raises(NonUnitSpinor):
+        rotor._ordered_products([np.where(args == args[1, 2], np.nan, args)],
+                                np.full((2, 3), 0.5))
 
 
-def test_cross_check_fires_when_the_quaternion_route_is_wrong(monkeypatch):
-    theta = gauss.theta_sequence(1, 3)
-    rho = rotor.inter_side_angle(5, 3)
-    kernel_product(theta, rho)  # both routes agree
+def test_kernel_rejects_a_product_off_the_unit_sphere(monkeypatch):
+    correct = rotor._spinor_factor
 
+    def scaled(*args):
+        # one factor scaled by 1 + 1e-8 is off the sphere by 2e-8
+        alpha, beta = correct(*args)
+        return alpha * (1.0 + 1e-8), beta
+
+    monkeypatch.setattr(rotor, "_spinor_factor", scaled)
+    with pytest.raises(NonUnitSpinor):
+        rotor.certify_rotation_angle(5, 1, 1)
+
+
+def test_per_factor_loop_catches_the_quaternion_route_composed_as_inverse(monkeypatch):
+    assert matches_per_factor(5, 1, 3)
     correct = rotor._spinor_matrices
 
     def conjugated(spin):
-        # the quaternion route composed in the wrong order: s -> s^-1
+        # the rotation v -> s^-1 v s in place of s v s^-1: the same angle
+        # about the same axis, turned the other way
         return correct(spin * np.array([1.0, -1.0, -1.0, -1.0]))
 
     monkeypatch.setattr(rotor, "_spinor_matrices", conjugated)
-    with pytest.raises(CrossCheckFailure):
-        kernel_product(theta, rho)
-    with pytest.raises(CrossCheckFailure):
-        rotor.certify_rotation_angle(5, 1, 3)
+    assert not matches_per_factor(5, 1, 3)
+    assert not matches_per_factor(7, 3, 8)
 
 
-def test_cross_check_fires_when_a_spinor_factor_is_conjugated(monkeypatch):
+def test_per_factor_loop_catches_a_conjugated_spinor_factor(monkeypatch):
     # conjugating alpha_f mirrors the factor's axis to (-cos a, sin a, 0),
-    # which the matrix route does not do
-    theta = gauss.theta_sequence(2, 5)
+    # which the per-factor loop does not do; the mirrored product has the
+    # same angle, so only the matrices tell them apart
+    theta = gauss.theta_sequences([1, 2, 3, 4], 5)
     rho = rotor.inter_side_angle(7, 5)
-    kernel_product(theta, rho)
+    assert matches_per_factor(7, 2, 5)
     correct = rotor._spinor_factor
 
     def conjugated(*args):
@@ -174,10 +211,11 @@ def test_cross_check_fires_when_a_spinor_factor_is_conjugated(monkeypatch):
         return alpha.conj(), beta
 
     monkeypatch.setattr(rotor, "_spinor_factor", conjugated)
-    with pytest.raises(CrossCheckFailure):
-        rotor.certify_rotation_angle(7, 2, 5)
-    with pytest.raises(CrossCheckFailure):
-        rotor.certificate_arrays([gauss.theta_sequences([1, 2, 3, 4], 5)], [7])
+    assert not matches_per_factor(7, 2, 5)
+    arrays = rotor.certificate_arrays([theta], [7])
+    for i, p in enumerate(range(1, 5)):
+        got = pair_matrix(arrays.alpha[i, 0], arrays.beta[i, 0])
+        assert np.abs(got - product_per_factor(gauss.theta_sequence(p, 5), rho)).max() > 1e-12
 
 
 def test_complex_pair_route_matches_the_per_factor_quaternions():

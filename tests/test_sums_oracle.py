@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyfil import arith, cli, gauss, rotor, sums
+from test_batch_oracle import half_traces_per_case
 
 TOL = 1e-12
 
@@ -180,20 +181,15 @@ def test_sum_reports_equal_the_scalar_recurrence():
 
 
 def scalar_trace_identity_eval(x, phis):
-    """Both sides of the half-trace expansion of one case, the rhs
-    coefficients from the scalar recurrence."""
-    prod = np.eye(2, dtype=complex)
-    for phi in phis:
-        prod = prod @ np.array([
-            [x, 1j * complex(math.cos(phi), -math.sin(phi))],
-            [1j * complex(math.cos(phi), math.sin(phi)), x],
-        ])
+    """Both sides of the half-trace expansion of one case: the lhs from
+    the per-case spinor loop, the rhs coefficients from the scalar
+    recurrence."""
     n = len(phis)
     coeffs = scalar_alternating_products(
         [complex(math.cos(phi), math.sin(phi)) for phi in phis], n)
     rhs = math.fsum((-1.0) ** k * x ** (n - 2 * k) * coeffs[2 * k].real
                     for k in range(n // 2 + 1))
-    return rotor.TraceIdentityResult(lhs=0.5 * float(prod.trace().real), rhs=rhs)
+    return rotor.TraceIdentityResult(lhs=half_traces_per_case([x], [phis])[0], rhs=rhs)
 
 
 def test_lemma3_cases_equal_a_loop_through_the_oracle(monkeypatch, capsys):

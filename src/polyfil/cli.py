@@ -20,20 +20,23 @@ rotation and sums commands are the one-row calls of the same checks
 (rotor.certify_rotation_angle, whose matrix and axis come from the one
 spinor of the product, and sums.verify_sum_identities).
 
-Each JSON payload is encoded once, as one string, by _json_text: the
-bytes of json.dumps(payload, indent=2, allow_nan=False) plus a newline,
-written without json's pure-Python indent encoder (see the JSON writer
-section below).  The manifest timestamp is the current UTC time, or the
-time in SOURCE_DATE_EPOCH (integer seconds) when that is set, so that
-two runs can give byte-identical output.
+Each JSON payload is encoded once, as one string, by _json_text:
+json.dumps(payload, indent=2, allow_nan=False) plus a newline.  verify's
+outcomes, the one long list, are appended as the payload's last key
+through one row template that gives json.dumps's bytes (why: see the
+JSON writer section below).  The manifest timestamp
+is the current UTC time, or the time in SOURCE_DATE_EPOCH (integer
+seconds) when that is set, so that two runs can give byte-identical
+output.
 
 Exit codes: 0 all checks passed, 1 verification failure, 2 usage error
-(including a verify range or a sums k range that selects no case, a
-sums bound TOL_SUMS_PER_TERM * C(N, 2k) beyond the float range, found
-before any sum is evaluated, an unwritable simulate --out, found before
-the evolution starts, a simulate --grid below 1, a --tol that is
-negative or not finite, an --M or --q too large for a float and a
-SOURCE_DATE_EPOCH that is not an integer), 3 numerical abort (blow-up).
+(including a verify range or a sums k range that selects no case, sums
+--k given together with --k-max, a sums bound TOL_SUMS_PER_TERM *
+C(N, 2k) beyond the float range, found before any sum is evaluated, an
+unwritable simulate --out, found before the evolution starts, a
+simulate --grid below 1, a --tol that is negative or not finite, an
+--M or --q too large for a float and a SOURCE_DATE_EPOCH that is not an
+integer), 3 numerical abort (blow-up).
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ import sys
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from math import gcd
+from operator import itemgetter
 
 import numpy as np
 
@@ -140,114 +144,39 @@ def _manifest(command: str, parameters: dict, tolerances: dict) -> dict:
 
 # ------------------------------------------------------------- JSON writer
 #
-# json.dumps(..., indent=2) runs CPython's pure-Python encoder.  The
-# writer below gives the same bytes, with each scalar encoded as json
-# encodes it (its C string encoder, float.__repr__, int.__repr__); a
-# list of flat dicts that share one key order (the verify outcomes) is
-# written through one line template per list, its values encoded a
-# column at a time.  Nothing is substituted in encoded text, so no
-# string value can change the layout.
+# json.dumps with indent runs CPython's pure-Python encoder, so verify's
+# outcomes, most of its payload, go through one row template (json's C
+# string encoder, float.__repr__).  json.dumps alone (same bytes) made
+# perfbench's wall_s 21% worse on verify_all and 27% on verify_wide (4
+# alternating pairs, 2-vCPU VM; BENCH_17.json, "json_dumps_only").  No
+# value is put into encoded text, so no case id can change the layout.
 
-_INDENT = "  "
-_BOOL_TEXT = {True: "true", False: "false"}.__getitem__
+_OUTCOME_ROW = '    {\n      "case_id": %s,\n      "passed": %s,\n      "residual": %s\n    }'
 
 
-def _float_text(value: float) -> str:
-    text = float.__repr__(value)
-    if text[-1] in "nf":  # nan, inf, -inf
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    return text
+def _json_text(payload: dict, outcomes: list[dict] | None = None) -> str:
+    """json.dumps(payload, indent=2, allow_nan=False) + "\\n", with the
+    `outcomes` (records made by _outcome), when given, as the payload's
+    last key "outcomes".  NaN and infinity raise ValueError."""
+    if outcomes is None:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    text = json.dumps({**payload, "outcomes": []}, indent=2, allow_nan=False) + "\n"
+    if not outcomes:
+        return text
+    residuals = list(map(itemgetter("residual"), outcomes))
+    if not all(map(math.isfinite, residuals)):
+        raise ValueError("Out of range float values are not JSON compliant")
+    rows = map(_OUTCOME_ROW.__mod__, zip(
+        map(encode_basestring_ascii, map(itemgetter("case_id"), outcomes)),
+        map({True: "true", False: "false"}.__getitem__, map(itemgetter("passed"), outcomes)),
+        map(float.__repr__, residuals),
+    ))
+    # text ends with '"outcomes": []\n}\n'
+    return text[:-5] + "[\n" + ",\n".join(rows) + "\n  ]\n}\n"
 
 
-_SCALAR_TEXT = {
-    str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
-    bool: _BOOL_TEXT, type(None): lambda value: "null",
-}
-_SCALAR_TYPES = frozenset(_SCALAR_TEXT)
-
-
-def _scalar_text(value) -> str:
-    """One scalar as json.dumps writes it (subclasses as their base)."""
-    encode = _SCALAR_TEXT.get(type(value))
-    if encode is not None:
-        return encode(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _key_text(key) -> str:
-    """A dict key as json.dumps writes it: str as is, float, bool, None
-    and int converted to their JSON text."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, (int, float)) or key is None:
-        return encode_basestring_ascii(_scalar_text(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _column_text(column: tuple, types: set) -> list[str]:
-    """The scalars of one column, encoded; a column of one type (`types`
-    holds the column's types) is mapped at C speed."""
-    kind = next(iter(types)) if len(types) == 1 else None
-    if kind is float and all(map(math.isfinite, column)):
-        return list(map(float.__repr__, column))
-    if kind in (str, int, bool):
-        return list(map(_SCALAR_TEXT[kind], column))
-    return list(map(_scalar_text, column))
-
-
-def _flat_records_text(items: list, level: int) -> list[str] | None:
-    """Items that are all plain dicts with one key order and scalar
-    values, each written through one template; None for any other list."""
-    first = items[0]
-    if (type(first) is not dict or not first or set(map(type, items)) != {dict}
-            or len(set(map(tuple, items))) != 1 or set(map(type, first)) != {str}):
-        return None
-    columns = list(zip(*map(dict.values, items)))
-    types = [set(map(type, column)) for column in columns]
-    if not all(kinds <= _SCALAR_TYPES for kinds in types):
-        return None
-    inner = "\n" + _INDENT * (level + 1)
-    template = ("{" + inner + ("," + inner).join(
-        _key_text(key).replace("%", "%%") + ": %s" for key in first
-    ) + "\n" + _INDENT * level + "}")
-    return list(map(template.__mod__, zip(*map(_column_text, columns, types))))
-
-
-def _value_text(value, level: int) -> str:
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = [_key_text(key) + ": " + _value_text(item, level + 1)
-                 for key, item in value.items()]
-        opener, closer = "{", "}"
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        parts = _flat_records_text(value, level + 1)
-        if parts is None:
-            parts = [_value_text(item, level + 1) for item in value]
-        opener, closer = "[", "]"
-    else:
-        return _scalar_text(value)
-    inner = "\n" + _INDENT * (level + 1)
-    return opener + inner + ("," + inner).join(parts) + "\n" + _INDENT * level + closer
-
-
-def _json_text(payload: dict) -> str:
-    """The payload as indented JSON with a final newline: the bytes of
-    json.dumps(payload, indent=2, allow_nan=False) + "\\n".  NaN and
-    infinity raise ValueError; the payload must be a tree (no cycles)."""
-    return _value_text(payload, 0) + "\n"
-
-
-def _emit(payload: dict) -> None:
-    sys.stdout.write(_json_text(payload))
+def _emit(payload: dict, outcomes: list[dict] | None = None) -> None:
+    sys.stdout.write(_json_text(payload, outcomes))
 
 
 def _usage_error(message: str) -> int:
@@ -449,7 +378,7 @@ def cmd_rotation(args) -> int:
 
 
 def _outcome(case_id: str, passed: bool, residual: float) -> dict:
-    return {"case_id": case_id, "passed": bool(passed), "residual": residual}
+    return {"case_id": case_id, "passed": bool(passed), "residual": float(residual)}
 
 
 def _suite_vanishing(q_max: int, qs: _VerifyRange | None = None) -> list[dict]:
@@ -598,8 +527,7 @@ def cmd_verify(args) -> int:
             "total": len(outcomes),
             "failed": n_failed,
             "suites": per_suite,
-            "outcomes": outcomes,
-        })
+        }, outcomes)
     return EXIT_OK if n_failed == 0 else EXIT_VERIFICATION_FAILED
 
 
@@ -707,8 +635,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sums", help="cosine / exponential sum reports for (p, q)")
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--q", type=int, required=True)
-    s.add_argument("--k", type=int, default=None)
-    s.add_argument("--k-max", dest="k_max", type=int, default=None)
+    k_range = s.add_mutually_exclusive_group()
+    k_range.add_argument("--k", type=int, default=None)
+    k_range.add_argument("--k-max", dest="k_max", type=int, default=None)
     s.set_defaults(func=cmd_sums)
 
     r = sub.add_parser("rho", help="predicted inter-side angle for (M, q)")

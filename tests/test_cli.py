@@ -110,6 +110,15 @@ def test_sums_empty_k_range_is_usage_error(capsys, argv):
     assert out == ""
 
 
+def test_sums_k_with_k_max_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sums", "--p", "1", "--q", "12", "--k", "5", "--k-max", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument --k" in captured.err
+
+
 def test_verify_range_keeps_every_table_only_when_shared():
     # one suite reads each q once, in order, so it keeps one table; the
     # suites of verify --suite all share every table and fit
@@ -412,6 +421,26 @@ def test_source_date_epoch_makes_runs_byte_identical(capsys, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     code, payload = run_json(capsys, "rho", "--M", "5", "--q", "3")
     assert code == 0 and payload["manifest"]["timestamp"] == "1970-01-01T00:00:00+00:00"
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+def test_every_command_writes_json_dumps_indent_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        "gauss --p 5 --q 12", "gauss --p 1 --q 3 --n 1", "sums --p 1 --q 12",
+        "sums --p 2 --q 9 --k 2", "rho --M 5 --q 3", "rotation --M 5 --p 1 --q 3",
+        "verify --suite sums --q-max 6", "verify --suite theorem2 --q-max 4 --m-max 4",
+        "verify --suite lemma3", "verify --suite lemma4 --q-max 6",
+        "verify --suite vanishing --q-max 6", "verify --suite all --q-max 4 --m-max 4",
+        "simulate --M 3 --p 1 --q 1 --grid 96 --out tri",
+    ):
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0, argv
+        payload = json.loads(out, parse_constant=reject_constant)
+        assert out == json.dumps(payload, indent=2) + "\n", argv
 
 
 def test_unset_or_empty_source_date_epoch_gives_the_current_time(capsys, monkeypatch):

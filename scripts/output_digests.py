@@ -7,15 +7,19 @@ Every invocation runs in-process under SOURCE_DATE_EPOCH=0, which pins
 the manifest timestamp, inside a scratch directory, so that simulate's
 relative --out prefix (and with it the manifest) does not depend on
 where the script runs.  The invocations are the canonical list below
-(every command, verify in JSON and in CSV) and the benchmark
-workloads' operations at their smoke sizes.
+(every command, verify in JSON and in CSV), the benchmark workloads'
+operations at their smoke sizes, and the error paths (at least one per
+command), whose stderr is digested too.
 
 Usage:
     PYTHONPATH=src python scripts/output_digests.py [--smoke] > digests.txt
     diff digests-before.txt digests-after.txt
 
 Each line is "<sha256>  rc=<exit code>  <invocation> | <stream>", where
-the stream is stdout or the name of a file the invocation wrote.
+the stream is stdout, stderr (error paths only) or the name of a file
+the invocation wrote.  An argparse exit is recorded as its code, and
+any other exception that escapes the CLI as its name (rc=OverflowError),
+so the script also runs against a version of the CLI that raises.
 --smoke runs only the workload operations at smoke sizes.
 """
 
@@ -61,14 +65,55 @@ SMOKE = (
     "simulate --M 4 --p 1 --q 1 --grid 64 --out sim",
 )
 
+# usage errors of every command (exit 2), one argparse error, the two
+# integer arguments too large for an index or a float, and a blow-up
+# (exit 3); simulate's --out is relative, so its message holds no
+# scratch path
+ERRORS = (
+    "gauss --p 2 --q 4",
+    "gauss --p 2 --q 4 --n 0",
+    "gauss --p 1 --q 0",
+    "sums --p 2 --q 4",
+    "sums --p 1 --q 1",
+    "sums --p 3 --q 8 --k-max 0",
+    "sums --p 1 --q 3 --k 5",
+    "sums --p 1 --q 1031 --k 258",
+    "sums --p 1 --q 12 --k 5 --k-max 2",
+    "rho --M 2 --q 3",
+    f"rho --M {10**400} --q 3",
+    "rotation --M 3 --p 2 --q 4",
+    f"rotation --M {10**400} --p 1 --q 3",
+    "verify --suite vanishing --q-max -3",
+    "verify --suite theorem2 --m-max 2",
+    "verify --suite sums --q-max 1031",
+    f"verify --suite theorem2 --q-max 3 --m-max {10**41}",
+    "simulate --M 2 --p 1 --q 1 --out sim",
+    "simulate --M 3 --p 2 --q 4 --out sim",
+    "simulate --M 3 --p 1 --q 1 --grid 0 --out sim",
+    "simulate --M 5 --p 1 --q 3 --grid 1000 --out sim",
+    "simulate --M 3 --p 1 --q 1 --grid 96 --dt-factor nan --out sim",
+    "simulate --M 3 --p 1 --q 1 --grid 96 --tol -0.1 --out sim",
+    "simulate --M 3 --p 1 --q 1 --grid 96 --out missing/sim",
+    "simulate --M 3 --p 1 --q 1 --grid 96 --dt-factor 100 --out sim",
+    f"simulate --M 3 --p {10**400} --q 1 --grid 96 --out sim",
+)
 
-def digest_lines(invocation: str) -> list[str]:
+
+def digest_lines(invocation: str, stderr: bool = False) -> list[str]:
     """Run one invocation in the current directory, which it must leave
-    empty of files it did not write; return its digest lines."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        rc = cli.main(invocation.split())
+    empty of files it did not write; return its digest lines, with one
+    for stderr when `stderr` is set."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(invocation.split())
+        except SystemExit as exc:
+            rc = exc.code
+        except Exception as exc:
+            rc = type(exc).__name__
     streams = [("stdout", out.getvalue().encode())]
+    if stderr:
+        streams.append(("stderr", err.getvalue().encode()))
     for name in sorted(os.listdir(os.curdir)):
         with open(name, "rb") as handle:
             streams.append((name, handle.read()))
@@ -84,6 +129,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     invocations = SMOKE if args.smoke else CANONICAL + tuple(
         line for line in SMOKE if line not in CANONICAL)
+    errors = () if args.smoke else ERRORS
     os.environ["SOURCE_DATE_EPOCH"] = "0"
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
@@ -91,6 +137,8 @@ def main(argv=None) -> int:
         try:
             for invocation in invocations:
                 print("\n".join(digest_lines(invocation)), flush=True)
+            for invocation in errors:
+                print("\n".join(digest_lines(invocation, stderr=True)), flush=True)
         finally:
             os.chdir(home)
     return 0

@@ -29,14 +29,13 @@ is the current UTC time, or the time in SOURCE_DATE_EPOCH (integer
 seconds) when that is set, so that two runs can give byte-identical
 output.
 
-Exit codes: 0 all checks passed, 1 verification failure, 2 usage error
-(including a verify range or a sums k range that selects no case, sums
---k given together with --k-max, a sums bound TOL_SUMS_PER_TERM *
-C(N, 2k) beyond the float range, found before any sum is evaluated, an
-unwritable simulate --out, found before the evolution starts, a
-simulate --grid below 1, a --tol that is negative or not finite, an
---M or --q too large for a float and a SOURCE_DATE_EPOCH that is not an
-integer), 3 numerical abort (blow-up).
+Exit codes: a command returns 0 (all checks passed) or 1 (a check
+failed); main alone turns an error into a code.  2, usage error: an
+argparse error, or a PolyfilError, ValueError or OverflowError (an
+argument out of range, not coprime or too large for a float, a range
+that selects no case, a sums bound beyond the float range, a bad
+SOURCE_DATE_EPOCH), or an OSError (output that cannot be written; --out
+is checked before the evolution starts).  3, numerical abort: BlowUp.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ import numpy as np
 
 from . import __version__
 from .arith import admissible_mask
-from .errors import BlowUp, NotCoprime, PolyfilError, RangeError
+from .errors import BlowUp, PolyfilError, RangeError
 from .gauss import (
     GaussSumValue,
     QuadraticPhase,
@@ -179,11 +178,6 @@ def _emit(payload: dict, outcomes: list[dict] | None = None) -> None:
     sys.stdout.write(_json_text(payload, outcomes))
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _complex_json(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
@@ -266,10 +260,7 @@ def _theorem2_passed(cert: RotationCertificate | CertificateArrays):
 
 def cmd_gauss(args) -> int:
     if args.n is None:
-        try:
-            theta = theta_sequence(args.p, args.q)
-        except (NotCoprime, ValueError) as exc:
-            return _usage_error(str(exc))
+        theta = theta_sequence(args.p, args.q)
         _emit({
             "manifest": _manifest(
                 "gauss", {"p": args.p, "q": args.q}, {"vanishing_rel": TOL_VANISHING}
@@ -279,10 +270,7 @@ def cmd_gauss(args) -> int:
             "entries": [_entry_json(n, theta.entry(n)) for n in range(args.q)],
         })
         return EXIT_OK
-    try:
-        entry = gauss_sum(args.p, args.q, args.n)
-    except (NotCoprime, ValueError) as exc:
-        return _usage_error(str(exc))
+    entry = gauss_sum(args.p, args.q, args.n)
     payload = {
         "manifest": _manifest(
             "gauss",
@@ -298,17 +286,14 @@ def cmd_gauss(args) -> int:
 def cmd_sums(args) -> int:
     ks = [args.k] if args.k is not None else [
         k for k in range(1, args.q // 2 + 1) if args.k_max is None or k <= args.k_max]
-    try:
-        _check_sums_bounds(args.q, ks)
-        if args.k is not None:
-            reports = [sum_report(args.p, args.q, args.k)]
-        else:
-            reports = verify_sum_identities(args.p, args.q, k_max=args.k_max)
-    except (PolyfilError, ValueError) as exc:
-        return _usage_error(str(exc))
+    _check_sums_bounds(args.q, ks)
+    if args.k is not None:
+        reports = [sum_report(args.p, args.q, args.k)]
+    else:
+        reports = verify_sum_identities(args.p, args.q, k_max=args.k_max)
     if not reports:
         cap = "" if args.k_max is None else f" and k <= {args.k_max}"
-        return _usage_error(f"no k with 0 < 2k <= {args.q}{cap}")
+        raise RangeError(f"no k with 0 < 2k <= {args.q}{cap}")
     payload = {
         "manifest": _manifest(
             "sums",
@@ -332,10 +317,7 @@ def cmd_sums(args) -> int:
 
 
 def cmd_rho(args) -> int:
-    try:
-        rho = inter_side_angle(args.M, args.q)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    rho = inter_side_angle(args.M, args.q)
     payload = {
         "manifest": _manifest("rho", {"M": args.M, "q": args.q}, {}),
         "M": args.M,
@@ -347,10 +329,7 @@ def cmd_rho(args) -> int:
 
 
 def cmd_rotation(args) -> int:
-    try:
-        cert = certify_rotation_angle(args.M, args.p, args.q)
-    except (PolyfilError, ValueError) as exc:
-        return _usage_error(str(exc))
+    cert = certify_rotation_angle(args.M, args.p, args.q)
     passed = _theorem2_passed(cert)
     payload = {
         "manifest": _manifest(
@@ -486,12 +465,9 @@ def cmd_verify(args) -> int:
     outcomes: list[dict] = []
     per_suite: dict[str, dict] = {}
     for name in selected:
-        try:
-            suite_outcomes = suites[name]()
-        except RangeError as exc:
-            return _usage_error(str(exc))
+        suite_outcomes = suites[name]()
         if not suite_outcomes:
-            return _usage_error(
+            raise RangeError(
                 f"suite {name} selects no case for --q-max {args.q_max} "
                 f"--m-max {args.m_max}"
             )
@@ -553,26 +529,19 @@ def write_field_csvs(prefix: str, field: TangentField, curve: CurveSample) -> No
 
 def cmd_simulate(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
-        return _usage_error(f"--tol must be finite and nonnegative, got {args.tol}")
-    try:
-        config = SimulationConfig(
-            M=args.M, p=args.p, q=args.q,
-            grid_points=args.grid, dt_factor=args.dt_factor,
-        )
-    except (ValueError, PolyfilError) as exc:
-        return _usage_error(str(exc))
+        raise RangeError(f"--tol must be finite and nonnegative, got {args.tol}")
+    config = SimulationConfig(
+        M=args.M, p=args.p, q=args.q,
+        grid_points=args.grid, dt_factor=args.dt_factor,
+    )
 
     prefix = args.out or f"simulate_M{config.M}_p{config.p}_q{config.q}"
     directory = os.path.dirname(prefix) or os.curdir
     if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
-        return _usage_error(f"cannot write output: {directory!r} is not a writable directory")
+        raise RangeError(f"cannot write output: {directory!r} is not a writable directory")
 
     start = initial_tangent(config.M, config.grid_points)
-    try:
-        evolved = evolve(start, config.rational_time, config)
-    except BlowUp as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
+    evolved = evolve(start, config.rational_time, config)
 
     report = analyze_polygon(evolved, config)
     curve = reconstruct_curve(evolved)
@@ -603,12 +572,9 @@ def cmd_simulate(args) -> int:
         "files": [f"{prefix}.tangent.csv", f"{prefix}.curve.csv"],
     }
     text = _json_text(summary)
-    try:
-        write_field_csvs(prefix, evolved, curve)
-        with open(f"{prefix}.summary.json", "w") as handle:
-            handle.write(text)
-    except OSError as exc:
-        return _usage_error(f"cannot write output: {exc}")
+    write_field_csvs(prefix, evolved, curve)
+    with open(f"{prefix}.summary.json", "w") as handle:
+        handle.write(text)
     sys.stdout.write(text)
     return EXIT_OK if report.relative_error <= args.tol else EXIT_VERIFICATION_FAILED
 
@@ -673,12 +639,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place where an error becomes an exit code."""
     args = build_parser().parse_args(argv)
     try:
         _source_date_epoch()
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    return args.func(args)
+        return args.func(args)
+    except BlowUp as exc:
+        message, code = str(exc), EXIT_BLOWUP
+    except (PolyfilError, ValueError, OverflowError) as exc:
+        message, code = str(exc), EXIT_USAGE
+    except OSError as exc:
+        message, code = f"cannot write output: {exc}", EXIT_USAGE
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

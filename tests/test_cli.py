@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import json
@@ -12,6 +13,7 @@ import pytest
 
 from polyfil import cli, gauss, rotor, sums
 from polyfil.cli import main
+from polyfil.errors import NonUnitSpinor
 from polyfil.vfe import (
     CurveSample, SimulationConfig, TangentField, evolve, initial_tangent,
 )
@@ -193,15 +195,24 @@ def test_rotation_exit_code_follows_check(capsys, argv, code, passed):
     }
 
 
-@pytest.mark.parametrize("argv", [
-    ("rho", "--M", "1" + "0" * 400, "--q", "3"),
-    ("rho", "--M", "5", "--q", "1" + "0" * 400),
-    ("rotation", "--M", "1" + "0" * 400, "--p", "1", "--q", "3"),
-])
-def test_rho_and_rotation_reject_values_beyond_float(capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    (("rho", "--M", "1" + "0" * 400, "--q", "3"), "float"),
+    (("rho", "--M", "5", "--q", "1" + "0" * 400), "float"),
+    (("rotation", "--M", "1" + "0" * 400, "--p", "1", "--q", "3"), "float"),
+    # len(range(3, m_max + 1)) does not fit an index
+    (("verify", "--suite", "theorem2", "--q-max", "3", "--m-max", "1" + "0" * 41),
+     "too large"),
+    # the rational time 2*pi*p/(q*M^2) does not fit a float
+    (("simulate", "--M", "3", "--p", "1" + "0" * 400, "--q", "1", "--grid", "96"),
+     "float"),
+], ids=["rho-M", "rho-q", "rotation-M", "verify-m-max", "simulate-p"])
+def test_values_beyond_float_or_index_are_usage_errors(tmp_path, monkeypatch, capsys,
+                                                       argv, message):
+    monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and "float" in err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -303,6 +314,34 @@ def test_verify_lemma4_one_table_per_q(capsys, monkeypatch):
     code, payload = run_json(capsys, "verify", "--suite", "lemma4", "--q-max", "8")
     assert code == 0 and payload["total"] == 22
     assert calls == {"_gauss_table": 8, "theta_sequence": 0, "rho_sizes": []}
+
+
+def test_verify_package_error_is_usage_error(capsys, monkeypatch):
+    def drifted(*args, **kwargs):
+        raise NonUnitSpinor("spinor norm drifted")
+
+    monkeypatch.setattr(cli, "certificate_arrays", drifted)
+    code, out, err = run_cli(capsys, "verify", "--suite", "theorem2", "--q-max", "4")
+    assert code == 2 and out == ""
+    assert err == "error: spinor norm drifted\n"
+
+
+def test_exit_codes_are_decided_in_main_alone():
+    # no command catches an error, and only main reads the codes 2 and 3
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    commands = [name for name in functions if name.startswith("cmd_")]
+    assert len(commands) == 6
+    for name in commands:
+        assert not any(isinstance(node, ast.Try) for node in ast.walk(functions[name])), name
+
+    def reads(node):
+        return sorted(name.id for name in ast.walk(node) if isinstance(name, ast.Name)
+                      and name.id in ("EXIT_USAGE", "EXIT_BLOWUP")
+                      and isinstance(name.ctx, ast.Load))
+
+    assert set(reads(functions["main"])) == {"EXIT_USAGE", "EXIT_BLOWUP"}
+    assert reads(tree) == reads(functions["main"])
 
 
 def test_verify_sums_suite(capsys):
@@ -655,6 +694,20 @@ def test_simulate_checks_out_before_evolving(tmp_path, monkeypatch, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: cannot write output")
     assert not list(tmp_path.iterdir())
+
+
+def test_simulate_write_failure_is_usage_error(tmp_path, monkeypatch, capsys):
+    # an OSError while the sidecar files are written, after the run
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "write_field_csvs", full_disk)
+    code, out, err = run_cli(
+        capsys, "simulate", "--M", "3", "--p", "1", "--q", "1", "--grid", "96",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: cannot write output: [Errno 28] No space left on device\n"
 
 
 @pytest.mark.parametrize("flag", [

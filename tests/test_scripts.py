@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -55,3 +56,28 @@ def test_output_digests_script(tmp_path):
     # the summary file holds the stdout bytes
     sim = "simulate --M 5 --p 1 --q 3 --grid 240 --out sim"
     assert digests[f"{sim} | stdout"] == digests[f"{sim} | sim.summary.json"]
+
+
+def test_output_digests_records_error_paths(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "output_digests", ROOT / "scripts" / "output_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    monkeypatch.chdir(tmp_path)
+    empty = hashlib.sha256(b"").hexdigest()
+    # a usage error and an argparse exit: rc 2, a message on stderr only
+    for invocation in ("rho --M 2 --q 3", "sums --p 1 --q 12 --k 5 --k-max 2"):
+        out, err = digests.digest_lines(invocation, stderr=True)
+        assert out == f"{empty}  rc=2  {invocation} | stdout"
+        assert err.endswith(f"  rc=2  {invocation} | stderr")
+        assert not err.startswith(empty)
+    # an exception that escapes the CLI is recorded by name
+    def raises(argv):
+        raise OverflowError("too large")
+
+    monkeypatch.setattr(digests.cli, "main", raises)
+    assert digests.digest_lines("rho --M 5 --q 3", stderr=True) == [
+        f"{empty}  rc=OverflowError  rho --M 5 --q 3 | stdout",
+        f"{empty}  rc=OverflowError  rho --M 5 --q 3 | stderr",
+    ]
+    assert not list(tmp_path.iterdir())

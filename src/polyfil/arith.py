@@ -22,6 +22,7 @@ __all__ = [
     "mod_inverse",
     "parity_info",
     "admissible_mask",
+    "admissible_count",
     "enumerate_index_vectors",
     "cyclic_shift",
     "alternating_sum",
@@ -72,6 +73,15 @@ def admissible_mask(q: int) -> np.ndarray:
         raise ValueError(f"q must be positive, got {q}")
     n = np.arange(q, dtype=np.int64)
     return (2 * n + 2 - q) % 4 != 0
+
+
+def admissible_count(q: int) -> int:
+    """The number of True entries of admissible_mask(q), without the
+    q-long array: q for odd q, q/2 for even q (one n of each pair n,
+    n + 1 gives 2n + 2 - q = 2 mod 4)."""
+    if q < 1:
+        raise ValueError(f"q must be positive, got {q}")
+    return q if q % 2 == 1 else q // 2
 
 
 def enumerate_index_vectors(k: int, N: int) -> Iterator[tuple[int, ...]]:

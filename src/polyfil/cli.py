@@ -5,14 +5,15 @@ JSON on stdout (CSV available for verify), carrying a reproducibility
 manifest; bulk field data from simulate goes to CSV sidecar files whose
 manifest lives in the accompanying summary JSON.
 
-verify runs per range, not per (p, q).  Each q's stacked table
-(gauss.theta_sequences) of every p coprime to q, and its phase fit, are
-built once and shared by every selected suite (_VerifyRange).  The
-vanishing, lemma4 and sums suites read them per q, through
-gauss.max_phase_defects and sums.sum_arrays; the theorem2 suite makes
-one rotor.certificate_arrays call over the tables of the whole range;
-the lemma3 suite draws all its cases first and evaluates them in one
-call (rotor.trace_identity_evals).  The arrays become outcomes with no
+verify makes one pass over q = 1..q_max (_verify_outcomes).  Each q
+that a selected suite reads gets one stacked table
+(gauss.theta_sequences) of every p coprime to q, and one phase fit when
+lemma4 or sums is selected.  The per-q checks of vanishing, lemma4 and
+sums read them, through gauss.max_phase_defects and sums.sum_arrays,
+and the table is dropped after its q, unless theorem2 is selected: it
+keeps every table for one rotor.certificate_arrays call after the pass.
+lemma3 draws all its cases first and evaluates them in one call
+(rotor.trace_identity_evals).  The arrays become outcomes with no
 per-case object in between, and the outcomes equal those of a loop over
 single pairs or cases bit for bit.  Both rotor checks run on one spinor
 walk, and the angle is read from the half angle of the product.  The
@@ -33,9 +34,10 @@ Exit codes: a command returns 0 (all checks passed) or 1 (a check
 failed); main alone turns an error into a code.  2, usage error: an
 argparse error, or a PolyfilError, ValueError or OverflowError (an
 argument out of range, not coprime or too large for a float, a range
-that selects no case, a sums bound beyond the float range, a bad
-SOURCE_DATE_EPOCH), or an OSError (output that cannot be written; --out
-is checked before the evolution starts).  3, numerical abort: BlowUp.
+that selects no case, a sums bound beyond the float range, a simulate
+run of more than vfe.MAX_STEPS steps, a bad SOURCE_DATE_EPOCH), or an
+OSError (output that cannot be written; --out is checked before the
+evolution starts).  3, numerical abort: BlowUp.
 """
 
 from __future__ import annotations
@@ -55,11 +57,10 @@ from operator import itemgetter
 import numpy as np
 
 from . import __version__
-from .arith import admissible_mask
+from .arith import admissible_count, admissible_mask
 from .errors import BlowUp, PolyfilError, RangeError
 from .gauss import (
     GaussSumValue,
-    QuadraticPhase,
     ThetaSequence,
     VANISHING_RELATIVE_TOL,
     _fit_phase,
@@ -193,45 +194,17 @@ def _entry_json(n: int, entry: GaussSumValue) -> dict:
     }
 
 
-class _VerifyRange:
-    """The q of a verify range, each with every p in 1..q coprime to it
-    (`rows`), and each q's stacked table (gauss.theta_sequences) and
-    phase fit, built once, when a suite first reads them.  One range
-    serves every suite of a verify run.  A range that is not `shared`
-    (one suite reads it) keeps only the table of the last q read, since
-    a suite reads the q in order; the fits, one (a, b) per row, are all
-    kept."""
-
-    def __init__(self, q_max: int, shared: bool = False) -> None:
-        self.rows = {q: [p for p in range(1, q + 1) if gcd(p, q) == 1]
-                     for q in range(1, q_max + 1)}
-        self.shared = shared
-        self._tables: dict[int, ThetaSequence] = {}
-        self._fits: dict[int, QuadraticPhase] = {}
-
-    def table(self, q: int) -> ThetaSequence:
-        if q not in self._tables:
-            if not self.shared:
-                self._tables.clear()
-            self._tables[q] = theta_sequences(self.rows[q], q)
-        return self._tables[q]
-
-    def fit(self, q: int) -> QuadraticPhase:
-        if q not in self._fits:
-            self._fits[q] = _fit_phase(self.table(q))
-        return self._fits[q]
-
-
 def _check_sums_bounds(q: int, ks) -> None:
     """Raise RangeError when the residual bound TOL_SUMS_PER_TERM *
-    C(N, 2k) of a k in ks (N admissible indices at q) exceeds the float
-    range; checked before any sum is evaluated.  A k outside 0 < 2k <= q
-    is left to the evaluation, which rejects it."""
-    ks = [k for k in ks if 0 < 2 * k <= q]
-    if not ks:
-        return
-    n = int(np.count_nonzero(admissible_mask(q)))
+    C(N, 2k) of a k in ks (N = arith.admissible_count(q)) exceeds the
+    float range; checked before any sum is evaluated.  ks is walked
+    lazily and the walk stops at the first overflowing k, so a range of
+    every k up to q/2 costs a few steps at a huge q.  A k outside
+    0 < 2k <= q is left to the evaluation, which rejects it."""
     for k in ks:
+        if not 0 < 2 * k <= q:
+            continue
+        n = admissible_count(q)
         try:
             TOL_SUMS_PER_TERM * math.comb(n, 2 * k)
         except OverflowError:
@@ -284,8 +257,8 @@ def cmd_gauss(args) -> int:
 
 
 def cmd_sums(args) -> int:
-    ks = [args.k] if args.k is not None else [
-        k for k in range(1, args.q // 2 + 1) if args.k_max is None or k <= args.k_max]
+    top = args.q // 2 if args.k_max is None else min(args.q // 2, args.k_max)
+    ks = range(1, top + 1) if args.k is None else [args.k]
     _check_sums_bounds(args.q, ks)
     if args.k is not None:
         reports = [sum_report(args.p, args.q, args.k)]
@@ -360,76 +333,50 @@ def _outcome(case_id: str, passed: bool, residual: float) -> dict:
     return {"case_id": case_id, "passed": bool(passed), "residual": float(residual)}
 
 
-def _suite_vanishing(q_max: int, qs: _VerifyRange | None = None) -> list[dict]:
-    qs = qs or _VerifyRange(q_max)
-    outcomes = []
-    for q, ps in qs.rows.items():
-        theta = qs.table(q)
-        expected_modulus = math.sqrt(q) if q % 2 == 1 else math.sqrt(2 * q)
-        tol = TOL_VANISHING * max(1.0, math.sqrt(q))
-        should_vanish = ~admissible_mask(q)
-        pattern_ok = (theta.vanishing == should_vanish).all(axis=-1)
-        residuals = np.maximum(
-            theta.moduli[:, should_vanish].max(axis=-1, initial=0.0),
-            np.abs(theta.moduli[:, ~should_vanish] - expected_modulus).max(
-                axis=-1, initial=0.0),
-        )
-        for p, ok, residual in zip(ps, pattern_ok.tolist(), residuals.tolist()):
-            outcomes.append(_outcome(
-                f"vanishing/p={p}/q={q}", ok and residual <= tol, residual
-            ))
-    return outcomes
+def _vanishing_outcomes(q: int, ps: list[int], table: ThetaSequence, fit) -> list[dict]:
+    expected_modulus = math.sqrt(q) if q % 2 == 1 else math.sqrt(2 * q)
+    tol = TOL_VANISHING * max(1.0, math.sqrt(q))
+    should_vanish = ~admissible_mask(q)
+    pattern_ok = (table.vanishing == should_vanish).all(axis=-1)
+    residuals = np.maximum(
+        table.moduli[:, should_vanish].max(axis=-1, initial=0.0),
+        np.abs(table.moduli[:, ~should_vanish] - expected_modulus).max(axis=-1, initial=0.0),
+    )
+    return [_outcome(f"vanishing/p={p}/q={q}", ok and residual <= tol, residual)
+            for p, ok, residual in zip(ps, pattern_ok.tolist(), residuals.tolist())]
 
 
-def _suite_lemma4(q_max: int, qs: _VerifyRange | None = None) -> list[dict]:
-    qs = qs or _VerifyRange(q_max)
-    outcomes = []
-    for q, ps in qs.rows.items():
-        defects = max_phase_defects(qs.table(q), qs.fit(q))
-        for p, defect in zip(ps, defects.tolist()):
-            outcomes.append(
-                _outcome(f"lemma4/p={p}/q={q}", defect <= TOL_PHASE_MODEL, defect)
-            )
-    return outcomes
+def _lemma4_outcomes(q: int, ps: list[int], table: ThetaSequence, fit) -> list[dict]:
+    defects = max_phase_defects(table, fit)
+    return [_outcome(f"lemma4/p={p}/q={q}", defect <= TOL_PHASE_MODEL, defect)
+            for p, defect in zip(ps, defects.tolist())]
 
 
-def _suite_sums(q_max: int, qs: _VerifyRange | None = None) -> list[dict]:
-    qs = qs or _VerifyRange(q_max)
-    for q in reversed(qs.rows):  # the largest bounds first
-        _check_sums_bounds(q, range(1, q // 2 + 1))
-    outcomes = []
-    for q, ps in qs.rows.items():
-        if q < 2:
-            continue
-        sums = sum_arrays(qs.table(q), qs.fit(q))
-        for p, passed, residuals in zip(
-            ps, _sums_passed(sums).tolist(), sums.residual.tolist()
-        ):
-            outcomes.extend(
-                _outcome(f"sums/p={p}/q={q}/k={k}", ok, residual)
-                for k, ok, residual in zip(sums.k, passed, residuals)
-            )
-    return outcomes
+def _sums_outcomes(q: int, ps: list[int], table: ThetaSequence, fit) -> list[dict]:
+    sums = sum_arrays(table, fit)
+    return [_outcome(f"sums/p={p}/q={q}/k={k}", ok, residual)
+            for p, passed, residuals in zip(ps, _sums_passed(sums).tolist(),
+                                            sums.residual.tolist())
+            for k, ok, residual in zip(sums.k, passed, residuals)]
 
 
-def _suite_theorem2(q_max: int, m_max: int, qs: _VerifyRange | None = None) -> list[dict]:
-    Ms = range(3, m_max + 1)
+# the checks that read one q's table and fit, each with its first q
+# (no k has 0 < 2k <= 1)
+_PER_Q_CHECKS = {"sums": (2, _sums_outcomes), "lemma4": (1, _lemma4_outcomes),
+                 "vanishing": (1, _vanishing_outcomes)}
+
+
+def _theorem2_outcomes(tables: list[ThetaSequence], Ms: range) -> list[dict]:
     if not Ms:
         return []
-    qs = qs or _VerifyRange(q_max)
-    checks = certificate_arrays(map(qs.table, qs.rows), Ms)
-    outcomes = []
-    for p, q, passed, errors in zip(
-        checks.p, checks.q, _theorem2_passed(checks).tolist(), checks.angle_error.tolist()
-    ):
-        outcomes.extend(
-            _outcome(f"theorem2/M={M}/p={p}/q={q}", ok, error)
-            for M, ok, error in zip(Ms, passed, errors)
-        )
-    return outcomes
+    checks = certificate_arrays(tables, Ms)
+    return [_outcome(f"theorem2/M={M}/p={p}/q={q}", ok, error)
+            for p, q, passed, errors in zip(checks.p, checks.q, _theorem2_passed(checks).tolist(),
+                                            checks.angle_error.tolist())
+            for M, ok, error in zip(Ms, passed, errors)]
 
 
-def _suite_lemma3() -> list[dict]:
+def _lemma3_outcomes() -> list[dict]:
     rng = random.Random(_LEMMA3_SEED)
     # sign anchor: two opposite in-plane vectors at x = 1 must give 2
     xs, phi_rows = [1.0], [[0.0, math.pi]]
@@ -452,31 +399,53 @@ def _suite_lemma3() -> list[dict]:
     return outcomes
 
 
-def cmd_verify(args) -> int:
-    qs = _VerifyRange(args.q_max, shared=args.suite == "all")
-    suites = {
-        "sums": lambda: _suite_sums(args.q_max, qs),
-        "theorem2": lambda: _suite_theorem2(args.q_max, args.m_max, qs),
-        "lemma3": _suite_lemma3,
-        "lemma4": lambda: _suite_lemma4(args.q_max, qs),
-        "vanishing": lambda: _suite_vanishing(args.q_max, qs),
-    }
-    selected = list(suites) if args.suite == "all" else [args.suite]
-    outcomes: list[dict] = []
-    per_suite: dict[str, dict] = {}
+_SUITES = ("sums", "theorem2", "lemma3", "lemma4", "vanishing")
+
+
+def _verify_outcomes(selected, q_max: int, m_max: int) -> dict[str, list[dict]]:
+    """The outcomes of each suite in `selected` (in _SUITES order), in
+    order of q, then p, from one pass over q (see the module docstring).
+    The sums bounds are checked first, the largest q first; a suite that
+    selects no case raises RangeError, in the order of `selected`."""
+    if "sums" in selected:
+        for q in range(q_max, 1, -1):
+            _check_sums_bounds(q, range(1, q // 2 + 1))
+    Ms = range(3, m_max + 1) if "theorem2" in selected else range(0)
+    per_q = [(name, first, check) for name, (first, check) in _PER_Q_CHECKS.items()
+             if name in selected]
+    firsts = [first for _, first, _ in per_q] + ([1] if Ms else [])
+    fitted = "lemma4" in selected or "sums" in selected
+    found: dict[str, list[dict]] = {name: [] for name in selected}
+    tables = []
+    for q in range(min(firsts, default=q_max + 1), q_max + 1):
+        ps = [p for p in range(1, q + 1) if gcd(p, q) == 1]
+        table = theta_sequences(ps, q)
+        fit = _fit_phase(table) if fitted else None
+        for name, first, check in per_q:
+            if q >= first:
+                found[name] += check(q, ps, table, fit)
+        if Ms:
+            tables.append(table)
+    finish = {"theorem2": lambda: _theorem2_outcomes(tables, Ms), "lemma3": _lemma3_outcomes}
     for name in selected:
-        suite_outcomes = suites[name]()
-        if not suite_outcomes:
+        if name in finish:
+            found[name] = finish[name]()
+        if not found[name]:
             raise RangeError(
-                f"suite {name} selects no case for --q-max {args.q_max} "
-                f"--m-max {args.m_max}"
+                f"suite {name} selects no case for --q-max {q_max} --m-max {m_max}"
             )
-        per_suite[name] = {
-            "total": len(suite_outcomes),
-            "failed": sum(1 for o in suite_outcomes if not o["passed"]),
-        }
-        outcomes.extend(suite_outcomes)
-    outcomes.sort(key=lambda o: o["case_id"])
+    return found
+
+
+def cmd_verify(args) -> int:
+    found = _verify_outcomes(
+        _SUITES if args.suite == "all" else (args.suite,), args.q_max, args.m_max)
+    per_suite = {
+        name: {"total": len(cases), "failed": sum(1 for o in cases if not o["passed"])}
+        for name, cases in found.items()
+    }
+    outcomes = sorted((o for cases in found.values() for o in cases),
+                      key=itemgetter("case_id"))
 
     n_failed = sum(counts["failed"] for counts in per_suite.values())
     manifest = _manifest(
@@ -618,8 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     rot.set_defaults(func=cmd_rotation)
 
     v = sub.add_parser("verify", help="run a verification suite over coprime (p, q)")
-    v.add_argument("--suite", choices=["sums", "theorem2", "lemma3", "lemma4",
-                                       "vanishing", "all"], required=True)
+    v.add_argument("--suite", choices=[*_SUITES, "all"], required=True)
     v.add_argument("--q-max", dest="q_max", type=int, default=16)
     v.add_argument("--m-max", dest="m_max", type=int, default=10)
     v.add_argument("--format", choices=["json", "csv"], default="json")

@@ -65,6 +65,7 @@ from .rotor import inter_side_angle
 __all__ = [
     "DEFAULT_GRID_MULTIPLIER",
     "DEFAULT_DT_FACTOR",
+    "MAX_STEPS",
     "SimulationConfig",
     "TangentField",
     "PlateauReport",
@@ -85,6 +86,10 @@ __all__ = [
 
 DEFAULT_GRID_MULTIPLIER = 256
 DEFAULT_DT_FACTOR = 0.4
+# The most RK4 steps one evolve call takes: over 1000 times the 78,227
+# of the largest run in the tests, scripts and benchmark, and about 45
+# minutes at the pentagon's 27 us per step (grid 1920).
+MAX_STEPS = 10**8
 
 # Plateau statistics: each block keeps its central half, and side
 # detection accepts 0.2 rad of worst-block RMS deviation on blocks of at
@@ -425,8 +430,9 @@ def evolve(field: TangentField, t_target: float, config: SimulationConfig) -> Ta
     """Advance to t_target with dt = dt_factor * ds^2, renormalizing every
     sample after every step.  Only a fundamental domain of n/(2M) or n/M
     samples is stepped when the field has the symmetries (see the module
-    docstring).  Raises RangeError for a non-finite t_target or one before
-    the field's time, and BlowUp if any pre-normalization norm leaves
+    docstring).  Raises RangeError for a non-finite t_target, one before
+    the field's time, or one more than MAX_STEPS steps away (checked
+    before the first step), and BlowUp if any pre-normalization norm leaves
     [0.5, 2] or is not finite.  The result records the steps taken and
     the largest |norm - 1| before renormalization."""
     if not math.isfinite(t_target):
@@ -442,6 +448,11 @@ def evolve(field: TangentField, t_target: float, config: SimulationConfig) -> Ta
     dt = config.dt
     remaining = t_target - field.time
     n_full = int(remaining // dt)
+    if n_full > MAX_STEPS:
+        raise RangeError(
+            f"t_target={t_target:.6g} needs {remaining / dt:.3g} steps of "
+            f"dt={dt:.6g}, more than MAX_STEPS={MAX_STEPS}"
+        )
     tail = remaining - n_full * dt
 
     n = field.grid_points

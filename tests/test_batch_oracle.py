@@ -242,11 +242,17 @@ def sums_per_pair(q_max):
     ]
 
 
+def suite(name, q_max, m_max=10):
+    """One suite's outcomes, in order of q and p, from verify's one pass
+    over q."""
+    return cli._verify_outcomes((name,), q_max, m_max)[name]
+
+
 def test_batched_suites_equal_the_per_pair_loops():
-    assert cli._suite_sums(30) == sums_per_pair(30)
-    assert cli._suite_vanishing(60) == vanishing_per_pair(60)
-    assert cli._suite_lemma4(60) == lemma4_per_pair(60)
-    assert cli._suite_theorem2(16, 10) == theorem2_per_pair(16, 10)
+    assert suite("sums", 30) == sums_per_pair(30)
+    assert suite("vanishing", 60) == vanishing_per_pair(60)
+    assert suite("lemma4", 60) == lemma4_per_pair(60)
+    assert suite("theorem2", 16, 10) == theorem2_per_pair(16, 10)
 
 
 # ---------------------------------------- range kernels against the loops
@@ -430,11 +436,11 @@ def test_range_products_equal_the_per_row_walk():
 
 
 def test_theorem2_suite_equals_the_per_q_loop():
-    assert outcomes_close(cli._suite_theorem2(30, 10), theorem2_per_q(30, 10), 1e-13)
+    assert outcomes_close(suite("theorem2", 30, 10), theorem2_per_q(30, 10), 1e-13)
 
 
 def test_theorem2_suite_equals_the_per_row_walk():
-    assert cli._suite_theorem2(30, 10) == theorem2_per_row(30, 10)
+    assert suite("theorem2", 30, 10) == theorem2_per_row(30, 10)
 
 
 def test_certificate_rows_follow_the_tables_in_order():
@@ -491,10 +497,10 @@ def test_oracles_catch_permuted_rows(monkeypatch):
     assert not defect_rows_match(7)
     assert not certificate_rows_match(7)
     assert not sum_rows_match(7)
-    assert cli._suite_sums(12) != sums_per_pair(12)
-    assert cli._suite_vanishing(12) != vanishing_per_pair(12)
-    assert cli._suite_lemma4(12) != lemma4_per_pair(12)
-    assert cli._suite_theorem2(8, 10) != theorem2_per_pair(8, 10)
+    assert suite("sums", 12) != sums_per_pair(12)
+    assert suite("vanishing", 12) != vanishing_per_pair(12)
+    assert suite("lemma4", 12) != lemma4_per_pair(12)
+    assert suite("theorem2", 8, 10) != theorem2_per_pair(8, 10)
 
 
 def test_oracles_catch_a_shared_phase_coefficient(monkeypatch):
@@ -511,7 +517,7 @@ def test_oracles_catch_a_shared_phase_coefficient(monkeypatch):
     monkeypatch.setattr(cli, "_fit_phase", shared)
     assert not defect_rows_match(7)
     assert not sum_rows_match(7)
-    assert cli._suite_lemma4(7) != lemma4_per_pair(7)
+    assert suite("lemma4", 7) != lemma4_per_pair(7)
 
 
 def test_oracles_catch_reversed_factor_order(monkeypatch):
@@ -525,7 +531,7 @@ def test_oracles_catch_reversed_factor_order(monkeypatch):
     # the reversed product is a mirror image with the same angle, so the
     # angle errors differ from the per-pair ones only by roundoff
     assert not certificate_rows_match(5)
-    assert cli._suite_theorem2(8, 10) != theorem2_per_pair(8, 10)
+    assert suite("theorem2", 8, 10) != theorem2_per_pair(8, 10)
 
 
 @pytest.mark.parametrize("mutation", ["wrong-unsort", "prefix-one-row-short"])
@@ -540,8 +546,8 @@ def test_oracles_catch_a_broken_ragged_layout(monkeypatch, mutation):
 
     monkeypatch.setattr(rotor, "_ragged_layout", broken)
     assert not range_products_match(8)
-    assert cli._suite_theorem2(8, 10) != theorem2_per_row(8, 10)
-    assert not outcomes_close(cli._suite_theorem2(8, 10), theorem2_per_q(8, 10), 1e-13)
+    assert suite("theorem2", 8, 10) != theorem2_per_row(8, 10)
+    assert not outcomes_close(suite("theorem2", 8, 10), theorem2_per_q(8, 10), 1e-13)
     assert not half_traces_match()
 
 
@@ -573,11 +579,11 @@ def test_range_theorem2_suite_memory_stays_linear_in_rows():
     # Building every factor up front as rotation matrices held 4640*24
     # of them (8 MB); one factor at a time, the whole suite, outcomes
     # included, stays under 3 MB.
-    cli._suite_theorem2(30, 10)  # warm numpy's caches
+    suite("theorem2", 30, 10)  # warm numpy's caches
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        cli._suite_theorem2(30, 10)
+        suite("theorem2", 30, 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -590,11 +596,11 @@ def test_range_theorem2_suite_memory_holds_no_matrix_or_full_factor_arrays():
     # every factor held at once, the suite peaked at 12.1 MB; as spinor
     # pairs, with one factor's cosines and sines at a time, it stays
     # under 8 MB, outcomes included.
-    cli._suite_theorem2(60, 10)  # warm numpy's caches
+    suite("theorem2", 60, 10)  # warm numpy's caches
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        cli._suite_theorem2(60, 10)
+        suite("theorem2", 60, 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

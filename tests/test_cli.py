@@ -6,12 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polyfil import cli, gauss, rotor, sums
+from polyfil import cli, gauss, rotor, sums, vfe
 from polyfil.cli import main
 from polyfil.errors import NonUnitSpinor
 from polyfil.vfe import (
@@ -121,17 +122,6 @@ def test_sums_k_with_k_max_is_usage_error(capsys):
     assert "not allowed with argument --k" in captured.err
 
 
-def test_verify_range_keeps_every_table_only_when_shared():
-    # one suite reads each q once, in order, so it keeps one table; the
-    # suites of verify --suite all share every table and fit
-    for shared, kept in ((False, [8]), (True, list(range(1, 9)))):
-        qs = cli._VerifyRange(8, shared=shared)
-        for q in qs.rows:
-            table = qs.table(q)
-            assert qs.fit(q).q == q and qs.table(q) is table
-        assert sorted(qs._tables) == kept and sorted(qs._fits) == list(range(1, 9))
-
-
 @pytest.mark.parametrize("argv", [
     ("sums", "--p", "1", "--q", "1031", "--k", "258"),
     ("sums", "--p", "1", "--q", "1031"),
@@ -155,6 +145,25 @@ def test_sums_bound_inside_the_float_range_is_evaluated(capsys):
     [report] = payload["reports"]
     assert report["k"] == 245 and report["term_count"] == math.comb(1031, 490)
     assert code == (0 if report["passed"] else 1)
+
+
+def test_sums_bound_of_a_huge_q_stops_at_the_first_overflow():
+    # every k up to q/2 = 5e29 is in range; the bound walks them lazily and
+    # overflows at k = 6, before any list or table as long as q exists.
+    # Run in a child with its address space capped at 1.5 GB, so that a
+    # q-long list ends in a MemoryError there instead of filling the machine.
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))\n"
+        "from polyfil import cli\n"
+        "sys.exit(cli.main(['sums', '--p', '1', '--q', str(10**30)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith("error: the sums bound ") and proc.stderr.count("\n") == 1
+    assert "k=6 exceeds the float range" in proc.stderr
 
 
 @pytest.mark.parametrize("q", ["0", "-3"])
@@ -314,6 +323,35 @@ def test_verify_lemma4_one_table_per_q(capsys, monkeypatch):
     code, payload = run_json(capsys, "verify", "--suite", "lemma4", "--q-max", "8")
     assert code == 0 and payload["total"] == 22
     assert calls == {"_gauss_table": 8, "theta_sequence": 0, "rho_sizes": []}
+
+
+def test_verify_keeps_one_table_at_a_time_without_theorem2(capsys):
+    # lemma4 to q = 60, 1102 rows: the one pass drops each q's table after
+    # its checks, and the run, output text included, peaks under 1 MB.  A
+    # cache that kept every table peaked at 2.3 MB.
+    argv = ["verify", "--suite", "lemma4", "--q-max", "60"]
+    main(argv)  # warm numpy's caches
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(capsys.readouterr().out)["total"] == 1102
+    assert peak <= 1_000_000, peak
+
+
+@pytest.mark.parametrize("argv", [
+    ("--suite", "theorem2", "--m-max", "2"),
+    ("--suite", "sums", "--q-max", "1"),
+], ids=["theorem2-no-M", "sums-no-k"])
+def test_verify_builds_no_table_that_no_suite_reads(capsys, monkeypatch, argv):
+    calls = count_calls(monkeypatch, ("_gauss_table", "_fit_phase"))
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == "" and "selects no case" in err
+    assert calls == {"_gauss_table": 0, "_fit_phase": 0, "rho_sizes": []}
 
 
 def test_verify_package_error_is_usage_error(capsys, monkeypatch):
@@ -708,6 +746,26 @@ def test_simulate_write_failure_is_usage_error(tmp_path, monkeypatch, capsys):
     )
     assert code == 2 and out == ""
     assert err == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+def test_simulate_beyond_the_step_cap_is_usage_error(tmp_path, monkeypatch, capsys):
+    # t = 2*pi*10**10/9 asks for ~4e12 steps; evolve refuses before the
+    # first one.  (p = 10**300 would not test the cap: there every step is
+    # below evolve's negligible step 1e-16 * t, so without the cap the loop
+    # spins without ever calling rk4_step.)
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an RK4 step ran beyond MAX_STEPS")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(vfe, "rk4_step", must_not_run)
+    code, out, err = run_cli(
+        capsys, "simulate", "--M", "3", "--p", "1" + "0" * 10, "--q", "1",
+        "--grid", "96", "--out", "far",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"more than MAX_STEPS={vfe.MAX_STEPS}" in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("flag", [

@@ -94,6 +94,24 @@ def test_constant_field_is_fixed_point():
     assert out.time == 0.05
 
 
+def test_evolve_takes_at_most_max_steps(monkeypatch):
+    # the cap is checked before the first step: a target MAX_STEPS steps
+    # away reaches the (stubbed) stepper, one a few steps further does not
+    class Stepped(Exception):
+        pass
+
+    def stepper(*args, **kwargs):
+        raise Stepped
+
+    monkeypatch.setattr(vfe, "rk4_step", stepper)
+    cfg = vfe.SimulationConfig(M=3, p=1, q=1, grid_points=96)
+    field = vfe.initial_tangent(3, 96)
+    with pytest.raises(Stepped):
+        vfe.evolve(field, cfg.dt * vfe.MAX_STEPS, cfg)
+    with pytest.raises(RangeError, match="more than MAX_STEPS"):
+        vfe.evolve(field, cfg.dt * (vfe.MAX_STEPS + 10), cfg)
+
+
 def test_evolve_rejects_backward_time():
     cfg = vfe.SimulationConfig(M=3, p=1, q=1, grid_points=96)
     field = vfe.TangentField(1.0, vfe.initial_tangent(3, 96).samples)

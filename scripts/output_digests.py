@@ -51,6 +51,9 @@ CANONICAL = (
     "rotation --M 5 --p 100000000000000000001 --q 3",
     "gauss --p 5 --q 12",
     "simulate --M 5 --p 1 --q 3 --grid 240 --out sim",
+    # m = n/M = 45 is odd: the rotation-only domain, where every other
+    # simulate line steps the reflected half domain
+    "simulate --M 5 --p 1 --q 3 --grid 225 --out sim",
 )
 
 # verify_all, verify_wide, pentagon_evolve and sim_sweep (seed 1) at smoke sizes

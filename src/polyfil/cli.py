@@ -35,9 +35,10 @@ failed); main alone turns an error into a code.  2, usage error: an
 argparse error, or a PolyfilError, ValueError or OverflowError (an
 argument out of range, not coprime or too large for a float, a range
 that selects no case, a sums bound beyond the float range, a simulate
-run of more than vfe.MAX_STEPS steps, a bad SOURCE_DATE_EPOCH), or an
+run of more than vfe.MAX_STEPS steps, a bad SOURCE_DATE_EPOCH), an
 OSError (output that cannot be written; --out is checked before the
-evolution starts).  3, numerical abort: BlowUp.
+evolution starts), or a MemoryError (an argument whose arrays do not
+fit in memory, such as gauss --q 10**12).  3, numerical abort: BlowUp.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ from .rotor import (
 )
 from .sums import SumArrays, SumReport, sum_arrays, sum_report, verify_sum_identities
 from .vfe import (
+    DEFAULT_DT_FACTOR,
     CurveSample,
     SimulationConfig,
     TangentField,
@@ -598,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--p", type=int, required=True)
     sim.add_argument("--q", type=int, required=True)
     sim.add_argument("--grid", type=int, default=None)
-    sim.add_argument("--dt-factor", dest="dt_factor", type=float, default=0.4)
+    sim.add_argument("--dt-factor", dest="dt_factor", type=float, default=DEFAULT_DT_FACTOR)
     sim.add_argument("--out", type=str, default=None)
     sim.add_argument("--tol", type=float, default=DEFAULT_SIMULATE_TOL)
     sim.set_defaults(func=cmd_simulate)
@@ -618,6 +620,8 @@ def main(argv=None) -> int:
         message, code = str(exc), EXIT_USAGE
     except OSError as exc:
         message, code = f"cannot write output: {exc}", EXIT_USAGE
+    except MemoryError as exc:
+        message, code = f"out of memory: {exc}", EXIT_USAGE
     print(f"error: {message}", file=sys.stderr)
     return code
 

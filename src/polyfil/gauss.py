@@ -277,7 +277,7 @@ def _fit_phase(table: ThetaSequence) -> QuadraticPhase:
             f"G(-{p},0,{q}) vanished for odd q" if info.delta == 1
             else f"G(-{p},{ref},{q}) vanished; parity bookkeeping is wrong"
         )
-    a_rows, b_rows = [], []
+    a_rows, angles = [], []
     for p, value in zip(ps.tolist(), np.atleast_1d(table.values[..., ref]).tolist()):
         if info.delta == 1:
             a = mod_inverse(4 * p, q)
@@ -286,11 +286,12 @@ def _fit_phase(table: ThetaSequence) -> QuadraticPhase:
             a = mod_inverse(p, q)
             ref_value = value * cmath.exp(-1j * math.pi * ref * a / (2 * q))
         a_rows.append(a)
-        b_rows.append(float(_principal(math.atan2(ref_value.imag, ref_value.real))))
+        angles.append(math.atan2(ref_value.imag, ref_value.real))
+    b_rows = _principal(np.array(angles))
     if np.ndim(table.p) == 0:
-        a, b = a_rows[0], b_rows[0]
+        a, b = a_rows[0], float(b_rows[0])
     else:
-        a, b = np.array(a_rows, dtype=np.int64), np.array(b_rows)
+        a, b = np.array(a_rows, dtype=np.int64), b_rows
     return QuadraticPhase(p=table.p, q=q, a=a, b=b, delta=info.delta,
                           epsilon=None if info.delta == 1 else ref)
 

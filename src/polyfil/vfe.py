@@ -34,15 +34,13 @@ state's symmetry, so every stage computes over the whole buffer, and the
 columns still right shrink by one per end per stage, to exactly the
 stepped samples after the fourth.
 
-Each RK4 stage writes the two products whose difference is its unscaled
-T x (T+ + T-) into two slots of one stack [state, A1, B1, ..., A4, B4];
-the next stage input and the combined step are each one dot product of
-weights (1/ds^2 and the sign of each product folded in) with that stack.
-This sums the stages in another order than a term-by-term RK4 update,
-so the two agree to 1.6e-14 (max abs) after the pentagon's 19,557
-steps, not bit for bit.  evolve renormalizes inline and records the step
-count and the largest |norm - 1| before renormalization, read from the
-min and max that the blow-up guard reduces anyway.
+rk4_step runs the four RK4 stages as one stage body in a loop over a
+four-row stage table (see Workspace).  Its dots sum the stages in
+another order than a term-by-term RK4 update, so the two agree to
+1.6e-14 (max abs) after the pentagon's 19,557 steps, not bit for bit.
+evolve renormalizes inline and records the step count and the largest
+|norm - 1| before renormalization, read from the min and max that the
+blow-up guard reduces anyway.
 
 The initial tangent is sampled as exactly piecewise constant, jumps
 between grid cells, with no mollification; that Gibbs-like transition
@@ -257,11 +255,18 @@ class Workspace:
     slices.  `stack` holds [state, A1, B1, ..., A4, B4]: the solution,
     handed to rk4_step as the (cells, 3) view `cells`, and the product
     pair of each stage, whose unscaled slope T x (T+ + T-) is
-    k_i = A_i - B_i.  The next stage's input and the combined step are
-    each one dot product of weights (1/ds^2 and the sign of each product
-    folded in) with that stack; the combined step lands in `update`,
-    seen as the (cells, 3) view `stepped`.  `squares` and `norms` serve
-    the renormalization in evolve.
+    k_i = A_i - B_i.
+
+    The four stages are one body, run in a loop over `_stages`, whose
+    i-th row (i = 1..4) is (A_i, B_i, weights, stack[:2i + 1], out):
+    repeat rows 0 and 1 of `stage`, form `pair`, write A_i and B_i, and
+    dot the weights, the i-th row of one (4, 9) table of the RK4
+    coefficients with 1/ds^2 and the sign of each product folded in, with
+    the block stack[:2i + 1].  The dot is the next stage's input in
+    `stage` for i = 1..3, and for i = 4 the combined step in `update`,
+    seen as the (cells, 3) view `stepped`.  A change to the stencil or
+    the tableau is one change to that body or that table.  `squares` and
+    `norms` serve the renormalization in evolve.
     """
 
     def __init__(self, cells: int, halo: HaloTable) -> None:
@@ -276,12 +281,10 @@ class Workspace:
         samples = slice(_HALO, _HALO + cells)
         self.cells = self.stack[0, :, samples].T
         self.stepped = self.update[:, samples].T
-        # RK4 tableau with the state in front: the input of stage i + 1
-        # is tableau[i - 1, :2i + 1] . stack[:2i + 1], and the zeros keep
-        # each block contiguous
-        self._tableau = np.zeros((3, 7))
-        self._tableau[:, 0] = 1.0
-        self._rk4_weights = np.ones(9)
+        # the weights of the four stage dots, the state's first; zeros
+        # pad each row past its block
+        self._weights = np.zeros((4, 9))
+        self._weights[:, 0] = 1.0
         self._step = (math.nan, math.nan)  # (dt, ds) of the weights above
         # the halo as flat indices into stack[0] and one block-diagonal
         # matrix: gathering the 3 x 2*_HALO source components, one dot
@@ -294,7 +297,7 @@ class Workspace:
             spread[:, i, :, i] = matrix
         gathered, ghost_values = np.zeros(3 * ghosts), np.zeros(3 * ghosts)
         stage, pair = self.stage.ravel(), self.pair.ravel()
-        stack = self.stack.reshape(9, -1)
+        stage_input, stack = stage[:3 * width], self.stack.reshape(9, -1)
         # everything rk4_step touches, as views built once: at these
         # sizes an attribute lookup or a slice costs about as much as a
         # ufunc call
@@ -305,24 +308,29 @@ class Workspace:
             spread.reshape(3 * ghosts, 3 * ghosts),
             ghost_values,
             (rows + columns).ravel(),
-            stage[:3 * width], self.stage[3:], self.stage[:2],
+            stage_input, self.stage[3:], self.stage[:2],
             stage[2:], stage[:-2], pair[1:-1],
             # (T_y, T_z, T_x), (P_z, P_x, P_y), (T_z, T_x, T_y), (P_y, P_z, P_x)
             stage[width:4 * width], pair[2 * width:],
             stage[2 * width:], pair[width:4 * width],
-            *stack[1:],
-            *(self._tableau[i - 1, :2 * i + 1] for i in (1, 2, 3)),
-            *(stack[:2 * i + 1] for i in (1, 2, 3)),
-            self._rk4_weights, stack, self.update.reshape(-1),
+        )
+        outputs = (stage_input,) * 3 + (self.update.reshape(-1),)
+        self._stages = tuple(
+            (stack[2 * i + 1], stack[2 * i + 2], self._weights[i, :2 * i + 3],
+             stack[:2 * i + 3], out)
+            for i, out in enumerate(outputs)
         )
 
     def _set_weights(self, dt: float, ds: float) -> None:
-        """Stage and RK4 weights of a step of dt, with 1/ds^2 folded in."""
+        """Stage weights of a step of dt, with 1/ds^2 folded in."""
         h = dt / (ds * ds)
-        self._tableau[(0, 0, 1, 1, 2, 2), (1, 2, 3, 4, 5, 6)] = (
-            0.5 * h, -0.5 * h, 0.5 * h, -0.5 * h, h, -h)
-        self._rk4_weights[1:] = (
-            h / 6.0, -h / 6.0, h / 3.0, -h / 3.0, h / 3.0, -h / 3.0, h / 6.0, -h / 6.0)
+        half, third, sixth = 0.5 * h, h / 3.0, h / 6.0
+        self._weights[:, 1:] = (
+            (half, -half, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+            (0.0, 0.0, half, -half, 0.0, 0.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0, 0.0, h, -h, 0.0, 0.0),
+            (sixth, -sixth, third, -third, third, -third, sixth, -sixth),
+        )
         self._step = (dt, ds)
 
 
@@ -344,34 +352,18 @@ def rk4_step(
     if dt != dt_now or ds != ds_now:
         work._set_weights(dt, ds)
     (state, sources, gathered, spread, ghost_values, ghosts, stage,
-     rows_34, rows_01, upper, lower, pair, t_yzx, p_zxy, t_zxy, p_yzx,
-     a_1, b_1, a_2, b_2, a_3, b_3, a_4, b_4, weights_2, weights_3, weights_4,
-     block_2, block_3, block_4, rk4_weights, stack, update) = work._kernel
+     rows_34, rows_01, upper, lower, pair, t_yzx, p_zxy, t_zxy, p_yzx) = work._kernel
     # the methods: np.take and np.put are Python wrappers around them
     state.take(sources, out=gathered, mode="clip")
     np.dot(spread, gathered, out=ghost_values)
     state.put(ghosts, ghost_values, mode="clip")
     np.copyto(stage, state)
-    np.copyto(rows_34, rows_01)
-    np.add(upper, lower, out=pair)
-    np.multiply(t_yzx, p_zxy, out=a_1)
-    np.multiply(t_zxy, p_yzx, out=b_1)
-    np.dot(weights_2, block_2, out=stage)
-    np.copyto(rows_34, rows_01)
-    np.add(upper, lower, out=pair)
-    np.multiply(t_yzx, p_zxy, out=a_2)
-    np.multiply(t_zxy, p_yzx, out=b_2)
-    np.dot(weights_3, block_3, out=stage)
-    np.copyto(rows_34, rows_01)
-    np.add(upper, lower, out=pair)
-    np.multiply(t_yzx, p_zxy, out=a_3)
-    np.multiply(t_zxy, p_yzx, out=b_3)
-    np.dot(weights_4, block_4, out=stage)
-    np.copyto(rows_34, rows_01)
-    np.add(upper, lower, out=pair)
-    np.multiply(t_yzx, p_zxy, out=a_4)
-    np.multiply(t_zxy, p_yzx, out=b_4)
-    np.dot(rk4_weights, stack, out=update)
+    for a, b, weights, block, out in work._stages:
+        np.copyto(rows_34, rows_01)
+        np.add(upper, lower, out=pair)
+        np.multiply(t_yzx, p_zxy, out=a)
+        np.multiply(t_zxy, p_yzx, out=b)
+        np.dot(weights, block, out=out)
     return work.stepped
 
 

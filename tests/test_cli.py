@@ -166,6 +166,26 @@ def test_sums_bound_of_a_huge_q_stops_at_the_first_overflow():
     assert "k=6 exceeds the float range" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["gauss", "--p", "1", "--q", str(10**12)],
+    ["sums", "--p", "1", "--q", str(10**12), "--k", "1"],
+], ids=["gauss", "sums"])
+def test_arrays_beyond_memory_are_usage_errors(argv):
+    # q = 10**12 passes every range check, and its q-long arrays cannot
+    # be allocated under the child's 1.5 GB address-space cap
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))\n"
+        "from polyfil import cli\n"
+        f"sys.exit(cli.main({argv!r}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("q", ["0", "-3"])
 def test_sums_non_positive_q_is_usage_error(capsys, q):
     code, out, err = run_cli(capsys, "sums", "--p", "1", "--q", q)

@@ -167,6 +167,23 @@ def test_max_phase_defect_rejects_a_vanishing_admissible_index(monkeypatch):
         gauss.max_phase_defect(1, 3)
 
 
+def test_phase_fit_folds_a_minus_pi_reference_onto_pi():
+    # atan2(-0.0, -1.0) is -pi, the one angle outside (-pi, pi]; odd q
+    # fits b to the n = 0 sum itself, so a doctored value reaches it as is
+    one = gauss.theta_sequence(1, 3)
+    values = one.values.copy()
+    values[0] = complex(-1.0, -0.0)
+    phase = gauss._fit_phase(dataclasses.replace(one, values=values))
+    assert type(phase.b) is float and phase.b == math.pi
+
+    stacked = gauss.theta_sequences(np.array([1, 2, 4]), 5)
+    values = stacked.values.copy()
+    values[1, 0] = complex(-1.0, -0.0)
+    phase = gauss._fit_phase(dataclasses.replace(stacked, values=values))
+    assert phase.b[1] == math.pi
+    assert np.array_equal(np.delete(phase.b, 1), np.delete(gauss._fit_phase(stacked).b, 1))
+
+
 def test_max_phase_defect_matches_per_index_loop():
     # the array form repeats model_theta's arithmetic exactly
     for q in range(1, 41):

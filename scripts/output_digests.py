@@ -44,12 +44,15 @@ CANONICAL = (
     "verify --suite lemma3",
     "sums --p 1 --q 12",
     "sums --p 29 --q 59",
+    # p beyond an int64: every table carries p as a tuple of ints
+    "sums --p 100000000000000000001 --q 5",
     "rotation --M 5 --p 1 --q 3",
     "rotation --M 5 --p 1 --q 1",
     "rotation --M 7 --p 3 --q 8",
     "rotation --M 100000000000000000000 --p 1 --q 1",
     "rotation --M 5 --p 100000000000000000001 --q 3",
     "gauss --p 5 --q 12",
+    "gauss --p 100000000000000000001 --q 5",
     "simulate --M 5 --p 1 --q 3 --grid 240 --out sim",
     # m = n/M = 45 is odd: the rotation-only domain, where every other
     # simulate line steps the reflected half domain
@@ -69,9 +72,9 @@ SMOKE = (
 )
 
 # usage errors of every command (exit 2), one argparse error, the two
-# integer arguments too large for an index or a float, and a blow-up
-# (exit 3); simulate's --out is relative, so its message holds no
-# scratch path
+# integer arguments too large for an index or a float, two verify ranges
+# beyond cli.MAX_VERIFY_WORK, and a blow-up (exit 3); simulate's --out is
+# relative, so its message holds no scratch path
 ERRORS = (
     "gauss --p 2 --q 4",
     "gauss --p 2 --q 4 --n 0",
@@ -90,6 +93,8 @@ ERRORS = (
     "verify --suite theorem2 --m-max 2",
     "verify --suite sums --q-max 1031",
     f"verify --suite theorem2 --q-max 3 --m-max {10**41}",
+    f"verify --suite vanishing --q-max {10**12}",
+    f"verify --suite theorem2 --q-max 3 --m-max {10**9}",
     "simulate --M 2 --p 1 --q 1 --out sim",
     "simulate --M 3 --p 2 --q 4 --out sim",
     "simulate --M 3 --p 1 --q 1 --grid 0 --out sim",

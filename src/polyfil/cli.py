@@ -34,11 +34,25 @@ Exit codes: a command returns 0 (all checks passed) or 1 (a check
 failed); main alone turns an error into a code.  2, usage error: an
 argparse error, or a PolyfilError, ValueError or OverflowError (an
 argument out of range, not coprime or too large for a float, a range
-that selects no case, a sums bound beyond the float range, a simulate
-run of more than vfe.MAX_STEPS steps, a bad SOURCE_DATE_EPOCH), an
-OSError (output that cannot be written; --out is checked before the
-evolution starts), or a MemoryError (an argument whose arrays do not
-fit in memory, such as gauss --q 10**12).  3, numerical abort: BlowUp.
+that selects no case, a sums bound beyond the float range, a verify
+range of more than MAX_VERIFY_WORK passes, a simulate run of more than
+vfe.MAX_STEPS steps, a bad SOURCE_DATE_EPOCH), an OSError (output that
+cannot be written; --out is checked before the evolution starts), or a
+MemoryError (an argument whose arrays do not fit in memory, such as
+gauss --q 10**12).  3, numerical abort: BlowUp.
+
+verify refuses, before its pass, a range whose work estimate exceeds
+MAX_VERIFY_WORK = 2e8 table-entry passes (_verify_work), as evolve
+refuses more than vfe.MAX_STEPS steps.  The estimate counts the table
+entries sum_{q <= q_max} phi(q)*q <= q_max^3/3 once each for vanishing
+and lemma4, q_max times for sums (its kernel runs every entry to an
+order of up to q) and 3*(m_max - 2) times for theorem2.  Why 2e8: the
+suites run at 2e7 to 6e7 passes per second (2-vCPU VM), so a run at the
+cap takes seconds, and a theorem2 run, which keeps every table until
+the rotation check (about 11 bytes per pass at M = 3), stays near 2 GB.
+The cap is 6 times the largest range planned for the benchmark (sums to
+q = 100, 3.3e7), 14 times theorem2 to q = 120 at M <= 10, and over 40
+times any test, script or workload.
 """
 
 from __future__ import annotations
@@ -102,6 +116,10 @@ TOL_TRACE_IDENTITY = 1e-10
 DEFAULT_SIMULATE_TOL = 0.10
 
 _LEMMA3_SEED = 24601
+
+# The most work one verify run takes, in table-entry passes (see the
+# module docstring and _verify_work).
+MAX_VERIFY_WORK = 2 * 10**8
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -335,7 +353,8 @@ def _outcome(case_id: str, passed: bool, residual: float) -> dict:
     return {"case_id": case_id, "passed": bool(passed), "residual": float(residual)}
 
 
-def _vanishing_outcomes(q: int, ps: list[int], table: ThetaSequence, fit) -> list[dict]:
+def _vanishing_outcomes(table: ThetaSequence, fit) -> list[dict]:
+    q = table.q
     expected_modulus = math.sqrt(q) if q % 2 == 1 else math.sqrt(2 * q)
     tol = TOL_VANISHING * max(1.0, math.sqrt(q))
     should_vanish = ~admissible_mask(q)
@@ -345,19 +364,19 @@ def _vanishing_outcomes(q: int, ps: list[int], table: ThetaSequence, fit) -> lis
         np.abs(table.moduli[:, ~should_vanish] - expected_modulus).max(axis=-1, initial=0.0),
     )
     return [_outcome(f"vanishing/p={p}/q={q}", ok and residual <= tol, residual)
-            for p, ok, residual in zip(ps, pattern_ok.tolist(), residuals.tolist())]
+            for p, ok, residual in zip(table.p, pattern_ok.tolist(), residuals.tolist())]
 
 
-def _lemma4_outcomes(q: int, ps: list[int], table: ThetaSequence, fit) -> list[dict]:
+def _lemma4_outcomes(table: ThetaSequence, fit) -> list[dict]:
     defects = max_phase_defects(table, fit)
-    return [_outcome(f"lemma4/p={p}/q={q}", defect <= TOL_PHASE_MODEL, defect)
-            for p, defect in zip(ps, defects.tolist())]
+    return [_outcome(f"lemma4/p={p}/q={table.q}", defect <= TOL_PHASE_MODEL, defect)
+            for p, defect in zip(table.p, defects.tolist())]
 
 
-def _sums_outcomes(q: int, ps: list[int], table: ThetaSequence, fit) -> list[dict]:
+def _sums_outcomes(table: ThetaSequence, fit) -> list[dict]:
     sums = sum_arrays(table, fit)
-    return [_outcome(f"sums/p={p}/q={q}/k={k}", ok, residual)
-            for p, passed, residuals in zip(ps, _sums_passed(sums).tolist(),
+    return [_outcome(f"sums/p={p}/q={table.q}/k={k}", ok, residual)
+            for p, passed, residuals in zip(table.p, _sums_passed(sums).tolist(),
                                             sums.residual.tolist())
             for k, ok, residual in zip(sums.k, passed, residuals)]
 
@@ -404,15 +423,29 @@ def _lemma3_outcomes() -> list[dict]:
 _SUITES = ("sums", "theorem2", "lemma3", "lemma4", "vanishing")
 
 
+def _verify_work(selected, q_max: int, m_count: int) -> int:
+    """An upper estimate of verify's work in table-entry passes: the
+    entries sum_{q <= q_max} phi(q)*q <= q_max^3/3, times one pass each
+    for vanishing and lemma4, q_max for sums (its kernel runs every
+    entry to an order of up to q) and 3 per M for theorem2 (m_count
+    values of M)."""
+    passes = {"vanishing": 1, "lemma4": 1, "sums": q_max, "theorem2": 3 * m_count}
+    return max(q_max, 0) ** 3 // 3 * sum(passes.get(name, 0) for name in selected)
+
+
 def _verify_outcomes(selected, q_max: int, m_max: int) -> dict[str, list[dict]]:
     """The outcomes of each suite in `selected` (in _SUITES order), in
     order of q, then p, from one pass over q (see the module docstring).
-    The sums bounds are checked first, the largest q first; a suite that
+    The sums bounds are checked first, the largest q first, then the
+    work estimate against MAX_VERIFY_WORK (RangeError); a suite that
     selects no case raises RangeError, in the order of `selected`."""
     if "sums" in selected:
         for q in range(q_max, 1, -1):
             _check_sums_bounds(q, range(1, q // 2 + 1))
     Ms = range(3, m_max + 1) if "theorem2" in selected else range(0)
+    if _verify_work(selected, q_max, len(Ms)) > MAX_VERIFY_WORK:
+        raise RangeError(f"--q-max {q_max} --m-max {m_max} asks for more than "
+                         f"MAX_VERIFY_WORK={MAX_VERIFY_WORK} table-entry passes")
     per_q = [(name, first, check) for name, (first, check) in _PER_Q_CHECKS.items()
              if name in selected]
     firsts = [first for _, first, _ in per_q] + ([1] if Ms else [])
@@ -420,12 +453,11 @@ def _verify_outcomes(selected, q_max: int, m_max: int) -> dict[str, list[dict]]:
     found: dict[str, list[dict]] = {name: [] for name in selected}
     tables = []
     for q in range(min(firsts, default=q_max + 1), q_max + 1):
-        ps = [p for p in range(1, q + 1) if gcd(p, q) == 1]
-        table = theta_sequences(ps, q)
+        table = theta_sequences([p for p in range(1, q + 1) if gcd(p, q) == 1], q)
         fit = _fit_phase(table) if fitted else None
         for name, first, check in per_q:
             if q >= first:
-                found[name] += check(q, ps, table, fit)
+                found[name] += check(table, fit)
         if Ms:
             tables.append(table)
     finish = {"theorem2": lambda: _theorem2_outcomes(tables, Ms), "lemma3": _lemma3_outcomes}

@@ -11,24 +11,22 @@ coprime pair with q <= 60 agrees with compensated direct summation to
 1.7e-14 (tests/test_gauss_oracle.py keeps that summation, and the
 closed form for odd q, as references).
 
-A table stays a set of numpy arrays from the FFT to the checks, and it
-may stack several p at one q.  theta_sequences(ps, q) builds the (P, q)
-table of all given p from one inverse FFT along the last axis and
-classifies it in one vectorised pass; theta_sequence(p, q) is the P = 1
-call of that kernel, returned as one (q,) row.  The phase fit, the
-phase defect and the two rule owners below accept either shape, a
-stacked table carrying a leading p axis.  Each row of a stacked table
-equals the one-row table of its p bit for bit (tests/test_batch_oracle.py),
-so the verify suites build one table per q for every p at once.
-ThetaSequence.entry(n) builds one GaussSumValue of a one-row table on
-demand, for gauss_sum and the CLI.
+A table has one shape: it stacks P values of p at one q, `p` is a
+tuple of P ints, and every array has a leading p axis, (P, q) for the
+table and (P,) for its phase fit's a and b.  theta_sequences(ps, q)
+builds the table of all given p from one inverse FFT along the last
+axis and classifies it in one vectorised pass; theta_sequence(p, q) and
+quadratic_phase(p, q) are its P = 1 calls, not a second shape.  Each
+row of a stacked table equals the one-row table of its p bit for bit
+(tests/test_batch_oracle.py), so the verify suites build one table per
+q for every p at once.  ThetaSequence.entry(n) builds one GaussSumValue
+of a one-row table on demand, for gauss_sum and the CLI.
 
 Two rules of the proof have one owner each, which gauss, sums and rotor
 all read.  ThetaSequence.admissible_arguments decides which indices
 carry an argument (4 does not divide 2n + 2 - q) and is the only place
 that raises UndefinedTheta.  QuadraticPhase.residues is the only place
-that reduces a*n^2 modulo the phase denominator (2 - delta)^2 * q.  Both
-keep a stacked table's leading p axis.
+that reduces a*n^2 modulo the phase denominator (2 - delta)^2 * q.
 
 Non-vanishing sums have modulus sqrt(q) for odd q and sqrt(2q) for even q,
 while the vanishing ones are exactly the indices n with 4 | 2n + 2 - q.
@@ -89,17 +87,13 @@ class GaussSumValue:
 
 @dataclass(frozen=True, eq=False)
 class ThetaSequence:
-    """All q sums for fixed (p, q) as read-only arrays indexed by n in
-    [0, q): the complex `values`, their `moduli`, the principal
-    `arguments` in (-pi, pi] (NaN where the sum vanishes) and the boolean
-    `vanishing` flags.  Compared by identity (eq=False), since arrays
-    have no single-bool ==.
+    """All q sums for each p of the tuple `p` at one q, as read-only
+    (P, q) arrays, entry [i, n] for (p[i], q, n): the complex `values`,
+    their `moduli`, the principal `arguments` in (-pi, pi] (NaN where the
+    sum vanishes) and the boolean `vanishing` flags.  Compared by
+    identity (eq=False), since arrays have no single-bool ==."""
 
-    A stacked table holds several p at one q: `p` is then an int64 array
-    of shape (P,) and every array has shape (P, q), row i for p[i].
-    """
-
-    p: int | np.ndarray
+    p: tuple[int, ...]
     q: int
     values: np.ndarray
     moduli: np.ndarray
@@ -107,35 +101,32 @@ class ThetaSequence:
     vanishing: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("values", "moduli", "arguments", "vanishing") + (
-            ("p",) if isinstance(self.p, np.ndarray) else ()
-        ):
+        for name in ("values", "moduli", "arguments", "vanishing"):
             view = np.asarray(getattr(self, name)).view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
 
     def admissible_arguments(self) -> tuple[np.ndarray, np.ndarray]:
         """The admissible indices n (4 does not divide 2n + 2 - q), in
-        ascending order, and their arguments, shape (N,) or (P, N) for a
-        stacked table.  Raises UndefinedTheta when one of them is flagged
-        vanishing in any row, since it then has no argument."""
+        ascending order, and their (P, N) arguments.  Raises UndefinedTheta
+        when one of them is flagged vanishing in any row, since it then
+        has no argument."""
         n = np.flatnonzero(admissible_mask(self.q))
-        undefined = self.vanishing[..., n]
+        undefined = self.vanishing[:, n]
         if undefined.any():
-            *row, column = np.argwhere(undefined)[0]
-            p = np.asarray(self.p)[tuple(row)]
-            raise UndefinedTheta(f"G(-{p},{n[column]},{self.q}) vanishes; no argument")
-        return n, self.arguments[..., n]
+            row, column = np.argwhere(undefined)[0]
+            raise UndefinedTheta(f"G(-{self.p[row]},{n[column]},{self.q}) vanishes; no argument")
+        return n, self.arguments[:, n]
 
     def entry(self, n: int) -> GaussSumValue:
         """Index n of a one-row table as one GaussSumValue (argument None
         when it vanishes)."""
-        if self.values.ndim != 1:
-            raise ValueError("entry() reads a one-row table, not a stacked one")
-        vanishing = bool(self.vanishing[n])
+        if len(self.p) != 1:
+            raise ValueError(f"entry() reads a one-row table, not one of {len(self.p)} rows")
+        vanishing = bool(self.vanishing[0, n])
         return GaussSumValue(
-            complex(self.values[n]), float(self.moduli[n]),
-            None if vanishing else float(self.arguments[n]), vanishing,
+            complex(self.values[0, n]), float(self.moduli[0, n]),
+            None if vanishing else float(self.arguments[0, n]), vanishing,
         )
 
     @property
@@ -156,7 +147,7 @@ class _EntryView(Sequence):
         return self._table.entry(n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticPhase:
     """Normal form of the arguments: for every admissible n,
 
@@ -166,14 +157,15 @@ class QuadraticPhase:
     reference sum.  delta is the parity of q; epsilon (even q only) is
     the common parity of the admissible indices.
 
-    The fit of a stacked table holds one row per p: `p` and `a` are then
-    int64 arrays and `b` a float array, each of shape (P,).
+    One fit per row of a table: `p` is its tuple, `a` an int64 array and
+    `b` a float array, each of shape (P,).  Compared by identity
+    (eq=False), since arrays have no single-bool ==.
     """
 
-    p: int | np.ndarray
+    p: tuple[int, ...]
     q: int
-    a: int | np.ndarray
-    b: float | np.ndarray
+    a: np.ndarray
+    b: np.ndarray
     delta: int
     epsilon: int | None
 
@@ -184,8 +176,8 @@ class QuadraticPhase:
 
     def residues(self, n) -> np.ndarray:
         """(a * n^2) mod denominator for an array of indices, exact in
-        int64: n^2 is reduced before the product with a < q.  For a
-        stacked fit the result has a leading p axis, (P,) + n.shape."""
+        int64: n^2 is reduced before the product with a < q.  The result
+        has a leading p axis, (P,) + n.shape."""
         d = self.denominator
         n = np.asarray(n, dtype=np.int64)
         return np.multiply.outer(self.a, n * n % d) % d
@@ -223,33 +215,30 @@ def gauss_sum(p: int, q: int, n: int) -> GaussSumValue:
 
 
 def theta_sequence(p: int, q: int) -> ThetaSequence:
-    """Evaluate all q sums for fixed (p, q): the one-row table, the P = 1
-    call of the kernel behind theta_sequences."""
-    _require_coprime(p, q)
-    return _classify(p, q, _gauss_table(np.array([p % q], dtype=np.int64), q)[0])
+    """Evaluate all q sums for fixed (p, q): the one-row table
+    theta_sequences([p], q)."""
+    return theta_sequences([p], q)
 
 
 def theta_sequences(ps, q: int) -> ThetaSequence:
-    """The stacked table of every p in ps at one q, from one inverse FFT;
-    row i equals theta_sequence(ps[i], q)."""
-    ps = [int(p) for p in ps]
+    """The table of every p in ps at one q, from one inverse FFT; row i
+    equals theta_sequence(ps[i], q).  p may exceed an int64, since only
+    p mod q enters the arrays."""
+    ps = tuple(int(p) for p in ps)
     for p in ps:
         _require_coprime(p, q)
-    return _classify(
-        np.array(ps, dtype=np.int64), q,
-        _gauss_table(np.array([p % q for p in ps], dtype=np.int64), q),
-    )
+    return _classify(ps, q, _gauss_table(np.array([p % q for p in ps], dtype=np.int64), q))
 
 
-def _classify(p, q: int, values: np.ndarray) -> ThetaSequence:
-    """Moduli, principal arguments and vanishing flags of a table of any
-    shape, each sum vanishing when its modulus is below
+def _classify(ps: tuple[int, ...], q: int, values: np.ndarray) -> ThetaSequence:
+    """Moduli, principal arguments and vanishing flags of a (P, q) table,
+    each sum vanishing when its modulus is below
     VANISHING_RELATIVE_TOL * max(1, sqrt(q))."""
     moduli = np.abs(values)
     vanishing = moduli < VANISHING_RELATIVE_TOL * max(1.0, math.sqrt(q))
     angles = _principal(np.arctan2(values.imag, values.real))
     arguments = np.where(vanishing, np.nan, angles)
-    return ThetaSequence(p, q, values, moduli, arguments, vanishing)
+    return ThetaSequence(ps, q, values, moduli, arguments, vanishing)
 
 
 def quadratic_phase(p: int, q: int) -> QuadraticPhase:
@@ -258,8 +247,7 @@ def quadratic_phase(p: int, q: int) -> QuadraticPhase:
 
 
 def _fit_phase(table: ThetaSequence) -> QuadraticPhase:
-    """Fit the quadratic phase model by completing the square, row by row
-    for a stacked table.
+    """Fit the quadratic phase model by completing the square, row by row.
 
     Odd q:  a is the inverse of 4p, and b the argument of the n = 0 sum.
     Even q: a is the inverse of p; the reference is the n = epsilon sum
@@ -269,16 +257,15 @@ def _fit_phase(table: ThetaSequence) -> QuadraticPhase:
     info = parity_info(q)
     ref = 0 if info.delta == 1 else info.epsilon
     assert ref is not None
-    ps = np.atleast_1d(table.p)
-    vanished = np.atleast_1d(table.vanishing[..., ref])
+    vanished = table.vanishing[:, ref]
     if vanished.any():
-        p = ps[vanished.argmax()]
+        p = table.p[vanished.argmax()]
         raise InternalVanishing(
             f"G(-{p},0,{q}) vanished for odd q" if info.delta == 1
             else f"G(-{p},{ref},{q}) vanished; parity bookkeeping is wrong"
         )
     a_rows, angles = [], []
-    for p, value in zip(ps.tolist(), np.atleast_1d(table.values[..., ref]).tolist()):
+    for p, value in zip(table.p, table.values[:, ref].tolist()):
         if info.delta == 1:
             a = mod_inverse(4 * p, q)
             ref_value = value
@@ -287,12 +274,8 @@ def _fit_phase(table: ThetaSequence) -> QuadraticPhase:
             ref_value = value * cmath.exp(-1j * math.pi * ref * a / (2 * q))
         a_rows.append(a)
         angles.append(math.atan2(ref_value.imag, ref_value.real))
-    b_rows = _principal(np.array(angles))
-    if np.ndim(table.p) == 0:
-        a, b = a_rows[0], float(b_rows[0])
-    else:
-        a, b = np.array(a_rows, dtype=np.int64), b_rows
-    return QuadraticPhase(p=table.p, q=q, a=a, b=b, delta=info.delta,
+    return QuadraticPhase(p=table.p, q=q, a=np.array(a_rows, dtype=np.int64),
+                          b=_principal(np.array(angles)), delta=info.delta,
                           epsilon=None if info.delta == 1 else ref)
 
 
@@ -301,7 +284,7 @@ def _own_fit(theta: ThetaSequence, phase: QuadraticPhase | None) -> QuadraticPha
     must be fitted to the same rows (else ValueError), or a new fit."""
     if phase is None:
         return _fit_phase(theta)
-    if phase.q != theta.q or not np.array_equal(phase.p, theta.p):
+    if (phase.p, phase.q) != (theta.p, theta.q):
         raise ValueError(f"phase is the fit of p={phase.p}, q={phase.q}, "
                          f"not of p={theta.p}, q={theta.q}")
     return phase
@@ -311,19 +294,17 @@ def max_phase_defect(p: int, q: int) -> float:
     """Largest distance, over admissible n, from the model-vs-actual phase
     difference to the nearest multiple of 2*pi, for one (p, q): the
     one-row call of max_phase_defects."""
-    return float(max_phase_defects(theta_sequence(p, q)))
+    return float(max_phase_defects(theta_sequence(p, q))[0])
 
 
 def max_phase_defects(theta: ThetaSequence, phase: QuadraticPhase | None = None) -> np.ndarray:
-    """The phase defect of every row of a table: a 0-d array for a
-    one-row table, shape (P,) for a stacked one.  One table serves both
-    the fit and the comparison, read through its two owners:
+    """The phase defect of every row of a table, shape (P,).  One table
+    serves both the fit and the comparison, read through its two owners:
     ThetaSequence.admissible_arguments and QuadraticPhase.residues.  A
     phase passed in must be the table's own fit (_fit_phase(theta));
     one that belongs to other rows raises ValueError."""
     phase = _own_fit(theta, phase)
     n, arguments = theta.admissible_arguments()
-    model = (2.0 * math.pi * phase.residues(n) / phase.denominator
-             + np.asarray(phase.b)[..., None])
+    model = 2.0 * math.pi * phase.residues(n) / phase.denominator + phase.b[:, None]
     diff = (model - arguments) % (2.0 * math.pi)
     return np.minimum(diff, 2.0 * math.pi - diff).max(axis=-1, initial=0.0)

@@ -27,13 +27,13 @@ returns the (R, k) spinor pairs of all R rows.  Every final pair must
 have unit norm, or it raises NonUnitSpinor.
 
 The theorem-2 check has one owner, certificate_arrays.  It takes a
-sequence of tables (gauss.theta_sequences, one per q), makes one kernel
-call for every (p, q) in them, every M and the three angles rho,
-0.95*rho and 1.05*rho, and returns the angle errors and falsification
-margins as (R, k) arrays (CertificateArrays), which the verify suite
-reads.  certify_rotation_angle, behind the rotation command, is its
-one-row, one-M call, returned as a RotationCertificate with the
-product's rotation matrix and axis.
+sequence of tables (gauss.theta_sequences, one (P, q) table per q),
+makes one kernel call for every (p, q) in them, every M and the three
+angles rho, 0.95*rho and 1.05*rho, and returns the angle errors and
+falsification margins as (R, k) arrays (CertificateArrays), which the
+verify suite reads.  certify_rotation_angle, behind the rotation
+command, is its P = 1, one-M call, returned as a RotationCertificate
+with the product's rotation matrix and axis.
 
 The Lemma 3 half-trace identity is checked the same way:
 trace_identity_evals takes every case at once, reads the expansion
@@ -170,9 +170,8 @@ def inter_side_angle(M: int, q: int) -> float:
 def _product_factors(theta: ThetaSequence) -> np.ndarray:
     """Arguments for the ordered product, leftmost factor first: the
     admissible arguments in descending index order (factor n uses index
-    q-1-n and skips the indices that are not admissible), shape (F,), or
-    (P, F) for a stacked table."""
-    return theta.admissible_arguments()[1][..., ::-1]
+    q-1-n and skips the indices that are not admissible), shape (P, F)."""
+    return theta.admissible_arguments()[1][:, ::-1]
 
 
 def _spinor_factor(cos_half: np.ndarray, sin_half: np.ndarray, c: np.ndarray,
@@ -287,32 +286,30 @@ def _detuned_angles(q: int, Ms: list[int]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def certificate_arrays(tables, Ms) -> CertificateArrays:
-    """The theorem-2 check of every p of every table in `tables` (one-row
-    tables, or stacked ones from gauss.theta_sequences; the q may differ)
-    and several M, as (R, len(Ms)) arrays with one row per (p, q), in
-    table order: one kernel call for all rows, all M and the three angles
-    per M.
+    """The theorem-2 check of every p of every table in `tables`
+    (gauss.theta_sequences; the q may differ) and several M, as
+    (R, len(Ms)) arrays with one row per (p, q), in table order: one
+    kernel call for all rows, all M and the three angles per M.
 
     The product must have angle exactly 2*pi/M at the predicted
     inter-side angle rho, and detuning rho by +-5% must visibly break it
     (falsification_margin is the smaller miss of the two detunings)."""
     Ms, tables = list(Ms), list(tables)
-    ps = [np.atleast_1d(theta.p).tolist() for theta in tables]
-    sizes = [len(row) for row in ps]
+    sizes = [len(theta.p) for theta in tables]
     rhos, detuned = [], []
     for theta in tables:
         rho, angles = _detuned_angles(theta.q, Ms)
         rhos.append(rho)
         detuned.append(angles)
     alpha, beta = _ordered_products(
-        [np.atleast_2d(_product_factors(theta)) for theta in tables],
+        [_product_factors(theta) for theta in tables],
         np.repeat(np.reshape(detuned, (len(tables), 3 * len(Ms))), sizes, axis=0),
     )
     angles = _half_angle(alpha, beta).reshape(len(alpha), 3, len(Ms))
     target = np.array([2.0 * math.pi / M for M in Ms])
     return CertificateArrays(
-        p=tuple(p for row in ps for p in row),
-        q=tuple(theta.q for theta, size in zip(tables, sizes) for _ in range(size)),
+        p=tuple(p for theta in tables for p in theta.p),
+        q=tuple(theta.q for theta in tables for _ in theta.p),
         M=tuple(Ms), rho=np.repeat(np.reshape(rhos, (len(tables), len(Ms))), sizes, axis=0),
         angle=angles[:, 0], angle_error=np.abs(angles[:, 0] - target),
         falsification_margin=np.minimum(np.abs(angles[:, 1] - target),

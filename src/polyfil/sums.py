@@ -24,13 +24,13 @@ exponents are QuadraticPhase.residues; this module restates neither
 rule.
 
 The check runs once per q, not per (p, q).  sum_arrays(theta, phase)
-takes one stacked table (gauss.theta_sequences) of every p and its
-phase fit, which the verify command builds once for all its suites, and
-makes one kernel call over the (2P, N) stack of both sequences of every
-p, run to the top order 2*(q // 2); S_2k is read for every k from that
-one pass, and the results come back as (P, K) arrays (SumArrays).
-verify_sum_identities and sum_report are its one-row calls, returned
-as SumReport objects.
+takes one table of every p at q (gauss.theta_sequences, P rows; a table
+has no other shape) and its phase fit, which the verify command builds
+once for all its suites, and makes one kernel call over the (2P, N)
+stack of both sequences of every p, run to the top order 2*(q // 2);
+S_2k is read for every k from that one pass, and the results come back
+as (P, K) arrays (SumArrays).  verify_sum_identities and sum_report are
+its P = 1 calls, returned as SumReport objects.
 
 Every value is reproducible bit for bit, and equals the scalar Python
 recurrence over one (p, q) at a time.  The trig terms are math.cos and
@@ -107,15 +107,14 @@ def _check_k(k: int, q: int) -> None:
 
 
 def _sum_arrays(theta: ThetaSequence, phase: QuadraticPhase, ks: list[int]) -> SumArrays:
-    """Both sums for every row of a table (one-row or stacked) and every
-    k in ks, from one kernel call over the stacked trig and quadratic
-    sequences of all rows, run to order 2*max(ks)."""
+    """Both sums for every row of a table and every k in ks, from one
+    kernel call over the stacked trig and quadratic sequences of all
+    rows, run to order 2*max(ks)."""
     n, arguments = theta.admissible_arguments()
-    arguments = np.atleast_2d(arguments)
     rows = len(arguments)
     trig_terms = np.array([complex(math.cos(t), math.sin(t)) for t in arguments.ravel().tolist()],
                           dtype=complex).reshape(arguments.shape)
-    quad_terms = np.array(unit_roots(phase.denominator))[np.atleast_2d(phase.residues(n))]
+    quad_terms = np.array(unit_roots(phase.denominator))[phase.residues(n)]
     values = alternating_products(np.concatenate([trig_terms, quad_terms]),
                                   2 * max(ks, default=0))
     orders = [2 * k for k in ks]
@@ -123,7 +122,7 @@ def _sum_arrays(theta: ThetaSequence, phase: QuadraticPhase, ks: list[int]) -> S
     residual = np.maximum(np.maximum(np.abs(t_values), np.abs(e_values.real)),
                           np.abs(t_values - e_values.real))
     return SumArrays(
-        p=tuple(np.atleast_1d(theta.p).tolist()), q=theta.q, k=tuple(ks),
+        p=theta.p, q=theta.q, k=tuple(ks),
         t_values=t_values, e_values=e_values,
         term_count=tuple(math.comb(len(n), order) for order in orders), residual=residual,
     )
@@ -142,8 +141,8 @@ def _reports(arrays: SumArrays) -> list[SumReport]:
 
 
 def sum_arrays(theta: ThetaSequence, phase: QuadraticPhase) -> SumArrays:
-    """Both sums for every p of a stacked table (gauss.theta_sequences)
-    and every k with 0 < 2k <= q, from the table, its phase fit and one
+    """Both sums for every p of a table (gauss.theta_sequences) and
+    every k with 0 < 2k <= q, from the table, its phase fit and one
     kernel call; row i equals verify_sum_identities(theta.p[i], q) bit
     for bit.  A phase fitted to other rows raises ValueError."""
     return _sum_arrays(theta, _own_fit(theta, phase), list(range(1, theta.q // 2 + 1)))
@@ -161,11 +160,11 @@ def sum_report(
     _check_k(k, q)
     if theta is None:
         theta = theta_sequence(p, q)
-    elif np.ndim(theta.p) != 0 or (theta.p, theta.q) != (p, q):
+    elif (theta.p, theta.q) != ((p,), q):
         raise ValueError(f"theta is the table of p={theta.p}, q={theta.q}, not of ({p}, {q})")
     if phase is None:
         phase = _fit_phase(theta)
-    elif np.ndim(phase.p) != 0 or (phase.p, phase.q) != (p, q):
+    elif (phase.p, phase.q) != ((p,), q):
         raise ValueError(f"phase is the fit of p={phase.p}, q={phase.q}, not of ({p}, {q})")
     return _reports(_sum_arrays(theta, phase, [k]))[0]
 

@@ -36,12 +36,12 @@ def coprime(q):
 def table_rows_match(q):
     ps = coprime(q)
     stacked = gauss.theta_sequences(ps, q)
-    if stacked.p.tolist() != ps or stacked.values.shape != (len(ps), q):
+    if stacked.p != tuple(ps) or stacked.values.shape != (len(ps), q):
         return False
     for i, p in enumerate(ps):
         one = gauss.theta_sequence(p, q)
         for name in ("values", "moduli", "arguments", "vanishing"):
-            if not np.array_equal(getattr(stacked, name)[i], getattr(one, name),
+            if not np.array_equal(getattr(stacked, name)[i], getattr(one, name)[0],
                                   equal_nan=True):
                 return False
     return True
@@ -54,7 +54,7 @@ def defect_rows_match(q):
     phase = gauss._fit_phase(stacked)
     for i, p in enumerate(ps):
         one = gauss.quadratic_phase(p, q)
-        if (phase.a[i], phase.b[i]) != (one.a, one.b):
+        if (phase.a[i], phase.b[i]) != (one.a[0], one.b[0]):
             return False
         if defects[i] != gauss.max_phase_defect(p, q):
             return False
@@ -147,11 +147,38 @@ def test_sum_array_rows_equal_the_per_pair_reports():
 def test_one_row_table_is_the_p_equals_one_call():
     stacked = gauss.theta_sequences([3], 7)
     one = gauss.theta_sequence(3, 7)
-    assert stacked.values.shape == (1, 7) and one.values.shape == (7,)
-    assert np.array_equal(stacked.values[0], one.values)
-    assert np.ndim(gauss.max_phase_defects(one)) == 0
+    assert stacked.values.shape == one.values.shape == (1, 7) and one.p == (3,)
+    assert np.array_equal(stacked.values, one.values)
+    assert gauss.max_phase_defects(one).shape == (1,)
+    assert stacked.entry(0) == one.entry(0)
     with pytest.raises(ValueError, match="one-row"):
-        stacked.entry(0)
+        gauss.theta_sequences([3, 5], 7).entry(0)
+
+
+def test_every_table_and_fit_has_one_shape():
+    # p is a tuple of ints and every array has len(p) rows, for one-row
+    # and stacked tables alike
+    huge = 10**20 + 1
+    tables = [gauss.theta_sequence(3, 7), gauss.theta_sequence(huge, 3),
+              gauss.theta_sequences([1, 3, 5, 7], 8), gauss.theta_sequences([huge, 2], 3),
+              gauss.theta_sequences([], 5)]
+    fits = [gauss.quadratic_phase(3, 7), gauss.quadratic_phase(huge, 3)]
+    fits += [gauss._fit_phase(table) for table in tables]
+    for table in tables:
+        assert type(table.p) is tuple and all(type(p) is int for p in table.p)
+        for name in ("values", "moduli", "arguments", "vanishing"):
+            assert getattr(table, name).shape == (len(table.p), table.q), name
+    for fit in fits:
+        assert type(fit.p) is tuple and all(type(p) is int for p in fit.p)
+        assert fit.a.shape == fit.b.shape == (len(fit.p),)
+        assert fit.a.dtype == np.int64 and fit.b.dtype == float
+    # p beyond an int64: the stacked rows equal the one-row tables
+    stacked = gauss.theta_sequences([huge, 2], 3)
+    assert stacked.p == (huge, 2)
+    for i, p in enumerate(stacked.p):
+        one = gauss.theta_sequence(p, 3)
+        for name in ("values", "moduli", "arguments", "vanishing"):
+            assert np.array_equal(getattr(stacked, name)[i], getattr(one, name)[0]), (p, name)
 
 
 def test_a_phase_fit_of_other_rows_is_rejected():
@@ -191,7 +218,7 @@ def test_stacked_residues_keep_the_p_axis():
     residues = phase.residues(n)
     assert residues.shape == (4, 8)
     for i, p in enumerate([1, 3, 5, 7]):
-        assert np.array_equal(residues[i], gauss.quadratic_phase(p, 8).residues(n))
+        assert np.array_equal(residues[i], gauss.quadratic_phase(p, 8).residues(n)[0])
 
 
 # ------------------------------------------------------ suites against loops
@@ -209,10 +236,10 @@ def vanishing_per_pair(q_max):
             expected = math.sqrt(q) if q % 2 else math.sqrt(2 * q)
             should_vanish = ~arith.admissible_mask(q)
             residual = max(
-                theta.moduli[should_vanish].max(initial=0.0),
-                np.abs(theta.moduli[~should_vanish] - expected).max(initial=0.0),
+                theta.moduli[0, should_vanish].max(initial=0.0),
+                np.abs(theta.moduli[0, ~should_vanish] - expected).max(initial=0.0),
             )
-            passed = (np.array_equal(theta.vanishing, should_vanish)
+            passed = (np.array_equal(theta.vanishing[0], should_vanish)
                       and residual <= cli.TOL_VANISHING * max(1.0, math.sqrt(q)))
             outcomes.append(outcome(f"vanishing/p={p}/q={q}", passed, float(residual)))
     return outcomes
@@ -308,7 +335,7 @@ def range_inputs(q_max):
     the detuned angles of each q, as certificate_arrays passes them."""
     blocks, angles = [], []
     for q in range(1, q_max + 1):
-        blocks.append(np.atleast_2d(rotor._product_factors(gauss.theta_sequences(coprime(q), q))))
+        blocks.append(rotor._product_factors(gauss.theta_sequences(coprime(q), q)))
         angles.append(rotor._detuned_angles(q, MS)[1])
     return blocks, angles
 
@@ -348,7 +375,7 @@ def theorem2_per_row(q_max, m_max):
     Ms = list(range(3, m_max + 1))
     outcomes = []
     for q in range(1, q_max + 1):
-        args = np.atleast_2d(rotor._product_factors(gauss.theta_sequences(coprime(q), q)))
+        args = rotor._product_factors(gauss.theta_sequences(coprime(q), q))
         rhos = rotor._detuned_angles(q, Ms)[1]
         angles = np.array([half_angles(*per_row_spinors(row, rhos)) for row in args])
         outcomes += theorem2_outcomes(q, angles, Ms)
@@ -360,7 +387,7 @@ def theorem2_per_q(q_max, m_max):
     Ms = list(range(3, m_max + 1))
     outcomes = []
     for q in range(1, q_max + 1):
-        args = np.atleast_2d(rotor._product_factors(gauss.theta_sequences(coprime(q), q)))
+        args = rotor._product_factors(gauss.theta_sequences(coprime(q), q))
         outcomes += theorem2_outcomes(
             q, trace_angles(per_q_products(args, rotor._detuned_angles(q, Ms)[1])), Ms)
     return outcomes
@@ -508,8 +535,6 @@ def test_oracles_catch_a_shared_phase_coefficient(monkeypatch):
 
     def shared(table):
         phase = original(table)
-        if np.ndim(phase.a) == 0:
-            return phase
         return dataclasses.replace(phase, a=np.full_like(phase.a, phase.a[0]))
 
     monkeypatch.setattr(gauss, "_fit_phase", shared)
@@ -524,8 +549,9 @@ def test_oracles_catch_reversed_factor_order(monkeypatch):
     original = rotor._product_factors
 
     def reversed_rows(theta):
+        # stacked tables only: the per-pair certificates keep the order
         args = original(theta)
-        return args[..., ::-1].copy() if args.ndim == 2 else args
+        return args[:, ::-1].copy() if len(theta.p) > 1 else args
 
     monkeypatch.setattr(rotor, "_product_factors", reversed_rows)
     # the reversed product is a mirror image with the same angle, so the

@@ -186,6 +186,39 @@ def test_arrays_beyond_memory_are_usage_errors(argv):
     assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "vanishing", "--q-max", str(10**12)],
+    ["verify", "--suite", "theorem2", "--q-max", "3", "--m-max", str(10**9)],
+], ids=["q-max", "m-max"])
+def test_verify_beyond_the_work_cap_is_refused_before_the_pass(argv):
+    # both ranges pass every other check; the child has a timeout and
+    # an address space capped at 1.5 GB, so a lost refusal fails, not hangs
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))\n"
+        "from polyfil import cli\n"
+        f"sys.exit(cli.main({argv!r}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert f"MAX_VERIFY_WORK={cli.MAX_VERIFY_WORK} " in proc.stderr
+
+
+def test_verify_work_counts_the_suites_that_read_tables():
+    assert cli._verify_work(("vanishing",), 400, 0) == 400**3 // 3
+    assert cli._verify_work(("vanishing", "lemma4"), 200, 0) == 2 * (200**3 // 3)
+    assert cli._verify_work(("sums",), 100, 0) == 100 * (100**3 // 3)
+    assert cli._verify_work(("theorem2",), 120, 8) == 24 * (120**3 // 3)
+    assert cli._verify_work(("lemma3",), 10**12, 0) == 0
+    assert cli._verify_work(("vanishing",), -3, 0) == 0
+    # the largest planned benchmark ranges lie well under the cap
+    assert 6 * cli._verify_work(("sums",), 100, 0) <= cli.MAX_VERIFY_WORK
+    assert 14 * cli._verify_work(("theorem2",), 120, 8) <= cli.MAX_VERIFY_WORK
+
+
 @pytest.mark.parametrize("q", ["0", "-3"])
 def test_sums_non_positive_q_is_usage_error(capsys, q):
     code, out, err = run_cli(capsys, "sums", "--p", "1", "--q", q)

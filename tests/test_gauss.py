@@ -14,11 +14,12 @@ SQRT3 = math.sqrt(3.0)
 
 
 def model_theta(phase, n):
-    """Model phase for index n, with the quadratic part reduced modulo
-    2*pi in exact integer arithmetic; the reference for max_phase_defect."""
+    """Model phase for index n of a one-row fit, with the quadratic part
+    reduced modulo 2*pi in exact integer arithmetic; the reference for
+    max_phase_defect."""
     d = (2 - phase.delta) ** 2 * phase.q
-    m = (phase.a * n * n) % d
-    return 2.0 * math.pi * m / d + phase.b
+    m = (int(phase.a[0]) * n * n) % d
+    return 2.0 * math.pi * m / d + float(phase.b[0])
 
 
 def brute_force_sum(p, q, n):
@@ -67,14 +68,14 @@ def test_theta_sequence_q3():
     theta = gauss.theta_sequence(1, 3)
     expected = [-math.pi / 2, math.pi / 6, math.pi / 6]
     for n, want in enumerate(expected):
-        assert abs(theta.arguments[n] - want) < 1e-13
+        assert abs(theta.arguments[0, n] - want) < 1e-13
 
 
 def test_theta_sequence_q2():
     theta = gauss.theta_sequence(1, 2)
     assert theta.entries[0].vanishing
-    assert math.isnan(theta.arguments[0])
-    assert abs(theta.arguments[1]) < 1e-14
+    assert math.isnan(theta.arguments[0, 0])
+    assert abs(theta.arguments[0, 1]) < 1e-14
     assert abs(theta.entries[1].value - 2) < 1e-14
 
 
@@ -82,8 +83,8 @@ def test_theta_sequence_q4():
     theta = gauss.theta_sequence(1, 4)
     assert abs(theta.entries[0].value - (2 - 2j)) < 1e-13
     assert abs(theta.entries[2].value - (2 + 2j)) < 1e-13
-    assert abs(theta.arguments[0] + math.pi / 4) < 1e-13
-    assert abs(theta.arguments[2] - math.pi / 4) < 1e-13
+    assert abs(theta.arguments[0, 0] + math.pi / 4) < 1e-13
+    assert abs(theta.arguments[0, 2] - math.pi / 4) < 1e-13
     assert theta.entries[1].vanishing and theta.entries[3].vanishing
     assert theta.admissible_arguments()[0].tolist() == [0, 2]
 
@@ -123,28 +124,28 @@ def test_argument_branch_is_principal():
 
 def test_quadratic_phase_q3():
     qp = gauss.quadratic_phase(1, 3)
-    assert qp.a == 1 and qp.delta == 1 and qp.epsilon is None
-    assert abs(qp.b + math.pi / 2) < 1e-13
+    assert qp.a[0] == 1 and qp.delta == 1 and qp.epsilon is None
+    assert abs(qp.b[0] + math.pi / 2) < 1e-13
     # model reproduces theta_1 = 2*pi/3 - pi/2 = pi/6
     assert abs(model_theta(qp, 1) - math.pi / 6) < 1e-13
 
 
 def test_quadratic_phase_q2():
     qp = gauss.quadratic_phase(1, 2)
-    assert qp.a == 1 and qp.epsilon == 1
-    assert abs(qp.b + math.pi / 4) < 1e-13
+    assert qp.a[0] == 1 and qp.epsilon == 1
+    assert abs(qp.b[0] + math.pi / 4) < 1e-13
     # (2*pi/2)(1/2)^2 - pi/4 = 0 = theta_1
-    defect = (model_theta(qp, 1) - gauss.theta_sequence(1, 2).arguments[1]) % (2 * math.pi)
+    defect = (model_theta(qp, 1) - gauss.theta_sequence(1, 2).arguments[0, 1]) % (2 * math.pi)
     assert min(defect, 2 * math.pi - defect) < 1e-13
 
 
 def test_quadratic_phase_q4():
     qp = gauss.quadratic_phase(1, 4)
-    assert qp.a == 1 and qp.epsilon == 0
-    assert abs(qp.b + math.pi / 4) < 1e-13
+    assert qp.a[0] == 1 and qp.epsilon == 0
+    assert abs(qp.b[0] + math.pi / 4) < 1e-13
     theta = gauss.theta_sequence(1, 4)
     for n in (0, 2):
-        defect = (model_theta(qp, n) - theta.arguments[n]) % (2 * math.pi)
+        defect = (model_theta(qp, n) - theta.arguments[0, n]) % (2 * math.pi)
         assert min(defect, 2 * math.pi - defect) < 1e-13
 
 
@@ -159,8 +160,8 @@ def test_max_phase_defect_rejects_a_vanishing_admissible_index(monkeypatch):
     table = gauss.theta_sequence(1, 3)
     doctored = dataclasses.replace(
         table,
-        arguments=np.array([table.arguments[0], np.nan, table.arguments[2]]),
-        vanishing=np.array([False, True, False]),
+        arguments=np.array([[table.arguments[0, 0], np.nan, table.arguments[0, 2]]]),
+        vanishing=np.array([[False, True, False]]),
     )
     monkeypatch.setattr(gauss, "theta_sequence", lambda p, q: doctored)
     with pytest.raises(UndefinedTheta, match=r"G\(-1,1,3\)"):
@@ -172,9 +173,9 @@ def test_phase_fit_folds_a_minus_pi_reference_onto_pi():
     # fits b to the n = 0 sum itself, so a doctored value reaches it as is
     one = gauss.theta_sequence(1, 3)
     values = one.values.copy()
-    values[0] = complex(-1.0, -0.0)
+    values[0, 0] = complex(-1.0, -0.0)
     phase = gauss._fit_phase(dataclasses.replace(one, values=values))
-    assert type(phase.b) is float and phase.b == math.pi
+    assert phase.b.shape == (1,) and phase.b[0] == math.pi
 
     stacked = gauss.theta_sequences(np.array([1, 2, 4]), 5)
     values = stacked.values.copy()
@@ -196,7 +197,7 @@ def test_max_phase_defect_matches_per_index_loop():
             worst = 0.0
             for n in range(q):
                 if admissible[n]:
-                    d = (model_theta(phase, n) - theta.arguments[n]) % (2 * math.pi)
+                    d = (model_theta(phase, n) - theta.arguments[0, n]) % (2 * math.pi)
                     worst = max(worst, min(d, 2 * math.pi - d))
             assert gauss.max_phase_defect(p, q) == worst, (p, q)
 
@@ -205,7 +206,7 @@ def test_phase_model_coefficient_is_coprime():
     for q in range(1, 41):
         for p in range(1, q + 1):
             if math.gcd(p, q) == 1:
-                assert math.gcd(gauss.quadratic_phase(p, q).a, q) == 1
+                assert math.gcd(int(gauss.quadratic_phase(p, q).a[0]), q) == 1
 
 
 @given(st.integers(min_value=1, max_value=30), st.integers(min_value=-9, max_value=9),

@@ -134,10 +134,10 @@ def test_product_rejects_vanishing_factor():
     # doctor the sequence so the required entry is marked vanishing
     broken = dataclasses.replace(
         theta,
-        values=np.array([theta.values[0], 0j]),
-        moduli=np.array([theta.moduli[0], 0.0]),
-        arguments=np.array([theta.arguments[0], np.nan]),
-        vanishing=np.array([theta.vanishing[0], True]),
+        values=np.array([[theta.values[0, 0], 0j]]),
+        moduli=np.array([[theta.moduli[0, 0], 0.0]]),
+        arguments=np.array([[theta.arguments[0, 0], np.nan]]),
+        vanishing=np.array([[theta.vanishing[0, 0], True]]),
     )
     with pytest.raises(UndefinedTheta):
         kernel_product(broken, 1.0)
@@ -198,7 +198,7 @@ def test_product_factor_count():
     for q in range(1, 20):
         theta = gauss.theta_sequence(1, q)
         expected = q if q % 2 else q // 2
-        assert len(_product_factors(theta)) == expected
+        assert len(_product_factors(theta)[0]) == expected
 
 
 def test_half_trace_bridge():
@@ -208,7 +208,7 @@ def test_half_trace_bridge():
     # x = cot(rho/2); the half-trace of the product is even in the v_n, so
     # it is the Lemma-3 left-hand side for the same angles.
     def scalar_part(theta, rho):
-        factors = rotor._product_factors(theta)
+        factors = rotor._product_factors(theta)[0]
         lhs = rotor.trace_identity_eval(1 / math.tan(rho / 2), factors).lhs
         return abs(lhs) * math.sin(rho / 2) ** len(factors)
 

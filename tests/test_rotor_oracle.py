@@ -48,7 +48,7 @@ def product_per_factor(theta, rho):
     # factors run over the admissible indices (4 does not divide
     # 2n + 2 - q), highest index leftmost
     q = theta.q
-    args = [theta.arguments[n] for n in range(q - 1, -1, -1) if (2 * n + 2 - q) % 4 != 0]
+    args = [theta.arguments[0, n] for n in range(q - 1, -1, -1) if (2 * n + 2 - q) % 4 != 0]
     total = np.eye(3)
     spin = np.array([1.0, 0.0, 0.0, 0.0])
     for arg in args:
@@ -64,8 +64,7 @@ def product_per_factor(theta, rho):
 def kernel_pair(theta, rho):
     """The library's ordered product of a one-row table at one angle, as
     its spinor pair (alpha, beta): the one-row, one-angle kernel call."""
-    alpha, beta = rotor._ordered_products([rotor._product_factors(theta)[None]],
-                                          np.array([[rho]]))
+    alpha, beta = rotor._ordered_products([rotor._product_factors(theta)], np.array([[rho]]))
     return alpha[0, 0], beta[0, 0]
 
 
@@ -138,7 +137,7 @@ def test_product_shape_follows_rho():
             assert (alpha[i, j], beta[i, j]) == kernel_pair(one, rho)
             assert np.abs(pair_matrix(alpha[i, j], beta[i, j])
                           - product_per_factor(one, rho)).max() <= 1e-12
-    args = rotor._product_factors(gauss.theta_sequence(3, 7))[None]
+    args = rotor._product_factors(gauss.theta_sequence(3, 7))
     alpha, beta = rotor._ordered_products([args], np.empty((1, 0)))
     assert alpha.shape == beta.shape == (1, 0)
 
@@ -147,7 +146,7 @@ def test_product_shape_follows_rho():
     0.0, math.pi, -0.5, float("nan"), [0.5, 3.2], [0.5, float("nan")],
 ])
 def test_product_rejects_rho_outside_open_interval(rho):
-    args = rotor._product_factors(gauss.theta_sequence(1, 3))[None]
+    args = rotor._product_factors(gauss.theta_sequence(1, 3))
     with pytest.raises(ValueError, match="rho must lie in"):
         rotor._ordered_products([args], np.atleast_2d(np.asarray(rho, dtype=float)))
 
@@ -223,7 +222,7 @@ def test_complex_pair_route_matches_the_per_factor_quaternions():
     # product of the oracle, for a product of several factors
     theta = gauss.theta_sequence(3, 8)
     rho = 0.7
-    args = rotor._product_factors(theta)
+    args = rotor._product_factors(theta)[0]
     cos_half, sin_half = np.cos(np.array([0.5 * rho])), np.sin(np.array([0.5 * rho]))
     alpha, beta = None, None
     spin = np.array([1.0, 0.0, 0.0, 0.0])

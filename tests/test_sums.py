@@ -80,10 +80,10 @@ def test_phase_substitution_consistency():
     for p, q in [(1, 5), (2, 7), (3, 8), (1, 12)]:
         theta = gauss.theta_sequence(p, q)
         phase = gauss.quadratic_phase(p, q)
-        model_arguments = np.array([
+        model_arguments = np.array([[
             math.nan if vanishing else model_theta(phase, n)
-            for n, vanishing in enumerate(theta.vanishing)
-        ])
+            for n, vanishing in enumerate(theta.vanishing[0])
+        ]])
         model_table = dataclasses.replace(theta, arguments=model_arguments)
         for k in range(1, q // 2 + 1):
             direct = sums.sum_report(p, q, k, theta=theta).t_value
@@ -105,7 +105,7 @@ def test_global_shift_leaves_real_part_invariant():
                 for v in combinations(range(q), 2 * k):
                     shifted = tuple(c + h for c in v)
                     quad = arith.alternating_square_sum(shifted)
-                    total += math.cos(2.0 * math.pi * ((phase.a * quad) % q) / q)
+                    total += math.cos(2.0 * math.pi * ((phase.a[0] * quad) % q) / q)
                 assert abs(total - reference) <= 1e-10 * max(1, count)
 
 
@@ -123,7 +123,7 @@ def test_even_q_reduces_to_half_modulus_form():
             for m in combinations(range(half), 2 * k):
                 quad = arith.alternating_square_sum(m)
                 lin = arith.alternating_sum(m)
-                angle = 2.0 * math.pi * ((phase.a * (quad - eps * lin)) % q) / q
+                angle = 2.0 * math.pi * ((phase.a[0] * (quad - eps * lin)) % q) / q
                 total_re += math.cos(angle)
                 total_im += math.sin(angle)
             assert abs(complex(total_re, total_im) - direct) <= 1e-10
@@ -142,12 +142,12 @@ def test_verify_sum_identities_matches_sum_report_exactly():
 
 def test_sum_report_rejects_a_table_or_fit_of_another_pair():
     # a q = 3 table must not come back labelled q = 7
-    with pytest.raises(ValueError, match=r"p=1, q=3, not of \(1, 7\)"):
+    with pytest.raises(ValueError, match=r"p=\(1,\), q=3, not of \(1, 7\)"):
         sums.sum_report(1, 7, 1, theta=gauss.theta_sequence(1, 3))
-    with pytest.raises(ValueError, match=r"p=2, q=7, not of \(1, 7\)"):
+    with pytest.raises(ValueError, match=r"p=\(2,\), q=7, not of \(1, 7\)"):
         sums.sum_report(1, 7, 1, phase=gauss.quadratic_phase(2, 7))
     with pytest.raises(ValueError, match="table of p="):
-        sums.sum_report(1, 7, 1, theta=gauss.theta_sequences([1], 7))
+        sums.sum_report(1, 7, 1, theta=gauss.theta_sequences([1, 2], 7))
     # the table and fit of the pair itself give the default report
     own = sums.sum_report(2, 7, 1, theta=gauss.theta_sequence(2, 7),
                           phase=gauss.quadratic_phase(2, 7))

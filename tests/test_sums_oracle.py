@@ -154,9 +154,10 @@ def scalar_sum_reports(p, q):
     roots = gauss.unit_roots(phase.denominator)
     ks = range(1, q // 2 + 1)
     t_values = scalar_alternating_products(
-        [complex(math.cos(t), math.sin(t)) for t in arguments.tolist()], 2 * max(ks, default=0))
+        [complex(math.cos(t), math.sin(t)) for t in arguments[0].tolist()],
+        2 * max(ks, default=0))
     e_values = scalar_alternating_products(
-        [roots[m] for m in phase.residues(n).tolist()], 2 * max(ks, default=0))
+        [roots[m] for m in phase.residues(n)[0].tolist()], 2 * max(ks, default=0))
     reports = []
     for k in ks:
         t_value, e_value = t_values[2 * k].real, e_values[2 * k]
@@ -244,7 +245,7 @@ def admissible(q):
 def brute_sums(theta, phase, k):
     """(T_k, E_k) by enumerating every admissible 2k-tuple."""
     adm = admissible(theta.q)
-    args = [float(theta.arguments[n]) for n in adm]
+    args = [float(theta.arguments[0, n]) for n in adm]
     denom = (2 - phase.delta) ** 2 * theta.q
     roots = gauss.unit_roots(denom)
     t_total, t_c = 0.0, 0.0
@@ -258,7 +259,7 @@ def brute_sums(theta, phase, k):
             alt += sign * args[idx]
             quad += sign * adm[idx] ** 2
         t_total, t_c = _kahan(t_total, t_c, math.cos(alt))
-        root = roots[(phase.a * quad) % denom]
+        root = roots[(phase.a[0] * quad) % denom]
         re, re_c = _kahan(re, re_c, root.real)
         im, im_c = _kahan(im, im_c, root.imag)
     return t_total, complex(re, im)

@@ -7,9 +7,10 @@ manifest lives in the accompanying summary JSON.
 
 verify makes one pass over q = 1..q_max (_verify_outcomes).  Each q
 that a selected suite reads gets one stacked table
-(gauss.theta_sequences) of every p coprime to q, and one phase fit when
-lemma4 or sums is selected.  The per-q checks of vanishing, lemma4 and
-sums read them, through gauss.max_phase_defects and sums.sum_arrays,
+(gauss.theta_sequences) of every p coprime to q.  The per-q checks of
+vanishing, lemma4 and sums read it, the last two through
+gauss.max_phase_defects and sums.sum_arrays, which read the table's
+phase fit (ThetaSequence.phase, fitted on first use and shared by both),
 and the table is dropped after its q, unless theorem2 is selected: it
 keeps every table for one rotor.certificate_arrays call after the pass.
 lemma3 draws all its cases first and evaluates them in one call
@@ -78,7 +79,6 @@ from .gauss import (
     GaussSumValue,
     ThetaSequence,
     VANISHING_RELATIVE_TOL,
-    _fit_phase,
     gauss_sum,
     max_phase_defects,
     theta_sequence,
@@ -353,7 +353,7 @@ def _outcome(case_id: str, passed: bool, residual: float) -> dict:
     return {"case_id": case_id, "passed": bool(passed), "residual": float(residual)}
 
 
-def _vanishing_outcomes(table: ThetaSequence, fit) -> list[dict]:
+def _vanishing_outcomes(table: ThetaSequence) -> list[dict]:
     q = table.q
     expected_modulus = math.sqrt(q) if q % 2 == 1 else math.sqrt(2 * q)
     tol = TOL_VANISHING * max(1.0, math.sqrt(q))
@@ -367,21 +367,21 @@ def _vanishing_outcomes(table: ThetaSequence, fit) -> list[dict]:
             for p, ok, residual in zip(table.p, pattern_ok.tolist(), residuals.tolist())]
 
 
-def _lemma4_outcomes(table: ThetaSequence, fit) -> list[dict]:
-    defects = max_phase_defects(table, fit)
+def _lemma4_outcomes(table: ThetaSequence) -> list[dict]:
+    defects = max_phase_defects(table)
     return [_outcome(f"lemma4/p={p}/q={table.q}", defect <= TOL_PHASE_MODEL, defect)
             for p, defect in zip(table.p, defects.tolist())]
 
 
-def _sums_outcomes(table: ThetaSequence, fit) -> list[dict]:
-    sums = sum_arrays(table, fit)
+def _sums_outcomes(table: ThetaSequence) -> list[dict]:
+    sums = sum_arrays(table)
     return [_outcome(f"sums/p={p}/q={table.q}/k={k}", ok, residual)
             for p, passed, residuals in zip(table.p, _sums_passed(sums).tolist(),
                                             sums.residual.tolist())
             for k, ok, residual in zip(sums.k, passed, residuals)]
 
 
-# the checks that read one q's table and fit, each with its first q
+# the checks that read one q's table, each with its first q
 # (no k has 0 < 2k <= 1)
 _PER_Q_CHECKS = {"sums": (2, _sums_outcomes), "lemma4": (1, _lemma4_outcomes),
                  "vanishing": (1, _vanishing_outcomes)}
@@ -436,11 +436,13 @@ def _verify_work(selected, q_max: int, m_count: int) -> int:
 def _verify_outcomes(selected, q_max: int, m_max: int) -> dict[str, list[dict]]:
     """The outcomes of each suite in `selected` (in _SUITES order), in
     order of q, then p, from one pass over q (see the module docstring).
-    The sums bounds are checked first, the largest q first, then the
-    work estimate against MAX_VERIFY_WORK (RangeError); a suite that
-    selects no case raises RangeError, in the order of `selected`."""
+    The sums bounds are checked first, at q_max and q_max - 1 alone (the
+    odd one has the most admissible indices, and its orders 2k cover
+    every lower q's, so no lower q overflows first), then the work
+    estimate against MAX_VERIFY_WORK (RangeError); a suite that selects
+    no case raises RangeError, in the order of `selected`."""
     if "sums" in selected:
-        for q in range(q_max, 1, -1):
+        for q in (q_max, q_max - 1):
             _check_sums_bounds(q, range(1, q // 2 + 1))
     Ms = range(3, m_max + 1) if "theorem2" in selected else range(0)
     if _verify_work(selected, q_max, len(Ms)) > MAX_VERIFY_WORK:
@@ -449,15 +451,13 @@ def _verify_outcomes(selected, q_max: int, m_max: int) -> dict[str, list[dict]]:
     per_q = [(name, first, check) for name, (first, check) in _PER_Q_CHECKS.items()
              if name in selected]
     firsts = [first for _, first, _ in per_q] + ([1] if Ms else [])
-    fitted = "lemma4" in selected or "sums" in selected
     found: dict[str, list[dict]] = {name: [] for name in selected}
     tables = []
     for q in range(min(firsts, default=q_max + 1), q_max + 1):
         table = theta_sequences([p for p in range(1, q + 1) if gcd(p, q) == 1], q)
-        fit = _fit_phase(table) if fitted else None
         for name, first, check in per_q:
             if q >= first:
-                found[name] += check(table, fit)
+                found[name] += check(table)
         if Ms:
             tables.append(table)
     finish = {"theorem2": lambda: _theorem2_outcomes(tables, Ms), "lemma3": _lemma3_outcomes}

@@ -15,12 +15,18 @@ A table has one shape: it stacks P values of p at one q, `p` is a
 tuple of P ints, and every array has a leading p axis, (P, q) for the
 table and (P,) for its phase fit's a and b.  theta_sequences(ps, q)
 builds the table of all given p from one inverse FFT along the last
-axis and classifies it in one vectorised pass; theta_sequence(p, q) and
-quadratic_phase(p, q) are its P = 1 calls, not a second shape.  Each
-row of a stacked table equals the one-row table of its p bit for bit
-(tests/test_batch_oracle.py), so the verify suites build one table per
-q for every p at once.  ThetaSequence.entry(n) builds one GaussSumValue
-of a one-row table on demand, for gauss_sum and the CLI.
+axis and classifies it in one vectorised pass; theta_sequence(p, q) is
+its P = 1 call, not a second shape.  Each row of a stacked table equals
+the one-row table of its p bit for bit (tests/test_batch_oracle.py), so
+the verify suites build one table per q for every p at once.
+ThetaSequence.entry(n) builds one GaussSumValue of a one-row table on
+demand, for gauss_sum and the CLI.
+
+A table owns its phase fit: ThetaSequence.phase is the QuadraticPhase
+of its rows, fitted on first read and cached on the table, so every
+check that reads the fit reads the one of its own table, and a table
+that no check fits is never fitted.  quadratic_phase(p, q) is
+theta_sequence(p, q).phase.
 
 Two rules of the proof have one owner each, which gauss, sums and rotor
 all read.  ThetaSequence.admissible_arguments decides which indices
@@ -40,7 +46,7 @@ import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
@@ -129,6 +135,12 @@ class ThetaSequence:
             None if vanishing else float(self.arguments[0, n]), vanishing,
         )
 
+    @cached_property
+    def phase(self) -> QuadraticPhase:
+        """The phase fit of every row (see _fit_phase), computed on first
+        read and kept with the table."""
+        return _fit_phase(self)
+
     @property
     def entries(self) -> Sequence[GaussSumValue]:
         """A read-only sequence view whose item n is entry(n), built when
@@ -157,8 +169,9 @@ class QuadraticPhase:
     reference sum.  delta is the parity of q; epsilon (even q only) is
     the common parity of the admissible indices.
 
-    One fit per row of a table: `p` is its tuple, `a` an int64 array and
-    `b` a float array, each of shape (P,).  Compared by identity
+    One fit per row of a table, read as that table's `phase` (the only
+    route from a table to its fit): `p` is its tuple, `a` an int64 array
+    and `b` a float array, each of shape (P,).  Compared by identity
     (eq=False), since arrays have no single-bool ==.
     """
 
@@ -242,8 +255,8 @@ def _classify(ps: tuple[int, ...], q: int, values: np.ndarray) -> ThetaSequence:
 
 
 def quadratic_phase(p: int, q: int) -> QuadraticPhase:
-    """Fit the quadratic phase model to the (p, q) table (see _fit_phase)."""
-    return _fit_phase(theta_sequence(p, q))
+    """The quadratic phase fit of the (p, q) table (see _fit_phase)."""
+    return theta_sequence(p, q).phase
 
 
 def _fit_phase(table: ThetaSequence) -> QuadraticPhase:
@@ -279,17 +292,6 @@ def _fit_phase(table: ThetaSequence) -> QuadraticPhase:
                           epsilon=None if info.delta == 1 else ref)
 
 
-def _own_fit(theta: ThetaSequence, phase: QuadraticPhase | None) -> QuadraticPhase:
-    """The phase fit of a table: `phase` when one is passed in, which
-    must be fitted to the same rows (else ValueError), or a new fit."""
-    if phase is None:
-        return _fit_phase(theta)
-    if (phase.p, phase.q) != (theta.p, theta.q):
-        raise ValueError(f"phase is the fit of p={phase.p}, q={phase.q}, "
-                         f"not of p={theta.p}, q={theta.q}")
-    return phase
-
-
 def max_phase_defect(p: int, q: int) -> float:
     """Largest distance, over admissible n, from the model-vs-actual phase
     difference to the nearest multiple of 2*pi, for one (p, q): the
@@ -297,13 +299,12 @@ def max_phase_defect(p: int, q: int) -> float:
     return float(max_phase_defects(theta_sequence(p, q))[0])
 
 
-def max_phase_defects(theta: ThetaSequence, phase: QuadraticPhase | None = None) -> np.ndarray:
+def max_phase_defects(theta: ThetaSequence) -> np.ndarray:
     """The phase defect of every row of a table, shape (P,).  One table
-    serves both the fit and the comparison, read through its two owners:
-    ThetaSequence.admissible_arguments and QuadraticPhase.residues.  A
-    phase passed in must be the table's own fit (_fit_phase(theta));
-    one that belongs to other rows raises ValueError."""
-    phase = _own_fit(theta, phase)
+    serves both the fit (theta.phase) and the comparison, read through
+    its two owners: ThetaSequence.admissible_arguments and
+    QuadraticPhase.residues."""
+    phase = theta.phase
     n, arguments = theta.admissible_arguments()
     model = 2.0 * math.pi * phase.residues(n) / phase.denominator + phase.b[:, None]
     diff = (model - arguments) % (2.0 * math.pi)

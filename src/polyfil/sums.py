@@ -23,14 +23,14 @@ the same index set, ThetaSequence.admissible_arguments, and the
 exponents are QuadraticPhase.residues; this module restates neither
 rule.
 
-The check runs once per q, not per (p, q).  sum_arrays(theta, phase)
-takes one table of every p at q (gauss.theta_sequences, P rows; a table
-has no other shape) and its phase fit, which the verify command builds
-once for all its suites, and makes one kernel call over the (2P, N)
-stack of both sequences of every p, run to the top order 2*(q // 2);
-S_2k is read for every k from that one pass, and the results come back
-as (P, K) arrays (SumArrays).  verify_sum_identities and sum_report are
-its P = 1 calls, returned as SumReport objects.
+The check runs once per q, not per (p, q).  sum_arrays(theta) takes
+one table of every p at q (gauss.theta_sequences, P rows; a table has
+no other shape), reads its phase fit as theta.phase, which the table
+fits once for every check that reads it, and makes one kernel call over
+the (2P, N) stack of both sequences of every p, run to the top order
+2*(q // 2); S_2k is read for every k from that one pass, and the
+results come back as (P, K) arrays (SumArrays).  verify_sum_identities
+and sum_report are its P = 1 calls, returned as SumReport objects.
 
 Every value is reproducible bit for bit, and equals the scalar Python
 recurrence over one (p, q) at a time.  The trig terms are math.cos and
@@ -50,14 +50,7 @@ import numpy as np
 
 from .arith import alternating_products
 from .errors import RangeError
-from .gauss import (
-    QuadraticPhase,
-    ThetaSequence,
-    _fit_phase,
-    _own_fit,
-    theta_sequence,
-    unit_roots,
-)
+from .gauss import QuadraticPhase, ThetaSequence, theta_sequence, unit_roots
 
 __all__ = [
     "SumReport",
@@ -140,12 +133,12 @@ def _reports(arrays: SumArrays) -> list[SumReport]:
     ]
 
 
-def sum_arrays(theta: ThetaSequence, phase: QuadraticPhase) -> SumArrays:
+def sum_arrays(theta: ThetaSequence) -> SumArrays:
     """Both sums for every p of a table (gauss.theta_sequences) and
     every k with 0 < 2k <= q, from the table, its phase fit and one
     kernel call; row i equals verify_sum_identities(theta.p[i], q) bit
-    for bit.  A phase fitted to other rows raises ValueError."""
-    return _sum_arrays(theta, _own_fit(theta, phase), list(range(1, theta.q // 2 + 1)))
+    for bit."""
+    return _sum_arrays(theta, theta.phase, list(range(1, theta.q // 2 + 1)))
 
 
 def sum_report(
@@ -163,7 +156,7 @@ def sum_report(
     elif (theta.p, theta.q) != ((p,), q):
         raise ValueError(f"theta is the table of p={theta.p}, q={theta.q}, not of ({p}, {q})")
     if phase is None:
-        phase = _fit_phase(theta)
+        phase = theta.phase
     elif (phase.p, phase.q) != ((p,), q):
         raise ValueError(f"phase is the fit of p={phase.p}, q={phase.q}, not of ({p}, {q})")
     return _reports(_sum_arrays(theta, phase, [k]))[0]
@@ -174,4 +167,4 @@ def verify_sum_identities(p: int, q: int, k_max: int | None = None) -> list[SumR
     from one table and one kernel call: the one-row call of sum_arrays."""
     theta = theta_sequence(p, q)
     ks = [k for k in range(1, q // 2 + 1) if k_max is None or k <= k_max]
-    return _reports(_sum_arrays(theta, _fit_phase(theta), ks))
+    return _reports(_sum_arrays(theta, theta.phase, ks))

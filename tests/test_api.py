@@ -75,3 +75,26 @@ def test_every_error_type_is_raised_in_the_package():
                 raised.add(getattr(exc, "attr", getattr(exc, "id", None)))
     defined = {node.name for node in classes} - bases
     assert defined and sorted(defined - raised) == []
+
+
+def _private_imports(path: Path) -> list[str]:
+    """The underscore names (dunders exempt) that a module imports from
+    another polyfil module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").partition(".")[0] != "polyfil":
+            continue
+        found += [alias.name for alias in node.names
+                  if alias.name.startswith("_") and not alias.name.startswith("__")]
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a module's underscore names are its own; a table's phase fit, for
+    # one, is read as ThetaSequence.phase, not through gauss._fit_phase
+    package = ROOT / "src" / "polyfil"
+    found = {path.name: _private_imports(path) for path in sorted(package.glob("*.py"))}
+    assert "gauss.py" in found
+    assert {name: names for name, names in found.items() if names} == {}

@@ -12,6 +12,7 @@ replaced, the per-q Rodrigues kernel and the per-case 2x2 product, are
 the independent oracles here, at stated tolerances."""
 
 import dataclasses
+import inspect
 import json
 import math
 import random
@@ -51,7 +52,7 @@ def defect_rows_match(q):
     ps = coprime(q)
     stacked = gauss.theta_sequences(ps, q)
     defects = gauss.max_phase_defects(stacked)
-    phase = gauss._fit_phase(stacked)
+    phase = stacked.phase
     for i, p in enumerate(ps):
         one = gauss.quadratic_phase(p, q)
         if (phase.a[i], phase.b[i]) != (one.a[0], one.b[0]):
@@ -88,7 +89,7 @@ def certificate_rows_match(q):
 def sum_rows_match(q):
     ps = coprime(q)
     stacked = gauss.theta_sequences(ps, q)
-    arrays = sums.sum_arrays(stacked, gauss._fit_phase(stacked))
+    arrays = sums.sum_arrays(stacked)
     ks = tuple(range(1, q // 2 + 1))
     if arrays.p != tuple(ps) or arrays.k != ks or arrays.residual.shape != (len(ps), len(ks)):
         return False
@@ -163,7 +164,7 @@ def test_every_table_and_fit_has_one_shape():
               gauss.theta_sequences([1, 3, 5, 7], 8), gauss.theta_sequences([huge, 2], 3),
               gauss.theta_sequences([], 5)]
     fits = [gauss.quadratic_phase(3, 7), gauss.quadratic_phase(huge, 3)]
-    fits += [gauss._fit_phase(table) for table in tables]
+    fits += [table.phase for table in tables]
     for table in tables:
         assert type(table.p) is tuple and all(type(p) is int for p in table.p)
         for name in ("values", "moduli", "arguments", "vanishing"):
@@ -182,18 +183,16 @@ def test_every_table_and_fit_has_one_shape():
 
 
 def test_a_phase_fit_of_other_rows_is_rejected():
-    # the verify command passes each table's fit along with it; a fit of
-    # other p or another q must not be read as the table's own
-    table = gauss.theta_sequences([1, 3], 8)
-    for other in (gauss.theta_sequences([1, 5], 8), gauss.theta_sequences([1, 3], 10),
-                  gauss.theta_sequence(1, 8)):
-        fit = gauss._fit_phase(other)
+    # the table checks read the fit of their own table (table.phase) and
+    # take no other; sum_report, the one call that still takes a fit,
+    # rejects one of other p or another q
+    for check in (sums.sum_arrays, gauss.max_phase_defects):
+        assert list(inspect.signature(check).parameters) == ["theta"], check
+    table = gauss.theta_sequence(1, 8)
+    for other in (gauss.theta_sequences([1, 5], 8), gauss.theta_sequence(3, 8),
+                  gauss.theta_sequence(1, 10)):
         with pytest.raises(ValueError, match="phase is the fit of"):
-            sums.sum_arrays(table, fit)
-        with pytest.raises(ValueError, match="phase is the fit of"):
-            gauss.max_phase_defects(table, fit)
-    own = gauss._fit_phase(table)
-    assert np.array_equal(gauss.max_phase_defects(table, own), gauss.max_phase_defects(table))
+            sums.sum_report(1, 8, 1, theta=table, phase=other.phase)
 
 
 def test_stacked_table_rejects_a_pair_that_is_not_coprime():
@@ -213,7 +212,7 @@ def test_stacked_admissible_arguments_name_the_row_that_vanishes():
 
 
 def test_stacked_residues_keep_the_p_axis():
-    phase = gauss._fit_phase(gauss.theta_sequences([1, 3, 5, 7], 8))
+    phase = gauss.theta_sequences([1, 3, 5, 7], 8).phase
     n = np.arange(8)
     residues = phase.residues(n)
     assert residues.shape == (4, 8)
@@ -537,9 +536,8 @@ def test_oracles_catch_a_shared_phase_coefficient(monkeypatch):
         phase = original(table)
         return dataclasses.replace(phase, a=np.full_like(phase.a, phase.a[0]))
 
+    # every fit comes from ThetaSequence.phase, so one patch reaches all
     monkeypatch.setattr(gauss, "_fit_phase", shared)
-    monkeypatch.setattr(sums, "_fit_phase", shared)
-    monkeypatch.setattr(cli, "_fit_phase", shared)
     assert not defect_rows_match(7)
     assert not sum_rows_match(7)
     assert suite("lemma4", 7) != lemma4_per_pair(7)

@@ -14,7 +14,7 @@ import pytest
 
 from polyfil import cli, gauss, rotor, sums, vfe
 from polyfil.cli import main
-from polyfil.errors import NonUnitSpinor
+from polyfil.errors import NonUnitSpinor, RangeError
 from polyfil.vfe import (
     CurveSample, SimulationConfig, TangentField, evolve, initial_tangent,
 )
@@ -164,6 +164,39 @@ def test_sums_bound_of_a_huge_q_stops_at_the_first_overflow():
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert proc.stderr.startswith("error: the sums bound ") and proc.stderr.count("\n") == 1
     assert "k=6 exceeds the float range" in proc.stderr
+
+
+def sums_bound_error(check):
+    """The text of the RangeError that check() raises, or None."""
+    try:
+        check()
+    except RangeError as exc:
+        return str(exc)
+    return None
+
+
+def walk_every_q(q_max):
+    """The sums bound check of every q from q_max down to 2: the oracle
+    of verify's check of q_max and q_max - 1 alone."""
+    for q in range(q_max, 1, -1):
+        cli._check_sums_bounds(q, range(1, q // 2 + 1))
+
+
+@pytest.mark.parametrize("q_max", [3, 1000, 1031, 1032, 1061, 1062, 2062])
+def test_verify_sums_bound_checks_the_two_largest_q(monkeypatch, q_max):
+    # the odd one of q_max, q_max - 1 has the most admissible indices, so
+    # the two give the error of the walk over every q, or none
+    expected = sums_bound_error(lambda: walk_every_q(q_max))
+    checked = []
+    original = cli._check_sums_bounds
+    monkeypatch.setattr(cli, "_check_sums_bounds",
+                        lambda q, ks: checked.append(q) or original(q, ks))
+    got = sums_bound_error(lambda: cli._verify_outcomes(("sums",), q_max, 10))
+    if expected is None:
+        assert got is None or "sums bound" not in got, got
+    else:
+        assert got == expected
+    assert checked in ([q_max], [q_max, q_max - 1])
 
 
 @pytest.mark.parametrize("argv", [
@@ -348,6 +381,14 @@ def test_verify_all_builds_one_table_per_q_for_every_suite(capsys, monkeypatch):
         "sums", "theorem2", "lemma3", "lemma4", "vanishing"}
     assert calls == {"_gauss_table": 8, "_fit_phase": 8, "theta_sequence": 0,
                      "rho_sizes": []}
+
+
+def test_verify_vanishing_fits_no_phase(capsys, monkeypatch):
+    # vanishing reads the moduli and flags alone, so no table is fitted
+    calls = count_calls(monkeypatch, ("_gauss_table", "_fit_phase"))
+    code, payload = run_json(capsys, "verify", "--suite", "vanishing", "--q-max", "8")
+    assert code == 0 and payload["total"] == 22
+    assert calls == {"_gauss_table": 8, "_fit_phase": 0, "rho_sizes": []}
 
 
 def test_verify_sums_one_table_and_one_kernel_call_per_q(capsys, monkeypatch):

@@ -185,6 +185,29 @@ def test_phase_fit_folds_a_minus_pi_reference_onto_pi():
     assert np.array_equal(np.delete(phase.b, 1), np.delete(gauss._fit_phase(stacked).b, 1))
 
 
+def test_a_table_fits_its_phase_once(monkeypatch):
+    # the fit is computed on the first read of table.phase and kept with
+    # the table; a replaced table is another table and fits afresh
+    fitted = []
+    original = gauss._fit_phase
+    monkeypatch.setattr(gauss, "_fit_phase", lambda table: fitted.append(table) or original(table))
+    stacked = gauss.theta_sequences([1, 3, 5, 7], 8)
+    assert fitted == []
+    assert stacked.phase is stacked.phase
+    gauss.max_phase_defects(stacked)
+    assert fitted == [stacked]
+    assert (stacked.phase.p, stacked.phase.q) == (stacked.p, stacked.q)
+
+    one = gauss.theta_sequence(1, 3)
+    b = one.phase.b[0]
+    values = one.values.copy()
+    values[0, 0] = complex(-1.0, -0.0)
+    doctored = dataclasses.replace(one, values=values)
+    assert doctored.phase.b[0] == math.pi != b
+    assert fitted[1:] == [one, doctored]
+    assert doctored.phase is not one.phase
+
+
 def test_max_phase_defect_matches_per_index_loop():
     # the array form repeats model_theta's arithmetic exactly
     for q in range(1, 41):

@@ -15,7 +15,10 @@ Usage:
     PYTHONPATH=src python scripts/output_digests.py [--smoke] > digests.txt
     diff digests-before.txt digests-after.txt
 
-Each line is "<sha256>  rc=<exit code>  <invocation> | <stream>", where
+The first line, "# numpy <version>; baseline: <sets>; dispatched: <sets>",
+names the numpy build and the SIMD sets it runs on this machine: the
+float digests can differ between machines whose sets differ.  Each
+other line is "<sha256>  rc=<exit code>  <invocation> | <stream>", where
 the stream is stdout, stderr (error paths only) or the name of a file
 the invocation wrote.  An argparse exit is recorded as its code, and
 any other exception that escapes the CLI as its name (rc=OverflowError),
@@ -31,7 +34,14 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from polyfil import cli
+
+try:
+    from numpy._core import _multiarray_umath as simd
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as simd
 
 CANONICAL = (
     "verify --suite all --q-max 17 --m-max 10",
@@ -107,6 +117,14 @@ ERRORS = (
 )
 
 
+def machine_line() -> str:
+    """numpy's version, the SIMD sets it was built to assume and those of
+    its dispatch targets that this CPU runs."""
+    dispatched = [name for name in simd.__cpu_dispatch__ if simd.__cpu_features__.get(name)]
+    return (f"# numpy {np.__version__}; baseline: {','.join(simd.__cpu_baseline__) or 'none'}; "
+            f"dispatched: {','.join(dispatched) or 'none'}")
+
+
 def digest_lines(invocation: str, stderr: bool = False) -> list[str]:
     """Run one invocation in the current directory, which it must leave
     empty of files it did not write; return its digest lines, with one
@@ -139,6 +157,7 @@ def main(argv=None) -> int:
         line for line in SMOKE if line not in CANONICAL)
     errors = () if args.smoke else ERRORS
     os.environ["SOURCE_DATE_EPOCH"] = "0"
+    print(machine_line(), flush=True)
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)

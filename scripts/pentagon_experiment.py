@@ -6,6 +6,11 @@ At t = (1/3) and (2/3) of the period 2*pi/25 the tangent settles on 15
 plateaus with inter-side angle 2*arccos(cos^(1/3)(pi/5)) ~ 0.74295;
 at a full period it returns to the initial pentagon.
 
+The stops are chained: each is evolved from the field of the one before,
+so the three take the steps of one period, not of two.  A chained stop
+takes its own shortened last step, so it is not bit for bit the field
+that one run from t = 0 writes.
+
 Usage:
     python scripts/pentagon_experiment.py [--grid 1920] [--outdir pentagon_data]
 """
@@ -41,9 +46,10 @@ def main() -> int:
     dump_field(start, os.path.join(args.outdir, "t0"))
     summary = {}
 
+    evolved = start
     for p, q, label in [(1, 3, "third"), (2, 3, "two_thirds"), (1, 1, "period")]:
         config = SimulationConfig(M=5, p=p, q=q, grid_points=args.grid)
-        evolved = evolve(start, config.rational_time, config)
+        evolved = evolve(evolved, config.rational_time, config)
         dump_field(evolved, os.path.join(args.outdir, f"t_{label}"))
         report = analyze_polygon(evolved, config)
         summary[label] = {

@@ -56,6 +56,11 @@ from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
+# The step loop calls these through module globals bound once: numpy
+# defines a module __getattr__, so CPython never specializes a load of
+# np.<name>, and at these sizes such a load costs a sizable share of the
+# ufunc call it precedes.
+from numpy import add, copyto, divide, dot, maximum, minimum, multiply, sqrt
 
 from .errors import BlowUp, GridNotDivisible, NotCoprime, RangeError
 from .rotor import inter_side_angle
@@ -85,8 +90,9 @@ __all__ = [
 DEFAULT_GRID_MULTIPLIER = 256
 DEFAULT_DT_FACTOR = 0.4
 # The most RK4 steps one evolve call takes: over 1000 times the 78,227
-# of the largest run in the tests, scripts and benchmark, and about 45
-# minutes at the pentagon's 27 us per step (grid 1920).
+# of the largest run in the tests, scripts and benchmark, and about 41
+# minutes at the pentagon's 25 us per step (grid 1920; perfbench's
+# pentagon_evolve wall_s at its reference speed over 19,557 steps).
 MAX_STEPS = 10**8
 
 # Plateau statistics: each block keeps its central half, and side
@@ -235,8 +241,10 @@ class Workspace:
     rk4_step call creates no arrays.
 
     `halo` continues the grid _HALO samples past each end (see
-    HaloTable); every source is one of the samples 0..cells - 1, so a
-    domain narrower than the halo names its samples again.
+    HaloTable): 2 * _HALO sources, each one of the samples
+    0..cells - 1, so that a domain narrower than the halo names its
+    samples again, and as many 3x3 matrices.  Any other table raises
+    ValueError.
 
     Each buffer is a structure of arrays, one row per vector component
     and cells + 2 * _HALO columns: the samples sit in the middle, with
@@ -265,19 +273,47 @@ class Workspace:
     the block stack[:2i + 1].  The dot is the next stage's input in
     `stage` for i = 1..3, and for i = 4 the combined step in `update`,
     seen as the (cells, 3) view `stepped`.  A change to the stencil or
-    the tableau is one change to that body or that table.  `squares` and
-    `norms` serve the renormalization in evolve.
+    the tableau is one change to that body or that table.
+
+    `squares` and `norms` serve the renormalization in evolve, which
+    copies into `stepped` any other array rk4_step returns.  `squares`
+    holds the squares of `update`, one flat product over its three whole
+    rows; `norms` their column sums (x^2 + y^2) + z^2, two flat additions
+    over whole rows, ghost columns included (they are finite and never
+    read).  The sqrt, the min and max and the division of the samples by
+    their norms run over the sample columns alone.
+
+    A warm step reaches every array through the views of `_kernel` and
+    `_stages`, and every numpy function through a module-level name
+    bound once (see the import), never through `np.<name>`.
     """
 
     def __init__(self, cells: int, halo: HaloTable) -> None:
         sources, matrices = halo
-        width = cells + 2 * _HALO
+        ghosts = 2 * _HALO
+        if len(sources) != ghosts or len(matrices) != ghosts:
+            raise ValueError(
+                f"a halo table needs {ghosts} sources and {ghosts} matrices, "
+                f"got {len(sources)} and {len(matrices)}"
+            )
+        if any(np.shape(matrix) != (3, 3) for matrix in matrices):
+            raise ValueError(
+                "every halo matrix must be 3x3, got shapes "
+                f"{[np.shape(matrix) for matrix in matrices]}"
+            )
+        sources = np.asarray(sources, dtype=np.intp)
+        if sources.min() < 0 or sources.max() >= cells:
+            raise ValueError(
+                f"every halo source must be a sample in [0, {cells}), "
+                f"got {sources.tolist()}"
+            )
+        width = cells + ghosts
         self.stack = np.zeros((9, 3, width))
         self.stage = np.zeros((5, width))
         self.pair = np.zeros((5, width))  # T+ + T- at the columns of stage
         self.update = np.zeros((3, width))
-        self.squares = np.zeros((3, cells)).T
-        self.norms = np.zeros(cells)
+        self.squares = np.zeros((3, width))
+        self.norms = np.zeros(width)
         samples = slice(_HALO, _HALO + cells)
         self.cells = self.stack[0, :, samples].T
         self.stepped = self.update[:, samples].T
@@ -289,7 +325,6 @@ class Workspace:
         # the halo as flat indices into stack[0] and one block-diagonal
         # matrix: gathering the 3 x 2*_HALO source components, one dot
         # with it and one scatter fill the state's ghost columns
-        ghosts = 2 * _HALO
         columns = np.concatenate([np.arange(_HALO), np.arange(cells + _HALO, width)])
         rows = width * np.arange(3)[:, None]
         spread = np.zeros((3, ghosts, 3, ghosts))
@@ -303,7 +338,7 @@ class Workspace:
         # ufunc call
         self._kernel = (
             stack[0],
-            (rows + np.asarray(sources, dtype=np.intp) + _HALO).ravel(),
+            (rows + sources + _HALO).ravel(),
             gathered,
             spread.reshape(3 * ghosts, 3 * ghosts),
             ghost_values,
@@ -347,7 +382,7 @@ def rk4_step(
     work.cells.  Returns the view work.stepped, valid until the next
     call; work.cells still holds the samples."""
     if samples is not work.cells:
-        np.copyto(work.cells, samples)
+        copyto(work.cells, samples)
     dt_now, ds_now = work._step
     if dt != dt_now or ds != ds_now:
         work._set_weights(dt, ds)
@@ -355,15 +390,15 @@ def rk4_step(
      rows_34, rows_01, upper, lower, pair, t_yzx, p_zxy, t_zxy, p_yzx) = work._kernel
     # the methods: np.take and np.put are Python wrappers around them
     state.take(sources, out=gathered, mode="clip")
-    np.dot(spread, gathered, out=ghost_values)
+    dot(spread, gathered, out=ghost_values)
     state.put(ghosts, ghost_values, mode="clip")
-    np.copyto(stage, state)
+    copyto(stage, state)
     for a, b, weights, block, out in work._stages:
-        np.copyto(rows_34, rows_01)
-        np.add(upper, lower, out=pair)
-        np.multiply(t_yzx, p_zxy, out=a)
-        np.multiply(t_zxy, p_yzx, out=b)
-        np.dot(weights, block, out=out)
+        copyto(rows_34, rows_01)
+        add(upper, lower, out=pair)
+        multiply(t_yzx, p_zxy, out=a)
+        multiply(t_zxy, p_yzx, out=b)
+        dot(weights, block, out=out)
     return work.stepped
 
 
@@ -453,8 +488,12 @@ def evolve(field: TangentField, t_target: float, config: SimulationConfig) -> Ta
     sources, matrices = _symmetry_map(n, cells, copies, reflected)
     ghosts = np.concatenate([np.arange(-_HALO, 0), np.arange(cells, cells + _HALO)]) % n
     work = Workspace(cells, (sources[ghosts], matrices[ghosts]))
-    state, squares, norms = work.cells, work.squares, work.norms
-    squares_rows, norms_column = squares.T, norms[:, None]
+    state, stepped = work.cells, work.stepped
+    # flat over whole rows, ghost columns included; from the sqrt on,
+    # over the sample columns alone
+    update, squares = work.update.reshape(-1), work.squares.reshape(-1)
+    (x2, y2, z2), sums = work.squares, work.norms
+    norms, stepped_rows, state_rows = sums[_HALO:_HALO + cells], stepped.T, state.T
     state[...] = field.samples[:cells]
     negligible = 1e-16 * max(1.0, t_target)
     steps, lowest, highest = 0, 1.0, 1.0
@@ -462,18 +501,21 @@ def evolve(field: TangentField, t_target: float, config: SimulationConfig) -> Ta
         h = dt if step < n_full else tail
         if h <= negligible:
             continue
-        stepped = rk4_step(state, h, ds, work)
-        np.multiply(stepped, stepped, out=squares)
-        np.add.reduce(squares_rows, axis=0, out=norms)
-        np.sqrt(norms, out=norms)
-        low, high = np.minimum.reduce(norms), np.maximum.reduce(norms)
+        result = rk4_step(state, h, ds, work)
+        if result is not stepped:
+            copyto(stepped, result)
+        multiply(update, update, out=squares)
+        add(x2, y2, out=sums)
+        add(sums, z2, out=sums)
+        sqrt(norms, out=norms)
+        low, high = minimum.reduce(norms), maximum.reduce(norms)
         # negated so that a NaN norm fails the test as well
         if not (low >= 0.5 and high <= 2.0):
             raise BlowUp(
                 f"sample norm left [0.5, 2] at t ~ {field.time + step * dt:.6g}; "
                 "reduce dt_factor"
             )
-        np.divide(stepped, norms_column, out=state)
+        divide(stepped_rows, norms, out=state_rows)
         if low < lowest:
             lowest = low
         if high > highest:

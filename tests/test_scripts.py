@@ -1,9 +1,12 @@
 import hashlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,9 +39,12 @@ def test_output_digests_script(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert not list(tmp_path.iterdir())
-    lines = proc.stdout.splitlines()
-    # four verify calls with one stdout each, four simulate calls with
-    # stdout, two CSVs and the summary each
+    header, *lines = proc.stdout.splitlines()
+    # numpy's version and SIMD sets first, then four verify calls with one
+    # stdout each, four simulate calls with stdout, two CSVs and the
+    # summary each
+    assert re.fullmatch(
+        rf"# numpy {re.escape(np.__version__)}; baseline: [\w,]+; dispatched: [\w,]+", header)
     assert len(lines) == 4 + 4 * 4
     digests = {}
     for line in lines:

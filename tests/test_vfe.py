@@ -143,6 +143,39 @@ def test_warm_rk4_step_allocates_no_buffers():
     assert peak <= 2048
 
 
+def test_warm_evolve_step_loop_allocates_nothing(monkeypatch):
+    # tracemalloc's peak over the step loop, from the first rk4_step call
+    # to the last, above the memory traced at the first: flat in the step
+    # count, and below one (3, 192) buffer of the pentagon's domain (4.6 KB)
+    cfg = vfe.SimulationConfig(M=5, p=1, q=3, grid_points=1920)
+    field = vfe.initial_tangent(5, 1920)
+    step, mark = vfe.rk4_step, {}
+
+    def marking(*args):
+        if not mark:
+            tracemalloc.reset_peak()
+            mark["base"] = tracemalloc.get_traced_memory()[0]
+        mark["peak"] = tracemalloc.get_traced_memory()[1]
+        return step(*args)
+
+    monkeypatch.setattr(vfe, "rk4_step", marking)
+    vfe.evolve(field, 3 * cfg.dt, cfg)
+
+    def loop_peak(steps):
+        mark.clear()
+        tracemalloc.start()
+        try:
+            out = vfe.evolve(field, steps * cfg.dt, cfg)
+        finally:
+            tracemalloc.stop()
+        assert out.steps >= steps - 1
+        return mark["peak"] - mark["base"]
+
+    short, long = loop_peak(2), loop_peak(200)
+    assert abs(long - short) <= 1024
+    assert long <= 2048
+
+
 def test_step_weights_built_once_per_step_size(monkeypatch):
     built = []
     set_weights = vfe.Workspace._set_weights
@@ -186,6 +219,45 @@ def test_non_finite_step_blows_up(monkeypatch):
     cfg = vfe.SimulationConfig(M=3, p=1, q=1, grid_points=96)
     with pytest.raises(BlowUp):
         vfe.evolve(vfe.initial_tangent(3, 96), cfg.rational_time, cfg)
+
+
+def test_evolve_renormalizes_a_step_returned_as_a_new_array(monkeypatch):
+    # a stepper that returns its own array, not work.stepped: evolve copies
+    # it in before renormalizing, so every step scales the unit samples by
+    # 1.5 and renormalization takes them back
+    monkeypatch.setattr(vfe, "rk4_step", lambda samples, *rest: 1.5 * samples)
+    cfg = vfe.SimulationConfig(M=3, p=1, q=1, grid_points=96)
+    field = vfe.initial_tangent(3, 96)
+    out = vfe.evolve(field, cfg.rational_time, cfg)
+    assert out.steps > 1
+    assert np.abs(np.linalg.norm(out.samples, axis=1) - 1).max() <= 1e-15
+    assert np.abs(out.samples - field.samples).max() <= 1e-15
+    assert abs(out.max_norm_deviation - 0.5) <= 1e-15
+
+
+def test_workspace_requires_a_full_halo_table():
+    with pytest.raises(ValueError, match="needs 8 sources and 8 matrices, got 4 and 4"):
+        vfe.Workspace(12, ([0, 1, 2, 3], [np.eye(3)] * 4))
+
+
+def test_workspace_requires_halo_sources_among_the_samples():
+    # rk4_step gathers with mode="clip", which would read such a source
+    # as the last (or first) sample without a word
+    offsets = [*range(-4, 0), *range(12, 16)]
+    sources = [i % 12 for i in offsets]
+    sources[-1] = 19
+    with pytest.raises(ValueError, match=r"sample in \[0, 12\), got .*19"):
+        vfe.Workspace(12, (sources, [np.eye(3)] * 8))
+    sources[-1] = -1
+    with pytest.raises(ValueError, match=r"sample in \[0, 12\)"):
+        vfe.Workspace(12, (sources, [np.eye(3)] * 8))
+
+
+def test_workspace_requires_3x3_halo_matrices():
+    offsets = [*range(-4, 0), *range(12, 16)]
+    matrices = [np.eye(3)] * 7 + [np.eye(2)]
+    with pytest.raises(ValueError, match="every halo matrix must be 3x3"):
+        vfe.Workspace(12, ([i % 12 for i in offsets], matrices))
 
 
 def test_norms_enforced_after_evolution():

@@ -67,6 +67,9 @@ CANONICAL = (
     # m = n/M = 45 is odd: the rotation-only domain, where every other
     # simulate line steps the reflected half domain
     "simulate --M 5 --p 1 --q 3 --grid 225 --out sim",
+    # a reflected half domain of one cell, narrower than the four-column
+    # halo, which wraps four times past each end
+    "simulate --M 4 --p 1 --q 1 --grid 8 --out sim",
 )
 
 # verify_all, verify_wide, pentagon_evolve and sim_sweep (seed 1) at smoke sizes
@@ -83,8 +86,9 @@ SMOKE = (
 
 # usage errors of every command (exit 2), one argparse error, the two
 # integer arguments too large for an index or a float, two verify ranges
-# beyond cli.MAX_VERIFY_WORK, and a blow-up (exit 3); simulate's --out is
-# relative, so its message holds no scratch path
+# beyond cli.MAX_VERIFY_WORK, an --out prefix with no file stem, and a
+# blow-up (exit 3); simulate's --out is relative, so its message holds no
+# scratch path
 ERRORS = (
     "gauss --p 2 --q 4",
     "gauss --p 2 --q 4 --n 0",
@@ -112,6 +116,7 @@ ERRORS = (
     "simulate --M 3 --p 1 --q 1 --grid 96 --dt-factor nan --out sim",
     "simulate --M 3 --p 1 --q 1 --grid 96 --tol -0.1 --out sim",
     "simulate --M 3 --p 1 --q 1 --grid 96 --out missing/sim",
+    "simulate --M 3 --p 1 --q 1 --grid 96 --out ./",
     "simulate --M 3 --p 1 --q 1 --grid 96 --dt-factor 100 --out sim",
     f"simulate --M 3 --p {10**400} --q 1 --grid 96 --out sim",
 )

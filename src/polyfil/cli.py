@@ -539,7 +539,10 @@ def cmd_simulate(args) -> int:
     )
 
     prefix = args.out or f"simulate_M{config.M}_p{config.p}_q{config.q}"
-    directory = os.path.dirname(prefix) or os.curdir
+    directory, stem = os.path.split(prefix)
+    if stem in ("", os.curdir, os.pardir):
+        raise RangeError(f"--out {prefix!r} names a directory, not a file stem")
+    directory = directory or os.curdir
     if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
         raise RangeError(f"cannot write output: {directory!r} is not a writable directory")
 

@@ -21,18 +21,18 @@ T[m - 1 - j] = R_b T[j] with R_b = diag(1, -1, -1).  evolve checks both
 on its input (max abs deviation <= 1e-12 each).  With both and m even,
 it steps the first h = m/2 samples; with the rotation only (or m odd)
 the first m; with neither all n, with R = I.  The three are one kernel.
-One symmetry map says, for every sample k of the full grid, which
-stepped sample and which 3x3 matrix give T[k]; evolve reads the halo
-table from it, taken mod n, and unfolds the full field with it once at
-the end.  The halo table names the four ghost samples past each end of
-the domain (four = the RK4 stages: each stage reads one sample further
-out), so a domain of fewer cells than that wraps as often as it needs
-to.  The Workspace holds the table, and rk4_step, the one stepping entry
-point, takes the Workspace as a required argument.  It fills the ghost
-columns once per step, from the state; the stage inputs have the
-state's symmetry, so every stage computes over the whole buffer, and the
-columns still right shrink by one per end per stage, to exactly the
-stepped samples after the fourth.
+A Workspace is built from that domain, (n, copies, reflected), and owns
+it: one symmetry map says, for every sample k of the full grid, which
+stepped sample and which 3x3 matrix give T[k], and the Workspace reads
+its ghost samples from that map, taken mod n, and unfolds the full field
+through it (Workspace.unfold).  There are four ghost samples past each
+end of the domain (four = the RK4 stages: each stage reads one sample
+further out), so a domain of fewer cells than that wraps as often as it
+needs to.  rk4_step, the one stepping entry point, takes the Workspace
+as a required argument.  It fills the ghost columns once per step, from
+the state; the stage inputs have the state's symmetry, so every stage
+computes over the whole buffer, and the columns still right shrink by
+one per end per stage, to exactly the stepped samples after the fourth.
 
 rk4_step runs the four RK4 stages as one stage body in a loop over a
 four-row stage table (see Workspace).  Its dots sum the stages in
@@ -230,21 +230,17 @@ def initial_tangent(M: int, grid_points: int) -> TangentField:
 # per end, filled once from the state.
 _HALO = 4
 
-# (sources, matrices) of the 2 * _HALO ghost columns, the _HALO below
-# sample 0 from the lowest up and then the _HALO above the last sample:
-# ghost i is matrices[i] @ T[sources[i]]
-HaloTable = tuple[np.ndarray, np.ndarray]
-
 
 class Workspace:
-    """Preallocated buffers for stepping `cells` samples; with them a warm
-    rk4_step call creates no arrays.
+    """The stepped domain of a grid of n samples and the buffers for
+    stepping it; with them a warm rk4_step call creates no arrays.
 
-    `halo` continues the grid _HALO samples past each end (see
-    HaloTable): 2 * _HALO sources, each one of the samples
-    0..cells - 1, so that a domain narrower than the halo names its
-    samples again, and as many 3x3 matrices.  Any other table raises
-    ValueError.
+    The domain is (copies, reflected) as _symmetry finds it: the first
+    cells = m = n/copies samples, or m/2 when reflected, seen as the
+    view `cells`.  One symmetry map (see _symmetry_map), taken mod n,
+    gives the _HALO ghost samples past each end and the full field that
+    `unfold` returns.  copies must be at least 1 and divide n >= 1, and
+    m must be even when reflected; anything else raises ValueError.
 
     Each buffer is a structure of arrays, one row per vector component
     and cells + 2 * _HALO columns: the samples sit in the middle, with
@@ -275,46 +271,44 @@ class Workspace:
     seen as the (cells, 3) view `stepped`.  A change to the stencil or
     the tableau is one change to that body or that table.
 
-    `squares` and `norms` serve the renormalization in evolve, which
-    copies into `stepped` any other array rk4_step returns.  `squares`
-    holds the squares of `update`, one flat product over its three whole
-    rows; `norms` their column sums (x^2 + y^2) + z^2, two flat additions
-    over whole rows, ghost columns included (they are finite and never
-    read).  The sqrt, the min and max and the division of the samples by
-    their norms run over the sample columns alone.
+    `squares`, `sums` and `norms` serve the renormalization in evolve,
+    which copies into `stepped` any other array rk4_step returns.
+    `squares` holds the squares of `update`, one flat product over its
+    three whole rows; `sums` their column sums (x^2 + y^2) + z^2, two flat
+    additions over whole rows, ghost columns included (they are finite
+    and never read).  The sqrt, the min and max and the division of the
+    samples by their norms run over the sample columns alone, the view
+    `norms` of `sums`.
 
     A warm step reaches every array through the views of `_kernel` and
     `_stages`, and every numpy function through a module-level name
     bound once (see the import), never through `np.<name>`.
     """
 
-    def __init__(self, cells: int, halo: HaloTable) -> None:
-        sources, matrices = halo
+    def __init__(self, n: int, copies: int, reflected: bool) -> None:
+        # a reflected odd block would map a sample to source -1, which
+        # rk4_step's gather (mode="clip") would read as sample 0
+        if not (n >= 1 and copies >= 1 and n % copies == 0
+                and not (reflected and n // copies % 2)):
+            raise ValueError(
+                f"{copies} copies{' with reflection' if reflected else ''} "
+                f"do not tile a grid of {n} samples"
+            )
+        cells = n // copies // (2 if reflected else 1)
+        self._map = _symmetry_map(n, cells, copies, reflected)
+        # the ghost samples' offsets from sample 0, _HALO past each end
+        offsets = np.concatenate([np.arange(-_HALO, 0), np.arange(cells, cells + _HALO)])
+        sources, matrices = (part[offsets % n] for part in self._map)
         ghosts = 2 * _HALO
-        if len(sources) != ghosts or len(matrices) != ghosts:
-            raise ValueError(
-                f"a halo table needs {ghosts} sources and {ghosts} matrices, "
-                f"got {len(sources)} and {len(matrices)}"
-            )
-        if any(np.shape(matrix) != (3, 3) for matrix in matrices):
-            raise ValueError(
-                "every halo matrix must be 3x3, got shapes "
-                f"{[np.shape(matrix) for matrix in matrices]}"
-            )
-        sources = np.asarray(sources, dtype=np.intp)
-        if sources.min() < 0 or sources.max() >= cells:
-            raise ValueError(
-                f"every halo source must be a sample in [0, {cells}), "
-                f"got {sources.tolist()}"
-            )
         width = cells + ghosts
         self.stack = np.zeros((9, 3, width))
         self.stage = np.zeros((5, width))
         self.pair = np.zeros((5, width))  # T+ + T- at the columns of stage
         self.update = np.zeros((3, width))
         self.squares = np.zeros((3, width))
-        self.norms = np.zeros(width)
+        self.sums = np.zeros(width)
         samples = slice(_HALO, _HALO + cells)
+        self.norms = self.sums[samples]
         self.cells = self.stack[0, :, samples].T
         self.stepped = self.update[:, samples].T
         # the weights of the four stage dots, the state's first; zeros
@@ -325,7 +319,6 @@ class Workspace:
         # the halo as flat indices into stack[0] and one block-diagonal
         # matrix: gathering the 3 x 2*_HALO source components, one dot
         # with it and one scatter fill the state's ghost columns
-        columns = np.concatenate([np.arange(_HALO), np.arange(cells + _HALO, width)])
         rows = width * np.arange(3)[:, None]
         spread = np.zeros((3, ghosts, 3, ghosts))
         for i, matrix in enumerate(matrices):
@@ -342,7 +335,7 @@ class Workspace:
             gathered,
             spread.reshape(3 * ghosts, 3 * ghosts),
             ghost_values,
-            (rows + columns).ravel(),
+            (rows + offsets + _HALO).ravel(),
             stage_input, self.stage[3:], self.stage[:2],
             stage[2:], stage[:-2], pair[1:-1],
             # (T_y, T_z, T_x), (P_z, P_x, P_y), (T_z, T_x, T_y), (P_y, P_z, P_x)
@@ -355,6 +348,11 @@ class Workspace:
              stack[:2 * i + 3], out)
             for i, out in enumerate(outputs)
         )
+
+    def unfold(self) -> np.ndarray:
+        """The full (n, 3) field that `cells` stands for, a new array."""
+        sources, matrices = self._map
+        return np.matmul(matrices, self.cells[sources, :, None])[:, :, 0]
 
     def _set_weights(self, dt: float, ds: float) -> None:
         """Stage weights of a step of dt, with 1/ds^2 folded in."""
@@ -376,7 +374,7 @@ def rk4_step(
     work: Workspace,
 ) -> np.ndarray:
     """One classical fourth-order step of the (cells, 3) samples, without
-    renormalization, on the grid continued by work's halo table.
+    renormalization, on the grid continued by work's symmetry map.
 
     samples are copied into work.cells first unless they already are
     work.cells.  Returns the view work.stepped, valid until the next
@@ -482,19 +480,14 @@ def evolve(field: TangentField, t_target: float, config: SimulationConfig) -> Ta
         )
     tail = remaining - n_full * dt
 
-    n = field.grid_points
-    copies, reflected = _symmetry(field.samples, config.M)
-    cells = n // copies // (2 if reflected else 1)
-    sources, matrices = _symmetry_map(n, cells, copies, reflected)
-    ghosts = np.concatenate([np.arange(-_HALO, 0), np.arange(cells, cells + _HALO)]) % n
-    work = Workspace(cells, (sources[ghosts], matrices[ghosts]))
+    work = Workspace(field.grid_points, *_symmetry(field.samples, config.M))
     state, stepped = work.cells, work.stepped
     # flat over whole rows, ghost columns included; from the sqrt on,
     # over the sample columns alone
     update, squares = work.update.reshape(-1), work.squares.reshape(-1)
-    (x2, y2, z2), sums = work.squares, work.norms
-    norms, stepped_rows, state_rows = sums[_HALO:_HALO + cells], stepped.T, state.T
-    state[...] = field.samples[:cells]
+    (x2, y2, z2), sums, norms = work.squares, work.sums, work.norms
+    stepped_rows, state_rows = stepped.T, state.T
+    state[...] = field.samples[:len(state)]
     negligible = 1e-16 * max(1.0, t_target)
     steps, lowest, highest = 0, 1.0, 1.0
     for step in range(n_full + 1):
@@ -525,7 +518,7 @@ def evolve(field: TangentField, t_target: float, config: SimulationConfig) -> Ta
         return TangentField(time=t_target, samples=field.samples.copy())
     return TangentField(
         time=t_target,
-        samples=np.matmul(matrices, state[sources, :, None])[:, :, 0],
+        samples=work.unfold(),
         steps=steps,
         max_norm_deviation=float(max(1.0 - lowest, highest - 1.0)),
     )

@@ -814,6 +814,19 @@ def test_simulate_unwritable_out_is_usage_error(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("out", ["./", ".", "sub/"])
+def test_simulate_out_without_a_file_stem_is_usage_error(tmp_path, monkeypatch, capsys, out):
+    # such a prefix would write hidden files such as .tangent.csv
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    code, stdout, err = run_cli(
+        capsys, "simulate", "--M", "3", "--p", "1", "--q", "1", "--grid", "96", "--out", out,
+    )
+    assert code == 2 and stdout == ""
+    assert err == f"error: --out {out!r} names a directory, not a file stem\n"
+    assert [path.name for path in tmp_path.rglob("*")] == ["sub"]
+
+
 def test_simulate_checks_out_before_evolving(tmp_path, monkeypatch, capsys):
     def must_not_run(*args, **kwargs):
         raise AssertionError("evolve ran although --out cannot be written")

@@ -6,7 +6,6 @@ import pytest
 
 from polyfil import vfe
 from polyfil.errors import BlowUp, GridNotDivisible, NotCoprime, RangeError
-from test_vfe_oracle import continued_workspace
 
 
 def unit_rows(a):
@@ -126,9 +125,15 @@ def test_evolve_rejects_non_finite_time(t_target):
         vfe.evolve(vfe.initial_tangent(3, 96), t_target, cfg)
 
 
+def test_evolve_rejects_a_field_off_the_config_grid():
+    cfg = vfe.SimulationConfig(M=3, p=1, q=1, grid_points=96)
+    with pytest.raises(GridNotDivisible, match="field has 48 points but config expects 96"):
+        vfe.evolve(vfe.initial_tangent(3, 48), cfg.rational_time, cfg)
+
+
 def test_warm_rk4_step_allocates_no_buffers():
     cfg = vfe.SimulationConfig(M=5, p=1, q=3, grid_points=1920)
-    work = continued_workspace(384, np.eye(3))
+    work = vfe.Workspace(384, 1, False)
     work.cells[...] = vfe.initial_tangent(5, 1920).samples[:384]
     for _ in range(3):
         vfe.rk4_step(work.cells, cfg.dt, cfg.ds, work)
@@ -235,31 +240,6 @@ def test_evolve_renormalizes_a_step_returned_as_a_new_array(monkeypatch):
     assert abs(out.max_norm_deviation - 0.5) <= 1e-15
 
 
-def test_workspace_requires_a_full_halo_table():
-    with pytest.raises(ValueError, match="needs 8 sources and 8 matrices, got 4 and 4"):
-        vfe.Workspace(12, ([0, 1, 2, 3], [np.eye(3)] * 4))
-
-
-def test_workspace_requires_halo_sources_among_the_samples():
-    # rk4_step gathers with mode="clip", which would read such a source
-    # as the last (or first) sample without a word
-    offsets = [*range(-4, 0), *range(12, 16)]
-    sources = [i % 12 for i in offsets]
-    sources[-1] = 19
-    with pytest.raises(ValueError, match=r"sample in \[0, 12\), got .*19"):
-        vfe.Workspace(12, (sources, [np.eye(3)] * 8))
-    sources[-1] = -1
-    with pytest.raises(ValueError, match=r"sample in \[0, 12\)"):
-        vfe.Workspace(12, (sources, [np.eye(3)] * 8))
-
-
-def test_workspace_requires_3x3_halo_matrices():
-    offsets = [*range(-4, 0), *range(12, 16)]
-    matrices = [np.eye(3)] * 7 + [np.eye(2)]
-    with pytest.raises(ValueError, match="every halo matrix must be 3x3"):
-        vfe.Workspace(12, ([i % 12 for i in offsets], matrices))
-
-
 def test_norms_enforced_after_evolution():
     cfg = vfe.SimulationConfig(M=3, p=1, q=1, grid_points=240)
     out = vfe.evolve(vfe.initial_tangent(3, 240), cfg.rational_time, cfg)
@@ -281,7 +261,7 @@ def test_smooth_field_step_drift_is_tiny():
     field = vfe.TangentField(0.0, samples)
     cfg = vfe.SimulationConfig(M=4, p=1, q=1, grid_points=n)
     current = field.samples
-    work = continued_workspace(n, np.eye(3))
+    work = vfe.Workspace(n, 1, False)
     for _ in range(50):
         stepped = vfe.rk4_step(current, cfg.dt, cfg.ds, work)
         norms = np.linalg.norm(stepped, axis=1)

@@ -54,17 +54,6 @@ def random_unit_field(n, seed):
     return samples / np.linalg.norm(samples, axis=1, keepdims=True)
 
 
-def continued_workspace(cells, rotation):
-    """A Workspace whose grid continues as T[j + cells] = rotation @ T[j]:
-    ghost column i, for i = -4..-1 and cells..cells + 3, is
-    rotation^(i // cells) @ T[i % cells]."""
-    offsets = [*range(-4, 0), *range(cells, cells + 4)]
-    return vfe.Workspace(cells, (
-        [i % cells for i in offsets],
-        [np.linalg.matrix_power(rotation, i // cells) for i in offsets],
-    ))
-
-
 def z_rotation(angle):
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -185,7 +174,7 @@ def test_rotation_ghost_step_matches_reference():
     ds = 2 * math.pi / n
     dt = 0.1 * ds**2
     full = equivariant_field(M, cells, seed=5)
-    work = continued_workspace(cells, z_rotation(2 * math.pi / M))
+    work = vfe.Workspace(n, M, False)
     domain = vfe.rk4_step(full[:cells], dt, ds, work)
     assert np.abs(domain - reference_step(full, dt, ds)[:cells]).max() <= TOL
 
@@ -195,7 +184,37 @@ def test_rk4_step_matches_reference_and_leaves_input():
     ds = 2 * math.pi / n
     samples = random_unit_field(n, seed=2)
     before = samples.copy()
-    stepped = vfe.rk4_step(samples, 0.1 * ds**2, ds, continued_workspace(n, np.eye(3)))
+    stepped = vfe.rk4_step(samples, 0.1 * ds**2, ds, vfe.Workspace(n, 1, False))
     assert stepped.shape == (n, 3)
     assert np.array_equal(samples, before)
     assert np.abs(stepped - reference_step(samples, 0.1 * ds**2, ds)).max() <= TOL
+
+
+@pytest.mark.parametrize("copies, reflected, samples", [
+    (1, False, random_unit_field(36, seed=4)),
+    (4, False, equivariant_field(4, 9, seed=8)),
+    (4, True, mirrored_field(4, 5, seed=9)),
+    # one stepped cell, narrower than the halo
+    (4, True, mirrored_field(4, 1, seed=10)),
+])
+def test_workspace_unfolds_its_domain_to_the_field(copies, reflected, samples):
+    n = len(samples)
+    work = vfe.Workspace(n, copies, reflected)
+    cells = len(work.cells)
+    assert cells == n // copies // (2 if reflected else 1)
+    work.cells[...] = samples[:cells]
+    full = work.unfold()
+    if copies == 1:
+        assert np.array_equal(full, samples)
+    assert np.abs(full - samples).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n, copies, reflected", [
+    (12, 5, False),  # 5 does not divide 12
+    (20, 4, True),  # a reflected block of 5 samples
+    (12, 0, False),
+    (0, 1, False),
+])
+def test_workspace_rejects_a_domain_that_does_not_tile_the_grid(n, copies, reflected):
+    with pytest.raises(ValueError, match="do not tile a grid"):
+        vfe.Workspace(n, copies, reflected)

@@ -31,6 +31,7 @@ import contextlib
 import hashlib
 import io
 import os
+import shlex
 import sys
 import tempfile
 
@@ -117,6 +118,7 @@ ERRORS = (
     "simulate --M 3 --p 1 --q 1 --grid 96 --tol -0.1 --out sim",
     "simulate --M 3 --p 1 --q 1 --grid 96 --out missing/sim",
     "simulate --M 3 --p 1 --q 1 --grid 96 --out ./",
+    "simulate --M 3 --p 1 --q 1 --grid 96 --out ''",
     "simulate --M 3 --p 1 --q 1 --grid 96 --dt-factor 100 --out sim",
     f"simulate --M 3 --p {10**400} --q 1 --grid 96 --out sim",
 )
@@ -137,7 +139,7 @@ def digest_lines(invocation: str, stderr: bool = False) -> list[str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            rc = cli.main(invocation.split())
+            rc = cli.main(shlex.split(invocation))
         except SystemExit as exc:
             rc = exc.code
         except Exception as exc:

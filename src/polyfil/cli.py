@@ -538,7 +538,9 @@ def cmd_simulate(args) -> int:
         grid_points=args.grid, dt_factor=args.dt_factor,
     )
 
-    prefix = args.out or f"simulate_M{config.M}_p{config.p}_q{config.q}"
+    prefix = args.out
+    if prefix is None:
+        prefix = f"simulate_M{config.M}_p{config.p}_q{config.q}"
     directory, stem = os.path.split(prefix)
     if stem in ("", os.curdir, os.pardir):
         raise RangeError(f"--out {prefix!r} names a directory, not a file stem")

@@ -14,17 +14,17 @@ relative precision at small angles and needs no clamp at pi.
 
 The factors are the table's admissible arguments, as returned by their
 one owner ThetaSequence.admissible_arguments, in descending index order.
-One walk, _ragged_walk, multiplies spinor pairs (_spinor_product) over
-ragged rows: the rows are sorted by factor count, so that at factor f
-the rows that still have an f-th factor are a prefix, and only that
-prefix is multiplied on; each row sees the same float operations as a
-walk over its own row alone.  Each factor's pairs are formed inside the
-loop, so memory grows with R*(F + k), never with R*F*k.  The theorem-2
-kernel, _ordered_products, runs it per range, not per q: it takes the
+The theorem-2 kernel, _ordered_products, multiplies spinor pairs
+(_spinor_product) over ragged rows, per range, not per q: it takes the
 argument blocks of many tables (P_i rows of F_i factor arguments each,
 F_i differing from q to q) and one row of k angles per argument row, and
-returns the (R, k) spinor pairs of all R rows.  Every final pair must
-have unit norm, or it raises NonUnitSpinor.
+returns the (R, k) spinor pairs of all R rows.  _ragged_layout sorts the
+rows by factor count, so that at factor f the rows that still have an
+f-th factor are a prefix, and only that prefix is multiplied on; each
+row sees the same float operations as a walk over its own row alone.
+Each factor's pairs are formed inside the loop, so memory grows with
+R*(F + k), never with R*F*k.  Every final pair must have unit norm, or
+it raises NonUnitSpinor.
 
 The theorem-2 check has one owner, certificate_arrays.  It takes a
 sequence of tables (gauss.theta_sequences, one (P, q) table per q),
@@ -35,14 +35,15 @@ verify suite reads.  certify_rotation_angle, behind the rotation
 command, is its P = 1, one-M call, returned as a RotationCertificate
 with the product's rotation matrix and axis.
 
-The Lemma 3 half-trace identity is checked the same way:
-trace_identity_evals takes every case at once, reads the expansion
-coefficients of all of them from one alternating-sum kernel call
-(arith.alternating_products, rows front-padded with zeros), and forms
-the direct products of all of them by the same walk, each factor
-[[x, i conj(z)], [i z, x]] being the pair alpha_f = x,
-beta_f = i conj(z); trace_identity_eval is its one-case call.  The
-matrix routes these replaced are the oracles in tests/.
+The Lemma 3 half-trace identity is checked over every case at once:
+trace_identity_evals lays the z_n = e^(i phi_n) of all cases out once,
+as rows front-padded with zeros, and reads both sides from that array.
+The expansion coefficients come from one alternating-sum kernel call
+(arith.alternating_products); the direct products come from one walk
+over the padded columns, each factor [[x, i conj(z)], [i z, x]] being
+the pair alpha_f = x, beta_f = i conj(z) and each pad the identity.
+trace_identity_eval is its one-case call.  The matrix routes these
+replaced are the oracles in tests/.
 """
 
 from __future__ import annotations
@@ -210,18 +211,6 @@ def _ragged_layout(counts) -> tuple[np.ndarray, np.ndarray, list[int]]:
     return order, unsort, live.tolist()
 
 
-def _ragged_walk(factor, live: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The ordered products alpha + beta j of sorted ragged rows, each
-    factor multiplied on the right (_spinor_product): factor(f, n) gives
-    the pairs (alpha_f, beta_f) of factor f for the first n = live[f]
-    rows, the rows that still have an f-th factor (live[0] is every
-    row).  Only one factor's pairs exist at a time."""
-    alpha, beta = (part.astype(complex) for part in factor(0, live[0]))
-    for f, n in enumerate(live[1:], start=1):
-        alpha[:n], beta[:n] = _spinor_product(alpha[:n], beta[:n], *factor(f, n))
-    return alpha, beta
-
-
 def _ordered_products(blocks, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ordered products of rotations about the in-plane axes
     (cos a, sin a, 0), as spinor pairs (alpha, beta), each (R, k), for R
@@ -230,11 +219,12 @@ def _ordered_products(blocks, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     argument row, rhos of shape (R, k).
 
     The rows are ragged: they are placed in the order of _ragged_layout,
-    factor-major, and walked by _ragged_walk, with each factor's cosines
-    and sines taken inside the loop.  Each row sees the same float
-    operations as a walk over its own row alone, and the products come
-    back in block order.  A final pair off the unit sphere by more than
-    _UNIT_TOL (or NaN) raises NonUnitSpinor."""
+    factor-major, and at factor f only the first live[f] of them are
+    multiplied on, with that factor's cosines and sines taken inside the
+    loop.  Each row sees the same float operations as a walk over its
+    own row alone, and the products come back in block order.  A final
+    pair off the unit sphere by more than _UNIT_TOL (or NaN) raises
+    NonUnitSpinor."""
     blocks = list(blocks)
     rhos = np.asarray(rhos, dtype=float)
     counts = np.repeat([block.shape[1] for block in blocks],
@@ -256,12 +246,14 @@ def _ordered_products(blocks, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         start += len(block)
     rhos = rhos[order]
     cos_half, sin_half = np.cos(0.5 * rhos), np.sin(0.5 * rhos)
-
-    def factor(f, n):
+    alpha, beta = np.empty(rhos.shape, dtype=complex), np.empty(rhos.shape, dtype=complex)
+    for f, n in enumerate(live):
         column = args[f, :n, None]
-        return _spinor_factor(cos_half[:n], sin_half[:n], np.cos(column), np.sin(column))
-
-    alpha, beta = _ragged_walk(factor, live)
+        alpha_f, beta_f = _spinor_factor(cos_half[:n], sin_half[:n], np.cos(column),
+                                         np.sin(column))
+        if f:
+            alpha_f, beta_f = _spinor_product(alpha[:n], beta[:n], alpha_f, beta_f)
+        alpha[:n], beta[:n] = alpha_f, beta_f
     deviation = np.abs(alpha.real ** 2 + alpha.imag ** 2 + beta.real ** 2 + beta.imag ** 2
                        - 1.0).max(initial=0.0)
     # written as "not <=" so that NaN fails too
@@ -347,22 +339,19 @@ def trace_identity_eval(x: float, phis) -> TraceIdentityResult:
     return trace_identity_evals([x], [phis])[0]
 
 
-def _half_traces(xs: list, z_rows: list) -> list[float]:
+def _half_traces(xs: list, z: np.ndarray) -> list[float]:
     """Half the real trace of prod_n [[x, i conj(z_n)], [i z_n, x]] for
-    each case (x, z) of xs and z_rows.  Each factor is the pair
-    alpha_f = x, beta_f = i conj(z_n), so the product is one ragged walk
-    (_ragged_walk, rows sorted by length) and the half-trace is Re alpha.
-    Each case sees the same float operations as its own walk."""
-    if not z_rows:
-        return []
-    order, unsort, live = _ragged_layout(list(map(len, z_rows)))
-    z = np.zeros((len(live), len(z_rows)), dtype=complex)  # z[f, i]: factor f of sorted row i
-    for i, row in enumerate(order.tolist()):
-        z[:len(z_rows[row]), i] = z_rows[row]
+    each case x of xs and row of z, the (R, W) rows front-padded with 0.
+    Each factor is the pair alpha_f = x, beta_f = i conj(z_n), and each
+    pad the identity (1, 0); every row starts at the identity, so a row
+    sees the same float operations as its own walk, and the half-trace
+    is Re alpha."""
+    alpha_f = np.where(z == 0, 1.0, np.asarray(xs, dtype=float)[:, None])
     beta_f = 1j * z.conj()
-    x = np.asarray(xs, dtype=float)[order]
-    alpha, _ = _ragged_walk(lambda f, n: (x[:n], beta_f[f, :n]), live)
-    return alpha.real[unsort].tolist()
+    alpha, beta = np.ones(len(z), dtype=complex), np.zeros(len(z), dtype=complex)
+    for f in range(z.shape[1]):
+        alpha, beta = _spinor_product(alpha, beta, alpha_f[:, f], beta_f[:, f])
+    return alpha.real.tolist()
 
 
 def trace_identity_evals(xs, phi_rows) -> list[TraceIdentityResult]:
@@ -370,14 +359,15 @@ def trace_identity_evals(xs, phi_rows) -> list[TraceIdentityResult]:
     prod_n (x I + i v_n . sigma) with in-plane unit vectors v_n, for
     each case (x, phis) of xs and phi_rows (rows may differ in length).
 
-    lhs: the direct product, as spinor pairs walked over all the cases
-    at once (_half_traces).  rhs: the cosine expansion sum_k (-1)^k x^(N-2k)
-    sum cos(phi_{n1} - phi_{n2} + ...), whose k-th coefficient carries
-    the sign (-1)^k from i^(2k); the k = 0 inner sum is 1 by the
-    empty-product convention.  Each inner sum is Re S_2k of
-    z_n = exp(i phi_n), and the S of every case come from one
-    arith.alternating_products call over the rows front-padded with
-    zeros, which leaves each row's values as they are.
+    Both sides read one array, the z_n = exp(i phi_n) of every case as
+    rows front-padded with zeros.  lhs: the direct product, as spinor
+    pairs walked over those rows (_half_traces).  rhs: the cosine
+    expansion sum_k (-1)^k x^(N-2k) sum cos(phi_{n1} - phi_{n2} + ...),
+    whose k-th coefficient carries the sign (-1)^k from i^(2k); the
+    k = 0 inner sum is 1 by the empty-product convention.  Each inner
+    sum is Re S_2k, and the S of every case come from one
+    arith.alternating_products call, whose zero pads leave each row's
+    values as they are.
     """
     xs, phi_rows = list(xs), [list(phis) for phis in phi_rows]
     if len(xs) != len(phi_rows):
@@ -386,13 +376,13 @@ def trace_identity_evals(xs, phi_rows) -> list[TraceIdentityResult]:
         raise ValueError("need at least one angle")
     z_rows = [[complex(math.cos(phi), math.sin(phi)) for phi in phis] for phis in phi_rows]
     width = max(map(len, z_rows), default=0)
-    padded = [[0j] * (width - len(z)) + z for z in z_rows]
-    coeff_rows = alternating_products(np.array(padded, dtype=complex).reshape(len(padded), width),
-                                      width).real.tolist()
+    padded = np.array([[0j] * (width - len(z)) + z for z in z_rows],
+                      dtype=complex).reshape(len(z_rows), width)
+    coeff_rows = alternating_products(padded, width).real.tolist()
     return [
         TraceIdentityResult(lhs=lhs, rhs=math.fsum(
             (-1.0) ** k * x ** (len(z) - 2 * k) * coeffs[2 * k]
             for k in range(len(z) // 2 + 1)
         ))
-        for x, z, coeffs, lhs in zip(xs, z_rows, coeff_rows, _half_traces(xs, z_rows))
+        for x, z, coeffs, lhs in zip(xs, z_rows, coeff_rows, _half_traces(xs, padded))
     ]

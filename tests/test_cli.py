@@ -814,9 +814,10 @@ def test_simulate_unwritable_out_is_usage_error(tmp_path, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("out", ["./", ".", "sub/"])
+@pytest.mark.parametrize("out", ["./", ".", "sub/", ""])
 def test_simulate_out_without_a_file_stem_is_usage_error(tmp_path, monkeypatch, capsys, out):
-    # such a prefix would write hidden files such as .tangent.csv
+    # such a prefix would write hidden files such as .tangent.csv; an
+    # empty one (an unset shell variable) is not the default prefix
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sub").mkdir()
     code, stdout, err = run_cli(

@@ -120,6 +120,7 @@ ERRORS = (
     "simulate --M 3 --p 1 --q 1 --grid 96 --out ./",
     "simulate --M 3 --p 1 --q 1 --grid 96 --out ''",
     "simulate --M 3 --p 1 --q 1 --grid 96 --dt-factor 100 --out sim",
+    "simulate --M 3 --p 1 --q 1 --grid 384 --dt-factor 1 --out sim",
     f"simulate --M 3 --p {10**400} --q 1 --grid 96 --out sim",
 )
 

@@ -39,8 +39,10 @@ four-row stage table (see Workspace).  Its dots sum the stages in
 another order than a term-by-term RK4 update, so the two agree to
 1.6e-14 (max abs) after the pentagon's 19,557 steps, not bit for bit.
 evolve renormalizes inline and records the step count and the largest
-|norm - 1| before renormalization, read from the min and max that the
-blow-up guard reduces anyway.
+|norm - 1| before renormalization.  It writes each step's norms into a
+row of the Workspace's ring and reduces them once per block of steps,
+when the ring is full and after the last step: one min and one max of
+the block feed both the blow-up guard and that record.
 
 The initial tangent is sampled as exactly piecewise constant, jumps
 between grid cells, with no mollification; that Gibbs-like transition
@@ -90,8 +92,8 @@ __all__ = [
 DEFAULT_GRID_MULTIPLIER = 256
 DEFAULT_DT_FACTOR = 0.4
 # The most RK4 steps one evolve call takes: over 1000 times the 78,227
-# of the largest run in the tests, scripts and benchmark, and about 41
-# minutes at the pentagon's 25 us per step (grid 1920; perfbench's
+# of the largest run in the tests, scripts and benchmark, and about 36
+# minutes at the pentagon's 21.5 us per step (grid 1920; perfbench's
 # pentagon_evolve wall_s at its reference speed over 19,557 steps).
 MAX_STEPS = 10**8
 
@@ -229,6 +231,10 @@ def initial_tangent(M: int, grid_points: int) -> TangentField:
 # input is right, so the four stages of a step need four ghost columns
 # per end, filled once from the state.
 _HALO = 4
+# The ring of norm rows that evolve's blow-up guard reduces once per
+# block: at most this many rows and, when a row fits, this many floats.
+_RING_ROWS = 64
+_RING_FLOATS = 2**15
 
 
 class Workspace:
@@ -271,14 +277,16 @@ class Workspace:
     seen as the (cells, 3) view `stepped`.  A change to the stencil or
     the tableau is one change to that body or that table.
 
-    `squares`, `sums` and `norms` serve the renormalization in evolve,
+    `squares`, `sums` and `ring` serve the renormalization in evolve,
     which copies into `stepped` any other array rk4_step returns.
     `squares` holds the squares of `update`, one flat product over its
     three whole rows; `sums` their column sums (x^2 + y^2) + z^2, two flat
     additions over whole rows, ghost columns included (they are finite
-    and never read).  The sqrt, the min and max and the division of the
-    samples by their norms run over the sample columns alone, the view
-    `norms` of `sums`.
+    and never read).  The sqrt of the sample columns of `sums` goes into
+    the next row of `ring`, a (rows, cells) array, and the samples are
+    divided by that row.  rows is _RING_ROWS, or fewer when the ring
+    would pass _RING_FLOATS floats, and at least 1: a block of that many
+    steps then shares one min and one max for the blow-up guard.
 
     A warm step reaches every array through the views of `_kernel` and
     `_stages`, and every numpy function through a module-level name
@@ -307,8 +315,8 @@ class Workspace:
         self.update = np.zeros((3, width))
         self.squares = np.zeros((3, width))
         self.sums = np.zeros(width)
+        self.ring = np.zeros((max(1, min(_RING_ROWS, _RING_FLOATS // cells)), cells))
         samples = slice(_HALO, _HALO + cells)
-        self.norms = self.sums[samples]
         self.cells = self.stack[0, :, samples].T
         self.stepped = self.update[:, samples].T
         # the weights of the four stage dots, the state's first; zeros
@@ -451,6 +459,29 @@ def _symmetry_map(
     return np.where(mirror, 2 * cells - 1 - offset, offset), matrices
 
 
+def _guard_block(
+    block: np.ndarray, steps: int, lowest: float, highest: float,
+    time: float, dt: float,
+) -> tuple[float, float]:
+    """The blow-up guard over `block`, the norm rows of the last
+    len(block) of the `steps` steps taken, one row per step: (lowest,
+    highest) folded with the block's min and max, or BlowUp at the time
+    of the first of those steps with a norm outside [0.5, 2] or not
+    finite."""
+    low, high = minimum.reduce(block, axis=None), maximum.reduce(block, axis=None)
+    # negated so that a NaN norm fails the test as well
+    if not (low >= 0.5 and high <= 2.0):
+        bad = ~((block >= 0.5) & (block <= 2.0)).all(axis=1)
+        # evolve skips no step but the last, shortened one (or all), so
+        # the step taken k-th, from 0, starts at time + k * dt
+        step = steps - len(block) + int(bad.argmax())
+        raise BlowUp(
+            f"sample norm left [0.5, 2] at t ~ {time + step * dt:.6g}; "
+            "reduce dt_factor"
+        )
+    return min(lowest, low), max(highest, high)
+
+
 def evolve(field: TangentField, t_target: float, config: SimulationConfig) -> TangentField:
     """Advance to t_target with dt = dt_factor * ds^2, renormalizing every
     sample after every step.  Only a fundamental domain of n/(2M) or n/M
@@ -458,8 +489,10 @@ def evolve(field: TangentField, t_target: float, config: SimulationConfig) -> Ta
     docstring).  Raises RangeError for a non-finite t_target, one before
     the field's time, or one more than MAX_STEPS steps away (checked
     before the first step), and BlowUp if any pre-normalization norm leaves
-    [0.5, 2] or is not finite.  The result records the steps taken and
-    the largest |norm - 1| before renormalization."""
+    [0.5, 2] or is not finite: checked once per block of the Workspace's
+    ring rows, so a run stops within one block, with the time of the
+    first bad step.  The result records the steps taken and the largest
+    |norm - 1| before renormalization."""
     if not math.isfinite(t_target):
         raise RangeError(f"t_target must be finite, got {t_target}")
     if t_target < field.time:
@@ -485,11 +518,16 @@ def evolve(field: TangentField, t_target: float, config: SimulationConfig) -> Ta
     # flat over whole rows, ghost columns included; from the sqrt on,
     # over the sample columns alone
     update, squares = work.update.reshape(-1), work.squares.reshape(-1)
-    (x2, y2, z2), sums, norms = work.squares, work.sums, work.norms
+    (x2, y2, z2), sums = work.squares, work.sums
+    sample_sums = sums[_HALO:_HALO + len(state)]
+    # the ring's rows as a tuple, so that a step builds no view
+    ring = work.ring
+    norm_rows = tuple(ring)
+    rows = len(norm_rows)
     stepped_rows, state_rows = stepped.T, state.T
     state[...] = field.samples[:len(state)]
     negligible = 1e-16 * max(1.0, t_target)
-    steps, lowest, highest = 0, 1.0, 1.0
+    steps, filled, lowest, highest = 0, 0, 1.0, 1.0
     for step in range(n_full + 1):
         h = dt if step < n_full else tail
         if h <= negligible:
@@ -500,20 +538,16 @@ def evolve(field: TangentField, t_target: float, config: SimulationConfig) -> Ta
         multiply(update, update, out=squares)
         add(x2, y2, out=sums)
         add(sums, z2, out=sums)
-        sqrt(norms, out=norms)
-        low, high = minimum.reduce(norms), maximum.reduce(norms)
-        # negated so that a NaN norm fails the test as well
-        if not (low >= 0.5 and high <= 2.0):
-            raise BlowUp(
-                f"sample norm left [0.5, 2] at t ~ {field.time + step * dt:.6g}; "
-                "reduce dt_factor"
-            )
+        norms = norm_rows[filled]
+        sqrt(sample_sums, out=norms)
         divide(stepped_rows, norms, out=state_rows)
-        if low < lowest:
-            lowest = low
-        if high > highest:
-            highest = high
         steps += 1
+        filled += 1
+        if filled == rows:
+            lowest, highest = _guard_block(ring, steps, lowest, highest, field.time, dt)
+            filled = 0
+    if filled:
+        lowest, highest = _guard_block(ring[:filled], steps, lowest, highest, field.time, dt)
     if not steps:
         return TangentField(time=t_target, samples=field.samples.copy())
     return TangentField(

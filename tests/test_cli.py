@@ -792,6 +792,21 @@ def test_simulate_blowup_exit_code(tmp_path, monkeypatch, capsys):
     assert "dt_factor" in err
 
 
+def test_simulate_blowup_mid_run_names_its_step(tmp_path, monkeypatch, capsys):
+    # dt_factor 1 on grid 384 first leaves [0.5, 2] at step 5, inside the
+    # first block of the blow-up guard
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        capsys, "simulate", "--M", "3", "--p", "1", "--q", "1",
+        "--grid", "384", "--dt-factor", "1", "--out", "sim",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == ("error: sample norm left [0.5, 2] at t ~ 0.00133865; "
+                   "reduce dt_factor\n")
+    assert not os.listdir(tmp_path)
+
+
 def test_simulate_non_finite_dt_factor_is_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for bad in ("inf", "nan"):

@@ -226,6 +226,76 @@ def test_non_finite_step_blows_up(monkeypatch):
         vfe.evolve(vfe.initial_tangent(3, 96), cfg.rational_time, cfg)
 
 
+def guard_rows(field, M):
+    """Rows of the norm ring evolve steps the field with: the length of
+    a block of the blow-up guard."""
+    return len(vfe.Workspace(field.grid_points, *vfe._symmetry(field.samples, M)).ring)
+
+
+@pytest.mark.parametrize("scale", [3.0, 0.25, math.nan])
+@pytest.mark.parametrize("where", ["mid_block", "last_step"])
+def test_blow_up_inside_a_block_names_its_own_step(monkeypatch, scale, where):
+    # a stepper that leaves the samples unchanged before step s and
+    # scales them by `scale` from step s on: the guard names step s
+    cfg = vfe.SimulationConfig(M=3, p=1, q=1, grid_points=96)
+    field = vfe.initial_tangent(3, 96)
+    rows = guard_rows(field, 3)
+    if where == "mid_block":
+        s, t_target = 5, cfg.rational_time
+    else:
+        # rows + 3 full steps and a half step, the last of a partial block
+        s, t_target = rows + 3, (rows + 3.5) * cfg.dt
+    assert s < int(t_target // cfg.dt) + 1
+    calls = []
+
+    def stepper(samples, *rest):
+        calls.append(len(calls))
+        return samples * scale if len(calls) > s else samples.copy()
+
+    monkeypatch.setattr(vfe, "rk4_step", stepper)
+    with pytest.raises(BlowUp) as raised:
+        vfe.evolve(field, t_target, cfg)
+    assert str(raised.value) == (
+        f"sample norm left [0.5, 2] at t ~ {s * cfg.dt:.6g}; reduce dt_factor"
+    )
+
+
+def per_step_guard(field, t_target, cfg):
+    """evolve's schedule stepped with the blow-up guard's min and max taken
+    after every step: (unfolded field, steps, max_norm_deviation)."""
+    work = vfe.Workspace(field.grid_points, *vfe._symmetry(field.samples, cfg.M))
+    state = work.cells
+    state[...] = field.samples[:len(state)]
+    n_full = int(t_target // cfg.dt)
+    sizes = [cfg.dt] * n_full + [t_target - n_full * cfg.dt]
+    lowest = highest = 1.0
+    for h in sizes:
+        stepped = vfe.rk4_step(state, h, cfg.ds, work)
+        x, y, z = stepped.T
+        norms = np.sqrt((x * x + y * y) + z * z)
+        assert norms.min() >= 0.5 and norms.max() <= 2.0
+        state[...] = stepped / norms[:, None]
+        lowest, highest = min(lowest, norms.min()), max(highest, norms.max())
+    return work.unfold(), len(sizes), max(1.0 - lowest, highest - 1.0)
+
+
+@pytest.mark.parametrize("offset", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
+                         ids=["1", "rows-1", "rows", "rows+1", "2rows+3"])
+def test_block_guard_equals_the_per_step_guard(offset):
+    # runs of 1, rows - 1, rows, rows + 1 and 2 rows + 3 steps, each
+    # ending in a half step
+    cfg = vfe.SimulationConfig(M=3, p=1, q=1, grid_points=96)
+    field = vfe.initial_tangent(3, 96)
+    blocks, extra = offset
+    steps = blocks * guard_rows(field, 3) + extra
+    t_target = (steps - 0.5) * cfg.dt
+    samples, oracle_steps, deviation = per_step_guard(field, t_target, cfg)
+    out = vfe.evolve(field, t_target, cfg)
+    assert out.steps == oracle_steps == steps
+    assert np.array_equal(out.samples, samples)
+    assert out.max_norm_deviation == deviation
+
+
 def test_evolve_renormalizes_a_step_returned_as_a_new_array(monkeypatch):
     # a stepper that returns its own array, not work.stepped: evolve copies
     # it in before renormalizing, so every step scales the unit samples by

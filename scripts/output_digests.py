@@ -121,6 +121,8 @@ ERRORS = (
     "simulate --M 3 --p 1 --q 1 --grid 96 --out ''",
     "simulate --M 3 --p 1 --q 1 --grid 96 --dt-factor 100 --out sim",
     "simulate --M 3 --p 1 --q 1 --grid 384 --dt-factor 1 --out sim",
+    # a first step that overflows to inf and NaN: stderr is the error line alone
+    f"simulate --M 3 --p {10**90 + 1} --q 1 --grid 96 --dt-factor 3e84 --out sim",
     f"simulate --M 3 --p {10**400} --q 1 --grid 96 --out sim",
 )
 

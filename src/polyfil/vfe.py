@@ -58,11 +58,18 @@ from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
-# The step loop calls these through module globals bound once: numpy
-# defines a module __getattr__, so CPython never specializes a load of
-# np.<name>, and at these sizes such a load costs a sizable share of the
-# ufunc call it precedes.
-from numpy import add, copyto, divide, dot, maximum, minimum, multiply, sqrt
+# The step loop calls numpy's C routines with no Python frame between,
+# which at these sizes matters as much as the arithmetic:
+# - ufuncs through module globals bound once: numpy defines a module
+#   __getattr__, so CPython never specializes a load of np.<name>;
+# - each ufunc's output by position: an out= keyword is parsed anew on
+#   every call;
+# - dot as a method bound once to its left operand (see Workspace), and
+#   buffer copies as subscript assignment: np.dot and np.copyto are
+#   array-function dispatchers, each call a Python frame in front of the
+#   C routine that ndarray.dot and x[...] = y reach directly.
+# copyto stays for copies of caller-owned arrays, for its casting check.
+from numpy import add, copyto, divide, maximum, minimum, multiply, sqrt
 
 from .errors import BlowUp, GridNotDivisible, NotCoprime, RangeError
 from .rotor import inter_side_angle
@@ -92,8 +99,8 @@ __all__ = [
 DEFAULT_GRID_MULTIPLIER = 256
 DEFAULT_DT_FACTOR = 0.4
 # The most RK4 steps one evolve call takes: over 1000 times the 78,227
-# of the largest run in the tests, scripts and benchmark, and about 36
-# minutes at the pentagon's 21.5 us per step (grid 1920; perfbench's
+# of the largest run in the tests, scripts and benchmark, and about 32
+# minutes at the pentagon's 19.3 us per step (grid 1920; perfbench's
 # pentagon_evolve wall_s at its reference speed over 19,557 steps).
 MAX_STEPS = 10**8
 
@@ -268,14 +275,16 @@ class Workspace:
     k_i = A_i - B_i.
 
     The four stages are one body, run in a loop over `_stages`, whose
-    i-th row (i = 1..4) is (A_i, B_i, weights, stack[:2i + 1], out):
+    i-th row (i = 1..4) is (A_i, B_i, weights.dot, stack[:2i + 1], out):
     repeat rows 0 and 1 of `stage`, form `pair`, write A_i and B_i, and
-    dot the weights, the i-th row of one (4, 9) table of the RK4
-    coefficients with 1/ds^2 and the sign of each product folded in, with
-    the block stack[:2i + 1].  The dot is the next stage's input in
-    `stage` for i = 1..3, and for i = 4 the combined step in `update`,
-    seen as the (cells, 3) view `stepped`.  A change to the stencil or
-    the tableau is one change to that body or that table.
+    dot the weights, a view of the i-th row of one (4, 9) table of the
+    RK4 coefficients with 1/ds^2 and the sign of each product folded in,
+    with the block stack[:2i + 1].  _set_weights rewrites that table in
+    place, so the dots bound to its rows see every new step size.  The
+    dot is the next stage's input in `stage` for i = 1..3, and for i = 4
+    the combined step in `update`, seen as the (cells, 3) view `stepped`.
+    A change to the stencil or the tableau is one change to that body or
+    that table.
 
     `squares`, `sums` and `ring` serve the renormalization in evolve,
     which copies into `stepped` any other array rk4_step returns.
@@ -289,8 +298,10 @@ class Workspace:
     steps then shares one min and one max for the blow-up guard.
 
     A warm step reaches every array through the views of `_kernel` and
-    `_stages`, and every numpy function through a module-level name
-    bound once (see the import), never through `np.<name>`.
+    `_stages`, and runs no Python frame but rk4_step's own: each ufunc
+    through a module-level name bound once and with its output by
+    position, each dot as a method bound to its left operand here, and
+    each buffer copy as a subscript assignment (see the import).
     """
 
     def __init__(self, n: int, copies: int, reflected: bool) -> None:
@@ -341,7 +352,7 @@ class Workspace:
             stack[0],
             (rows + sources + _HALO).ravel(),
             gathered,
-            spread.reshape(3 * ghosts, 3 * ghosts),
+            spread.reshape(3 * ghosts, 3 * ghosts).dot,
             ghost_values,
             (rows + offsets + _HALO).ravel(),
             stage_input, self.stage[3:], self.stage[:2],
@@ -352,7 +363,7 @@ class Workspace:
         )
         outputs = (stage_input,) * 3 + (self.update.reshape(-1),)
         self._stages = tuple(
-            (stack[2 * i + 1], stack[2 * i + 2], self._weights[i, :2 * i + 3],
+            (stack[2 * i + 1], stack[2 * i + 2], self._weights[i, :2 * i + 3].dot,
              stack[:2 * i + 3], out)
             for i, out in enumerate(outputs)
         )
@@ -392,19 +403,19 @@ def rk4_step(
     dt_now, ds_now = work._step
     if dt != dt_now or ds != ds_now:
         work._set_weights(dt, ds)
-    (state, sources, gathered, spread, ghost_values, ghosts, stage,
+    (state, sources, gathered, spread_dot, ghost_values, ghosts, stage,
      rows_34, rows_01, upper, lower, pair, t_yzx, p_zxy, t_zxy, p_yzx) = work._kernel
     # the methods: np.take and np.put are Python wrappers around them
-    state.take(sources, out=gathered, mode="clip")
-    dot(spread, gathered, out=ghost_values)
-    state.put(ghosts, ghost_values, mode="clip")
-    copyto(stage, state)
-    for a, b, weights, block, out in work._stages:
-        copyto(rows_34, rows_01)
-        add(upper, lower, out=pair)
-        multiply(t_yzx, p_zxy, out=a)
-        multiply(t_zxy, p_yzx, out=b)
-        dot(weights, block, out=out)
+    state.take(sources, None, gathered, "clip")
+    spread_dot(gathered, ghost_values)
+    state.put(ghosts, ghost_values, "clip")
+    stage[...] = state
+    for a, b, weights_dot, block, out in work._stages:
+        rows_34[...] = rows_01
+        add(upper, lower, pair)
+        multiply(t_yzx, p_zxy, a)
+        multiply(t_zxy, p_yzx, b)
+        weights_dot(block, out)
     return work.stepped
 
 
@@ -528,26 +539,29 @@ def evolve(field: TangentField, t_target: float, config: SimulationConfig) -> Ta
     state[...] = field.samples[:len(state)]
     negligible = 1e-16 * max(1.0, t_target)
     steps, filled, lowest, highest = 0, 0, 1.0, 1.0
-    for step in range(n_full + 1):
-        h = dt if step < n_full else tail
-        if h <= negligible:
-            continue
-        result = rk4_step(state, h, ds, work)
-        if result is not stepped:
-            copyto(stepped, result)
-        multiply(update, update, out=squares)
-        add(x2, y2, out=sums)
-        add(sums, z2, out=sums)
-        norms = norm_rows[filled]
-        sqrt(sample_sums, out=norms)
-        divide(stepped_rows, norms, out=state_rows)
-        steps += 1
-        filled += 1
-        if filled == rows:
-            lowest, highest = _guard_block(ring, steps, lowest, highest, field.time, dt)
-            filled = 0
-    if filled:
-        lowest, highest = _guard_block(ring[:filled], steps, lowest, highest, field.time, dt)
+    # a blowing-up step overflows to inf and NaN, which the guard judges;
+    # numpy's warnings about them would only reach stderr
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(n_full + 1):
+            h = dt if step < n_full else tail
+            if h <= negligible:
+                continue
+            result = rk4_step(state, h, ds, work)
+            if result is not stepped:
+                copyto(stepped, result)
+            multiply(update, update, squares)
+            add(x2, y2, sums)
+            add(sums, z2, sums)
+            norms = norm_rows[filled]
+            sqrt(sample_sums, norms)
+            divide(stepped_rows, norms, state_rows)
+            steps += 1
+            filled += 1
+            if filled == rows:
+                lowest, highest = _guard_block(ring, steps, lowest, highest, field.time, dt)
+                filled = 0
+        if filled:
+            lowest, highest = _guard_block(ring[:filled], steps, lowest, highest, field.time, dt)
     if not steps:
         return TangentField(time=t_target, samples=field.samples.copy())
     return TangentField(

@@ -807,6 +807,20 @@ def test_simulate_blowup_mid_run_names_its_step(tmp_path, monkeypatch, capsys):
     assert not os.listdir(tmp_path)
 
 
+def test_simulate_overflowing_step_prints_its_error_line_alone(tmp_path):
+    # the first step overflows to inf and NaN; in a process of its own, so
+    # that numpy's RuntimeWarnings would reach stderr rather than pytest
+    argv = ["simulate", "--M", "3", "--p", str(10**90 + 1), "--q", "1",
+            "--grid", "96", "--dt-factor", "3e84", "--out", "sim"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "polyfil", *argv], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "error: sample norm left [0.5, 2] at t ~ 0; reduce dt_factor\n"
+    assert not os.listdir(tmp_path)
+
+
 def test_simulate_non_finite_dt_factor_is_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for bad in ("inf", "nan"):

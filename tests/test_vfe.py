@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -179,6 +180,74 @@ def test_warm_evolve_step_loop_allocates_nothing(monkeypatch):
     short, long = loop_peak(2), loop_peak(200)
     assert abs(long - short) <= 1024
     assert long <= 2048
+
+
+def profiled_calls(run):
+    """The code objects of the Python frames entered while run() runs, as
+    ("call", code) and ("return", code) events, run's own frame excluded."""
+    events = []
+
+    def profile(frame, event, arg):
+        if event in ("call", "return"):
+            events.append((event, frame.f_code))
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return events[1:-1]
+
+
+def test_warm_rk4_step_runs_no_python_frame_but_its_own():
+    # numpy's non-ufunc functions (np.dot, np.copyto) each run a Python
+    # dispatcher frame before their C routine
+    cfg = vfe.SimulationConfig(M=5, p=1, q=3, grid_points=1920)
+    dt, ds = cfg.dt, cfg.ds
+    work = vfe.Workspace(1920, 5, True)
+    work.cells[...] = vfe.initial_tangent(5, 1920).samples[:192]
+    vfe.rk4_step(work.cells, dt, ds, work)
+    events = profiled_calls(lambda: vfe.rk4_step(work.cells, dt, ds, work))
+    assert events == [("call", vfe.rk4_step.__code__), ("return", vfe.rk4_step.__code__)]
+
+
+def test_evolve_step_loop_runs_no_python_frame_but_the_step_and_guard():
+    # from the first rk4_step call to the last one's return: rk4_step per
+    # step, _guard_block once per full ring of norm rows and _set_weights
+    # once per step size (the full one and the shortened last), nothing else
+    cfg = vfe.SimulationConfig(M=3, p=1, q=1, grid_points=96)
+    field = vfe.initial_tangent(3, 96)
+    rows = guard_rows(field, 3)
+    steps = 2 * rows + 3
+    t_target = (steps - 0.5) * cfg.dt
+    events = profiled_calls(lambda: vfe.evolve(field, t_target, cfg))
+    step = vfe.rk4_step.__code__
+    first = events.index(("call", step))
+    last = len(events) - events[::-1].index(("return", step))
+    called = [code for event, code in events[first:last] if event == "call"]
+    assert called.count(step) == steps
+    assert called.count(vfe._guard_block.__code__) == steps // rows
+    assert called.count(vfe.Workspace._set_weights.__code__) == 2
+    assert len(called) == steps + steps // rows + 2
+
+
+def test_bound_stage_dots_see_new_weights():
+    # the stage dots are bound to views of the weight table once, when the
+    # Workspace is built; a step at a new size rewrites the table in place
+    cfg = vfe.SimulationConfig(M=3, p=1, q=1, grid_points=96)
+    field = vfe.initial_tangent(3, 96)
+    domain = vfe._symmetry(field.samples, 3)
+    n_full = int(cfg.rational_time // cfg.dt)
+    tail = cfg.rational_time - n_full * cfg.dt
+    assert 0 < tail < cfg.dt
+    work = vfe.Workspace(96, *domain)
+    start = field.samples[:len(work.cells)].copy()
+    first = vfe.rk4_step(start, cfg.dt, cfg.ds, work).copy()
+    second = vfe.rk4_step(start, tail, cfg.ds, work).copy()
+    fresh = vfe.rk4_step(start, tail, cfg.ds, vfe.Workspace(96, *domain))
+    assert not np.array_equal(first, start)
+    assert not np.array_equal(second, first)
+    assert np.array_equal(second, fresh)
 
 
 def test_step_weights_built_once_per_step_size(monkeypatch):

@@ -3,8 +3,10 @@
 Everything here is pure and deterministic.  All arithmetic uses Python
 integers, which are exact at any size, except admissible_mask, whose
 int64 indices stay below 2q, and alternating_products, which sums
-complex floats in a fixed order: an array kernel over many rows that
-rounds every step as the scalar Python recurrence does, bit for bit.
+complex floats in a fixed order: an array kernel over many rows, with
+its even orders stored conjugated so that every order takes the same
+step, that rounds every step as the scalar Python recurrence does, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
+# the kernel loop calls its ufuncs through module globals, outputs by
+# position, as vfe does
+from numpy import add, multiply, subtract
 
 from .errors import ComponentCollision, NotCoprime, OddLength
 
@@ -138,15 +143,21 @@ def alternating_products(z, m_max: int) -> np.ndarray:
     is O(N * m_max) instead of the C(N, m) tuples.  These are the
     coefficients of the half-trace of prod_n (x I + i v_n . sigma).
 
-    One loop runs over the N indices, each step a few numpy calls over
-    all rows and orders at once.  Real and imaginary parts are held as
-    one float (2, R, m_max + 1) stack, and every product is written out
-    as (sr*wr - si*wi, sr*wi + si*wr), the formulas of CPython's complex
-    multiply, so each row equals the scalar recurrence over Python
-    complex numbers bit for bit (numpy's complex multiply may fuse a
-    multiply-add, and then it does not).  Conjugation is a sign flip of
-    wi on the even orders, which is exact.  Working memory is O(R *
-    m_max): one index's weights at a time, never an (N, R, m_max) stack.
+    The kernel holds S_m for odd m and conj(S_m) for even m, real and
+    imaginary parts as one order-major float (m_max + 1, 2, R) array.
+    Every order then takes the same step, s_m += conj(s_{m-1}) * z_n,
+    written out as (sr*wr + si*wi, sr*wi + si*(-wr)): the terms of
+    CPython's complex multiply up to exact sign flips, so each row
+    equals the scalar recurrence over Python complex numbers bit for bit
+    (numpy's complex multiply may fuse a multiply-add, and then it does
+    not).  One loop runs over the N indices, three numpy calls each over
+    all rows and orders at once: a multiply by the index's weights
+    [[wr, wi], [wi, -wr]], an add of the two product halves and an add
+    into the orders above.  The even orders' imaginary parts are negated
+    once at the end, as 0.0 - x, which leaves the +0.0 of an exact
+    cancellation as the scalar recurrence does (-x would give -0.0).
+    Working memory is O(R * (N + m_max)): the weights of every index,
+    built once, and one step's products, never an (N, R, m_max) stack.
 
     A zero entry leaves S = [1, 0, ..., 0] exactly as it is, so rows of
     different lengths are passed front-padded with 0; each row then
@@ -157,25 +168,25 @@ def alternating_products(z, m_max: int) -> np.ndarray:
     if z.ndim != 2:
         raise ValueError(f"z must be a 2-d array of rows, got shape {z.shape}")
     rows, length = z.shape
-    s = np.zeros((2, rows, m_max + 1))
-    s[0, :, 0] = 1.0
-    # index n as the real 2x2 matrix [[wr, -wi], [wi, wr]] of each row,
-    # index-major so that each step reads one contiguous (2, 2, R, 1) block
-    factors = np.empty((length, 2, 2, rows, 1))
-    factors[:, 0, 0, :, 0] = factors[:, 1, 1, :, 0] = z.real.T
-    factors[:, 1, 0, :, 0] = z.imag.T
-    factors[:, 0, 1, :, 0] = -z.imag.T
-    sign = np.where(np.arange(1, m_max + 1) % 2 == 1, 1.0, -1.0)
-    flip = np.array([[np.ones_like(sign), sign], [sign, np.ones_like(sign)]])[:, :, None]
-    terms = np.empty((2, 2, rows, m_max))
-    step = np.empty((2, rows, m_max))
-    lower, upper = s[:, :, :-1], s[:, :, 1:]
-    for factor in factors:
-        np.multiply(factor, flip, out=terms)
-        # terms[i, j] = s[j] * weight[i, j]: (sr*wr, si*-wi) and (sr*wi, si*wr)
-        np.multiply(lower, terms, out=terms)
-        np.add(terms[:, 0], terms[:, 1], out=step)
-        np.add(upper, step, out=upper)
+    s = np.zeros((m_max + 1, 2, rows))
+    s[0, 0] = 1.0
+    # index n as the symmetric real 2x2 matrix [[wr, wi], [wi, -wr]] of
+    # each row, index-major so that each step reads one contiguous block
+    weights = np.empty((length, 2, 2, rows))
+    weights[:, 0, 0] = z.real.T
+    weights[:, 0, 1] = weights[:, 1, 0] = z.imag.T
+    weights[:, 1, 1] = -z.real.T
+    # products[m, j, i] = s[m, j] * weight[j, i]: (sr*wr, sr*wi) and (si*wi, si*-wr)
+    products = np.empty((m_max, 2, 2, rows))
+    step = np.empty((m_max, 2, rows))
+    lower, upper = s[:-1, :, None], s[1:]
+    from_real, from_imag = products[:, 0], products[:, 1]
+    for weight in weights:
+        multiply(lower, weight, products)
+        add(from_real, from_imag, step)
+        add(upper, step, upper)
+    conjugated = s[2::2, 1]
+    subtract(0.0, conjugated, conjugated)
     out = np.empty((rows, m_max + 1), dtype=complex)
-    out.real, out.imag = s
+    out.real, out.imag = s.transpose(1, 2, 0)
     return out

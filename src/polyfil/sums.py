@@ -35,10 +35,10 @@ and sum_report are its P = 1 calls, returned as SumReport objects.
 Every value is reproducible bit for bit, and equals the scalar Python
 recurrence over one (p, q) at a time.  The trig terms are math.cos and
 math.sin of each argument, since numpy's cos and sin may differ in the
-last bit.  The kernel works in split real arithmetic and rounds each
-step as CPython's complex multiply and add do.  And S_m never reads an
-order above m, so a pass to a higher order, or over more rows, changes
-no value.
+last bit.  The kernel works in split real arithmetic, with the even
+orders stored conjugated, and rounds each step as CPython's complex
+multiply and add do.  And S_m never reads an order above m, so a pass
+to a higher order, or over more rows, changes no value.
 """
 
 from __future__ import annotations
@@ -105,8 +105,11 @@ def _sum_arrays(theta: ThetaSequence, phase: QuadraticPhase, ks: list[int]) -> S
     rows, run to order 2*max(ks)."""
     n, arguments = theta.admissible_arguments()
     rows = len(arguments)
-    trig_terms = np.array([complex(math.cos(t), math.sin(t)) for t in arguments.ravel().tolist()],
-                          dtype=complex).reshape(arguments.shape)
+    flat = arguments.ravel().tolist()
+    trig_terms = np.empty(len(flat), dtype=complex)
+    trig_terms.real = np.fromiter(map(math.cos, flat), float, len(flat))
+    trig_terms.imag = np.fromiter(map(math.sin, flat), float, len(flat))
+    trig_terms = trig_terms.reshape(arguments.shape)
     quad_terms = np.array(unit_roots(phase.denominator))[phase.residues(n)]
     values = alternating_products(np.concatenate([trig_terms, quad_terms]),
                                   2 * max(ks, default=0))

@@ -17,6 +17,7 @@ import inspect
 import math
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -65,9 +66,11 @@ def kernel_matches_oracle(kernel, rows, m_max):
     )
 
 
-finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+# signed zeros and units as well, so that exact cancellations happen
+component = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                      st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
 complex_rows = st.lists(
-    st.lists(st.builds(complex, finite, finite), min_size=0, max_size=9),
+    st.lists(st.builds(complex, component, component), min_size=0, max_size=9),
     min_size=1, max_size=5,
 )
 
@@ -75,8 +78,8 @@ complex_rows = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(complex_rows, st.integers(min_value=0, max_value=12))
 def test_kernel_rows_equal_the_scalar_recurrence(rows, m_max):
-    # ragged rows (front-padded with zeros), empty rows, and m_max both
-    # below and past a row's length
+    # ragged rows (front-padded with zeros), empty rows, signed-zero and
+    # axis entries, and m_max both below and past a row's length
     assert kernel_matches_oracle(arith.alternating_products, rows, m_max)
 
 
@@ -88,15 +91,36 @@ def unit_rows(seed, count=20, length=12):
 
 
 def test_oracle_catches_conjugating_the_odd_orders():
-    # the kernel with the parity that selects conjugated orders swapped
+    # the kernel with the parity of its conjugated storage swapped: it
+    # un-conjugates the odd orders at the end instead of the even ones
     source = inspect.getsource(arith.alternating_products)
-    mutated = source.replace("% 2 == 1, 1.0, -1.0", "% 2 == 0, 1.0, -1.0")
+    mutated = source.replace("s[2::2, 1]", "s[1::2, 1]")
     assert mutated != source
     namespace = dict(vars(arith))
     exec(mutated, namespace)
     rows = unit_rows(1)
     assert kernel_matches_oracle(arith.alternating_products, rows, 12)
     assert not kernel_matches_oracle(namespace["alternating_products"], rows, 12)
+
+
+def test_kernel_takes_three_numpy_calls_per_index(monkeypatch):
+    # per index one multiply by its weights, one add of the two product
+    # halves and one add into the orders above; one subtract at the end
+    calls = Counter()
+
+    def counted(name):
+        ufunc = getattr(arith, name)
+
+        def call(*args):
+            calls[name] += 1
+            return ufunc(*args)
+        return call
+
+    for name in ("add", "multiply", "subtract"):
+        monkeypatch.setattr(arith, name, counted(name))
+    rows = unit_rows(3, count=6, length=11)
+    assert kernel_matches_oracle(arith.alternating_products, rows, 12)
+    assert calls == {"multiply": 11, "add": 22, "subtract": 1}
 
 
 def numpy_multiply_kernel(z, m_max):

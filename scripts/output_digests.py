@@ -49,6 +49,8 @@ CANONICAL = (
     "verify --suite all --q-max 17 --m-max 10 --format csv",
     "verify --suite theorem2 --q-max 30 --m-max 10",
     "verify --suite theorem2 --q-max 60 --m-max 10",
+    # theorem2 over a range whose factor arguments span 120 sizes of row
+    "verify --suite theorem2 --q-max 120 --m-max 3",
     "verify --suite vanishing --q-max 60",
     "verify --suite lemma4 --q-max 60",
     "verify --suite sums --q-max 60",

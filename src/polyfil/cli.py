@@ -11,8 +11,8 @@ that a selected suite reads gets one stacked table
 vanishing, lemma4 and sums read it, the last two through
 gauss.max_phase_defects and sums.sum_arrays, which read the table's
 phase fit (ThetaSequence.phase, fitted on first use and shared by both),
-and the table is dropped after its q, unless theorem2 is selected: it
-keeps every table for one rotor.certificate_arrays call after the pass.
+and the table is dropped after its q; theorem2 keeps its factor block
+(rotor.factor_block) for one certificate_arrays call after the pass.
 lemma3 draws all its cases first and evaluates them in one call
 (rotor.trace_identity_evals).  The arrays become outcomes with no
 per-case object in between, and the outcomes equal those of a loop over
@@ -49,8 +49,8 @@ entries sum_{q <= q_max} phi(q)*q <= q_max^3/3 once each for vanishing
 and lemma4, q_max times for sums (its kernel runs every entry to an
 order of up to q) and 3*(m_max - 2) times for theorem2.  Why 2e8: the
 suites run at 2e7 to 6e7 passes per second (2-vCPU VM), so a run at the
-cap takes seconds, and a theorem2 run, which keeps every table until
-the rotation check (about 11 bytes per pass at M = 3), stays near 2 GB.
+cap takes seconds, and a theorem2 run, which keeps one factor block per
+q (a peak of 4.3 bytes per pass at M = 3, q_max = 300), stays under 1 GB.
 The cap is 6 times the largest range planned for the benchmark (sums to
 q = 100, 3.3e7), 14 times theorem2 to q = 120 at M <= 10, and over 40
 times any test, script or workload.
@@ -89,6 +89,7 @@ from .rotor import (
     RotationCertificate,
     certificate_arrays,
     certify_rotation_angle,
+    factor_block,
     inter_side_angle,
     trace_identity_evals,
 )
@@ -111,6 +112,9 @@ TOL_SUMS_PER_TERM = 1e-8
 TOL_VANISHING = VANISHING_RELATIVE_TOL
 TOL_PHASE_MODEL = 1e-8
 TOL_ROTATION_ANGLE = 1e-9
+# Absolute, while a +-5% detuning misses 2*pi/M by about 0.1*pi/M: so
+# rotation --M 3141 --p 1 --q 3 passes (margin 1.0002e-4), and --M 3142
+# exits 1 (9.9987e-5) with an angle_error of 4e-19 (also at q = 1, 2, 7).
 MIN_FALSIFICATION_MARGIN = 1e-4
 TOL_TRACE_IDENTITY = 1e-10
 DEFAULT_SIMULATE_TOL = 0.10
@@ -387,10 +391,10 @@ _PER_Q_CHECKS = {"sums": (2, _sums_outcomes), "lemma4": (1, _lemma4_outcomes),
                  "vanishing": (1, _vanishing_outcomes)}
 
 
-def _theorem2_outcomes(tables: list[ThetaSequence], Ms: range) -> list[dict]:
+def _theorem2_outcomes(blocks: list, Ms: range) -> list[dict]:
     if not Ms:
         return []
-    checks = certificate_arrays(tables, Ms)
+    checks = certificate_arrays(blocks, Ms)
     return [_outcome(f"theorem2/M={M}/p={p}/q={q}", ok, error)
             for p, q, passed, errors in zip(checks.p, checks.q, _theorem2_passed(checks).tolist(),
                                             checks.angle_error.tolist())
@@ -452,15 +456,15 @@ def _verify_outcomes(selected, q_max: int, m_max: int) -> dict[str, list[dict]]:
              if name in selected]
     firsts = [first for _, first, _ in per_q] + ([1] if Ms else [])
     found: dict[str, list[dict]] = {name: [] for name in selected}
-    tables = []
+    blocks = []
     for q in range(min(firsts, default=q_max + 1), q_max + 1):
         table = theta_sequences([p for p in range(1, q + 1) if gcd(p, q) == 1], q)
         for name, first, check in per_q:
             if q >= first:
                 found[name] += check(table)
         if Ms:
-            tables.append(table)
-    finish = {"theorem2": lambda: _theorem2_outcomes(tables, Ms), "lemma3": _lemma3_outcomes}
+            blocks.append(factor_block(table))
+    finish = {"theorem2": lambda: _theorem2_outcomes(blocks, Ms), "lemma3": _lemma3_outcomes}
     for name in selected:
         if name in finish:
             found[name] = finish[name]()

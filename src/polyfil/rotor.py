@@ -12,12 +12,13 @@ Cayley-Dickson form), which is the SU(2) matrix
 from the half angle, 2*atan2(|(x, y, z)|, |w|), which keeps full
 relative precision at small angles and needs no clamp at pi.
 
-The factors are the table's admissible arguments, as returned by their
-one owner ThetaSequence.admissible_arguments, in descending index order.
-The theorem-2 kernel, _ordered_products, multiplies spinor pairs
-(_spinor_product) over ragged rows, per range, not per q: it takes the
-argument blocks of many tables (P_i rows of F_i factor arguments each,
-F_i differing from q to q) and one row of k angles per argument row, and
+The factors are a table's admissible arguments (their one owner is
+ThetaSequence.admissible_arguments) in descending index order, as
+factor_block, the one owner of that order, puts them in a table's factor
+block (p, q, args).  The theorem-2 kernel, _ordered_products, multiplies
+spinor pairs (_spinor_product) over ragged rows, per range, not per q:
+it takes the args of many blocks (P_i rows of F_i factor arguments
+each, F_i differing from q to q) and one row of k angles per row, and
 returns the (R, k) spinor pairs of all R rows.  _ragged_layout sorts the
 rows by factor count, so that at factor f the rows that still have an
 f-th factor are a prefix, and only that prefix is multiplied on; each
@@ -27,13 +28,13 @@ R*(F + k), never with R*F*k.  Every final pair must have unit norm, or
 it raises NonUnitSpinor.
 
 The theorem-2 check has one owner, certificate_arrays.  It takes a
-sequence of tables (gauss.theta_sequences, one (P, q) table per q),
-makes one kernel call for every (p, q) in them, every M and the three
-angles rho, 0.95*rho and 1.05*rho, and returns the angle errors and
-falsification margins as (R, k) arrays (CertificateArrays), which the
-verify suite reads.  certify_rotation_angle, behind the rotation
-command, is its P = 1, one-M call, returned as a RotationCertificate
-with the product's rotation matrix and axis.
+sequence of factor blocks, one per q, and reads no table; it makes one
+kernel call for every (p, q) in them, every M and the three angles rho,
+0.95*rho and 1.05*rho, and returns the angle errors and falsification
+margins as (R, k) arrays (CertificateArrays), which the verify suite
+reads.  certify_rotation_angle, behind the rotation command, is its
+one-block (P = 1), one-M call, returned as a RotationCertificate with
+the product's rotation matrix and axis.
 
 The Lemma 3 half-trace identity is checked over every case at once:
 trace_identity_evals lays the z_n = e^(i phi_n) of all cases out once,
@@ -64,6 +65,7 @@ __all__ = [
     "inter_side_angle",
     "certify_rotation_angle",
     "certificate_arrays",
+    "factor_block",
     "trace_identity_eval",
     "trace_identity_evals",
 ]
@@ -168,11 +170,11 @@ def inter_side_angle(M: int, q: int) -> float:
     return 4.0 * math.asin(math.sqrt(x / 2.0))
 
 
-def _product_factors(theta: ThetaSequence) -> np.ndarray:
-    """Arguments for the ordered product, leftmost factor first: the
-    admissible arguments in descending index order (factor n uses index
-    q-1-n and skips the indices that are not admissible), shape (P, F)."""
-    return theta.admissible_arguments()[1][:, ::-1]
+def factor_block(theta: ThetaSequence) -> tuple[tuple[int, ...], int, np.ndarray]:
+    """The (p, q, args) factor block of a table, all theorem 2 reads: args
+    (P, F) copies the admissible arguments in descending index order,
+    leftmost factor first (the inadmissible indices are skipped)."""
+    return theta.p, theta.q, theta.admissible_arguments()[1][:, ::-1]
 
 
 def _spinor_factor(cos_half: np.ndarray, sin_half: np.ndarray, c: np.ndarray,
@@ -214,9 +216,9 @@ def _ragged_layout(counts) -> tuple[np.ndarray, np.ndarray, list[int]]:
 def _ordered_products(blocks, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ordered products of rotations about the in-plane axes
     (cos a, sin a, 0), as spinor pairs (alpha, beta), each (R, k), for R
-    rows of factor arguments a given as blocks (a sequence of (P_i, F_i)
-    arrays, rows in block order; F_i >= 1) and one row of k angles per
-    argument row, rhos of shape (R, k).
+    rows of factor arguments a given as blocks (the (P_i, F_i) args of
+    factor blocks, rows in block order; F_i >= 1) and one row of k angles
+    per argument row, rhos of shape (R, k).
 
     The rows are ragged: they are placed in the order of _ragged_layout,
     factor-major, and at factor f only the first live[f] of them are
@@ -270,39 +272,33 @@ def _half_angle(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return 2.0 * np.arctan2(np.hypot(alpha.imag, np.abs(beta)), np.abs(alpha.real))
 
 
-def _detuned_angles(q: int, Ms: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The predicted angles rho for each M and the 3*len(Ms) angles rho,
-    0.95*rho and 1.05*rho that one certificate product call takes."""
+def _detuned_angles(q: int, Ms: list[int]) -> np.ndarray:
+    """The predicted rho of each M, then 0.95*rho, then 1.05*rho: 3*len(Ms) angles."""
     rhos = np.array([inter_side_angle(M, q) for M in Ms])
-    return rhos, np.concatenate([rhos, 0.95 * rhos, 1.05 * rhos])
+    return np.concatenate([rhos, 0.95 * rhos, 1.05 * rhos])
 
 
-def certificate_arrays(tables, Ms) -> CertificateArrays:
-    """The theorem-2 check of every p of every table in `tables`
-    (gauss.theta_sequences; the q may differ) and several M, as
-    (R, len(Ms)) arrays with one row per (p, q), in table order: one
-    kernel call for all rows, all M and the three angles per M.
+def certificate_arrays(blocks, Ms) -> CertificateArrays:
+    """The theorem-2 check of every p of every factor block in `blocks`
+    (factor_block; the q may differ) and several M, as (R, len(Ms))
+    arrays with one row per (p, q), in block order: one kernel call for
+    all rows, all M and the three angles per M.
 
     The product must have angle exactly 2*pi/M at the predicted
     inter-side angle rho, and detuning rho by +-5% must visibly break it
     (falsification_margin is the smaller miss of the two detunings)."""
-    Ms, tables = list(Ms), list(tables)
-    sizes = [len(theta.p) for theta in tables]
-    rhos, detuned = [], []
-    for theta in tables:
-        rho, angles = _detuned_angles(theta.q, Ms)
-        rhos.append(rho)
-        detuned.append(angles)
-    alpha, beta = _ordered_products(
-        [_product_factors(theta) for theta in tables],
-        np.repeat(np.reshape(detuned, (len(tables), 3 * len(Ms))), sizes, axis=0),
-    )
+    Ms, blocks = list(Ms), list(blocks)
+    detuned = np.reshape([_detuned_angles(q, Ms) for _, q, _ in blocks],
+                         (len(blocks), 3 * len(Ms)))
+    sizes = [len(ps) for ps, _, _ in blocks]
+    alpha, beta = _ordered_products([args for _, _, args in blocks],
+                                    np.repeat(detuned, sizes, axis=0))
     angles = _half_angle(alpha, beta).reshape(len(alpha), 3, len(Ms))
     target = np.array([2.0 * math.pi / M for M in Ms])
     return CertificateArrays(
-        p=tuple(p for theta in tables for p in theta.p),
-        q=tuple(theta.q for theta in tables for _ in theta.p),
-        M=tuple(Ms), rho=np.repeat(np.reshape(rhos, (len(tables), len(Ms))), sizes, axis=0),
+        p=tuple(p for ps, _, _ in blocks for p in ps),
+        q=tuple(q for ps, q, _ in blocks for _ in ps),
+        M=tuple(Ms), rho=np.repeat(detuned[:, :len(Ms)], sizes, axis=0),
         angle=angles[:, 0], angle_error=np.abs(angles[:, 0] - target),
         falsification_margin=np.minimum(np.abs(angles[:, 1] - target),
                                         np.abs(angles[:, 2] - target)),
@@ -317,7 +313,7 @@ def certify_rotation_angle(M: int, p: int, q: int) -> RotationCertificate:
     scalar part and normalised.  rho comes first, so that an M or q out
     of range is reported before a p that is not coprime to q."""
     rho = inter_side_angle(M, q)
-    arrays = certificate_arrays([theta_sequence(p, q)], [M])
+    arrays = certificate_arrays([factor_block(theta_sequence(p, q))], [M])
     alpha, beta = arrays.alpha.item(), arrays.beta.item()
     spin = np.array([alpha.real, alpha.imag, beta.real, beta.imag])
     angle = arrays.angle.item()

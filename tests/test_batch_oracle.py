@@ -70,7 +70,7 @@ def per_pair_certificates(q):
 
 def certificate_rows_match(q):
     ps = coprime(q)
-    arrays = rotor.certificate_arrays([gauss.theta_sequences(ps, q)], MS)
+    arrays = rotor.certificate_arrays([rotor.factor_block(gauss.theta_sequences(ps, q))], MS)
     if arrays.p != tuple(ps) or arrays.q != (q,) * len(ps) or arrays.M != tuple(MS):
         return False
     for i, row in enumerate(per_pair_certificates(q)):
@@ -111,7 +111,7 @@ def test_certificate_arrays_equal_the_certificate_objects():
     # reads have the certificates' shape, labels and pass/fail verdicts
     for q in range(1, 31):
         ps = coprime(q)
-        arrays = rotor.certificate_arrays([gauss.theta_sequences(ps, q)], MS)
+        arrays = rotor.certificate_arrays([rotor.factor_block(gauss.theta_sequences(ps, q))], MS)
         rows = per_pair_certificates(q)
         assert arrays.p == tuple(ps) and arrays.M == tuple(MS) and arrays.q == (q,) * len(ps)
         assert arrays.rho.shape == (len(ps), len(MS))
@@ -334,8 +334,8 @@ def range_inputs(q_max):
     the detuned angles of each q, as certificate_arrays passes them."""
     blocks, angles = [], []
     for q in range(1, q_max + 1):
-        blocks.append(rotor._product_factors(gauss.theta_sequences(coprime(q), q)))
-        angles.append(rotor._detuned_angles(q, MS)[1])
+        blocks.append(rotor.factor_block(gauss.theta_sequences(coprime(q), q))[2])
+        angles.append(rotor._detuned_angles(q, MS))
     return blocks, angles
 
 
@@ -374,8 +374,8 @@ def theorem2_per_row(q_max, m_max):
     Ms = list(range(3, m_max + 1))
     outcomes = []
     for q in range(1, q_max + 1):
-        args = rotor._product_factors(gauss.theta_sequences(coprime(q), q))
-        rhos = rotor._detuned_angles(q, Ms)[1]
+        args = rotor.factor_block(gauss.theta_sequences(coprime(q), q))[2]
+        rhos = rotor._detuned_angles(q, Ms)
         angles = np.array([half_angles(*per_row_spinors(row, rhos)) for row in args])
         outcomes += theorem2_outcomes(q, angles, Ms)
     return outcomes
@@ -386,9 +386,9 @@ def theorem2_per_q(q_max, m_max):
     Ms = list(range(3, m_max + 1))
     outcomes = []
     for q in range(1, q_max + 1):
-        args = rotor._product_factors(gauss.theta_sequences(coprime(q), q))
+        args = rotor.factor_block(gauss.theta_sequences(coprime(q), q))[2]
         outcomes += theorem2_outcomes(
-            q, trace_angles(per_q_products(args, rotor._detuned_angles(q, Ms)[1])), Ms)
+            q, trace_angles(per_q_products(args, rotor._detuned_angles(q, Ms))), Ms)
     return outcomes
 
 
@@ -473,10 +473,10 @@ def test_certificate_rows_follow_the_tables_in_order():
     # tables of several q, one of them one-row, in no order of q
     tables = [gauss.theta_sequences([1, 3, 5, 7], 8), gauss.theta_sequence(2, 5),
               gauss.theta_sequences([1, 2], 3)]
-    arrays = rotor.certificate_arrays(tables, MS)
+    arrays = rotor.certificate_arrays(map(rotor.factor_block, tables), MS)
     assert arrays.p == (1, 3, 5, 7, 2, 1, 2) and arrays.q == (8, 8, 8, 8, 5, 3, 3)
     for i, (p, q) in enumerate(zip(arrays.p, arrays.q)):
-        one = rotor.certificate_arrays([gauss.theta_sequence(p, q)], MS)
+        one = rotor.certificate_arrays([rotor.factor_block(gauss.theta_sequence(p, q))], MS)
         for name in ("rho", "angle", "angle_error", "falsification_margin", "alpha", "beta"):
             assert np.array_equal(getattr(arrays, name)[i], getattr(one, name)[0]), (p, q, name)
     empty = rotor.certificate_arrays([], MS)
@@ -548,14 +548,16 @@ def test_oracles_catch_a_shared_phase_coefficient(monkeypatch):
 
 
 def test_oracles_catch_reversed_factor_order(monkeypatch):
-    original = rotor._product_factors
+    original = rotor.factor_block
 
     def reversed_rows(theta):
         # stacked tables only: the per-pair certificates keep the order
-        args = original(theta)
-        return args[:, ::-1].copy() if len(theta.p) > 1 else args
+        ps, q, args = original(theta)
+        return ps, q, args[:, ::-1].copy() if len(ps) > 1 else args
 
-    monkeypatch.setattr(rotor, "_product_factors", reversed_rows)
+    # the verify pass calls the name cli imported from rotor
+    for module in (rotor, cli):
+        monkeypatch.setattr(module, "factor_block", reversed_rows)
     # the reversed product is a mirror image with the same angle, so the
     # angle errors differ from the per-pair ones only by roundoff
     assert not certificate_rows_match(5)
@@ -586,8 +588,8 @@ def test_batched_theorem2_product_memory_stays_linear_in_p_times_k():
     # up front as rotation matrices held 28*29*24 of them (6.3 MB); one
     # factor at a time keeps the peak under 1 MB.
     q = 29
-    args = rotor._product_factors(gauss.theta_sequences(coprime(q), q))
-    _, angles = rotor._detuned_angles(q, MS)
+    args = rotor.factor_block(gauss.theta_sequences(coprime(q), q))[2]
+    angles = rotor._detuned_angles(q, MS)
     assert args.shape == (28, 29) and angles.shape == (24,)
     rows = np.tile(angles, (28, 1))
     rotor._ordered_products([args], rows)  # warm numpy's caches

@@ -290,6 +290,17 @@ def test_rotation_exit_code_follows_check(capsys, argv, code, passed):
     }
 
 
+@pytest.mark.parametrize("q", ["1", "2", "3", "7"])
+def test_rotation_fails_from_M_3142_on_whatever_the_angle_error(capsys, q):
+    # the margin bound is absolute, and a +-5% detuning misses 2*pi/M by
+    # about 0.1*pi/M: 1.0002e-4 at M = 3141, 9.9987e-5 at M = 3142
+    for M, code in ((3141, 0), (3142, 1)):
+        got, payload = run_json(capsys, "rotation", "--M", str(M), "--p", "1", "--q", q)
+        assert (got, payload["passed"]) == (code, code == 0)
+        assert payload["angle_error"] <= 1e-17
+        assert payload["falsification_margin"] == pytest.approx(0.1 * math.pi / M, rel=1e-6)
+
+
 @pytest.mark.parametrize("argv, message", [
     (("rho", "--M", "1" + "0" * 400, "--q", "3"), "float"),
     (("rho", "--M", "5", "--q", "1" + "0" * 400), "float"),
@@ -419,11 +430,17 @@ def test_verify_lemma4_one_table_per_q(capsys, monkeypatch):
     assert calls == {"_gauss_table": 8, "theta_sequence": 0, "rho_sizes": []}
 
 
-def test_verify_keeps_one_table_at_a_time_without_theorem2(capsys):
-    # lemma4 to q = 60, 1102 rows: the one pass drops each q's table after
-    # its checks, and the run, output text included, peaks under 1 MB.  A
-    # cache that kept every table peaked at 2.3 MB.
-    argv = ["verify", "--suite", "lemma4", "--q-max", "60"]
+@pytest.mark.parametrize("suite, q_max, m_max, total, bound", [
+    # lemma4 to q = 60, 1102 rows: the run, output text included, peaks
+    # under 1 MB.  A cache that kept every table peaked at 2.3 MB.
+    ("lemma4", 60, 10, 1102, 1_000_000),
+    # theorem2 to q = 100 at M = 3, 3044 rows, keeps one factor block per
+    # q: 5.5 MB.  Keeping every table for the rotation check took 12.3 MB.
+    ("theorem2", 100, 3, 3044, 8_000_000),
+], ids=["lemma4", "theorem2"])
+def test_verify_keeps_one_table_at_a_time(capsys, suite, q_max, m_max, total, bound):
+    # the one pass drops each q's table after its checks
+    argv = ["verify", "--suite", suite, "--q-max", str(q_max), "--m-max", str(m_max)]
     main(argv)  # warm numpy's caches
     capsys.readouterr()
     tracemalloc.start()
@@ -433,8 +450,8 @@ def test_verify_keeps_one_table_at_a_time_without_theorem2(capsys):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 0 and json.loads(capsys.readouterr().out)["total"] == 1102
-    assert peak <= 1_000_000, peak
+    assert code == 0 and json.loads(capsys.readouterr().out)["total"] == total
+    assert peak <= bound, peak
 
 
 @pytest.mark.parametrize("argv", [

@@ -142,7 +142,7 @@ def test_product_rejects_vanishing_factor():
     with pytest.raises(UndefinedTheta):
         kernel_product(broken, 1.0)
     with pytest.raises(UndefinedTheta):
-        rotor.certificate_arrays([broken], [5])
+        rotor.factor_block(broken)
 
 
 def test_certificates_small_cases():
@@ -193,12 +193,12 @@ def test_equal_angle_consistency_q1():
 def test_product_factor_count():
     # the product takes one factor per admissible index: q for odd q,
     # q/2 for even q
-    from polyfil.rotor import _product_factors
+    from polyfil.rotor import factor_block
 
     for q in range(1, 20):
         theta = gauss.theta_sequence(1, q)
         expected = q if q % 2 else q // 2
-        assert len(_product_factors(theta)[0]) == expected
+        assert len(factor_block(theta)[2][0]) == expected
 
 
 def test_half_trace_bridge():
@@ -208,7 +208,7 @@ def test_half_trace_bridge():
     # x = cot(rho/2); the half-trace of the product is even in the v_n, so
     # it is the Lemma-3 left-hand side for the same angles.
     def scalar_part(theta, rho):
-        factors = rotor._product_factors(theta)[0]
+        factors = rotor.factor_block(theta)[2][0]
         lhs = rotor.trace_identity_eval(1 / math.tan(rho / 2), factors).lhs
         return abs(lhs) * math.sin(rho / 2) ** len(factors)
 

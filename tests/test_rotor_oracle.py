@@ -64,7 +64,7 @@ def product_per_factor(theta, rho):
 def kernel_pair(theta, rho):
     """The library's ordered product of a one-row table at one angle, as
     its spinor pair (alpha, beta): the one-row, one-angle kernel call."""
-    alpha, beta = rotor._ordered_products([rotor._product_factors(theta)], np.array([[rho]]))
+    alpha, beta = rotor._ordered_products([rotor.factor_block(theta)[2]], np.array([[rho]]))
     return alpha[0, 0], beta[0, 0]
 
 
@@ -117,7 +117,7 @@ def test_certificates_match_per_factor_loop():
 
 def test_certify_rotation_angle_is_one_entry_of_the_batch():
     one = rotor.certify_rotation_angle(7, 2, 5)
-    arrays = rotor.certificate_arrays([gauss.theta_sequence(2, 5)], [3, 7, 9])
+    arrays = rotor.certificate_arrays([rotor.factor_block(gauss.theta_sequence(2, 5))], [3, 7, 9])
     assert arrays.p == (2,) and arrays.q == (5,) and arrays.M == (3, 7, 9)
     assert (one.rho, one.angle, one.angle_error, one.falsification_margin) == (
         arrays.rho[0, 1], arrays.angle[0, 1], arrays.angle_error[0, 1],
@@ -128,7 +128,7 @@ def test_certify_rotation_angle_is_one_entry_of_the_batch():
 def test_product_shape_follows_rho():
     theta = gauss.theta_sequences([1, 3, 5], 7)
     rhos = np.array([0.2, 1.0, 3.0, 0.5])
-    alpha, beta = rotor._ordered_products([rotor._product_factors(theta)],
+    alpha, beta = rotor._ordered_products([rotor.factor_block(theta)[2]],
                                           np.tile(rhos, (3, 1)))
     assert alpha.shape == beta.shape == (3, 4)
     for i, p in enumerate([1, 3, 5]):
@@ -137,7 +137,7 @@ def test_product_shape_follows_rho():
             assert (alpha[i, j], beta[i, j]) == kernel_pair(one, rho)
             assert np.abs(pair_matrix(alpha[i, j], beta[i, j])
                           - product_per_factor(one, rho)).max() <= 1e-12
-    args = rotor._product_factors(gauss.theta_sequence(3, 7))
+    args = rotor.factor_block(gauss.theta_sequence(3, 7))[2]
     alpha, beta = rotor._ordered_products([args], np.empty((1, 0)))
     assert alpha.shape == beta.shape == (1, 0)
 
@@ -146,7 +146,7 @@ def test_product_shape_follows_rho():
     0.0, math.pi, -0.5, float("nan"), [0.5, 3.2], [0.5, float("nan")],
 ])
 def test_product_rejects_rho_outside_open_interval(rho):
-    args = rotor._product_factors(gauss.theta_sequence(1, 3))
+    args = rotor.factor_block(gauss.theta_sequence(1, 3))[2]
     with pytest.raises(ValueError, match="rho must lie in"):
         rotor._ordered_products([args], np.atleast_2d(np.asarray(rho, dtype=float)))
 
@@ -163,7 +163,7 @@ def test_rotation_angle_of_a_stack():
     assert np.abs(got - angles).max() <= 1e-15
     for a, b, angle in zip(alpha.ravel(), beta.ravel(), angles.ravel()):
         assert np.abs(pair_matrix(a, b) - rodrigues(axis, angle)).max() <= 1e-15
-    args = rotor._product_factors(gauss.theta_sequences([1, 2], 3))
+    args = rotor.factor_block(gauss.theta_sequences([1, 2], 3))[2]
     with pytest.raises(NonUnitSpinor):
         rotor._ordered_products([np.where(args == args[1, 2], np.nan, args)],
                                 np.full((2, 3), 0.5))
@@ -211,7 +211,7 @@ def test_per_factor_loop_catches_a_conjugated_spinor_factor(monkeypatch):
 
     monkeypatch.setattr(rotor, "_spinor_factor", conjugated)
     assert not matches_per_factor(7, 2, 5)
-    arrays = rotor.certificate_arrays([theta], [7])
+    arrays = rotor.certificate_arrays([rotor.factor_block(theta)], [7])
     for i, p in enumerate(range(1, 5)):
         got = pair_matrix(arrays.alpha[i, 0], arrays.beta[i, 0])
         assert np.abs(got - product_per_factor(gauss.theta_sequence(p, 5), rho)).max() > 1e-12
@@ -222,7 +222,7 @@ def test_complex_pair_route_matches_the_per_factor_quaternions():
     # product of the oracle, for a product of several factors
     theta = gauss.theta_sequence(3, 8)
     rho = 0.7
-    args = rotor._product_factors(theta)[0]
+    args = rotor.factor_block(theta)[2][0]
     cos_half, sin_half = np.cos(np.array([0.5 * rho])), np.sin(np.array([0.5 * rho]))
     alpha, beta = None, None
     spin = np.array([1.0, 0.0, 0.0, 0.0])

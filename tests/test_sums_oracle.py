@@ -147,7 +147,8 @@ def test_oracle_catches_numpy_complex_multiply():
 def test_kernel_memory_stays_linear_in_rows_times_orders():
     # q = 59: both sequences of its 58 p, 116 rows of 59 terms to order
     # 58.  An (N, R, m) weight stack would hold 59*116*58*4 floats
-    # (12.7 MB); one index at a time keeps the peak under 1 MB.
+    # (12.7 MB); the (N, 2, 2, R) weights of every index, built at once,
+    # hold 59*4*116 floats (219 kB), and the peak stays under 1 MB.
     q = 59
     theta = gauss.theta_sequences(range(1, q), q)
     n, arguments = theta.admissible_arguments()

@@ -88,7 +88,7 @@ SMOKE = (
 )
 
 # usage errors of every command (exit 2), one argparse error, the two
-# integer arguments too large for an index or a float, two verify ranges
+# integer arguments too large for an index or a float, three verify ranges
 # beyond cli.MAX_VERIFY_WORK, an --out prefix with no file stem, and a
 # blow-up (exit 3); simulate's --out is relative, so its message holds no
 # scratch path
@@ -112,6 +112,8 @@ ERRORS = (
     f"verify --suite theorem2 --q-max 3 --m-max {10**41}",
     f"verify --suite vanishing --q-max {10**12}",
     f"verify --suite theorem2 --q-max 3 --m-max {10**9}",
+    # q_max = 1, whose one table entry the work estimate must still count
+    f"verify --suite theorem2 --q-max 1 --m-max {10**9}",
     "simulate --M 2 --p 1 --q 1 --out sim",
     "simulate --M 3 --p 2 --q 4 --out sim",
     "simulate --M 3 --p 1 --q 1 --grid 0 --out sim",

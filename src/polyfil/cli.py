@@ -14,10 +14,11 @@ phase fit (ThetaSequence.phase, fitted on first use and shared by both),
 and the table is dropped after its q; theorem2 keeps its factor block
 (rotor.factor_block) for one certificate_arrays call after the pass.
 lemma3 draws all its cases first and evaluates them in one call
-(rotor.trace_identity_evals).  The arrays become outcomes with no
-per-case object in between, and the outcomes equal those of a loop over
-single pairs or cases bit for bit.  Both rotor checks run on one spinor
-walk, and the angle is read from the half angle of the product.  The
+(rotor.trace_identity_evals).  Each suite returns its outcomes as three
+columns (Outcomes) that cmd_verify merges, sorts and writes, with no
+per-case object, and they equal those of a loop over single pairs or
+cases bit for bit.  Both rotor checks run on one spinor walk, and the
+angle is read from the half angle of the product.  The
 rotation and sums commands are the one-row calls of the same checks
 (rotor.certify_rotation_angle, whose matrix and axis come from the one
 spinor of the product, and sums.verify_sum_identities).
@@ -45,9 +46,9 @@ gauss --q 10**12).  3, numerical abort: BlowUp.
 verify refuses, before its pass, a range whose work estimate exceeds
 MAX_VERIFY_WORK = 2e8 table-entry passes (_verify_work), as evolve
 refuses more than vfe.MAX_STEPS steps.  The estimate counts the table
-entries sum_{q <= q_max} phi(q)*q <= q_max^3/3 once each for vanishing
-and lemma4, q_max times for sums (its kernel runs every entry to an
-order of up to q) and 3*(m_max - 2) times for theorem2.  Why 2e8: the
+entries sum_{q <= q_max} phi(q)*q <= (q_max^3 - q_max)/3 + 1 once each
+for vanishing and lemma4, q_max times for sums (its kernel runs every
+entry to an order of up to q) and 3*(m_max - 2) times for theorem2.  Why 2e8: the
 suites run at 2e7 to 6e7 passes per second (2-vCPU VM), so a run at the
 cap takes seconds, and a theorem2 run, which keeps one factor block per
 q (a peak of 4.3 bytes per pass at M = 3, q_max = 300), stays under 1 GB.
@@ -66,9 +67,9 @@ import os
 import random
 import sys
 from datetime import datetime, timezone
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
-from operator import itemgetter
 
 import numpy as np
 
@@ -174,32 +175,39 @@ def _manifest(command: str, parameters: dict, tolerances: dict) -> dict:
 # perfbench's wall_s 21% worse on verify_all and 27% on verify_wide (4
 # alternating pairs, 2-vCPU VM; BENCH_17.json, "json_dumps_only").  No
 # value is put into encoded text, so no case id can change the layout.
+# One dict per case, built and read back, cost verify_wide 14% of its
+# wall_s (10 pairs, BENCH_30.json), so the rows read three columns.
 
 _OUTCOME_ROW = '    {\n      "case_id": %s,\n      "passed": %s,\n      "residual": %s\n    }'
 
+# verify's outcomes: case ids, passed and residuals, one entry per case
+Outcomes = tuple[list[str], list[bool], list[float]]
 
-def _json_text(payload: dict, outcomes: list[dict] | None = None) -> str:
+
+def _json_text(payload: dict, outcomes: Outcomes | None = None) -> str:
     """json.dumps(payload, indent=2, allow_nan=False) + "\\n", with the
-    `outcomes` (records made by _outcome), when given, as the payload's
-    last key "outcomes".  NaN and infinity raise ValueError."""
+    `outcomes` columns, when given, as the payload's last key "outcomes",
+    one record {"case_id", "passed", "residual"} per case.  The suites'
+    bools and floats (.tolist() of their arrays) are what the template
+    encodes as json.dumps does.  NaN and infinity raise ValueError."""
     if outcomes is None:
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     text = json.dumps({**payload, "outcomes": []}, indent=2, allow_nan=False) + "\n"
-    if not outcomes:
+    case_ids, passed, residuals = outcomes
+    if not case_ids:
         return text
-    residuals = list(map(itemgetter("residual"), outcomes))
     if not all(map(math.isfinite, residuals)):
         raise ValueError("Out of range float values are not JSON compliant")
     rows = map(_OUTCOME_ROW.__mod__, zip(
-        map(encode_basestring_ascii, map(itemgetter("case_id"), outcomes)),
-        map({True: "true", False: "false"}.__getitem__, map(itemgetter("passed"), outcomes)),
+        map(encode_basestring_ascii, case_ids),
+        map({True: "true", False: "false"}.__getitem__, passed),
         map(float.__repr__, residuals),
     ))
     # text ends with '"outcomes": []\n}\n'
     return text[:-5] + "[\n" + ",\n".join(rows) + "\n  ]\n}\n"
 
 
-def _emit(payload: dict, outcomes: list[dict] | None = None) -> None:
+def _emit(payload: dict, outcomes: Outcomes | None = None) -> None:
     sys.stdout.write(_json_text(payload, outcomes))
 
 
@@ -353,11 +361,7 @@ def cmd_rotation(args) -> int:
 # ------------------------------------------------------------ verify suites
 
 
-def _outcome(case_id: str, passed: bool, residual: float) -> dict:
-    return {"case_id": case_id, "passed": bool(passed), "residual": float(residual)}
-
-
-def _vanishing_outcomes(table: ThetaSequence) -> list[dict]:
+def _vanishing_outcomes(table: ThetaSequence) -> Outcomes:
     q = table.q
     expected_modulus = math.sqrt(q) if q % 2 == 1 else math.sqrt(2 * q)
     tol = TOL_VANISHING * max(1.0, math.sqrt(q))
@@ -367,22 +371,20 @@ def _vanishing_outcomes(table: ThetaSequence) -> list[dict]:
         table.moduli[:, should_vanish].max(axis=-1, initial=0.0),
         np.abs(table.moduli[:, ~should_vanish] - expected_modulus).max(axis=-1, initial=0.0),
     )
-    return [_outcome(f"vanishing/p={p}/q={q}", ok and residual <= tol, residual)
-            for p, ok, residual in zip(table.p, pattern_ok.tolist(), residuals.tolist())]
+    return ([f"vanishing/p={p}/q={q}" for p in table.p],
+            (pattern_ok & (residuals <= tol)).tolist(), residuals.tolist())
 
 
-def _lemma4_outcomes(table: ThetaSequence) -> list[dict]:
+def _lemma4_outcomes(table: ThetaSequence) -> Outcomes:
     defects = max_phase_defects(table)
-    return [_outcome(f"lemma4/p={p}/q={table.q}", defect <= TOL_PHASE_MODEL, defect)
-            for p, defect in zip(table.p, defects.tolist())]
+    return ([f"lemma4/p={p}/q={table.q}" for p in table.p],
+            (defects <= TOL_PHASE_MODEL).tolist(), defects.tolist())
 
 
-def _sums_outcomes(table: ThetaSequence) -> list[dict]:
+def _sums_outcomes(table: ThetaSequence) -> Outcomes:
     sums = sum_arrays(table)
-    return [_outcome(f"sums/p={p}/q={table.q}/k={k}", ok, residual)
-            for p, passed, residuals in zip(table.p, _sums_passed(sums).tolist(),
-                                            sums.residual.tolist())
-            for k, ok, residual in zip(sums.k, passed, residuals)]
+    return ([f"sums/p={p}/q={table.q}/k={k}" for p in table.p for k in sums.k],
+            _sums_passed(sums).ravel().tolist(), sums.residual.ravel().tolist())
 
 
 # the checks that read one q's table, each with its first q
@@ -391,17 +393,15 @@ _PER_Q_CHECKS = {"sums": (2, _sums_outcomes), "lemma4": (1, _lemma4_outcomes),
                  "vanishing": (1, _vanishing_outcomes)}
 
 
-def _theorem2_outcomes(blocks: list, Ms: range) -> list[dict]:
+def _theorem2_outcomes(blocks: list, Ms: range) -> Outcomes:
     if not Ms:
-        return []
+        return [], [], []
     checks = certificate_arrays(blocks, Ms)
-    return [_outcome(f"theorem2/M={M}/p={p}/q={q}", ok, error)
-            for p, q, passed, errors in zip(checks.p, checks.q, _theorem2_passed(checks).tolist(),
-                                            checks.angle_error.tolist())
-            for M, ok, error in zip(Ms, passed, errors)]
+    return ([f"theorem2/M={M}/p={p}/q={q}" for p, q in zip(checks.p, checks.q) for M in Ms],
+            _theorem2_passed(checks).ravel().tolist(), checks.angle_error.ravel().tolist())
 
 
-def _lemma3_outcomes() -> list[dict]:
+def _lemma3_outcomes() -> Outcomes:
     rng = random.Random(_LEMMA3_SEED)
     # sign anchor: two opposite in-plane vectors at x = 1 must give 2
     xs, phi_rows = [1.0], [[0.0, math.pi]]
@@ -410,18 +410,15 @@ def _lemma3_outcomes() -> list[dict]:
         xs.append(rng.uniform(-2.0, 2.0))
         phi_rows.append([rng.uniform(0.0, 2.0 * math.pi) for _ in range(n)])
     anchor, *results = trace_identity_evals(xs, phi_rows)
-    outcomes = [
-        _outcome(
-            "lemma3/anchor-opposite-pair",
-            abs(anchor.lhs - 2.0) <= 1e-12 and abs(anchor.rhs - 2.0) <= 1e-12,
-            max(abs(anchor.lhs - 2.0), abs(anchor.rhs - 2.0)),
-        )
-    ]
+    case_ids = ["lemma3/anchor-opposite-pair"]
+    passed = [abs(anchor.lhs - 2.0) <= 1e-12 and abs(anchor.rhs - 2.0) <= 1e-12]
+    residuals = [max(abs(anchor.lhs - 2.0), abs(anchor.rhs - 2.0))]
     for i, (x, phis, result) in enumerate(zip(xs[1:], phi_rows[1:], results)):
-        tol = TOL_TRACE_IDENTITY * (1.0 + abs(x)) ** len(phis)
         residual = abs(result.lhs - result.rhs)
-        outcomes.append(_outcome(f"lemma3/random-{i:03d}", residual <= tol, residual))
-    return outcomes
+        case_ids.append(f"lemma3/random-{i:03d}")
+        passed.append(residual <= TOL_TRACE_IDENTITY * (1.0 + abs(x)) ** len(phis))
+        residuals.append(residual)
+    return case_ids, passed, residuals
 
 
 _SUITES = ("sums", "theorem2", "lemma3", "lemma4", "vanishing")
@@ -429,15 +426,17 @@ _SUITES = ("sums", "theorem2", "lemma3", "lemma4", "vanishing")
 
 def _verify_work(selected, q_max: int, m_count: int) -> int:
     """An upper estimate of verify's work in table-entry passes: the
-    entries sum_{q <= q_max} phi(q)*q <= q_max^3/3, times one pass each
-    for vanishing and lemma4, q_max for sums (its kernel runs every
-    entry to an order of up to q) and 3 per M for theorem2 (m_count
-    values of M)."""
+    entries sum_{q <= q_max} phi(q)*q <= 1 + sum_{2 <= q <= q_max} q*(q-1)
+    = (q_max^3 - q_max)/3 + 1 (exact up to q_max = 3, so 1 entry at
+    q_max = 1), times one pass each for vanishing and lemma4, q_max for
+    sums (its kernel runs every entry to an order of up to q) and 3 per
+    M for theorem2 (m_count values of M)."""
+    entries = (q_max**3 - q_max) // 3 + 1 if q_max > 0 else 0
     passes = {"vanishing": 1, "lemma4": 1, "sums": q_max, "theorem2": 3 * m_count}
-    return max(q_max, 0) ** 3 // 3 * sum(passes.get(name, 0) for name in selected)
+    return entries * sum(passes.get(name, 0) for name in selected)
 
 
-def _verify_outcomes(selected, q_max: int, m_max: int) -> dict[str, list[dict]]:
+def _verify_outcomes(selected, q_max: int, m_max: int) -> dict[str, Outcomes]:
     """The outcomes of each suite in `selected` (in _SUITES order), in
     order of q, then p, from one pass over q (see the module docstring).
     The sums bounds are checked first, at q_max and q_max - 1 alone (the
@@ -455,20 +454,21 @@ def _verify_outcomes(selected, q_max: int, m_max: int) -> dict[str, list[dict]]:
     per_q = [(name, first, check) for name, (first, check) in _PER_Q_CHECKS.items()
              if name in selected]
     firsts = [first for _, first, _ in per_q] + ([1] if Ms else [])
-    found: dict[str, list[dict]] = {name: [] for name in selected}
+    found: dict[str, Outcomes] = {name: ([], [], []) for name in selected}
     blocks = []
     for q in range(min(firsts, default=q_max + 1), q_max + 1):
         table = theta_sequences([p for p in range(1, q + 1) if gcd(p, q) == 1], q)
         for name, first, check in per_q:
             if q >= first:
-                found[name] += check(table)
+                for column, part in zip(found[name], check(table)):
+                    column.extend(part)
         if Ms:
             blocks.append(factor_block(table))
     finish = {"theorem2": lambda: _theorem2_outcomes(blocks, Ms), "lemma3": _lemma3_outcomes}
     for name in selected:
         if name in finish:
             found[name] = finish[name]()
-        if not found[name]:
+        if not found[name][0]:
             raise RangeError(
                 f"suite {name} selects no case for --q-max {q_max} --m-max {m_max}"
             )
@@ -478,12 +478,11 @@ def _verify_outcomes(selected, q_max: int, m_max: int) -> dict[str, list[dict]]:
 def cmd_verify(args) -> int:
     found = _verify_outcomes(
         _SUITES if args.suite == "all" else (args.suite,), args.q_max, args.m_max)
-    per_suite = {
-        name: {"total": len(cases), "failed": sum(1 for o in cases if not o["passed"])}
-        for name, cases in found.items()
-    }
-    outcomes = sorted((o for cases in found.values() for o in cases),
-                      key=itemgetter("case_id"))
+    per_suite = {name: {"total": len(case_ids), "failed": passed.count(False)}
+                 for name, (case_ids, passed, _) in found.items()}
+    columns = [list(chain.from_iterable(column)) for column in zip(*found.values())]
+    order = sorted(range(len(columns[0])), key=columns[0].__getitem__)
+    outcomes = tuple(list(map(column.__getitem__, order)) for column in columns)
 
     n_failed = sum(counts["failed"] for counts in per_suite.values())
     manifest = _manifest(
@@ -502,12 +501,11 @@ def cmd_verify(args) -> int:
         writer = csv.writer(sys.stdout)
         print(f"# manifest: {json.dumps(manifest, allow_nan=False)}")
         writer.writerow(["case_id", "passed", "residual"])
-        for o in outcomes:
-            writer.writerow([o["case_id"], o["passed"], o["residual"]])
+        writer.writerows(zip(*outcomes))
     else:
         _emit({
             "manifest": manifest,
-            "total": len(outcomes),
+            "total": len(order),
             "failed": n_failed,
             "suites": per_suite,
         }, outcomes)

@@ -270,8 +270,8 @@ def sums_per_pair(q_max):
 
 def suite(name, q_max, m_max=10):
     """One suite's outcomes, in order of q and p, from verify's one pass
-    over q."""
-    return cli._verify_outcomes((name,), q_max, m_max)[name]
+    over q, its three columns zipped back into outcome records."""
+    return [outcome(*case) for case in zip(*cli._verify_outcomes((name,), q_max, m_max)[name])]
 
 
 def test_batched_suites_equal_the_per_pair_loops():

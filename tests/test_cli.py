@@ -1,6 +1,7 @@
 import ast
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -222,9 +223,11 @@ def test_arrays_beyond_memory_are_usage_errors(argv):
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "vanishing", "--q-max", str(10**12)],
     ["verify", "--suite", "theorem2", "--q-max", "3", "--m-max", str(10**9)],
-], ids=["q-max", "m-max"])
+    # one table entry, which an estimate rounded down to 0 lets through
+    ["verify", "--suite", "theorem2", "--q-max", "1", "--m-max", str(10**9)],
+], ids=["q-max", "m-max", "m-max-at-q-max-1"])
 def test_verify_beyond_the_work_cap_is_refused_before_the_pass(argv):
-    # both ranges pass every other check; the child has a timeout and
+    # every range passes every other check; the child has a timeout and
     # an address space capped at 1.5 GB, so a lost refusal fails, not hangs
     code = (
         "import resource, sys\n"
@@ -241,12 +244,17 @@ def test_verify_beyond_the_work_cap_is_refused_before_the_pass(argv):
 
 
 def test_verify_work_counts_the_suites_that_read_tables():
-    assert cli._verify_work(("vanishing",), 400, 0) == 400**3 // 3
-    assert cli._verify_work(("vanishing", "lemma4"), 200, 0) == 2 * (200**3 // 3)
-    assert cli._verify_work(("sums",), 100, 0) == 100 * (100**3 // 3)
-    assert cli._verify_work(("theorem2",), 120, 8) == 24 * (120**3 // 3)
+    # table entries (q_max^3 - q_max)/3 + 1 bound sum_{q <= q_max} phi(q)*q
+    assert cli._verify_work(("vanishing",), 400, 0) == 21_333_201
+    assert cli._verify_work(("vanishing", "lemma4"), 200, 0) == 2 * 2_666_601
+    assert cli._verify_work(("sums",), 100, 0) == 100 * 333_301
+    assert cli._verify_work(("theorem2",), 120, 8) == 24 * 575_961
+    assert cli._verify_work(("theorem2",), 1, 10**9) == 3 * (10**9)
+    # exact up to q_max = 3: 1, 1 + 2 and 1 + 2 + 6 entries
+    assert [cli._verify_work(("vanishing",), q, 0) for q in (1, 2, 3)] == [1, 3, 9]
     assert cli._verify_work(("lemma3",), 10**12, 0) == 0
     assert cli._verify_work(("vanishing",), -3, 0) == 0
+    assert cli._verify_work(("vanishing",), 0, 0) == 0
     # the largest planned benchmark ranges lie well under the cap
     assert 6 * cli._verify_work(("sums",), 100, 0) <= cli.MAX_VERIFY_WORK
     assert 14 * cli._verify_work(("theorem2",), 120, 8) <= cli.MAX_VERIFY_WORK
@@ -658,14 +666,18 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 
 def test_verify_csv_format(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "--suite", "lemma4", "--q-max", "6", "--format", "csv"
-    )
+    argv = ("verify", "--suite", "all", "--q-max", "6", "--m-max", "4")
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0].startswith("# manifest: ")
-    assert lines[1] == "case_id,passed,residual"
-    assert len(lines) > 2
+    manifest, table = out.split("\n", 1)
+    assert manifest.startswith("# manifest: ")
+    header, *rows = csv.reader(io.StringIO(table))
+    assert header == ["case_id", "passed", "residual"]
+    # the rows are the JSON outcomes of the range, in the same order
+    _, payload = run_json(capsys, *argv)
+    assert rows == [[o["case_id"], str(o["passed"]), repr(o["residual"])]
+                    for o in payload["outcomes"]]
+    assert len(rows) == payload["total"] > 0
 
 
 def test_simulate_writes_files(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,9 @@
 """cli._json_text against json.dumps(indent=2): the same bytes when
-verify's outcomes are appended through the row template, for any head
-and any outcome list, and the same errors for NaN, infinity and values
-JSON cannot hold.  Without outcomes, _json_text is json.dumps itself."""
+verify's outcome columns are appended through the row template, for any
+head and any outcome list, and the same errors for NaN, infinity and
+values JSON cannot hold.  Without outcomes, _json_text is json.dumps
+itself.  The suites hand the writer the str, bool and float columns the
+template encodes."""
 
 import json
 import math
@@ -34,9 +36,19 @@ def reference(payload):
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def with_outcomes(head, outcomes):
-    """The bytes of head with the outcomes as its last key, both ways."""
-    return cli._json_text(head, outcomes), reference({**head, "outcomes": outcomes})
+def columns(cases):
+    """The three outcome columns of (case_id, passed, residual) cases."""
+    return tuple(map(list, zip(*cases))) if cases else ([], [], [])
+
+
+def records(cases):
+    """The outcome records json.dumps writes for the same cases."""
+    return [{"case_id": c, "passed": ok, "residual": r} for c, ok, r in cases]
+
+
+def with_outcomes(head, cases):
+    """The bytes of head with the cases as its last key, both ways."""
+    return cli._json_text(head, columns(cases)), reference({**head, "outcomes": records(cases)})
 
 
 verify_cases = st.lists(st.tuples(texts, st.booleans(), finite_floats), max_size=30)
@@ -45,26 +57,27 @@ verify_cases = st.lists(st.tuples(texts, st.booleans(), finite_floats), max_size
 @settings(max_examples=100, deadline=None)
 @given(verify_cases)
 def test_verify_shaped_outcomes_match_json_dumps(cases):
-    outcomes = [cli._outcome(c, ok, r) for c, ok, r in cases]
     head = {"manifest": {"command": "verify"}, "total": len(cases), "failed": 0,
             "suites": {"lemma4": {"total": len(cases), "failed": 0}}}
-    got, expected = with_outcomes(head, outcomes)
+    got, expected = with_outcomes(head, cases)
     assert got == expected
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(
-    texts,
-    st.one_of(st.booleans(), st.integers(), st.none(), st.sampled_from([np.bool_(True),
-                                                                         np.bool_(False)])),
-    st.one_of(finite_floats, st.integers(-2**60, 2**60), finite_floats.map(np.float64)),
-), min_size=1, max_size=20))
-def test_flat_outcome_lists_match_json_dumps(cases):
-    """_outcome casts what the suites hand it (numpy bools and floats,
-    ints) to the types the template encodes."""
-    outcomes = [cli._outcome(c, ok, r) for c, ok, r in cases]
-    got, expected = with_outcomes({"total": len(cases)}, outcomes)
-    assert got == expected
+def test_suites_hand_the_writer_str_bool_float_columns():
+    """Each suite's three columns have one entry per case, of the types
+    the row template encodes as json.dumps does."""
+    q_max, m_max = 8, 5
+    pairs = [(p, q) for q in range(1, q_max + 1) for p in range(1, q + 1)
+             if math.gcd(p, q) == 1]
+    totals = {"sums": sum(q // 2 for _, q in pairs), "theorem2": len(pairs) * (m_max - 2),
+              "lemma3": 101, "lemma4": len(pairs), "vanishing": len(pairs)}
+    found = cli._verify_outcomes(cli._SUITES, q_max, m_max)
+    assert list(found) == list(cli._SUITES)
+    for name, (case_ids, passed, residuals) in found.items():
+        assert len(case_ids) == len(passed) == len(residuals) == totals[name], name
+        assert {type(x) for x in case_ids} == {str}, name
+        assert {type(x) for x in passed} == {bool}, name
+        assert {type(x) for x in residuals} == {float}, name
 
 
 json_trees = st.recursive(
@@ -81,8 +94,7 @@ json_trees = st.recursive(
 @given(st.dictionaries(head_keys, json_trees, max_size=5), verify_cases)
 def test_any_tree_matches_json_dumps(head, cases):
     """The outcomes are appended after any head json.dumps can write."""
-    outcomes = [cli._outcome(c, ok, r) for c, ok, r in cases]
-    got, expected = with_outcomes(head, outcomes)
+    got, expected = with_outcomes(head, cases)
     assert got == expected
 
 
@@ -91,10 +103,10 @@ def test_empty_outcome_list_is_json_dumps_empty_list():
     got, expected = with_outcomes(head, [])
     assert got == expected
     assert got.endswith('\n  "outcomes": []\n}\n')
-    assert cli._json_text({}, []) == reference({"outcomes": []})
+    assert cli._json_text({}, ([], [], [])) == reference({"outcomes": []})
 
 
-ONE_OUTCOME = [cli._outcome("lemma4/p=1/q=3", True, 0.25)]
+ONE_OUTCOME = [("lemma4/p=1/q=3", True, 0.25)]
 
 
 @pytest.mark.parametrize("payload", [
@@ -119,16 +131,15 @@ def test_edge_payloads_match_json_dumps(payload):
 @pytest.mark.parametrize("where", ["template", "general", "key", "top"])
 def test_non_finite_floats_raise_value_error(bad, where):
     head, outcomes = {
-        "template": ({"total": 2}, [cli._outcome("a", True, 0.5),
-                                    cli._outcome("b", False, bad)]),
+        "template": ({"total": 2}, [("a", True, 0.5), ("b", False, bad)]),
         "general": ({"rho": bad}, ONE_OUTCOME),
         "key": ({bad: 1}, ONE_OUTCOME),
         "top": (bad, None),
     }[where]
     with pytest.raises(ValueError):
-        reference(head if outcomes is None else {**head, "outcomes": outcomes})
+        reference(head if outcomes is None else {**head, "outcomes": records(outcomes)})
     with pytest.raises(ValueError):
-        cli._json_text(head, outcomes)
+        cli._json_text(head, None if outcomes is None else columns(outcomes))
 
 
 @pytest.mark.parametrize("bad", [
@@ -137,14 +148,14 @@ def test_non_finite_floats_raise_value_error(bad, where):
 def test_values_json_cannot_hold_raise_type_error(bad):
     """A head json.dumps rejects is rejected with outcomes appended too."""
     with pytest.raises(TypeError):
-        reference({**bad, "outcomes": ONE_OUTCOME})
+        reference({**bad, "outcomes": records(ONE_OUTCOME)})
     with pytest.raises(TypeError):
-        cli._json_text(bad, ONE_OUTCOME)
+        cli._json_text(bad, columns(ONE_OUTCOME))
 
 
 def test_emit_writes_nothing_for_a_payload_with_nan(capsys):
     with pytest.raises(ValueError):
         cli._emit({"rho": math.nan})
     with pytest.raises(ValueError):
-        cli._emit({"total": 2}, ONE_OUTCOME + [cli._outcome("b", True, math.inf)])
+        cli._emit({"total": 2}, columns(ONE_OUTCOME + [("b", True, math.inf)]))
     assert capsys.readouterr().out == ""

@@ -51,6 +51,8 @@ CANONICAL = (
     "verify --suite theorem2 --q-max 60 --m-max 10",
     # theorem2 over a range whose factor arguments span 120 sizes of row
     "verify --suite theorem2 --q-max 120 --m-max 3",
+    # theorem2 past M = 3141, where the detuning's miss drops below 1e-4
+    "verify --suite theorem2 --q-max 3 --m-max 3142",
     "verify --suite vanishing --q-max 60",
     "verify --suite lemma4 --q-max 60",
     "verify --suite sums --q-max 60",
@@ -62,6 +64,7 @@ CANONICAL = (
     "rotation --M 5 --p 1 --q 3",
     "rotation --M 5 --p 1 --q 1",
     "rotation --M 7 --p 3 --q 8",
+    "rotation --M 3142 --p 1 --q 3",
     "rotation --M 100000000000000000000 --p 1 --q 1",
     "rotation --M 5 --p 100000000000000000001 --q 3",
     "gauss --p 5 --q 12",

@@ -86,7 +86,7 @@ from .gauss import (
     theta_sequences,
 )
 from .rotor import (
-    CertificateArrays,
+    DETUNING,
     RotationCertificate,
     certificate_arrays,
     certify_rotation_angle,
@@ -113,10 +113,10 @@ TOL_SUMS_PER_TERM = 1e-8
 TOL_VANISHING = VANISHING_RELATIVE_TOL
 TOL_PHASE_MODEL = 1e-8
 TOL_ROTATION_ANGLE = 1e-9
-# Absolute, while a +-5% detuning misses 2*pi/M by about 0.1*pi/M: so
-# rotation --M 3141 --p 1 --q 3 passes (margin 1.0002e-4), and --M 3142
-# exits 1 (9.9987e-5) with an angle_error of 4e-19 (also at q = 1, 2, 7).
-MIN_FALSIFICATION_MARGIN = 1e-4
+# The falsification margin must exceed this share of DETUNING*2*pi/M, the
+# miss of a product angle that follows rho linearly; the smallest share
+# over verify's admitted theorem2 range is 0.7483, at (p, q, M) = (21, 583, 3).
+FALSIFICATION_RATIO_MIN = 0.5
 TOL_TRACE_IDENTITY = 1e-10
 DEFAULT_SIMULATE_TOL = 0.10
 
@@ -254,10 +254,14 @@ def _sums_passed(sums: SumReport | SumArrays):
     return sums.residual <= np.array(bounds)
 
 
-def _theorem2_passed(cert: RotationCertificate | CertificateArrays):
-    """A bool for one certificate, a (P, k) bool array for the arrays."""
-    return ((cert.angle_error <= TOL_ROTATION_ANGLE)
-            & (cert.falsification_margin > MIN_FALSIFICATION_MARGIN))
+def _theorem2_passed(cert):
+    """A bool for one certificate (RotationCertificate), a (P, k) bool
+    array for the arrays (CertificateArrays): the angle error within
+    TOL_ROTATION_ANGLE, and the falsification margin above
+    FALSIFICATION_RATIO_MIN * DETUNING * 2*pi/M."""
+    M = cert.M if isinstance(cert, RotationCertificate) else np.array(cert.M, dtype=float)
+    floor = FALSIFICATION_RATIO_MIN * DETUNING * (2.0 * math.pi / M)
+    return (cert.angle_error <= TOL_ROTATION_ANGLE) & (cert.falsification_margin > floor)
 
 
 # ---------------------------------------------------------------- commands
@@ -340,8 +344,8 @@ def cmd_rotation(args) -> int:
         "manifest": _manifest(
             "rotation",
             {"M": args.M, "p": args.p, "q": args.q},
-            {"angle": TOL_ROTATION_ANGLE,
-             "falsification_margin_min": MIN_FALSIFICATION_MARGIN},
+            {"angle": TOL_ROTATION_ANGLE, "detuning": DETUNING,
+             "falsification_ratio_min": FALSIFICATION_RATIO_MIN},
         ),
         "M": args.M,
         "p": args.p,
@@ -363,7 +367,9 @@ def cmd_rotation(args) -> int:
 
 def _vanishing_outcomes(table: ThetaSequence) -> Outcomes:
     q = table.q
-    expected_modulus = math.sqrt(q) if q % 2 == 1 else math.sqrt(2 * q)
+    # Parseval's sum of |G|^2 over n, q^2, shared by the N admissible
+    # entries alike: sqrt(q) for odd q, sqrt(2q) for even q
+    expected_modulus = math.sqrt(q * q // admissible_count(q))
     tol = TOL_VANISHING * max(1.0, math.sqrt(q))
     should_vanish = ~admissible_mask(q)
     pattern_ok = (table.vanishing == should_vanish).all(axis=-1)
@@ -493,7 +499,8 @@ def cmd_verify(args) -> int:
             "vanishing_rel": TOL_VANISHING,
             "phase_model": TOL_PHASE_MODEL,
             "rotation_angle": TOL_ROTATION_ANGLE,
-            "falsification_margin_min": MIN_FALSIFICATION_MARGIN,
+            "detuning": DETUNING,
+            "falsification_ratio_min": FALSIFICATION_RATIO_MIN,
             "trace_identity": TOL_TRACE_IDENTITY,
         },
     )

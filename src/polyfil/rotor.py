@@ -30,11 +30,12 @@ it raises NonUnitSpinor.
 The theorem-2 check has one owner, certificate_arrays.  It takes a
 sequence of factor blocks, one per q, and reads no table; it makes one
 kernel call for every (p, q) in them, every M and the three angles rho,
-0.95*rho and 1.05*rho, and returns the angle errors and falsification
-margins as (R, k) arrays (CertificateArrays), which the verify suite
-reads.  certify_rotation_angle, behind the rotation command, is its
-one-block (P = 1), one-M call, returned as a RotationCertificate with
-the product's rotation matrix and axis.
+(1 - DETUNING)*rho and (1 + DETUNING)*rho, and returns the angle errors
+and falsification margins as (R, k) arrays (CertificateArrays), which
+the verify suite reads.  certify_rotation_angle, behind the rotation
+command, is its one-block (P = 1), one-M call, returned as a
+RotationCertificate with the rotation matrix of the product's one
+spinor, in closed form (_spinor_matrix), and its axis.
 
 The Lemma 3 half-trace identity is checked over every case at once:
 trace_identity_evals lays the z_n = e^(i phi_n) of all cases out once,
@@ -54,11 +55,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import alternating_products
+from .arith import admissible_count, alternating_products
 from .errors import NonUnitSpinor
 from .gauss import ThetaSequence, theta_sequence
 
 __all__ = [
+    "DETUNING",
     "RotationCertificate",
     "CertificateArrays",
     "TraceIdentityResult",
@@ -70,25 +72,21 @@ __all__ = [
     "trace_identity_evals",
 ]
 
+# the relative detuning of rho in theorem 2's sharpness probe: the
+# product at (1 -+ DETUNING)*rho must miss 2*pi/M
+DETUNING = 0.05
+
 _UNIT_TOL = 1e-9
 # below this angle the rotation command reports no axis
 _AXIS_MIN_ANGLE = 1e-6
-
-# _CROSS[i] is the cross-product matrix of the i-th axis, so that
-# v @ _CROSS.reshape(3, 9) lists the entries of [v]_x (see _cross_matrices)
-_CROSS = np.array([
-    [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
-    [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
-    [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-])
 
 
 @dataclass(frozen=True)
 class RotationCertificate:
     """Angle agreement of the corner-rotation product at the predicted
-    inter-side angle, plus how far a +-5% detuning drifts off target.
-    `product` is the rotation matrix at rho itself and `axis` its unit
-    axis, None below an angle of 1e-6."""
+    inter-side angle, plus how far detuning rho by +-DETUNING drifts it
+    off target.  `product` is the rotation matrix at rho itself and
+    `axis` its unit axis, None below an angle of 1e-6."""
 
     M: int
     p: int
@@ -104,17 +102,16 @@ class RotationCertificate:
 @dataclass(frozen=True, eq=False)
 class CertificateArrays:
     """The fields of RotationCertificate for R rows (p, q) and every M,
-    as arrays: `rho`, `angle`, `angle_error` and `falsification_margin`
-    (R, k), and the complex spinor pair `alpha`, `beta` (R, k) of the
-    product at rho.  `p`, `q` (one each per row) and `M` are tuples of
-    ints, so that no M is too large for an int64.  Entry
-    [i, j] is the certificate of (M[j], p[i], q[i]).  Compared by
-    identity (eq=False), since arrays have no single-bool ==."""
+    as arrays: `angle`, `angle_error` and `falsification_margin` (R, k),
+    and the complex spinor pair `alpha`, `beta` (R, k) of the product at
+    rho.  `p`, `q` (one each per row) and `M` are tuples of ints, so that
+    no M is too large for an int64.  Entry [i, j] is the certificate of
+    (M[j], p[i], q[i]).  Compared by identity (eq=False), since arrays
+    have no single-bool ==."""
 
     p: tuple[int, ...]
     q: tuple[int, ...]
     M: tuple[int, ...]
-    rho: np.ndarray
     angle: np.ndarray
     angle_error: np.ndarray
     falsification_margin: np.ndarray
@@ -128,42 +125,33 @@ class TraceIdentityResult:
     rhs: float
 
 
-def _cross_matrices(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrices (..., 3, 3) of vectors (..., 3): [v]_x u = v x u."""
-    return (v @ _CROSS.reshape(3, 9)).reshape(v.shape[:-1] + (3, 3))
-
-
-def _spinor_matrices(spin: np.ndarray) -> np.ndarray:
-    """Rotation matrices (..., 3, 3) of unit quaternions (..., 4):
-    R = I + 2 (w K + K K) with K the cross-product matrix of (x, y, z),
-    formed in place, so that a stack holds two arrays of its size."""
-    norm = np.sqrt(np.sum(spin * spin, axis=-1))
-    if not np.all(np.abs(norm - 1.0) <= _UNIT_TOL):
+def _spinor_matrix(spin) -> np.ndarray:
+    """The rotation matrix of the unit quaternion spin = (w, x, y, z):
+    R = I + 2 (w K + K K) with K the cross-product matrix of (x, y, z).
+    A norm off 1 by more than _UNIT_TOL (or NaN) raises NonUnitSpinor."""
+    w, x, y, z = spin
+    norm = math.sqrt(w * w + x * x + y * y + z * z)
+    # written as "not <=" so that NaN fails too
+    if not abs(norm - 1.0) <= _UNIT_TOL:
         raise NonUnitSpinor(f"spinor norm {norm} is not 1")
-    k = _cross_matrices(spin[..., 1:])
-    r = k @ k
-    k *= spin[..., :1, None]
-    r += k
-    r *= 2.0
-    r += np.eye(3)
-    return r
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.eye(3) + 2.0 * (w * k + k @ k)
 
 
 def inter_side_angle(M: int, q: int) -> float:
     """The angle rho between adjacent sides of the time t_{p/q} polygon:
-    cos(rho/2) = cos(pi/M)^(1/q) for odd q and cos(pi/M)^(2/q) for even q.
-    Independent of p.  Reduces to the planar value 2*pi/M at q = 1, 2.
+    cos(rho/2) = cos(pi/M)^(1/N), with N = arith.admissible_count(q) (q
+    for odd q, q/2 for even q).  Independent of p.  Reduces to the planar
+    value 2*pi/M at q = 1, 2.
 
     Evaluated as rho = 4*asin(sqrt(x/2)) with x = 1 - cos(rho/2) formed by
     log1p/expm1 from 2*sin(pi/2M)^2 = 1 - cos(pi/M), so that no step
     cancels when rho is small (large M).  M or q too large to convert to
-    a float raises ValueError."""
+    a float raises ValueError, as do M < 3 and q < 1."""
     if M < 3:
         raise ValueError(f"M must be at least 3, got {M}")
-    if q < 1:
-        raise ValueError(f"q must be positive, got {q}")
     try:
-        exponent = 1.0 / q if q % 2 == 1 else 2.0 / q
+        exponent = 1.0 / admissible_count(q)
         x = -math.expm1(exponent * math.log1p(-2.0 * math.sin(math.pi / (2 * M)) ** 2))
     except OverflowError:
         raise ValueError("M and q must be small enough to convert to a float") from None
@@ -273,9 +261,10 @@ def _half_angle(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 
 def _detuned_angles(q: int, Ms: list[int]) -> np.ndarray:
-    """The predicted rho of each M, then 0.95*rho, then 1.05*rho: 3*len(Ms) angles."""
+    """The predicted rho of each M, then (1 - DETUNING)*rho, then
+    (1 + DETUNING)*rho: 3*len(Ms) angles."""
     rhos = np.array([inter_side_angle(M, q) for M in Ms])
-    return np.concatenate([rhos, 0.95 * rhos, 1.05 * rhos])
+    return np.concatenate([rhos, (1.0 - DETUNING) * rhos, (1.0 + DETUNING) * rhos])
 
 
 def certificate_arrays(blocks, Ms) -> CertificateArrays:
@@ -285,8 +274,9 @@ def certificate_arrays(blocks, Ms) -> CertificateArrays:
     all rows, all M and the three angles per M.
 
     The product must have angle exactly 2*pi/M at the predicted
-    inter-side angle rho, and detuning rho by +-5% must visibly break it
-    (falsification_margin is the smaller miss of the two detunings)."""
+    inter-side angle rho, and detuning rho by +-DETUNING must visibly
+    break it (falsification_margin is the smaller miss of the two
+    detunings)."""
     Ms, blocks = list(Ms), list(blocks)
     detuned = np.reshape([_detuned_angles(q, Ms) for _, q, _ in blocks],
                          (len(blocks), 3 * len(Ms)))
@@ -298,8 +288,7 @@ def certificate_arrays(blocks, Ms) -> CertificateArrays:
     return CertificateArrays(
         p=tuple(p for ps, _, _ in blocks for p in ps),
         q=tuple(q for ps, q, _ in blocks for _ in ps),
-        M=tuple(Ms), rho=np.repeat(detuned[:, :len(Ms)], sizes, axis=0),
-        angle=angles[:, 0], angle_error=np.abs(angles[:, 0] - target),
+        M=tuple(Ms), angle=angles[:, 0], angle_error=np.abs(angles[:, 0] - target),
         falsification_margin=np.minimum(np.abs(angles[:, 1] - target),
                                         np.abs(angles[:, 2] - target)),
         alpha=alpha[:, :len(Ms)], beta=beta[:, :len(Ms)],
@@ -315,17 +304,17 @@ def certify_rotation_angle(M: int, p: int, q: int) -> RotationCertificate:
     rho = inter_side_angle(M, q)
     arrays = certificate_arrays([factor_block(theta_sequence(p, q))], [M])
     alpha, beta = arrays.alpha.item(), arrays.beta.item()
-    spin = np.array([alpha.real, alpha.imag, beta.real, beta.imag])
+    spin = (alpha.real, alpha.imag, beta.real, beta.imag)
     angle = arrays.angle.item()
     axis = None
     if angle >= _AXIS_MIN_ANGLE:
-        vector = math.copysign(1.0, alpha.real) * spin[1:]
+        vector = math.copysign(1.0, alpha.real) * np.array(spin[1:])
         axis = tuple((vector / np.linalg.norm(vector)).tolist())
     return RotationCertificate(
         M=M, p=p, q=q, rho=rho, angle=angle,
         angle_error=arrays.angle_error.item(),
         falsification_margin=arrays.falsification_margin.item(),
-        product=_spinor_matrices(spin), axis=axis,
+        product=_spinor_matrix(spin), axis=axis,
     )
 
 

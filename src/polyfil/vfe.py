@@ -71,6 +71,7 @@ import numpy as np
 # copyto stays for copies of caller-owned arrays, for its casting check.
 from numpy import add, copyto, divide, maximum, minimum, multiply, sqrt
 
+from .arith import admissible_count
 from .errors import BlowUp, GridNotDivisible, NotCoprime, RangeError
 from .rotor import inter_side_angle
 
@@ -163,7 +164,7 @@ class SimulationConfig:
 
     @property
     def expected_sides(self) -> int:
-        return self.M * self.q if self.q % 2 == 1 else self.M * self.q // 2
+        return self.M * admissible_count(self.q)
 
 
 @dataclass(frozen=True)

@@ -76,12 +76,11 @@ def certificate_rows_match(q):
     for i, row in enumerate(per_pair_certificates(q)):
         for j, one in enumerate(row):
             fields = (one.rho, one.angle, one.angle_error, one.falsification_margin)
-            batched = (arrays.rho[i, j], arrays.angle[i, j], arrays.angle_error[i, j],
-                       arrays.falsification_margin[i, j])
-            spin = [arrays.alpha[i, j].real, arrays.alpha[i, j].imag,
-                    arrays.beta[i, j].real, arrays.beta[i, j].imag]
-            if fields != batched or not np.array_equal(one.product,
-                                                       rotor._spinor_matrices(np.array(spin))):
+            batched = (rotor.inter_side_angle(MS[j], q), arrays.angle[i, j],
+                       arrays.angle_error[i, j], arrays.falsification_margin[i, j])
+            spin = (arrays.alpha[i, j].real, arrays.alpha[i, j].imag,
+                    arrays.beta[i, j].real, arrays.beta[i, j].imag)
+            if fields != batched or not np.array_equal(one.product, rotor._spinor_matrix(spin)):
                 return False
     return True
 
@@ -114,8 +113,8 @@ def test_certificate_arrays_equal_the_certificate_objects():
         arrays = rotor.certificate_arrays([rotor.factor_block(gauss.theta_sequences(ps, q))], MS)
         rows = per_pair_certificates(q)
         assert arrays.p == tuple(ps) and arrays.M == tuple(MS) and arrays.q == (q,) * len(ps)
-        assert arrays.rho.shape == (len(ps), len(MS))
-        assert arrays.angle_error.shape == (len(ps), len(MS))
+        assert arrays.angle.shape == arrays.angle_error.shape == (len(ps), len(MS))
+        assert arrays.falsification_margin.shape == (len(ps), len(MS))
         assert arrays.alpha.shape == arrays.beta.shape == (len(ps), len(MS))
         assert [[(c.M, c.p, c.q) for c in row] for row in rows] == [
             [(M, p, q) for M in MS] for p in ps]
@@ -290,7 +289,11 @@ def per_q_products(args, rhos):
     shared by every row, each row multiplied through all F factors in
     order."""
     c, s = np.cos(args), np.sin(args)
-    k = rotor._cross_matrices(np.stack([c, s, np.zeros_like(c)], -1))[:, :, None]
+    zero = np.zeros_like(c)
+    # the cross-product matrix [[0, -z, y], [z, 0, -x], [-y, x, 0]] of each
+    # axis (x, y, z) = (c, s, 0), (P, F, 1, 3, 3)
+    k = np.stack([zero, zero, s, zero, zero, -c, -s, c, zero], -1).reshape(
+        args.shape + (1, 3, 3))
     kk = k @ k
     sin_rho = np.sin(rhos)[:, None, None]
     versin_rho = (1.0 - np.cos(rhos))[:, None, None]
@@ -363,7 +366,8 @@ def theorem2_outcomes(q, angles, Ms):
     angles = angles.reshape(len(angles), 3, len(Ms))
     errors = np.abs(angles[:, 0] - target)
     margins = np.minimum(np.abs(angles[:, 1] - target), np.abs(angles[:, 2] - target))
-    passed = (errors <= cli.TOL_ROTATION_ANGLE) & (margins > cli.MIN_FALSIFICATION_MARGIN)
+    floors = cli.FALSIFICATION_RATIO_MIN * rotor.DETUNING * target
+    passed = (errors <= cli.TOL_ROTATION_ANGLE) & (margins > floors)
     return [outcome(f"theorem2/M={M}/p={p}/q={q}", ok, error)
             for p, row_ok, row_errors in zip(coprime(q), passed.tolist(), errors.tolist())
             for M, ok, error in zip(Ms, row_ok, row_errors)]
@@ -477,7 +481,7 @@ def test_certificate_rows_follow_the_tables_in_order():
     assert arrays.p == (1, 3, 5, 7, 2, 1, 2) and arrays.q == (8, 8, 8, 8, 5, 3, 3)
     for i, (p, q) in enumerate(zip(arrays.p, arrays.q)):
         one = rotor.certificate_arrays([rotor.factor_block(gauss.theta_sequence(p, q))], MS)
-        for name in ("rho", "angle", "angle_error", "falsification_margin", "alpha", "beta"):
+        for name in ("angle", "angle_error", "falsification_margin", "alpha", "beta"):
             assert np.array_equal(getattr(arrays, name)[i], getattr(one, name)[0]), (p, q, name)
     empty = rotor.certificate_arrays([], MS)
     assert empty.p == () and empty.angle.shape == (0, len(MS))

@@ -285,28 +285,73 @@ def test_rotation_command(capsys):
 
 @pytest.mark.parametrize("argv, code, passed", [
     (("--M", "5", "--p", "1", "--q", "3"), 0, True),
-    # at M = 10000 a +-5% detuning moves the angle by only ~3e-5
-    (("--M", "10000", "--p", "1", "--q", "1"), 1, False),
-    # rho = 2*pi/1e20 is tiny but positive, so the check runs and fails
-    (("--M", "100000000000000000000", "--p", "1", "--q", "1"), 1, False),
+    # at M = 10000 a +-5% detuning moves the angle by only ~3e-5, which
+    # is the whole miss DETUNING*2*pi/M of a single factor
+    (("--M", "10000", "--p", "1", "--q", "1"), 0, True),
+    # rho = 2*pi/1e20 is tiny but positive, so the check runs
+    (("--M", "100000000000000000000", "--p", "1", "--q", "1"), 0, True),
 ])
 def test_rotation_exit_code_follows_check(capsys, argv, code, passed):
     got, payload = run_json(capsys, "rotation", *argv)
     assert (got, payload["passed"]) == (code, passed)
+    assert type(payload["passed"]) is bool
     assert payload["manifest"]["tolerances"] == {
-        "angle": 1e-9, "falsification_margin_min": 1e-4,
+        "angle": 1e-9, "detuning": 0.05, "falsification_ratio_min": 0.5,
     }
 
 
 @pytest.mark.parametrize("q", ["1", "2", "3", "7"])
-def test_rotation_fails_from_M_3142_on_whatever_the_angle_error(capsys, q):
-    # the margin bound is absolute, and a +-5% detuning misses 2*pi/M by
-    # about 0.1*pi/M: 1.0002e-4 at M = 3141, 9.9987e-5 at M = 3142
-    for M, code in ((3141, 0), (3142, 1)):
+def test_rotation_passes_past_M_3141_with_a_floor_that_scales_with_the_angle(capsys, q):
+    # a +-5% detuning misses 2*pi/M by about DETUNING*2*pi/M, and the
+    # floor is half of that, so no M is too large: an absolute floor of
+    # 1e-4 failed every case from M = 3142 on, with an angle_error of 4e-19
+    for M in (3141, 3142, 10**5, 10**20):
         got, payload = run_json(capsys, "rotation", "--M", str(M), "--p", "1", "--q", q)
-        assert (got, payload["passed"]) == (code, code == 0)
+        assert (got, payload["passed"]) == (0, True)
         assert payload["angle_error"] <= 1e-17
-        assert payload["falsification_margin"] == pytest.approx(0.1 * math.pi / M, rel=1e-6)
+        ratio = payload["falsification_margin"] / (rotor.DETUNING * 2 * math.pi / M)
+        assert ratio >= cli.FALSIFICATION_RATIO_MIN
+        assert ratio == pytest.approx(1.0, rel=1e-6)
+
+
+def test_verify_theorem2_passes_past_M_3141(capsys):
+    # an absolute margin floor of 1e-4 failed the four M = 3142 cases
+    code, payload = run_json(
+        capsys, "verify", "--suite", "theorem2", "--q-max", "3", "--m-max", "3142")
+    assert (code, payload["total"], payload["failed"]) == (0, 4 * 3140, 0)
+    assert payload["manifest"]["tolerances"]["detuning"] == rotor.DETUNING
+    assert payload["manifest"]["tolerances"]["falsification_ratio_min"] == 0.5
+
+
+def probe_at(factor):
+    """A _detuned_angles that probes rho * (1 -+ factor) in place of
+    rho * (1 -+ DETUNING), which it leaves as it is."""
+    def detuned(q, Ms):
+        rhos = np.array([rotor.inter_side_angle(M, q) for M in Ms])
+        return np.concatenate([rhos, (1.0 - factor) * rhos, (1.0 + factor) * rhos])
+    return detuned
+
+
+@pytest.mark.parametrize("factor", [0.005, 0.0], ids=["half-percent", "no-detuning"])
+def test_verify_theorem2_rejects_a_probe_weaker_than_its_detuning(capsys, monkeypatch,
+                                                                 factor):
+    # a probe at 0.5% misses 2*pi/M by more than 1e-4 at M <= 10, so an
+    # absolute floor passed it; the floor that scales with DETUNING fails
+    # every case.  With no detuning every margin is an angle error, below
+    # either floor.
+    blocks = [rotor.factor_block(gauss.theta_sequences(
+        [p for p in range(1, q + 1) if math.gcd(p, q) == 1], q)) for q in range(1, 18)]
+    monkeypatch.setattr(rotor, "_detuned_angles", probe_at(factor))
+    margins = rotor.certificate_arrays(blocks, range(3, 11)).falsification_margin
+    if factor:
+        assert margins.min() > 1e-4
+    else:
+        assert margins.max() <= cli.TOL_ROTATION_ANGLE
+    assert rotor.DETUNING == 0.05
+    code, payload = run_json(
+        capsys, "verify", "--suite", "theorem2", "--q-max", "17", "--m-max", "10")
+    assert (code, payload["total"]) == (1, margins.size)
+    assert payload["failed"] == payload["total"]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -33,18 +33,18 @@ def test_full_turn_is_minus_identity_spinor():
     s = np.array([math.cos(math.pi), 0.0, 0.0, math.sin(math.pi)])
     assert abs(s[0] + 1) < 1e-15 and abs(s[3]) < 1e-15
     # ... but the same rotation as the identity
-    assert np.allclose(rotor._spinor_matrices(s), np.eye(3), atol=1e-15)
+    assert np.allclose(rotor._spinor_matrix(s), np.eye(3), atol=1e-15)
 
 
 def test_spinor_to_rotation_basics():
-    assert np.allclose(rotor._spinor_matrices(np.array([1.0, 0.0, 0.0, 0.0])), np.eye(3))
-    r = rotor._spinor_matrices(np.array([0.0, 0.0, 0.0, 1.0]))
+    assert np.allclose(rotor._spinor_matrix(np.array([1.0, 0.0, 0.0, 0.0])), np.eye(3))
+    r = rotor._spinor_matrix(np.array([0.0, 0.0, 0.0, 1.0]))
     assert np.allclose(r, rodrigues(Z_AXIS, math.pi), atol=1e-15)
 
 
 def test_spinor_to_rotation_rejects_non_unit():
     with pytest.raises(NonUnitSpinor):
-        rotor._spinor_matrices(np.array([1.0, 1.0, 0.0, 0.0]))
+        rotor._spinor_matrix(np.array([1.0, 1.0, 0.0, 0.0]))
 
 
 def test_double_cover_sign_is_exact():
@@ -53,7 +53,7 @@ def test_double_cover_sign_is_exact():
         raw = [rng.uniform(-1, 1) for _ in range(4)]
         norm = math.sqrt(sum(c * c for c in raw))
         s = np.array([c / norm for c in raw])
-        assert np.array_equal(rotor._spinor_matrices(s), rotor._spinor_matrices(-s))
+        assert np.array_equal(rotor._spinor_matrix(s), rotor._spinor_matrix(-s))
 
 
 def test_homomorphism_on_random_pairs():
@@ -68,8 +68,8 @@ def test_homomorphism_on_random_pairs():
         product = quaternion_product(s1, s2)
         # renormalize the product against roundoff before mapping
         product = product / np.linalg.norm(product)
-        lhs = rotor._spinor_matrices(product)
-        rhs = rotor._spinor_matrices(s1) @ rotor._spinor_matrices(s2)
+        lhs = rotor._spinor_matrix(product)
+        rhs = rotor._spinor_matrix(s1) @ rotor._spinor_matrix(s2)
         assert np.abs(lhs - rhs).max() < 1e-10
 
 
@@ -105,7 +105,7 @@ def test_rotation_angle_basics():
     assert angle(-1 + 0j, 0j) == 0.0  # -s is the same rotation as s
     third = complex(math.cos(math.pi / 3), 0.0), 1j * math.sin(math.pi / 3)
     assert abs(angle(*third) - 2 * math.pi / 3) < 1e-15
-    assert np.allclose(rotor._spinor_matrices(np.array([third[0].real, 0.0, 0.0, third[1].imag])),
+    assert np.allclose(rotor._spinor_matrix(np.array([third[0].real, 0.0, 0.0, third[1].imag])),
                        rodrigues(Z_AXIS, 2 * math.pi / 3), atol=1e-15)
     # a half turn reads pi with no clamp
     assert angle(1j, 0j) == math.pi

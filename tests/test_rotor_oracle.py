@@ -69,8 +69,9 @@ def kernel_pair(theta, rho):
 
 
 def pair_matrix(alpha, beta):
-    """The rotation matrix of the spinor alpha + beta j."""
-    return rotor._spinor_matrices(np.array([alpha.real, alpha.imag, beta.real, beta.imag]))
+    """The rotation matrix of the spinor alpha + beta j, entry by entry
+    (quaternion_rotation), to be compared within a tolerance."""
+    return quaternion_rotation((alpha.real, alpha.imag, beta.real, beta.imag))
 
 
 def kernel_product(theta, rho):
@@ -120,9 +121,11 @@ def test_certify_rotation_angle_is_one_entry_of_the_batch():
     arrays = rotor.certificate_arrays([rotor.factor_block(gauss.theta_sequence(2, 5))], [3, 7, 9])
     assert arrays.p == (2,) and arrays.q == (5,) and arrays.M == (3, 7, 9)
     assert (one.rho, one.angle, one.angle_error, one.falsification_margin) == (
-        arrays.rho[0, 1], arrays.angle[0, 1], arrays.angle_error[0, 1],
+        rotor.inter_side_angle(7, 5), arrays.angle[0, 1], arrays.angle_error[0, 1],
         arrays.falsification_margin[0, 1])
-    assert np.array_equal(one.product, pair_matrix(arrays.alpha[0, 1], arrays.beta[0, 1]))
+    alpha, beta = arrays.alpha[0, 1], arrays.beta[0, 1]
+    assert np.array_equal(one.product,
+                          rotor._spinor_matrix((alpha.real, alpha.imag, beta.real, beta.imag)))
 
 
 def test_product_shape_follows_rho():
@@ -184,14 +187,15 @@ def test_kernel_rejects_a_product_off_the_unit_sphere(monkeypatch):
 
 def test_per_factor_loop_catches_the_quaternion_route_composed_as_inverse(monkeypatch):
     assert matches_per_factor(5, 1, 3)
-    correct = rotor._spinor_matrices
+    correct = rotor._spinor_matrix
 
     def conjugated(spin):
         # the rotation v -> s^-1 v s in place of s v s^-1: the same angle
         # about the same axis, turned the other way
-        return correct(spin * np.array([1.0, -1.0, -1.0, -1.0]))
+        w, x, y, z = spin
+        return correct((w, -x, -y, -z))
 
-    monkeypatch.setattr(rotor, "_spinor_matrices", conjugated)
+    monkeypatch.setattr(rotor, "_spinor_matrix", conjugated)
     assert not matches_per_factor(5, 1, 3)
     assert not matches_per_factor(7, 3, 8)
 

@@ -1,0 +1,135 @@
+#!/usr/bin/env python3
+"""A table of wrong programs and the verdict the CLI gives each.
+
+Every row is a one-line edit to a copy of src/polyfil and the command
+whose exit code judges it:
+
+- "rejected": the command must exit 1, a failed check, and not crash;
+- "equivalent": the edit does not change what the command checks, so it
+  must exit 0; the note says why;
+- "survives": a wrong program that no verdict rejects yet, so it exits
+  0 today; the note names the open ROADMAP item that should reject it.
+  The change that does flips the row to "rejected".
+
+The old text of a row must occur exactly once in its file, so that a
+refactor cannot skip a mutant silently: it must rewrite the row.
+
+Usage:
+    python scripts/mutants.py    # run every row on a scratch copy, print its verdict
+"""
+
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "polyfil"
+
+VERIFY = "verify --suite all --q-max 17 --m-max 10"
+SIMULATE = "simulate --M 5 --p 1 --q 3 --grid 480 --out sim"
+
+EXPECTED_EXIT = {"rejected": 1, "equivalent": 0, "survives": 0}
+
+
+class Mutant(NamedTuple):
+    file: str
+    old: str
+    new: str
+    command: str
+    expected: str
+    note: str
+
+
+TIME = "return 2.0 * math.pi * self.p / (self.q * self.M**2)"
+
+MUTANTS = (
+    Mutant("rotor.py", "exponent = 1.0 / admissible_count(q)", "exponent = 1.0 / q",
+           VERIFY, "rejected", "theorem2: the even-q exponent 2/q becomes 1/q"),
+    Mutant("gauss.py", "np.multiply.outer(-p % q,", "np.multiply.outer(p % q,",
+           VERIFY, "rejected", "lemma4: the chirp's sign"),
+    Mutant("sums.py", "[phase.residues(n)]", "[phase.residues(n + 1)]",
+           VERIFY, "rejected", "sums: E_k over the shifted indices n + 1"),
+    Mutant("sums.py", "[phase.residues(n)]", "[3 * phase.residues(n) % phase.denominator]",
+           VERIFY, "rejected", "sums: E_k with a -> 3a"),
+    Mutant("sums.py", "flat = arguments.ravel().tolist()",
+           "flat = (arguments + 0.1 * n).ravel().tolist()",
+           VERIFY, "rejected", "sums: T_k from the arguments + 0.1 n"),
+    Mutant("sums.py", "flat = arguments.ravel().tolist()",
+           "flat = (arguments + 2 * np.pi * n**3 / theta.q).ravel().tolist()",
+           VERIFY, "rejected", "sums: T_k with an added phase 2 pi n^3 / q"),
+    Mutant("rotor.py", "(1.0 - DETUNING) * rhos, (1.0 + DETUNING) * rhos",
+           "(1.0 - DETUNING / 10) * rhos, (1.0 + DETUNING / 10) * rhos",
+           VERIFY, "rejected", "theorem2: the probe at a tenth of the detuning its floor "
+           "scales with (item 14)"),
+    Mutant("gauss.py", "ref = int(table.admissible_arguments()[0][0])",
+           "ref = int(table.admissible_arguments()[0][:2][-1])",
+           VERIFY, "rejected", "lemma4 and sums: the phase fit at the second admissible "
+           "index, where there are two"),
+    Mutant("rotor.py", "theta.admissible_arguments()[1][:, ::-1]",
+           "theta.admissible_arguments()[1]",
+           VERIFY, "equivalent", "ascending factor order conjugates the product, which "
+           "keeps its rotation angle"),
+    Mutant("cli.py", "theta_sequences([p for p in range(1, q + 1) if gcd(p, q) == 1], q)",
+           "theta_sequences([p + q for p in range(1, q + 1) if gcd(p, q) == 1], q)",
+           VERIFY, "equivalent", "p + q is p one period later: every table reads p mod q"),
+    Mutant("vfe.py", TIME, TIME + " * 1.01", SIMULATE, "survives",
+           "item 5: a detuned-time control"),
+    Mutant("vfe.py", TIME, TIME + " * 1.05", SIMULATE, "survives",
+           "item 5: a detuned-time control"),
+    Mutant("vfe.py", TIME, TIME + " * 0.95", SIMULATE, "survives",
+           "item 5: a detuned-time control"),
+)
+
+
+def apply(mutant: Mutant, package: Path) -> None:
+    """Edit the copy of the package at `package` in place.  Raises
+    ValueError unless the old text occurs exactly once."""
+    path = package / mutant.file
+    text = path.read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"{mutant.file}: {mutant.old!r} occurs {count} times, not once")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def run(command: str, src: Path, cwd: Path) -> subprocess.CompletedProcess:
+    """The CLI command run on the package under `src`, in `cwd`."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-m", "polyfil", *shlex.split(command)],
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
+
+
+def verdict(proc: subprocess.CompletedProcess) -> str:
+    """"crashed" on a traceback, else "rejected" on exit 1, "accepted" on
+    exit 0, or the exit code."""
+    if "Traceback" in proc.stderr:
+        return "crashed"
+    return {0: "accepted", 1: "rejected"}.get(proc.returncode, f"rc={proc.returncode}")
+
+
+def judge(mutant: Mutant, workdir: Path) -> str:
+    """The verdict of the command on a mutated copy of the package, made
+    under `workdir`."""
+    src = workdir / "src"
+    shutil.copytree(PACKAGE, src / "polyfil", ignore=shutil.ignore_patterns("__pycache__"))
+    apply(mutant, src / "polyfil")
+    return verdict(run(mutant.command, src, workdir))
+
+
+def main() -> int:
+    wrong = 0
+    for mutant in MUTANTS:
+        with tempfile.TemporaryDirectory() as workdir:
+            got = judge(mutant, Path(workdir))
+        want = "rejected" if EXPECTED_EXIT[mutant.expected] else "accepted"
+        wrong += got != want
+        print(f"{got:9} {mutant.expected:10} {mutant.file}: {mutant.note}")
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -59,6 +59,8 @@ CANONICAL = (
     "verify --suite lemma3",
     "sums --p 1 --q 12",
     "sums --p 29 --q 59",
+    # a one-row fit at q = 2 mod 4, whose reference index is 1
+    "sums --p 3 --q 10",
     # p beyond an int64: every table carries p as a tuple of ints
     "sums --p 100000000000000000001 --q 5",
     "rotation --M 5 --p 1 --q 3",

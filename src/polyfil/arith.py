@@ -11,7 +11,6 @@ for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -23,9 +22,7 @@ from numpy import add, multiply, subtract
 from .errors import ComponentCollision, NotCoprime, OddLength
 
 __all__ = [
-    "ParityInfo",
     "mod_inverse",
-    "parity_info",
     "admissible_mask",
     "admissible_count",
     "enumerate_index_vectors",
@@ -36,19 +33,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ParityInfo:
-    """Parity bookkeeping for a modulus q.
-
-    delta is the parity of q.  For even q, epsilon is the parity of q/2,
-    which is also the common parity of every admissible index n (for odd
-    q it is None).
-    """
-
-    delta: int
-    epsilon: int | None
-
-
 def mod_inverse(a: int, q: int) -> int:
     """Inverse of a modulo q, in [0, q).  Raises NotCoprime otherwise."""
     if q < 1:
@@ -57,14 +41,6 @@ def mod_inverse(a: int, q: int) -> int:
         return pow(a, -1, q)
     except ValueError as exc:
         raise NotCoprime(f"{a} is not invertible modulo {q}") from exc
-
-
-def parity_info(q: int) -> ParityInfo:
-    if q < 1:
-        raise ValueError(f"q must be positive, got {q}")
-    if q % 2 == 1:
-        return ParityInfo(delta=1, epsilon=None)
-    return ParityInfo(delta=0, epsilon=(q // 2) % 2)
 
 
 def admissible_mask(q: int) -> np.ndarray:

@@ -26,12 +26,8 @@ class NonUnitSpinor(PolyfilError, ValueError):
 
 
 class UndefinedTheta(PolyfilError, ValueError):
-    """The argument of a vanishing Gauss sum was requested."""
-
-
-class InternalVanishing(PolyfilError, ArithmeticError):
-    """A reference Gauss sum that must not vanish did; signals an
-    inconsistency in the even-parity bookkeeping."""
+    """The argument of a vanishing Gauss sum was requested: an admissible
+    index, the phase fit's reference among them, is flagged vanishing."""
 
 
 class GridNotDivisible(PolyfilError, ValueError):

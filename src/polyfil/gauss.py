@@ -20,19 +20,22 @@ its P = 1 call, not a second shape.  Each row of a stacked table equals
 the one-row table of its p bit for bit (tests/test_batch_oracle.py), so
 the verify suites build one table per q for every p at once.
 ThetaSequence.entry(n) builds one GaussSumValue of a one-row table on
-demand, for gauss_sum and the CLI.
+demand, for gauss_sum and the CLI, and `entries` is the tuple of them.
 
-A table owns its phase fit: ThetaSequence.phase is the QuadraticPhase
-of its rows, fitted on first read and cached on the table, so every
-check that reads the fit reads the one of its own table, and a table
-that no check fits is never fitted.  quadratic_phase(p, q) is
+A table owns its admissible set and its phase fit, each found on first
+read and kept with the table, so every check reads the ones of its own
+table, and a table that no check reads never finds them.
+ThetaSequence.admissible_arguments() holds the admissible indices and
+their arguments; ThetaSequence.phase is the QuadraticPhase of its rows,
+fitted at the smallest admissible index.  quadratic_phase(p, q) is
 theta_sequence(p, q).phase.
 
 Two rules of the proof have one owner each, which gauss, sums and rotor
 all read.  ThetaSequence.admissible_arguments decides which indices
 carry an argument (4 does not divide 2n + 2 - q) and is the only place
-that raises UndefinedTheta.  QuadraticPhase.residues is the only place
-that reduces a*n^2 modulo the phase denominator (2 - delta)^2 * q.
+that raises UndefinedTheta, for the fit's reference as for every other
+admissible index.  QuadraticPhase.residues is the only place that
+reduces a*n^2 modulo the phase denominator (2 - delta)^2 * q.
 
 Non-vanishing sums have modulus sqrt(q) for odd q and sqrt(2q) for even q,
 while the vanishing ones are exactly the indices n with 4 | 2n + 2 - q.
@@ -44,15 +47,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
 
-from .arith import admissible_mask, mod_inverse, parity_info
-from .errors import InternalVanishing, NotCoprime, UndefinedTheta
+from .arith import admissible_mask, mod_inverse
+from .errors import NotCoprime, UndefinedTheta
 
 __all__ = [
     "VANISHING_RELATIVE_TOL",
@@ -114,15 +116,22 @@ class ThetaSequence:
 
     def admissible_arguments(self) -> tuple[np.ndarray, np.ndarray]:
         """The admissible indices n (4 does not divide 2n + 2 - q), in
-        ascending order, and their (P, N) arguments.  Raises UndefinedTheta
-        when one of them is flagged vanishing in any row, since it then
-        has no argument."""
+        ascending order, and their (P, N) arguments, as read-only arrays
+        found on the first call and kept with the table.  Raises
+        UndefinedTheta when one of them is flagged vanishing in any row,
+        since it then has no argument."""
+        return self._admissible
+
+    @cached_property
+    def _admissible(self) -> tuple[np.ndarray, np.ndarray]:
         n = np.flatnonzero(admissible_mask(self.q))
         undefined = self.vanishing[:, n]
         if undefined.any():
             row, column = np.argwhere(undefined)[0]
             raise UndefinedTheta(f"G(-{self.p[row]},{n[column]},{self.q}) vanishes; no argument")
-        return n, self.arguments[:, n]
+        arguments = self.arguments[:, n]
+        n.flags.writeable = arguments.flags.writeable = False
+        return n, arguments
 
     def entry(self, n: int) -> GaussSumValue:
         """Index n of a one-row table as one GaussSumValue (argument None
@@ -142,21 +151,10 @@ class ThetaSequence:
         return _fit_phase(self)
 
     @property
-    def entries(self) -> Sequence[GaussSumValue]:
-        """A read-only sequence view whose item n is entry(n), built when
-        it is read; the checks in this package read the arrays instead."""
-        return _EntryView(self)
-
-
-class _EntryView(Sequence):
-    def __init__(self, table: ThetaSequence) -> None:
-        self._table = table
-
-    def __len__(self) -> int:
-        return self._table.q
-
-    def __getitem__(self, n: int) -> GaussSumValue:
-        return self._table.entry(n)
+    def entries(self) -> tuple[GaussSumValue, ...]:
+        """entry(n) for every n of a one-row table, built when it is read;
+        the checks in this package read the arrays instead."""
+        return tuple(map(self.entry, range(self.q)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,8 +164,9 @@ class QuadraticPhase:
         theta_n  =  (2*pi*a/q) * (n / (2 - delta))^2  +  b   (mod 2*pi)
 
     with a in [0, q) coprime to q and b the argument of an n-independent
-    reference sum.  delta is the parity of q; epsilon (even q only) is
-    the common parity of the admissible indices.
+    reference sum.  delta is the parity of q; epsilon is None for odd q
+    and, for even q, the common parity of the admissible indices, which
+    is the smallest of them and the fit's reference.
 
     One fit per row of a table, read as that table's `phase` (the only
     route from a table to its fit): `p` is its tuple, `a` an int64 array
@@ -260,26 +259,20 @@ def quadratic_phase(p: int, q: int) -> QuadraticPhase:
 
 
 def _fit_phase(table: ThetaSequence) -> QuadraticPhase:
-    """Fit the quadratic phase model by completing the square, row by row.
+    """Fit the quadratic phase model by completing the square, row by row,
+    at the reference: the smallest admissible index, which is 0 for odd q
+    and epsilon, the common parity of the admissible indices, for even q.
 
     Odd q:  a is the inverse of 4p, and b the argument of the n = 0 sum.
     Even q: a is the inverse of p; the reference is the n = epsilon sum
     carrying an extra phase -pi*epsilon*a/(2q).
     """
     q = table.q
-    info = parity_info(q)
-    ref = 0 if info.delta == 1 else info.epsilon
-    assert ref is not None
-    vanished = table.vanishing[:, ref]
-    if vanished.any():
-        p = table.p[vanished.argmax()]
-        raise InternalVanishing(
-            f"G(-{p},0,{q}) vanished for odd q" if info.delta == 1
-            else f"G(-{p},{ref},{q}) vanished; parity bookkeeping is wrong"
-        )
+    delta = q % 2
+    ref = int(table.admissible_arguments()[0][0])
     a_rows, angles = [], []
     for p, value in zip(table.p, table.values[:, ref].tolist()):
-        if info.delta == 1:
+        if delta == 1:
             a = mod_inverse(4 * p, q)
             ref_value = value
         else:
@@ -288,8 +281,8 @@ def _fit_phase(table: ThetaSequence) -> QuadraticPhase:
         a_rows.append(a)
         angles.append(math.atan2(ref_value.imag, ref_value.real))
     return QuadraticPhase(p=table.p, q=q, a=np.array(a_rows, dtype=np.int64),
-                          b=_principal(np.array(angles)), delta=info.delta,
-                          epsilon=None if info.delta == 1 else ref)
+                          b=_principal(np.array(angles)), delta=delta,
+                          epsilon=None if delta == 1 else ref)
 
 
 def max_phase_defect(p: int, q: int) -> float:

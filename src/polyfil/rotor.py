@@ -160,8 +160,9 @@ def inter_side_angle(M: int, q: int) -> float:
 
 def factor_block(theta: ThetaSequence) -> tuple[tuple[int, ...], int, np.ndarray]:
     """The (p, q, args) factor block of a table, all theorem 2 reads: args
-    (P, F) copies the admissible arguments in descending index order,
-    leftmost factor first (the inadmissible indices are skipped)."""
+    (P, F) is the admissible arguments in descending index order,
+    leftmost factor first (the inadmissible indices are skipped), a
+    reversed view of the ones the table keeps, not of its (P, q) arrays."""
     return theta.p, theta.q, theta.admissible_arguments()[1][:, ::-1]
 
 

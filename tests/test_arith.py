@@ -28,12 +28,6 @@ def test_mod_inverse_spot_values():
     assert arith.mod_inverse(3, 7) == 5
 
 
-def test_parity_info():
-    assert arith.parity_info(3) == arith.ParityInfo(delta=1, epsilon=None)
-    assert arith.parity_info(4) == arith.ParityInfo(delta=0, epsilon=0)
-    assert arith.parity_info(2) == arith.ParityInfo(delta=0, epsilon=1)
-
-
 def test_admissible():
     assert arith.admissible_mask(3)[0]
     assert all(arith.admissible_mask(5))  # odd q: all
@@ -46,7 +40,7 @@ def test_admissible():
 def test_admissible_matches_parity_of_half_q():
     # for even q the admissible indices share the parity of q/2
     for q in range(2, 41, 2):
-        eps = arith.parity_info(q).epsilon
+        eps = (q // 2) % 2
         assert all(n % 2 == eps for n in np.flatnonzero(arith.admissible_mask(q)))
 
 
@@ -157,7 +151,7 @@ def test_quadratic_plus_parity_is_well_defined_mod_q():
     # for even q and eps = parity(q/2), P(x) = x^2 + eps*x satisfies
     # q | P(x + q/2) - P(x), which is what makes the even branch work
     for q in range(2, 41, 2):
-        eps = arith.parity_info(q).epsilon
+        eps = (q // 2) % 2
         for x in range(2 * q):
             p0 = x * x + eps * x
             p1 = (x + q // 2) ** 2 + eps * (x + q // 2)

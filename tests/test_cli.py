@@ -447,6 +447,17 @@ def test_verify_all_builds_one_table_per_q_for_every_suite(capsys, monkeypatch):
                      "rho_sizes": []}
 
 
+def test_verify_all_finds_each_admissible_set_once(capsys, monkeypatch):
+    # the phase fit, sums and theorem2 read each q's admissible indices
+    # from its table, which finds them once: 8 tables, 8 calls
+    found = []
+    original = gauss.admissible_mask
+    monkeypatch.setattr(gauss, "admissible_mask", lambda q: found.append(q) or original(q))
+    code, _ = run_json(capsys, "verify", "--suite", "all", "--q-max", "8", "--m-max", "4")
+    assert code == 0
+    assert found == list(range(1, 9))
+
+
 def test_verify_vanishing_fits_no_phase(capsys, monkeypatch):
     # vanishing reads the moduli and flags alone, so no table is fitted
     calls = count_calls(monkeypatch, ("_gauss_table", "_fit_phase"))

@@ -132,7 +132,7 @@ def test_quadratic_phase_q3():
 
 def test_quadratic_phase_q2():
     qp = gauss.quadratic_phase(1, 2)
-    assert qp.a[0] == 1 and qp.epsilon == 1
+    assert qp.a[0] == 1 and qp.delta == 0 and qp.epsilon == 1
     assert abs(qp.b[0] + math.pi / 4) < 1e-13
     # (2*pi/2)(1/2)^2 - pi/4 = 0 = theta_1
     defect = (model_theta(qp, 1) - gauss.theta_sequence(1, 2).arguments[0, 1]) % (2 * math.pi)
@@ -141,7 +141,7 @@ def test_quadratic_phase_q2():
 
 def test_quadratic_phase_q4():
     qp = gauss.quadratic_phase(1, 4)
-    assert qp.a[0] == 1 and qp.epsilon == 0
+    assert qp.a[0] == 1 and qp.delta == 0 and qp.epsilon == 0
     assert abs(qp.b[0] + math.pi / 4) < 1e-13
     theta = gauss.theta_sequence(1, 4)
     for n in (0, 2):
@@ -206,6 +206,32 @@ def test_a_table_fits_its_phase_once(monkeypatch):
     assert doctored.phase.b[0] == math.pi != b
     assert fitted[1:] == [one, doctored]
     assert doctored.phase is not one.phase
+
+
+def test_a_table_keeps_its_admissible_set():
+    # found on the first call, kept with the table and read-only, like
+    # its phase fit
+    stacked = gauss.theta_sequences([1, 3, 5, 7], 8)
+    n, arguments = stacked.admissible_arguments()
+    again = stacked.admissible_arguments()
+    assert again[0] is n and again[1] is arguments
+    assert n.tolist() == [0, 2, 4, 6] and arguments.shape == (4, 4)
+    assert not n.flags.writeable and not arguments.flags.writeable
+    with pytest.raises(ValueError):
+        arguments[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("q, ref", [(6, 1), (5, 0)])
+def test_phase_fit_rejects_a_vanishing_reference(q, ref):
+    # the fit reads its reference, the smallest admissible index, from the
+    # table's admissible set, whose one check names the vanishing sum
+    table = gauss.theta_sequence(1, q)
+    assert int(table.admissible_arguments()[0][0]) == ref
+    vanishing = table.vanishing.copy()
+    vanishing[0, ref] = True
+    doctored = dataclasses.replace(table, vanishing=vanishing)
+    with pytest.raises(UndefinedTheta, match=rf"G\(-1,{ref},{q}\)"):
+        doctored.phase
 
 
 def test_max_phase_defect_matches_per_index_loop():

@@ -152,7 +152,7 @@ def test_kernel_memory_stays_linear_in_rows_times_orders():
     q = 59
     theta = gauss.theta_sequences(range(1, q), q)
     n, arguments = theta.admissible_arguments()
-    phase = gauss._fit_phase(theta)
+    phase = theta.phase
     z = np.concatenate([np.exp(1j * arguments),
                         np.array(gauss.unit_roots(phase.denominator))[phase.residues(n)]])
     assert z.shape == (116, 59)
@@ -174,7 +174,7 @@ def scalar_sum_reports(p, q):
     """verify_sum_identities(p, q) through the scalar recurrence, one
     pair and one sequence at a time."""
     theta = gauss.theta_sequence(p, q)
-    phase = gauss._fit_phase(theta)
+    phase = theta.phase
     n, arguments = theta.admissible_arguments()
     roots = gauss.unit_roots(phase.denominator)
     ks = range(1, q // 2 + 1)

@@ -4,7 +4,9 @@
 Every row is a one-line edit to a copy of src/polyfil and the command
 whose exit code judges it:
 
-- "rejected": the command must exit 1, a failed check, and not crash;
+- "rejected": the command must exit 1, a failed check.  A check whose
+  own precondition fails (an admissible Gauss sum that vanishes, a
+  product off the unit sphere) is one; a crash exits 4 instead;
 - "equivalent": the edit does not change what the command checks, so it
   must exit 0; the note says why;
 - "survives": a wrong program that no verdict rejects yet, so it exits
@@ -82,6 +84,12 @@ MUTANTS = (
            "item 5: a detuned-time control"),
     Mutant("vfe.py", TIME, TIME + " * 0.95", SIMULATE, "survives",
            "item 5: a detuned-time control"),
+    Mutant("gauss.py", "VANISHING_RELATIVE_TOL = 1e-9", "VANISHING_RELATIVE_TOL = 1e9",
+           VERIFY, "rejected", "vanishing: every entry flagged vanishing, so no "
+           "admissible one has an argument"),
+    Mutant("rotor.py", "sin_half * s", "1.001 * sin_half * s",
+           VERIFY, "rejected", "theorem2: each factor's beta scaled by 1.001, so the "
+           "product leaves the unit sphere"),
 )
 
 
@@ -104,11 +112,10 @@ def run(command: str, src: Path, cwd: Path) -> subprocess.CompletedProcess:
 
 
 def verdict(proc: subprocess.CompletedProcess) -> str:
-    """"crashed" on a traceback, else "rejected" on exit 1, "accepted" on
-    exit 0, or the exit code."""
-    if "Traceback" in proc.stderr:
-        return "crashed"
-    return {0: "accepted", 1: "rejected"}.get(proc.returncode, f"rc={proc.returncode}")
+    """"accepted" on exit 0, "rejected" on exit 1, "crashed" on exit 4
+    (an internal error), or the exit code."""
+    return {0: "accepted", 1: "rejected", 4: "crashed"}.get(proc.returncode,
+                                                           f"rc={proc.returncode}")
 
 
 def judge(mutant: Mutant, workdir: Path) -> str:

@@ -33,22 +33,29 @@ seconds) when that is set, so that two runs can give byte-identical
 output.
 
 Exit codes: a command returns 0 (all checks passed) or 1 (a check
-failed); main alone turns an error into a code.  2, usage error: an
-argparse error, or a PolyfilError, ValueError or OverflowError (an
-argument out of range, not coprime or too large for a float, a range
-that selects no case, a sums bound beyond the float range, a verify
-range of more than MAX_VERIFY_WORK passes, a simulate run of more than
-vfe.MAX_STEPS steps, a bad SOURCE_DATE_EPOCH), an OSError (output that
-cannot be written; --out is checked before the evolution starts), or a
+failed); main alone turns an error into a code.  1 also when a check's
+own precondition fails: UndefinedTheta (an admissible Gauss sum
+vanishes, so it has no argument) or NonUnitSpinor (a product off the
+unit sphere).  2, usage error: an argparse error, or any other
+PolyfilError, ValueError or OverflowError (an argument out of range,
+not coprime or too large for a float, a range that selects no case, a
+sums bound beyond the float range, a verify range of more than
+MAX_VERIFY_WORK passes, a simulate run of more than vfe.MAX_STEPS
+steps, a bad SOURCE_DATE_EPOCH), an OSError (output that cannot be
+written; --out is checked before the evolution starts), or a
 MemoryError (an argument whose arrays do not fit in memory, such as
-gauss --q 10**12).  3, numerical abort: BlowUp.
+gauss --q 10**12).  3, numerical abort: BlowUp.  4, internal error:
+any other exception, with its traceback on stderr.
 
 verify refuses, before its pass, a range whose work estimate exceeds
 MAX_VERIFY_WORK = 2e8 table-entry passes (_verify_work), as evolve
 refuses more than vfe.MAX_STEPS steps.  The estimate counts the table
 entries sum_{q <= q_max} phi(q)*q <= (q_max^3 - q_max)/3 + 1 once each
 for vanishing and lemma4, q_max times for sums (its kernel runs every
-entry to an order of up to q) and 3*(m_max - 2) times for theorem2.  Why 2e8: the
+entry to an order of up to q) and 3*(m_max - 2) times for theorem2.  The
+cap also keeps verify's sums bounds TOL_SUMS_PER_TERM * C(N, 2k) finite:
+it admits --suite sums up to q_max = 156, and the first bound beyond the
+float range is at q = 1031.  Why 2e8: the
 suites run at 2e7 to 6e7 passes per second (2-vCPU VM), so a run at the
 cap takes seconds, and a theorem2 run, which keeps one factor block per
 q (a peak of 4.3 bytes per pass at M = 3, q_max = 300), stays under 1 GB.
@@ -66,6 +73,7 @@ import math
 import os
 import random
 import sys
+import traceback
 from datetime import datetime, timezone
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -75,7 +83,7 @@ import numpy as np
 
 from . import __version__
 from .arith import admissible_count, admissible_mask
-from .errors import BlowUp, PolyfilError, RangeError
+from .errors import BlowUp, NonUnitSpinor, PolyfilError, RangeError, UndefinedTheta
 from .gauss import (
     GaussSumValue,
     ThetaSequence,
@@ -130,6 +138,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BLOWUP = 3
+EXIT_INTERNAL = 4
 
 
 def _source_date_epoch() -> int | None:
@@ -400,8 +409,6 @@ _PER_Q_CHECKS = {"sums": (2, _sums_outcomes), "lemma4": (1, _lemma4_outcomes),
 
 
 def _theorem2_outcomes(blocks: list, Ms: range) -> Outcomes:
-    if not Ms:
-        return [], [], []
     checks = certificate_arrays(blocks, Ms)
     return ([f"theorem2/M={M}/p={p}/q={q}" for p, q in zip(checks.p, checks.q) for M in Ms],
             _theorem2_passed(checks).ravel().tolist(), checks.angle_error.ravel().tolist())
@@ -445,14 +452,9 @@ def _verify_work(selected, q_max: int, m_count: int) -> int:
 def _verify_outcomes(selected, q_max: int, m_max: int) -> dict[str, Outcomes]:
     """The outcomes of each suite in `selected` (in _SUITES order), in
     order of q, then p, from one pass over q (see the module docstring).
-    The sums bounds are checked first, at q_max and q_max - 1 alone (the
-    odd one has the most admissible indices, and its orders 2k cover
-    every lower q's, so no lower q overflows first), then the work
-    estimate against MAX_VERIFY_WORK (RangeError); a suite that selects
-    no case raises RangeError, in the order of `selected`."""
-    if "sums" in selected:
-        for q in (q_max, q_max - 1):
-            _check_sums_bounds(q, range(1, q // 2 + 1))
+    A work estimate over MAX_VERIFY_WORK raises RangeError before the
+    pass; a suite that selects no case raises RangeError after it, in
+    the order of `selected`."""
     Ms = range(3, m_max + 1) if "theorem2" in selected else range(0)
     if _verify_work(selected, q_max, len(Ms)) > MAX_VERIFY_WORK:
         raise RangeError(f"--q-max {q_max} --m-max {m_max} asks for more than "
@@ -660,6 +662,8 @@ def main(argv=None) -> int:
     try:
         _source_date_epoch()
         return args.func(args)
+    except (UndefinedTheta, NonUnitSpinor) as exc:
+        message, code = str(exc), EXIT_VERIFICATION_FAILED
     except BlowUp as exc:
         message, code = str(exc), EXIT_BLOWUP
     except (PolyfilError, ValueError, OverflowError) as exc:
@@ -668,6 +672,9 @@ def main(argv=None) -> int:
         message, code = f"cannot write output: {exc}", EXIT_USAGE
     except MemoryError as exc:
         message, code = f"out of memory: {exc}", EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
     print(f"error: {message}", file=sys.stderr)
     return code
 

@@ -128,12 +128,8 @@ class TraceIdentityResult:
 def _spinor_matrix(spin) -> np.ndarray:
     """The rotation matrix of the unit quaternion spin = (w, x, y, z):
     R = I + 2 (w K + K K) with K the cross-product matrix of (x, y, z).
-    A norm off 1 by more than _UNIT_TOL (or NaN) raises NonUnitSpinor."""
+    The norm is not checked here: the product kernel has checked it."""
     w, x, y, z = spin
-    norm = math.sqrt(w * w + x * x + y * y + z * z)
-    # written as "not <=" so that NaN fails too
-    if not abs(norm - 1.0) <= _UNIT_TOL:
-        raise NonUnitSpinor(f"spinor norm {norm} is not 1")
     k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
     return np.eye(3) + 2.0 * (w * k + k @ k)
 
@@ -220,15 +216,8 @@ def _ordered_products(blocks, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     rhos = np.asarray(rhos, dtype=float)
     counts = np.repeat([block.shape[1] for block in blocks],
                        [len(block) for block in blocks]).astype(np.int64)
-    if rhos.ndim != 2 or len(rhos) != len(counts):
-        raise ValueError(f"need one row of angles for each of the {len(counts)} "
-                         f"argument rows, got shape {rhos.shape}")
     if not np.all((rhos > 0.0) & (rhos < math.pi)):
         raise ValueError(f"rho must lie in (0, pi), got {rhos}")
-    if not np.all(counts >= 1):
-        raise ValueError("every argument row needs at least one factor")
-    if not len(counts):
-        return np.empty(rhos.shape, dtype=complex), np.empty(rhos.shape, dtype=complex)
     order, unsort, live = _ragged_layout(counts)
     args = np.zeros((len(live), len(counts)))  # args[f, i]: factor f of sorted row i
     start = 0

@@ -15,7 +15,7 @@ import pytest
 
 from polyfil import cli, gauss, rotor, sums, vfe
 from polyfil.cli import main
-from polyfil.errors import NonUnitSpinor, RangeError
+from polyfil.errors import NonUnitSpinor, UndefinedTheta
 from polyfil.vfe import (
     CurveSample, SimulationConfig, TangentField, evolve, initial_tangent,
 )
@@ -123,19 +123,20 @@ def test_sums_k_with_k_max_is_usage_error(capsys):
     assert "not allowed with argument --k" in captured.err
 
 
-@pytest.mark.parametrize("argv", [
-    ("sums", "--p", "1", "--q", "1031", "--k", "258"),
-    ("sums", "--p", "1", "--q", "1031"),
-    ("verify", "--suite", "sums", "--q-max", "1031"),
-    ("verify", "--suite", "all", "--q-max", "1031"),
+@pytest.mark.parametrize("argv, message", [
+    (("sums", "--p", "1", "--q", "1031", "--k", "258"), "exceeds the float range"),
+    (("sums", "--p", "1", "--q", "1031"), "exceeds the float range"),
+    (("verify", "--suite", "sums", "--q-max", "1031"), "MAX_VERIFY_WORK"),
+    (("verify", "--suite", "all", "--q-max", "1031"), "MAX_VERIFY_WORK"),
 ], ids=["sums-one-k", "sums-every-k", "verify-sums", "verify-all"])
-def test_sums_bound_beyond_the_float_range_is_usage_error(capsys, monkeypatch, argv):
-    # C(1031, 2k) * 1e-8 exceeds the float range from k = 246 on; the
-    # bound is checked before any sum is evaluated
+def test_sums_bound_beyond_the_float_range_is_usage_error(capsys, monkeypatch, argv, message):
+    # C(1031, 2k) * 1e-8 exceeds the float range from k = 246 on; sums
+    # checks the bound before any sum is evaluated, and verify's work cap
+    # refuses the range before any table is built
     calls = count_calls(monkeypatch, ("alternating_products", "_gauss_table"))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and "exceeds the float range" in err
+    assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
     assert calls == {"alternating_products": 0, "_gauss_table": 0, "rho_sizes": []}
 
@@ -167,37 +168,16 @@ def test_sums_bound_of_a_huge_q_stops_at_the_first_overflow():
     assert "k=6 exceeds the float range" in proc.stderr
 
 
-def sums_bound_error(check):
-    """The text of the RangeError that check() raises, or None."""
-    try:
-        check()
-    except RangeError as exc:
-        return str(exc)
-    return None
-
-
-def walk_every_q(q_max):
-    """The sums bound check of every q from q_max down to 2: the oracle
-    of verify's check of q_max and q_max - 1 alone."""
-    for q in range(q_max, 1, -1):
+def test_verify_work_cap_keeps_every_sums_bound_in_the_float_range():
+    # verify checks no sums bound of its own: the largest --q-max the cap
+    # admits for --suite sums has every bound of q_max and q_max - 1 (the
+    # odd one has the most admissible indices) in the float range
+    q_max = 1
+    while cli._verify_work(("sums",), q_max + 1, 0) <= cli.MAX_VERIFY_WORK:
+        q_max += 1
+    assert q_max == 156
+    for q in (q_max, q_max - 1):
         cli._check_sums_bounds(q, range(1, q // 2 + 1))
-
-
-@pytest.mark.parametrize("q_max", [3, 1000, 1031, 1032, 1061, 1062, 2062])
-def test_verify_sums_bound_checks_the_two_largest_q(monkeypatch, q_max):
-    # the odd one of q_max, q_max - 1 has the most admissible indices, so
-    # the two give the error of the walk over every q, or none
-    expected = sums_bound_error(lambda: walk_every_q(q_max))
-    checked = []
-    original = cli._check_sums_bounds
-    monkeypatch.setattr(cli, "_check_sums_bounds",
-                        lambda q, ks: checked.append(q) or original(q, ks))
-    got = sums_bound_error(lambda: cli._verify_outcomes(("sums",), q_max, 10))
-    if expected is None:
-        assert got is None or "sums bound" not in got, got
-    else:
-        assert got == expected
-    assert checked in ([q_max], [q_max, q_max - 1])
 
 
 @pytest.mark.parametrize("argv", [
@@ -529,18 +509,34 @@ def test_verify_builds_no_table_that_no_suite_reads(capsys, monkeypatch, argv):
     assert calls == {"_gauss_table": 0, "_fit_phase": 0, "rho_sizes": []}
 
 
-def test_verify_package_error_is_usage_error(capsys, monkeypatch):
-    def drifted(*args, **kwargs):
-        raise NonUnitSpinor("spinor norm drifted")
+def test_verify_check_precondition_error_is_a_failed_check(capsys, monkeypatch):
+    # a product off the unit sphere, or an admissible sum with no argument,
+    # fails the check it stops
+    for error in (NonUnitSpinor("spinor norm drifted"),
+                  UndefinedTheta("G(-1,0,1) vanishes; no argument")):
+        def failed(*args, **kwargs):
+            raise error
 
-    monkeypatch.setattr(cli, "certificate_arrays", drifted)
-    code, out, err = run_cli(capsys, "verify", "--suite", "theorem2", "--q-max", "4")
-    assert code == 2 and out == ""
-    assert err == "error: spinor norm drifted\n"
+        monkeypatch.setattr(cli, "certificate_arrays", failed)
+        code, out, err = run_cli(capsys, "verify", "--suite", "theorem2", "--q-max", "4")
+        assert code == 1 and out == ""
+        assert err == f"error: {error}\n"
+
+
+def test_internal_error_exits_4_with_its_traceback(capsys, monkeypatch):
+    def broken(table):
+        raise IndexError("index 7 is out of bounds")
+
+    monkeypatch.setitem(cli._PER_Q_CHECKS, "lemma4", (1, broken))
+    code, out, err = run_cli(capsys, "verify", "--suite", "lemma4", "--q-max", "4")
+    assert code == 4 and out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("IndexError: index 7 is out of bounds\n")
 
 
 def test_exit_codes_are_decided_in_main_alone():
-    # no command catches an error, and only main reads the codes 2 and 3
+    # no command catches an error, only main reads the codes 2, 3 and 4,
+    # and main also turns an error into the code 1
     tree = ast.parse(Path(cli.__file__).read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     commands = [name for name in functions if name.startswith("cmd_")]
@@ -550,11 +546,13 @@ def test_exit_codes_are_decided_in_main_alone():
 
     def reads(node):
         return sorted(name.id for name in ast.walk(node) if isinstance(name, ast.Name)
-                      and name.id in ("EXIT_USAGE", "EXIT_BLOWUP")
+                      and name.id in ("EXIT_USAGE", "EXIT_BLOWUP", "EXIT_INTERNAL")
                       and isinstance(name.ctx, ast.Load))
 
-    assert set(reads(functions["main"])) == {"EXIT_USAGE", "EXIT_BLOWUP"}
+    assert set(reads(functions["main"])) == {"EXIT_USAGE", "EXIT_BLOWUP", "EXIT_INTERNAL"}
     assert reads(tree) == reads(functions["main"])
+    assert any(isinstance(name, ast.Name) and name.id == "EXIT_VERIFICATION_FAILED"
+               for name in ast.walk(functions["main"]))
 
 
 def test_verify_sums_suite(capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyfil import gauss, rotor
-from polyfil.errors import NonUnitSpinor, UndefinedTheta
+from polyfil.errors import UndefinedTheta
 from test_rotor_oracle import kernel_product, quaternion_product, rodrigues, trace_angle
 
 X_AXIS = (1.0, 0.0, 0.0)
@@ -40,11 +40,6 @@ def test_spinor_to_rotation_basics():
     assert np.allclose(rotor._spinor_matrix(np.array([1.0, 0.0, 0.0, 0.0])), np.eye(3))
     r = rotor._spinor_matrix(np.array([0.0, 0.0, 0.0, 1.0]))
     assert np.allclose(r, rodrigues(Z_AXIS, math.pi), atol=1e-15)
-
-
-def test_spinor_to_rotation_rejects_non_unit():
-    with pytest.raises(NonUnitSpinor):
-        rotor._spinor_matrix(np.array([1.0, 1.0, 0.0, 0.0]))
 
 
 def test_double_cover_sign_is_exact():

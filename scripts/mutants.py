@@ -90,6 +90,10 @@ MUTANTS = (
     Mutant("rotor.py", "sin_half * s", "1.001 * sin_half * s",
            VERIFY, "rejected", "theorem2: each factor's beta scaled by 1.001, so the "
            "product leaves the unit sphere"),
+    Mutant("gauss.py", "_argument(self.values[:, n])",
+           "_argument(self.values[:, (n + 1) % self.q])",
+           VERIFY, "rejected", "lemma4, sums and theorem2: each admissible argument read "
+           "from the next column"),
 )
 
 

@@ -22,13 +22,20 @@ the verify suites build one table per q for every p at once.
 ThetaSequence.entry(n) builds one GaussSumValue of a one-row table on
 demand, for gauss_sum and the CLI, and `entries` is the tuple of them.
 
-A table owns its admissible set and its phase fit, each found on first
-read and kept with the table, so every check reads the ones of its own
-table, and a table that no check reads never finds them.
-ThetaSequence.admissible_arguments() holds the admissible indices and
-their arguments; ThetaSequence.phase is the QuadraticPhase of its rows,
-fitted at the smallest admissible index.  quadratic_phase(p, q) is
-theta_sequence(p, q).phase.
+A table owns its arguments, its admissible set and its phase fit, each
+found on first read and kept with the table, so every check reads the
+ones of its own table, and a table that no check reads never finds
+them.  ThetaSequence.arguments is the (P, q) array of every argument,
+which only entry() reads.  ThetaSequence.admissible_arguments() holds
+the admissible indices and their arguments, taken by atan2 at those
+columns alone: the vanishing check computes no argument, and the
+others none of the inadmissible half of the columns at even q.  With
+atan2 over every entry, the tables of q <= 60 took 3.3 ms for the
+vanishing check and 4.7 ms with their admissible arguments, against
+2.5 and 3.9 ms now (in-process best of 30, 2-vCPU VM; BENCH_34.json
+has the end-to-end runs).  ThetaSequence.phase is the QuadraticPhase of
+its rows, fitted at the smallest admissible index.  quadratic_phase(p,
+q) is theta_sequence(p, q).phase.
 
 Two rules of the proof have one owner each, which gauss, sums and rotor
 all read.  ThetaSequence.admissible_arguments decides which indices
@@ -97,27 +104,37 @@ class GaussSumValue:
 class ThetaSequence:
     """All q sums for each p of the tuple `p` at one q, as read-only
     (P, q) arrays, entry [i, n] for (p[i], q, n): the complex `values`,
-    their `moduli`, the principal `arguments` in (-pi, pi] (NaN where the
-    sum vanishes) and the boolean `vanishing` flags.  Compared by
+    their `moduli` and the boolean `vanishing` flags.  Compared by
     identity (eq=False), since arrays have no single-bool ==."""
 
     p: tuple[int, ...]
     q: int
     values: np.ndarray
     moduli: np.ndarray
-    arguments: np.ndarray
     vanishing: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("values", "moduli", "arguments", "vanishing"):
+        for name in ("values", "moduli", "vanishing"):
             view = np.asarray(getattr(self, name)).view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
 
+    @cached_property
+    def arguments(self) -> np.ndarray:
+        """The principal arguments in (-pi, pi] of every entry, NaN where
+        the sum vanishes: a read-only (P, q) array computed on first read
+        and kept with the table.  entry() reads it; the checks read
+        admissible_arguments(), which computes its own columns alone."""
+        arguments = np.where(self.vanishing, np.nan, _argument(self.values))
+        arguments.flags.writeable = False
+        return arguments
+
     def admissible_arguments(self) -> tuple[np.ndarray, np.ndarray]:
         """The admissible indices n (4 does not divide 2n + 2 - q), in
-        ascending order, and their (P, N) arguments, as read-only arrays
-        found on the first call and kept with the table.  Raises
+        ascending order, and their (P, N) arguments, computed from those
+        columns of `values` alone, as read-only arrays found on the first
+        call and kept with the table.  They equal `arguments` at those
+        columns bit for bit (tests/test_batch_oracle.py).  Raises
         UndefinedTheta when one of them is flagged vanishing in any row,
         since it then has no argument."""
         return self._admissible
@@ -129,7 +146,7 @@ class ThetaSequence:
         if undefined.any():
             row, column = np.argwhere(undefined)[0]
             raise UndefinedTheta(f"G(-{self.p[row]},{n[column]},{self.q}) vanishes; no argument")
-        arguments = self.arguments[:, n]
+        arguments = _argument(self.values[:, n])
         n.flags.writeable = arguments.flags.writeable = False
         return n, arguments
 
@@ -200,6 +217,11 @@ def _principal(angle):
     return np.where(angle <= -math.pi, angle + 2.0 * math.pi, angle)
 
 
+def _argument(values: np.ndarray) -> np.ndarray:
+    """The principal arguments in (-pi, pi] of an array of sums."""
+    return _principal(np.arctan2(values.imag, values.real))
+
+
 def _gauss_table(p: np.ndarray, q: int) -> np.ndarray:
     """G(-p, n, q) for each p of an int64 array (P,) and n = 0..q-1, as a
     (P, q) array: one inverse FFT of the chirps along the last axis."""
@@ -243,14 +265,11 @@ def theta_sequences(ps, q: int) -> ThetaSequence:
 
 
 def _classify(ps: tuple[int, ...], q: int, values: np.ndarray) -> ThetaSequence:
-    """Moduli, principal arguments and vanishing flags of a (P, q) table,
-    each sum vanishing when its modulus is below
-    VANISHING_RELATIVE_TOL * max(1, sqrt(q))."""
+    """Moduli and vanishing flags of a (P, q) table, each sum vanishing
+    when its modulus is below VANISHING_RELATIVE_TOL * max(1, sqrt(q))."""
     moduli = np.abs(values)
     vanishing = moduli < VANISHING_RELATIVE_TOL * max(1.0, math.sqrt(q))
-    angles = _principal(np.arctan2(values.imag, values.real))
-    arguments = np.where(vanishing, np.nan, angles)
-    return ThetaSequence(ps, q, values, moduli, arguments, vanishing)
+    return ThetaSequence(ps, q, values, moduli, vanishing)
 
 
 def quadratic_phase(p: int, q: int) -> QuadraticPhase:

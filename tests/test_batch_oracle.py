@@ -210,6 +210,28 @@ def test_stacked_admissible_arguments_name_the_row_that_vanishes():
         doctored.admissible_arguments()
 
 
+def eager_arguments(table):
+    """The (P, q) arguments as every table once computed them when built."""
+    angles = np.arctan2(table.values.imag, table.values.real)
+    angles = np.where(angles <= -math.pi, angles + 2.0 * math.pi, angles)
+    return np.where(table.vanishing, np.nan, angles)
+
+
+def test_arguments_are_computed_only_where_a_check_reads_them():
+    # the vanishing check reads no argument, and admissible_arguments()
+    # reads its own columns, bit for bit those of the (P, q) arguments
+    for q in range(1, 61):
+        table = gauss.theta_sequences(coprime(q), q)
+        cli._vanishing_outcomes(table)
+        assert "arguments" not in vars(table), q
+        n, arguments = table.admissible_arguments()
+        assert "arguments" not in vars(table), q
+        assert arguments.tobytes() == table.arguments[:, n].tobytes(), q
+        assert arguments.tobytes() == eager_arguments(table)[:, n].tobytes(), q
+        assert table.arguments.tobytes() == eager_arguments(table).tobytes(), q
+        assert not table.arguments.flags.writeable
+
+
 def test_stacked_residues_keep_the_p_axis():
     phase = gauss.theta_sequences([1, 3, 5, 7], 8).phase
     n = np.arange(8)

@@ -223,6 +223,21 @@ def test_verify_beyond_the_work_cap_is_refused_before_the_pass(argv):
     assert f"MAX_VERIFY_WORK={cli.MAX_VERIFY_WORK} " in proc.stderr
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("--suite", "sums", "--q-max", "1031"), "--q-max 1031 "),
+    (("--suite", "vanishing", "--q-max", "1000", "--m-max", "5"), "--q-max 1000 "),
+    (("--suite", "all", "--q-max", "1031"), "--q-max 1031 --m-max 10 "),
+    (("--suite", "theorem2", "--q-max", "3", "--m-max", str(10**9)),
+     f"--q-max 3 --m-max {10**9} "),
+], ids=["sums", "vanishing-given-m-max", "all", "theorem2"])
+def test_verify_work_cap_names_only_the_arguments_of_the_selected_suites(capsys, argv, named):
+    # --m-max counts only for theorem2, so the refusal names it only there
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err == (f"error: {named}asks for more than MAX_VERIFY_WORK={cli.MAX_VERIFY_WORK} "
+                   "table-entry passes\n")
+
+
 def test_verify_work_counts_the_suites_that_read_tables():
     # table entries (q_max^3 - q_max)/3 + 1 bound sum_{q <= q_max} phi(q)*q
     assert cli._verify_work(("vanishing",), 400, 0) == 21_333_201

@@ -160,7 +160,7 @@ def test_max_phase_defect_rejects_a_vanishing_admissible_index(monkeypatch):
     table = gauss.theta_sequence(1, 3)
     doctored = dataclasses.replace(
         table,
-        arguments=np.array([[table.arguments[0, 0], np.nan, table.arguments[0, 2]]]),
+        values=np.array([[table.values[0, 0], 0j, table.values[0, 2]]]),
         vanishing=np.array([[False, True, False]]),
     )
     monkeypatch.setattr(gauss, "theta_sequence", lambda p, q: doctored)

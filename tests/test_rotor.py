@@ -131,7 +131,6 @@ def test_product_rejects_vanishing_factor():
         theta,
         values=np.array([[theta.values[0, 0], 0j]]),
         moduli=np.array([[theta.moduli[0, 0], 0.0]]),
-        arguments=np.array([[theta.arguments[0, 0], np.nan]]),
         vanishing=np.array([[theta.vanishing[0, 0], True]]),
     )
     with pytest.raises(UndefinedTheta):

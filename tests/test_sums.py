@@ -84,7 +84,8 @@ def test_phase_substitution_consistency():
             math.nan if vanishing else model_theta(phase, n)
             for n, vanishing in enumerate(theta.vanishing[0])
         ]])
-        model_table = dataclasses.replace(theta, arguments=model_arguments)
+        model_table = dataclasses.replace(
+            theta, values=theta.moduli * np.exp(1j * model_arguments))
         for k in range(1, q // 2 + 1):
             direct = sums.sum_report(p, q, k, theta=theta).t_value
             modeled = sums.sum_report(p, q, k, theta=model_table).t_value

@@ -14,7 +14,10 @@ whose exit code judges it:
   The change that does flips the row to "rejected".
 
 The old text of a row must occur exactly once in its file, so that a
-refactor cannot skip a mutant silently: it must rewrite the row.
+refactor cannot skip a mutant silently: it must rewrite the row.  Each
+row ends with its serial, the next unused number when the row is added;
+its test id is "<expected>-<serial>", so rows may sit anywhere in the
+table, grouped by what they mutate.
 
 Usage:
     python scripts/mutants.py    # run every row on a scratch copy, print its verdict
@@ -33,6 +36,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "polyfil"
 
 VERIFY = "verify --suite all --q-max 17 --m-max 10"
 SIMULATE = "simulate --M 5 --p 1 --q 3 --grid 480 --out sim"
+SIMULATE_SQUARE = "simulate --M 4 --p 1 --q 3 --grid 768 --out sim"
 
 EXPECTED_EXIT = {"rejected": 1, "equivalent": 0, "survives": 0}
 
@@ -44,56 +48,70 @@ class Mutant(NamedTuple):
     command: str
     expected: str
     note: str
+    serial: int
+
+
+def row_id(mutant: Mutant) -> str:
+    """The row's test id, "<expected>-<serial>".  The serial is fixed when
+    the row is added and never reused, so a row inserted anywhere in the
+    table renames no other row's test."""
+    return f"{mutant.expected}-{mutant.serial}"
 
 
 TIME = "return 2.0 * math.pi * self.p / (self.q * self.M**2)"
 
 MUTANTS = (
     Mutant("rotor.py", "exponent = 1.0 / admissible_count(q)", "exponent = 1.0 / q",
-           VERIFY, "rejected", "theorem2: the even-q exponent 2/q becomes 1/q"),
+           VERIFY, "rejected", "theorem2: the even-q exponent 2/q becomes 1/q", 0),
     Mutant("gauss.py", "np.multiply.outer(-p % q,", "np.multiply.outer(p % q,",
-           VERIFY, "rejected", "lemma4: the chirp's sign"),
+           VERIFY, "rejected", "lemma4: the chirp's sign", 1),
     Mutant("sums.py", "[phase.residues(n)]", "[phase.residues(n + 1)]",
-           VERIFY, "rejected", "sums: E_k over the shifted indices n + 1"),
+           VERIFY, "rejected", "sums: E_k over the shifted indices n + 1", 2),
     Mutant("sums.py", "[phase.residues(n)]", "[3 * phase.residues(n) % phase.denominator]",
-           VERIFY, "rejected", "sums: E_k with a -> 3a"),
+           VERIFY, "rejected", "sums: E_k with a -> 3a", 3),
     Mutant("sums.py", "flat = arguments.ravel().tolist()",
            "flat = (arguments + 0.1 * n).ravel().tolist()",
-           VERIFY, "rejected", "sums: T_k from the arguments + 0.1 n"),
+           VERIFY, "rejected", "sums: T_k from the arguments + 0.1 n", 4),
     Mutant("sums.py", "flat = arguments.ravel().tolist()",
            "flat = (arguments + 2 * np.pi * n**3 / theta.q).ravel().tolist()",
-           VERIFY, "rejected", "sums: T_k with an added phase 2 pi n^3 / q"),
+           VERIFY, "rejected", "sums: T_k with an added phase 2 pi n^3 / q", 5),
     Mutant("rotor.py", "(1.0 - DETUNING) * rhos, (1.0 + DETUNING) * rhos",
            "(1.0 - DETUNING / 10) * rhos, (1.0 + DETUNING / 10) * rhos",
            VERIFY, "rejected", "theorem2: the probe at a tenth of the detuning its floor "
-           "scales with (item 14)"),
+           "scales with (item 14)", 6),
     Mutant("gauss.py", "ref = int(table.admissible_arguments()[0][0])",
            "ref = int(table.admissible_arguments()[0][:2][-1])",
            VERIFY, "rejected", "lemma4 and sums: the phase fit at the second admissible "
-           "index, where there are two"),
+           "index, where there are two", 7),
     Mutant("rotor.py", "theta.admissible_arguments()[1][:, ::-1]",
            "theta.admissible_arguments()[1]",
            VERIFY, "equivalent", "ascending factor order conjugates the product, which "
-           "keeps its rotation angle"),
+           "keeps its rotation angle", 8),
     Mutant("cli.py", "theta_sequences([p for p in range(1, q + 1) if gcd(p, q) == 1], q)",
            "theta_sequences([p + q for p in range(1, q + 1) if gcd(p, q) == 1], q)",
-           VERIFY, "equivalent", "p + q is p one period later: every table reads p mod q"),
+           VERIFY, "equivalent", "p + q is p one period later: every table reads p mod q", 9),
     Mutant("vfe.py", TIME, TIME + " * 1.01", SIMULATE, "survives",
-           "item 5: a detuned-time control"),
+           "item 5: a detuned-time control; the pentagon at time x 1.01", 10),
     Mutant("vfe.py", TIME, TIME + " * 1.05", SIMULATE, "survives",
-           "item 5: a detuned-time control"),
+           "item 5: a detuned-time control; the pentagon at time x 1.05", 11),
     Mutant("vfe.py", TIME, TIME + " * 0.95", SIMULATE, "survives",
-           "item 5: a detuned-time control"),
+           "item 5: a detuned-time control; the pentagon at time x 0.95", 12),
+    Mutant("vfe.py", TIME, TIME + " * 1.01", SIMULATE_SQUARE, "survives",
+           "item 5: a detuned-time control; the square at time x 1.01", 16),
+    Mutant("vfe.py", TIME, TIME + " * 1.05", SIMULATE_SQUARE, "survives",
+           "item 5: a detuned-time control; the square at time x 1.05", 17),
+    Mutant("vfe.py", TIME, TIME + " * 0.95", SIMULATE_SQUARE, "survives",
+           "item 5: a detuned-time control; the square at time x 0.95", 18),
     Mutant("gauss.py", "VANISHING_RELATIVE_TOL = 1e-9", "VANISHING_RELATIVE_TOL = 1e9",
            VERIFY, "rejected", "vanishing: every entry flagged vanishing, so no "
-           "admissible one has an argument"),
+           "admissible one has an argument", 13),
     Mutant("rotor.py", "sin_half * s", "1.001 * sin_half * s",
            VERIFY, "rejected", "theorem2: each factor's beta scaled by 1.001, so the "
-           "product leaves the unit sphere"),
+           "product leaves the unit sphere", 14),
     Mutant("gauss.py", "_argument(self.values[:, n])",
            "_argument(self.values[:, (n + 1) % self.q])",
            VERIFY, "rejected", "lemma4, sums and theorem2: each admissible argument read "
-           "from the next column"),
+           "from the next column", 15),
 )
 
 
@@ -138,7 +156,7 @@ def main() -> int:
             got = judge(mutant, Path(workdir))
         want = "rejected" if EXPECTED_EXIT[mutant.expected] else "accepted"
         wrong += got != want
-        print(f"{got:9} {mutant.expected:10} {mutant.file}: {mutant.note}")
+        print(f"{got:9} {row_id(mutant):14} {mutant.file}: {mutant.note}")
     return 1 if wrong else 0
 
 

@@ -113,7 +113,6 @@ from .vfe import (
     initial_tangent,
     reconstruct_curve,
     rms_distance,
-    vertical_drift_rate,
 )
 
 # Pinned verification tolerances (also recorded in every manifest).
@@ -588,7 +587,6 @@ def cmd_simulate(args) -> int:
         "relative_error": report.relative_error,
         "rms_from_initial": rms_initial,
         "mean_height": curve.mean_height,
-        "vertical_drift_rate": vertical_drift_rate(evolved),
         "steps": evolved.steps,
         "dt": config.dt,
         "max_norm_deviation": evolved.max_norm_deviation,

@@ -92,7 +92,6 @@ __all__ = [
     "measure_plateaus",
     "detect_sides",
     "reconstruct_curve",
-    "vertical_drift_rate",
     "analyze_polygon",
     "verify_polygon_angle",
 ]
@@ -687,22 +686,6 @@ def reconstruct_curve(field: TangentField) -> CurveSample:
         positions=positions,
         mean_height=float(positions[:-1, 2].mean()),
     )
-
-
-def vertical_drift_rate(field: TangentField) -> float:
-    """Instantaneous vertical velocity of the curve's center of mass,
-    the mean z component of T x T_s (first central difference).
-
-    Averaging the pointwise velocity T x T_ss telescopes to zero on a
-    periodic grid; integrating by parts once leaves mean(T x T_s), which
-    is the quantity that survives.  The reconstructed curve is pinned at
-    the origin, so the uniform translation of the true curve is
-    invisible in positions; this rate is the measurable form of it.
-    """
-    samples = field.samples
-    ds = 2.0 * math.pi / field.grid_points
-    first = (np.roll(samples, -1, axis=0) - np.roll(samples, 1, axis=0)) / (2.0 * ds)
-    return float(np.cross(samples, first)[:, 2].mean())
 
 
 def analyze_polygon(field: TangentField, config: SimulationConfig) -> PolygonAngleReport:

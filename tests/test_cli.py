@@ -791,6 +791,21 @@ def test_simulate_summary_reports_the_run(tmp_path, monkeypatch, capsys):
     assert list(payload).index("dt") == list(payload).index("steps") + 1
 
 
+def test_simulate_summary_has_exactly_its_keys_in_order(tmp_path, monkeypatch, capsys):
+    # a summary key is added, dropped or moved only on purpose
+    monkeypatch.chdir(tmp_path)
+    code, payload = run_json(
+        capsys, "simulate", "--M", "3", "--p", "1", "--q", "1",
+        "--grid", "96", "--out", "tri",
+    )
+    assert code == 0
+    assert list(payload) == [
+        "manifest", "time", "sides", "detected_sides", "angle_median",
+        "angle_spread", "predicted_rho", "relative_error", "rms_from_initial",
+        "mean_height", "steps", "dt", "max_norm_deviation", "closure_drift", "files",
+    ]
+
+
 def reference_field_csvs(prefix, field, curve):
     """The CSVs as one csv.writer.writerow call per row writes them."""
     ds = 2.0 * math.pi / field.grid_points

@@ -543,16 +543,6 @@ def test_planarity_breaking_at_skew_time():
     assert abs(curve.mean_height) > 0.01
 
 
-def test_center_of_mass_drifts_upward():
-    # the uniform vertical translation of the curve is invisible in the
-    # base-pinned reconstruction; its rate is measurable from the field
-    start = vfe.initial_tangent(5, 960)
-    assert vfe.vertical_drift_rate(start) > 0.0
-    cfg = vfe.SimulationConfig(M=5, p=1, q=3, grid_points=960)
-    evolved = vfe.evolve(start, cfg.rational_time, cfg)
-    assert vfe.vertical_drift_rate(evolved) > 0.0
-
-
 def test_rms_distance():
     a = vfe.initial_tangent(3, 96)
     b = vfe.TangentField(0.0, np.roll(a.samples, 1, axis=0))

@@ -102,6 +102,8 @@ MUTANTS = (
            "item 5: a detuned-time control; the square at time x 1.05", 17),
     Mutant("vfe.py", TIME, TIME + " * 0.95", SIMULATE_SQUARE, "survives",
            "item 5: a detuned-time control; the square at time x 0.95", 18),
+    Mutant("vfe.py", TIME, TIME.replace("self.p", "(self.q - self.p)"), SIMULATE, "survives",
+           "item 16: the pentagon at the mirror p = q - p, whose rho is the same", 19),
     Mutant("gauss.py", "VANISHING_RELATIVE_TOL = 1e-9", "VANISHING_RELATIVE_TOL = 1e9",
            VERIFY, "rejected", "vanishing: every entry flagged vanishing, so no "
            "admissible one has an argument", 13),

@@ -58,6 +58,9 @@ CANONICAL = (
     "verify --suite sums --q-max 60",
     "verify --suite lemma3",
     "sums --p 1 --q 12",
+    # the two k selections: one k, and every k up to a cap
+    "sums --p 1 --q 12 --k 3",
+    "sums --p 1 --q 12 --k-max 2",
     "sums --p 29 --q 59",
     # a one-row fit at q = 2 mod 4, whose reference index is 1
     "sums --p 3 --q 10",

@@ -21,7 +21,8 @@ cases bit for bit.  Both rotor checks run on one spinor walk, and the
 angle is read from the half angle of the product.  The
 rotation and sums commands are the one-row calls of the same checks
 (rotor.certify_rotation_angle, whose matrix and axis come from the one
-spinor of the product, and sums.verify_sum_identities).
+spinor of the product, and sums.sum_arrays over the k of sums.k_range,
+judged by the same bounds, _sums_bounds).
 
 Each JSON payload is encoded once, as one string, by _json_text:
 json.dumps(payload, indent=2, allow_nan=False) plus a newline.  verify's
@@ -95,14 +96,13 @@ from .gauss import (
 )
 from .rotor import (
     DETUNING,
-    RotationCertificate,
     certificate_arrays,
     certify_rotation_angle,
     factor_block,
     inter_side_angle,
     trace_identity_evals,
 )
-from .sums import SumArrays, SumReport, sum_arrays, sum_report, verify_sum_identities
+from .sums import k_range, sum_arrays
 from .vfe import (
     DEFAULT_DT_FACTOR,
     CurveSample,
@@ -238,40 +238,31 @@ def _entry_json(n: int, entry: GaussSumValue) -> dict:
     }
 
 
-def _check_sums_bounds(q: int, ks) -> None:
-    """Raise RangeError when the residual bound TOL_SUMS_PER_TERM *
-    C(N, 2k) of a k in ks (N = arith.admissible_count(q)) exceeds the
-    float range; checked before any sum is evaluated.  ks is walked
-    lazily and the walk stops at the first overflowing k, so a range of
-    every k up to q/2 costs a few steps at a huge q.  A k outside
-    0 < 2k <= q is left to the evaluation, which rejects it."""
+def _sums_bounds(q: int, ks) -> list[float]:
+    """The residual bound TOL_SUMS_PER_TERM * max(1, C(N, 2k)) of each k
+    in ks (N = arith.admissible_count(q)), taken before any sum is
+    evaluated.  ks is walked lazily, and RangeError is raised at the
+    first k whose bound exceeds the float range, so a range of every k
+    up to q/2 costs a few steps at a huge q."""
+    n = admissible_count(q)
+    bounds = []
     for k in ks:
-        if not 0 < 2 * k <= q:
-            continue
-        n = admissible_count(q)
         try:
-            TOL_SUMS_PER_TERM * math.comb(n, 2 * k)
+            bounds.append(TOL_SUMS_PER_TERM * max(1, math.comb(n, 2 * k)))
         except OverflowError:
             raise RangeError(
                 f"the sums bound {TOL_SUMS_PER_TERM} * C({n}, {2 * k}) for q={q}, k={k} "
                 "exceeds the float range"
             ) from None
-
-
-def _sums_passed(sums: SumReport | SumArrays):
-    """A bool for one report, a (P, K) bool array for the arrays."""
-    if isinstance(sums, SumReport):
-        return sums.residual <= TOL_SUMS_PER_TERM * max(1, sums.term_count)
-    bounds = [TOL_SUMS_PER_TERM * max(1, count) for count in sums.term_count]
-    return sums.residual <= np.array(bounds)
+    return bounds
 
 
 def _theorem2_passed(cert):
-    """A bool for one certificate (RotationCertificate), a (P, k) bool
-    array for the arrays (CertificateArrays): the angle error within
+    """A (P, k) bool array for the arrays (CertificateArrays), a numpy
+    bool for one certificate (RotationCertificate): the angle error within
     TOL_ROTATION_ANGLE, and the falsification margin above
     FALSIFICATION_RATIO_MIN * DETUNING * 2*pi/M."""
-    M = cert.M if isinstance(cert, RotationCertificate) else np.array(cert.M, dtype=float)
+    M = np.asarray(cert.M, dtype=float)
     floor = FALSIFICATION_RATIO_MIN * DETUNING * (2.0 * math.pi / M)
     return (cert.angle_error <= TOL_ROTATION_ANGLE) & (cert.falsification_margin > floor)
 
@@ -305,16 +296,10 @@ def cmd_gauss(args) -> int:
 
 
 def cmd_sums(args) -> int:
-    top = args.q // 2 if args.k_max is None else min(args.q // 2, args.k_max)
-    ks = range(1, top + 1) if args.k is None else [args.k]
-    _check_sums_bounds(args.q, ks)
-    if args.k is not None:
-        reports = [sum_report(args.p, args.q, args.k)]
-    else:
-        reports = verify_sum_identities(args.p, args.q, k_max=args.k_max)
-    if not reports:
-        cap = "" if args.k_max is None else f" and k <= {args.k_max}"
-        raise RangeError(f"no k with 0 < 2k <= {args.q}{cap}")
+    ks = k_range(args.q, args.k, args.k_max)
+    bounds = _sums_bounds(args.q, ks)
+    sums = sum_arrays(theta_sequence(args.p, args.q), ks)
+    passed = (sums.residual[0] <= bounds).tolist()
     payload = {
         "manifest": _manifest(
             "sums",
@@ -323,18 +308,20 @@ def cmd_sums(args) -> int:
         ),
         "reports": [
             {
-                "p": r.p, "q": r.q, "k": r.k,
-                "t_value": r.t_value,
-                "e_value": _complex_json(r.e_value),
-                "term_count": r.term_count,
-                "residual": r.residual,
-                "passed": _sums_passed(r),
+                "p": args.p, "q": args.q, "k": k,
+                "t_value": t_value,
+                "e_value": _complex_json(e_value),
+                "term_count": term_count,
+                "residual": residual,
+                "passed": ok,
             }
-            for r in reports
+            for k, t_value, e_value, term_count, residual, ok in zip(
+                ks, sums.t_values[0].tolist(), sums.e_values[0].tolist(), sums.term_count,
+                sums.residual[0].tolist(), passed)
         ],
     }
     _emit(payload)
-    return EXIT_OK if all(map(_sums_passed, reports)) else EXIT_VERIFICATION_FAILED
+    return EXIT_OK if all(passed) else EXIT_VERIFICATION_FAILED
 
 
 def cmd_rho(args) -> int:
@@ -351,7 +338,7 @@ def cmd_rho(args) -> int:
 
 def cmd_rotation(args) -> int:
     cert = certify_rotation_angle(args.M, args.p, args.q)
-    passed = _theorem2_passed(cert)
+    passed = bool(_theorem2_passed(cert))
     payload = {
         "manifest": _manifest(
             "rotation",
@@ -400,13 +387,15 @@ def _lemma4_outcomes(table: ThetaSequence) -> Outcomes:
 
 
 def _sums_outcomes(table: ThetaSequence) -> Outcomes:
-    sums = sum_arrays(table)
-    return ([f"sums/p={p}/q={table.q}/k={k}" for p in table.p for k in sums.k],
-            _sums_passed(sums).ravel().tolist(), sums.residual.ravel().tolist())
+    ks = k_range(table.q)
+    bounds = _sums_bounds(table.q, ks)
+    sums = sum_arrays(table, ks)
+    return ([f"sums/p={p}/q={table.q}/k={k}" for p in table.p for k in ks],
+            (sums.residual <= bounds).ravel().tolist(), sums.residual.ravel().tolist())
 
 
-# the checks that read one q's table, each with its first q
-# (no k has 0 < 2k <= 1)
+# the checks that read one q's table, each with its first q (sums.k_range
+# has no k at q = 1)
 _PER_Q_CHECKS = {"sums": (2, _sums_outcomes), "lemma4": (1, _lemma4_outcomes),
                  "vanishing": (1, _vanishing_outcomes)}
 
@@ -623,9 +612,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sums", help="cosine / exponential sum reports for (p, q)")
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--q", type=int, required=True)
-    k_range = s.add_mutually_exclusive_group()
-    k_range.add_argument("--k", type=int, default=None)
-    k_range.add_argument("--k-max", dest="k_max", type=int, default=None)
+    k_choice = s.add_mutually_exclusive_group()
+    k_choice.add_argument("--k", type=int, default=None)
+    k_choice.add_argument("--k-max", dest="k_max", type=int, default=None)
     s.set_defaults(func=cmd_sums)
 
     r = sub.add_parser("rho", help="predicted inter-side angle for (M, q)")

@@ -23,14 +23,19 @@ the same index set, ThetaSequence.admissible_arguments, and the
 exponents are QuadraticPhase.residues; this module restates neither
 rule.
 
-The check runs once per q, not per (p, q).  sum_arrays(theta) takes
-one table of every p at q (gauss.theta_sequences, P rows; a table has
-no other shape), reads its phase fit as theta.phase, which the table
-fits once for every check that reads it, and makes one kernel call over
-the (2P, N) stack of both sequences of every p, run to the top order
-2*(q // 2); S_2k is read for every k from that one pass, and the
-results come back as (P, K) arrays (SumArrays).  verify_sum_identities
-and sum_report are its P = 1 calls, returned as SumReport objects.
+Which k a check covers is k_range's rule alone: every k with
+0 < 2k <= q, capped by a k_max, or one k.  sum_report, the sums command
+and verify's sums suite all read it, and take no k it refuses.
+
+The check runs once per q, not per (p, q).  sum_arrays(theta, ks)
+takes one table of every p at q (gauss.theta_sequences, P rows; a table
+has no other shape), reads its phase fit as theta.phase, which the
+table fits once for every check that reads it, and makes one kernel
+call over the (2P, N) stack of both sequences of every p, run to the
+top order 2*max(ks); S_2k is read for every k from that one pass, and
+the results come back as (P, K) arrays (SumArrays).  The sums command
+is its one-row call, and sum_report its one-row, one-k call, returned
+as a SumReport.
 
 Every value is reproducible bit for bit, and equals the scalar Python
 recurrence over one (p, q) at a time.  The trig terms are math.cos and
@@ -48,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import alternating_products
+from .arith import admissible_count, alternating_products
 from .errors import RangeError
 from .gauss import QuadraticPhase, ThetaSequence, theta_sequence, unit_roots
 
@@ -57,7 +62,7 @@ __all__ = [
     "SumArrays",
     "sum_report",
     "sum_arrays",
-    "verify_sum_identities",
+    "k_range",
 ]
 
 
@@ -92,14 +97,28 @@ class SumArrays:
     residual: np.ndarray
 
 
-def _check_k(k: int, q: int) -> None:
-    if k < 1:
-        raise RangeError(f"k must be positive, got {k}")
-    if 2 * k > q:
-        raise RangeError(f"need 2k <= q, got k={k}, q={q}")
+def k_range(q: int, k: int | None = None, k_max: int | None = None) -> range:
+    """The k that a check at q covers: the one k when given, otherwise
+    every k with 0 < 2k <= q, up to k_max when given.  Raises, from the
+    arguments alone and so before any table is built, RangeError for a
+    k outside 0 < 2k <= q or a range with no k (arith.admissible_count's
+    ValueError for a range at q < 1).  The range is lazy: a huge q costs
+    no q-long list."""
+    if k is not None:
+        if k < 1:
+            raise RangeError(f"k must be positive, got {k}")
+        if 2 * k > q:
+            raise RangeError(f"need 2k <= q, got k={k}, q={q}")
+        return range(k, k + 1)
+    ks = range(1, (q // 2 if k_max is None else min(q // 2, k_max)) + 1)
+    if not ks:
+        admissible_count(q)  # q < 1 is no modulus: arith's error first
+        cap = "" if k_max is None else f" and k <= {k_max}"
+        raise RangeError(f"no k with 0 < 2k <= {q}{cap}")
+    return ks
 
 
-def _sum_arrays(theta: ThetaSequence, phase: QuadraticPhase, ks: list[int]) -> SumArrays:
+def _sum_arrays(theta: ThetaSequence, phase: QuadraticPhase, ks: range) -> SumArrays:
     """Both sums for every row of a table and every k in ks, from one
     kernel call over the stacked trig and quadratic sequences of all
     rows, run to order 2*max(ks)."""
@@ -111,8 +130,7 @@ def _sum_arrays(theta: ThetaSequence, phase: QuadraticPhase, ks: list[int]) -> S
     trig_terms.imag = np.fromiter(map(math.sin, flat), float, len(flat))
     trig_terms = trig_terms.reshape(arguments.shape)
     quad_terms = np.array(unit_roots(phase.denominator))[phase.residues(n)]
-    values = alternating_products(np.concatenate([trig_terms, quad_terms]),
-                                  2 * max(ks, default=0))
+    values = alternating_products(np.concatenate([trig_terms, quad_terms]), 2 * max(ks))
     orders = [2 * k for k in ks]
     t_values, e_values = values[:rows, orders].real, values[rows:, orders]
     residual = np.maximum(np.maximum(np.abs(t_values), np.abs(e_values.real)),
@@ -124,24 +142,12 @@ def _sum_arrays(theta: ThetaSequence, phase: QuadraticPhase, ks: list[int]) -> S
     )
 
 
-def _reports(arrays: SumArrays) -> list[SumReport]:
-    """The reports of the one row of `arrays`, one per k."""
-    (p,), q = arrays.p, arrays.q
-    return [
-        SumReport(p=p, q=q, k=k, t_value=t_value, e_value=e_value, term_count=count,
-                  residual=residual)
-        for k, t_value, e_value, count, residual in zip(
-            arrays.k, arrays.t_values[0].tolist(), arrays.e_values[0].tolist(),
-            arrays.term_count, arrays.residual[0].tolist())
-    ]
-
-
-def sum_arrays(theta: ThetaSequence) -> SumArrays:
+def sum_arrays(theta: ThetaSequence, ks: range) -> SumArrays:
     """Both sums for every p of a table (gauss.theta_sequences) and
-    every k with 0 < 2k <= q, from the table, its phase fit and one
-    kernel call; row i equals verify_sum_identities(theta.p[i], q) bit
-    for bit."""
-    return _sum_arrays(theta, theta.phase, list(range(1, theta.q // 2 + 1)))
+    every k of ks, a k_range(theta.q), from the table, its phase fit and
+    one kernel call; entry [i, j] equals sum_report(theta.p[i], q, ks[j])
+    bit for bit."""
+    return _sum_arrays(theta, theta.phase, ks)
 
 
 def sum_report(
@@ -153,7 +159,7 @@ def sum_report(
 ) -> SumReport:
     """Evaluate both sums for one k.  A theta or phase passed in must be
     the one-row table or fit of this (p, q); any other raises ValueError."""
-    _check_k(k, q)
+    ks = k_range(q, k)
     if theta is None:
         theta = theta_sequence(p, q)
     elif (theta.p, theta.q) != ((p,), q):
@@ -162,12 +168,6 @@ def sum_report(
         phase = theta.phase
     elif (phase.p, phase.q) != ((p,), q):
         raise ValueError(f"phase is the fit of p={phase.p}, q={phase.q}, not of ({p}, {q})")
-    return _reports(_sum_arrays(theta, phase, [k]))[0]
-
-
-def verify_sum_identities(p: int, q: int, k_max: int | None = None) -> list[SumReport]:
-    """Reports for every k with 0 < 2k <= q (optionally capped by k_max),
-    from one table and one kernel call: the one-row call of sum_arrays."""
-    theta = theta_sequence(p, q)
-    ks = [k for k in range(1, q // 2 + 1) if k_max is None or k <= k_max]
-    return _reports(_sum_arrays(theta, theta.phase, ks))
+    row = _sum_arrays(theta, phase, ks)
+    return SumReport(p=p, q=q, k=k, t_value=row.t_values.item(), e_value=row.e_values.item(),
+                     term_count=row.term_count[0], residual=row.residual.item())

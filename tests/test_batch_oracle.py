@@ -23,6 +23,7 @@ import pytest
 
 from polyfil import arith, cli, gauss, rotor, sums
 from polyfil.errors import NotCoprime, UndefinedTheta
+from test_sums import row_reports
 
 MS = list(range(3, 11))
 
@@ -88,7 +89,7 @@ def certificate_rows_match(q):
 def sum_rows_match(q):
     ps = coprime(q)
     stacked = gauss.theta_sequences(ps, q)
-    arrays = sums.sum_arrays(stacked)
+    arrays = sums.sum_arrays(stacked, sums.k_range(q))
     ks = tuple(range(1, q // 2 + 1))
     if arrays.p != tuple(ps) or arrays.k != ks or arrays.residual.shape != (len(ps), len(ks)):
         return False
@@ -100,7 +101,7 @@ def sum_rows_match(q):
                            residual=arrays.residual[i, j].item())
             for j, k in enumerate(arrays.k)
         ]
-        if batched != sums.verify_sum_identities(p, q):
+        if batched != row_reports(p, q):
             return False
     return True
 
@@ -185,8 +186,8 @@ def test_a_phase_fit_of_other_rows_is_rejected():
     # the table checks read the fit of their own table (table.phase) and
     # take no other; sum_report, the one call that still takes a fit,
     # rejects one of other p or another q
-    for check in (sums.sum_arrays, gauss.max_phase_defects):
-        assert list(inspect.signature(check).parameters) == ["theta"], check
+    assert list(inspect.signature(sums.sum_arrays).parameters) == ["theta", "ks"]
+    assert list(inspect.signature(gauss.max_phase_defects).parameters) == ["theta"]
     table = gauss.theta_sequence(1, 8)
     for other in (gauss.theta_sequences([1, 5], 8), gauss.theta_sequence(3, 8),
                   gauss.theta_sequence(1, 10)):
@@ -283,9 +284,9 @@ def theorem2_per_pair(q_max, m_max):
 
 def sums_per_pair(q_max):
     return [
-        outcome(f"sums/p={p}/q={q}/k={r.k}", cli._sums_passed(r), r.residual)
+        outcome(f"sums/p={p}/q={q}/k={r.k}", r.residual <= bound, r.residual)
         for q in range(2, q_max + 1) for p in coprime(q)
-        for r in sums.verify_sum_identities(p, q)
+        for r, bound in zip(row_reports(p, q), cli._sums_bounds(q, sums.k_range(q)))
     ]
 
 

@@ -106,12 +106,17 @@ def test_sums_rejects_bad_k(capsys):
     ("--p", "1", "--q", "1"),
     ("--p", "3", "--q", "8", "--k-max", "0"),
     ("--p", "3", "--q", "8", "--k-max", "-2"),
+    ("--p", "8", "--q", "1000003", "--k-max", "0"),
 ])
-def test_sums_empty_k_range_is_usage_error(capsys, argv):
+def test_sums_empty_k_range_is_usage_error(capsys, monkeypatch, argv):
+    # the empty range is known from the arguments: even a q of a million
+    # builds no table before the refusal
+    calls = count_calls(monkeypatch, ("_gauss_table",))
     code, out, err = run_cli(capsys, "sums", *argv)
     assert code == 2
     assert err.startswith("error: ") and "no k" in err
     assert out == ""
+    assert calls == {"_gauss_table": 0, "rho_sizes": []}
 
 
 def test_sums_k_with_k_max_is_usage_error(capsys):
@@ -169,15 +174,16 @@ def test_sums_bound_of_a_huge_q_stops_at_the_first_overflow():
 
 
 def test_verify_work_cap_keeps_every_sums_bound_in_the_float_range():
-    # verify checks no sums bound of its own: the largest --q-max the cap
-    # admits for --suite sums has every bound of q_max and q_max - 1 (the
-    # odd one has the most admissible indices) in the float range
+    # the cap refuses a range before any sums bound overflows: the largest
+    # --q-max it admits for --suite sums has every bound of q_max and
+    # q_max - 1 (the odd one has the most admissible indices) in the
+    # float range
     q_max = 1
     while cli._verify_work(("sums",), q_max + 1, 0) <= cli.MAX_VERIFY_WORK:
         q_max += 1
     assert q_max == 156
     for q in (q_max, q_max - 1):
-        cli._check_sums_bounds(q, range(1, q // 2 + 1))
+        cli._sums_bounds(q, sums.k_range(q))
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,6 +12,19 @@ from test_gauss import model_theta
 SQRT3 = math.sqrt(3.0)
 
 
+def row_reports(p, q, k_max=None):
+    """The sums command's one row: sum_arrays over the one-row table of
+    (p, q) and every k of k_range(q, k_max=k_max), as one SumReport per k."""
+    arrays = sums.sum_arrays(gauss.theta_sequence(p, q), sums.k_range(q, k_max=k_max))
+    return [
+        sums.SumReport(p=p, q=q, k=k, t_value=t_value, e_value=e_value, term_count=count,
+                       residual=residual)
+        for k, t_value, e_value, count, residual in zip(
+            arrays.k, arrays.t_values[0].tolist(), arrays.e_values[0].tolist(),
+            arrays.term_count, arrays.residual[0].tolist())
+    ]
+
+
 def test_trig_sum_q3_hand_value():
     theta = gauss.theta_sequence(1, 3)
     # cos(-2pi/3) + cos(-2pi/3) + cos(0) = -1/2 - 1/2 + 1
@@ -53,13 +66,13 @@ def test_sum_report_fields():
     )
 
 
-def test_verify_sum_identities_odd_q():
-    for report in sums.verify_sum_identities(1, 5):
+def test_sums_row_odd_q():
+    for report in row_reports(1, 5):
         assert report.residual <= 1e-10
 
 
-def test_verify_sum_identities_even_q():
-    for report in sums.verify_sum_identities(3, 8):
+def test_sums_row_even_q():
+    for report in row_reports(3, 8):
         assert report.residual <= 1e-10
 
 
@@ -69,7 +82,7 @@ def test_identities_sweep_small():
         for p in range(1, q + 1):
             if math.gcd(p, q) != 1:
                 continue
-            for report in sums.verify_sum_identities(p, q):
+            for report in row_reports(p, q):
                 bound = 1e-8 * max(1, math.comb(q, 2 * report.k))
                 assert report.residual <= bound, (p, q, report.k)
 
@@ -130,15 +143,17 @@ def test_even_q_reduces_to_half_modulus_form():
             assert abs(complex(total_re, total_im) - direct) <= 1e-10
 
 
-def test_verify_sum_identities_matches_sum_report_exactly():
-    # one recurrence pass per (p, q) gives every k bit for bit
-    for q in range(1, 31):
+def test_sums_row_matches_sum_report_exactly():
+    # one recurrence pass per (p, q) gives every k bit for bit; q = 1 has no k
+    with pytest.raises(RangeError, match="no k with 0 < 2k <= 1"):
+        sums.k_range(1)
+    for q in range(2, 31):
         for p in range(1, q + 1):
             if math.gcd(p, q) != 1:
                 continue
             reports = [sums.sum_report(p, q, k) for k in range(1, q // 2 + 1)]
-            assert sums.verify_sum_identities(p, q) == reports, (p, q)
-            assert sums.verify_sum_identities(p, q, k_max=2) == reports[:2], (p, q)
+            assert row_reports(p, q) == reports, (p, q)
+            assert row_reports(p, q, k_max=2) == reports[:2], (p, q)
 
 
 def test_sum_report_rejects_a_table_or_fit_of_another_pair():

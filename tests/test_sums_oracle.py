@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from polyfil import arith, cli, gauss, rotor, sums
 from test_batch_oracle import half_traces_per_case
+from test_sums import row_reports
 
 TOL = 1e-12
 
@@ -171,8 +172,8 @@ def test_kernel_memory_stays_linear_in_rows_times_orders():
 
 
 def scalar_sum_reports(p, q):
-    """verify_sum_identities(p, q) through the scalar recurrence, one
-    pair and one sequence at a time."""
+    """The sums command's one row (test_sums.row_reports) through the
+    scalar recurrence, one pair and one sequence at a time."""
     theta = gauss.theta_sequence(p, q)
     phase = theta.phase
     n, arguments = theta.admissible_arguments()
@@ -196,7 +197,7 @@ def scalar_sum_reports(p, q):
 def test_sum_reports_equal_the_scalar_recurrence():
     # every coprime pair with q <= 60 (21,751 reports), bit for bit
     for p, q in coprime_pairs(60):
-        reports = sums.verify_sum_identities(p, q)
+        reports = row_reports(p, q)
         expected = scalar_sum_reports(p, q)
         assert [(bits([r.t_value, r.e_value]), r.residual.hex()) for r in reports] == [
             (bits([r.t_value, r.e_value]), r.residual.hex()) for r in expected], (p, q)

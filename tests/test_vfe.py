@@ -408,6 +408,63 @@ def test_smooth_field_step_drift_is_tiny():
         current = stepped / norms[:, None]
 
 
+# The rigidly rotating helix T = (-A sin phi, A cos phi, B), A = sqrt(1 - B^2),
+# phi = k s - omega B t, moves without change of form under T_t = T x T_ss
+# with omega = k^2 (Kida, J. Fluid Mech. 112, 1981), and under the
+# semi-discrete FD scheme with omega its discrete dispersion
+# (4/ds^2) sin^2(k ds/2): an exact moving solution for the integrator.
+
+HELIX_TIME = 0.05
+
+
+def helix(n, k, B, omega, t):
+    A = math.sqrt(1.0 - B * B)
+    phi = k * 2 * math.pi * np.arange(n) / n - omega * B * t
+    return np.stack([-A * np.sin(phi), A * np.cos(phi), np.full(n, B)], axis=1)
+
+
+def helix_errors(M, k, B, n, dt_factor=vfe.DEFAULT_DT_FACTOR):
+    """Max abs error of the helix evolved to HELIX_TIME against the FD
+    dispersion and against the exact omega = k^2."""
+    cfg = vfe.SimulationConfig(M=M, p=1, q=1, grid_points=n, dt_factor=dt_factor)
+    start = vfe.TangentField(0.0, helix(n, k, B, 0.0, 0.0))
+    # k = 1 mod M and B != 0: M copies, no reflection, so evolve steps
+    # its rotation-only domain
+    assert vfe._symmetry(start.samples, M) == (M, False)
+    samples = vfe.evolve(start, HELIX_TIME, cfg).samples
+    fd_omega = (4.0 / cfg.ds**2) * math.sin(k * cfg.ds / 2) ** 2
+    return (np.abs(samples - helix(n, k, B, fd_omega, HELIX_TIME)).max(),
+            np.abs(samples - helix(n, k, B, k * k, HELIX_TIME)).max())
+
+
+@pytest.mark.parametrize("M, k, B, n", [
+    (5, 1, 0.6, 120), (5, 1, 0.6, 240), (5, 1, 0.6, 480),
+    (4, 5, 0.3, 240), (4, 5, 0.3, 480), (5, 6, 0.6, 480),
+])
+def test_helix_meets_the_fd_dispersion(M, k, B, n):
+    # what is left is RK4's time error, or roundoff
+    fd_error, _ = helix_errors(M, k, B, n)
+    assert fd_error <= 1e-12
+
+
+def test_helix_spatial_order_is_two():
+    # against the exact omega = k^2 the error falls 4x per doubling of n:
+    # 5.5e-6, 1.4e-6, 3.4e-7
+    errors = [helix_errors(5, 1, 0.6, n)[1] for n in (120, 240, 480)]
+    assert 5.3e-6 <= errors[0] <= 5.7e-6
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.9 <= coarse / fine <= 4.1, errors
+
+
+def test_helix_rk4_time_order_is_four():
+    # against the FD dispersion at n = 120, k = 6 the error falls about
+    # 16x per halving of dt: 2.12e-9, 1.34e-10, 8.40e-12
+    errors = [helix_errors(5, 6, 0.6, 120, dt_factor)[0] for dt_factor in (0.4, 0.2, 0.1)]
+    assert 2.0e-9 <= errors[0] <= 2.2e-9
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 14.0 <= coarse / fine <= 18.0, errors
+
+
 def test_measure_plateaus_synthetic_exact():
     # twelve exact skew plateaus: a cone around z turning by 2*pi/12 per
     # block, so every cyclic adjacent angle is the same

@@ -74,6 +74,8 @@ CANONICAL = (
     "rotation --M 5 --p 100000000000000000001 --q 3",
     "gauss --p 5 --q 12",
     "gauss --p 100000000000000000001 --q 5",
+    # one entry, whose manifest carries the vanishing tolerance
+    "gauss --p 1 --q 3 --n 0",
     "simulate --M 5 --p 1 --q 3 --grid 240 --out sim",
     # m = n/M = 45 is odd: the rotation-only domain, where every other
     # simulate line steps the reflected half domain
@@ -133,6 +135,8 @@ ERRORS = (
     "simulate --M 3 --p 1 --q 1 --grid 96 --out ''",
     "simulate --M 3 --p 1 --q 1 --grid 96 --dt-factor 100 --out sim",
     "simulate --M 3 --p 1 --q 1 --grid 384 --dt-factor 1 --out sim",
+    # past MAX_STEPS on a grid of 3e6 points, refused before the grid is built
+    "simulate --M 3 --p 1 --q 1 --grid 3000000 --out sim",
     # a first step that overflows to inf and NaN: stderr is the error line alone
     f"simulate --M 3 --p {10**90 + 1} --q 1 --grid 96 --dt-factor 3e84 --out sim",
     f"simulate --M 3 --p {10**400} --q 1 --grid 96 --out sim",

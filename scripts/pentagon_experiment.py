@@ -11,6 +11,10 @@ so the three take the steps of one period, not of two.  A chained stop
 takes its own shortened last step, so it is not bit for bit the field
 that one run from t = 0 writes.
 
+summary.json holds one object per stop: its time, every field of
+polyfil.vfe.PolygonAngleReport in order (the keys of the simulate
+summary), and its RMS distance from the initial field.
+
 Usage:
     python scripts/pentagon_experiment.py [--grid 1920] [--outdir pentagon_data]
 """
@@ -19,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from polyfil.vfe import (
     SimulationConfig,
@@ -54,11 +59,7 @@ def main() -> int:
         report = analyze_polygon(evolved, config)
         summary[label] = {
             "time": config.rational_time,
-            "sides": report.sides,
-            "detected_sides": report.detected_sides,
-            "angle_median": report.angle_median,
-            "predicted_rho": report.predicted_rho,
-            "relative_error": report.relative_error,
+            **asdict(report),
             "rms_from_initial": rms_distance(evolved, start),
         }
         print(

@@ -49,8 +49,9 @@ gauss --q 10**12).  3, numerical abort: BlowUp.  4, internal error:
 any other exception, with its traceback on stderr.
 
 verify refuses, before its pass, a range whose work estimate exceeds
-MAX_VERIFY_WORK = 2e8 table-entry passes (_verify_work), as evolve
-refuses more than vfe.MAX_STEPS steps.  The estimate counts the table
+MAX_VERIFY_WORK = 2e8 table-entry passes (_verify_work), as simulate's
+SimulationConfig refuses, before any grid is built, a run of more than
+vfe.MAX_STEPS steps.  The estimate counts the table
 entries sum_{q <= q_max} phi(q)*q <= (q_max^3 - q_max)/3 + 1 once each
 for vanishing and lemma4, q_max times for sums (its kernel runs every
 entry to an order of up to q) and 3*(m_max - 2) times for theorem2.  The
@@ -75,6 +76,7 @@ import os
 import random
 import sys
 import traceback
+from dataclasses import asdict
 from datetime import datetime, timezone
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -369,7 +371,6 @@ def _vanishing_outcomes(table: ThetaSequence) -> Outcomes:
     # Parseval's sum of |G|^2 over n, q^2, shared by the N admissible
     # entries alike: sqrt(q) for odd q, sqrt(2q) for even q
     expected_modulus = math.sqrt(q * q // admissible_count(q))
-    tol = TOL_VANISHING * max(1.0, math.sqrt(q))
     should_vanish = ~admissible_mask(q)
     pattern_ok = (table.vanishing == should_vanish).all(axis=-1)
     residuals = np.maximum(
@@ -377,7 +378,7 @@ def _vanishing_outcomes(table: ThetaSequence) -> Outcomes:
         np.abs(table.moduli[:, ~should_vanish] - expected_modulus).max(axis=-1, initial=0.0),
     )
     return ([f"vanishing/p={p}/q={q}" for p in table.p],
-            (pattern_ok & (residuals <= tol)).tolist(), residuals.tolist())
+            (pattern_ok & (residuals <= table.threshold)).tolist(), residuals.tolist())
 
 
 def _lemma4_outcomes(table: ThetaSequence) -> Outcomes:
@@ -557,7 +558,6 @@ def cmd_simulate(args) -> int:
 
     report = analyze_polygon(evolved, config)
     curve = reconstruct_curve(evolved)
-    rms_initial = rms_distance(evolved, start)
 
     summary = {
         "manifest": _manifest(
@@ -568,13 +568,8 @@ def cmd_simulate(args) -> int:
             {"relative_error": args.tol},
         ),
         "time": config.rational_time,
-        "sides": report.sides,
-        "detected_sides": report.detected_sides,
-        "angle_median": report.angle_median,
-        "angle_spread": report.angle_spread,
-        "predicted_rho": report.predicted_rho,
-        "relative_error": report.relative_error,
-        "rms_from_initial": rms_initial,
+        **asdict(report),
+        "rms_from_initial": rms_distance(evolved, start),
         "mean_height": curve.mean_height,
         "steps": evolved.steps,
         "dt": config.dt,

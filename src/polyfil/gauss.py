@@ -46,8 +46,11 @@ reduces a*n^2 modulo the phase denominator (2 - delta)^2 * q.
 
 Non-vanishing sums have modulus sqrt(q) for odd q and sqrt(2q) for even q,
 while the vanishing ones are exactly the indices n with 4 | 2n + 2 - q.
-That gap of many orders of magnitude makes the relative threshold below a
-safe classifier at desk scale (q up to a few thousand).
+That gap of many orders of magnitude makes the relative threshold
+VANISHING_RELATIVE_TOL * max(1, sqrt(q)) a safe classifier at desk scale
+(q up to a few thousand).  A table keeps it as ThetaSequence.threshold,
+which the vanishing check also bounds its residuals by, so the flags
+and the verdict cannot use two thresholds.
 """
 
 from __future__ import annotations
@@ -104,14 +107,16 @@ class GaussSumValue:
 class ThetaSequence:
     """All q sums for each p of the tuple `p` at one q, as read-only
     (P, q) arrays, entry [i, n] for (p[i], q, n): the complex `values`,
-    their `moduli` and the boolean `vanishing` flags.  Compared by
-    identity (eq=False), since arrays have no single-bool ==."""
+    their `moduli` and the boolean `vanishing` flags, each set where the
+    modulus is below the float `threshold` (see the module docstring).
+    Compared by identity (eq=False), since arrays have no single-bool ==."""
 
     p: tuple[int, ...]
     q: int
     values: np.ndarray
     moduli: np.ndarray
     vanishing: np.ndarray
+    threshold: float
 
     def __post_init__(self) -> None:
         for name in ("values", "moduli", "vanishing"):
@@ -266,10 +271,11 @@ def theta_sequences(ps, q: int) -> ThetaSequence:
 
 def _classify(ps: tuple[int, ...], q: int, values: np.ndarray) -> ThetaSequence:
     """Moduli and vanishing flags of a (P, q) table, each sum vanishing
-    when its modulus is below VANISHING_RELATIVE_TOL * max(1, sqrt(q))."""
+    when its modulus is below the table's threshold,
+    VANISHING_RELATIVE_TOL * max(1, sqrt(q))."""
     moduli = np.abs(values)
-    vanishing = moduli < VANISHING_RELATIVE_TOL * max(1.0, math.sqrt(q))
-    return ThetaSequence(ps, q, values, moduli, vanishing)
+    threshold = VANISHING_RELATIVE_TOL * max(1.0, math.sqrt(q))
+    return ThetaSequence(ps, q, values, moduli, moduli < threshold, threshold)
 
 
 def quadratic_phase(p: int, q: int) -> QuadraticPhase:

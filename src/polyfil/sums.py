@@ -35,7 +35,9 @@ call over the (2P, N) stack of both sequences of every p, run to the
 top order 2*max(ks); S_2k is read for every k from that one pass, and
 the results come back as (P, K) arrays (SumArrays).  The sums command
 is its one-row call, and sum_report its one-row, one-k call, returned
-as a SumReport.
+as a SumReport.  theta.phase is the only fit the sums read: sum_report
+still takes a fit, but only refuses one of another (p, q), since the
+exponents a*n^2 mod (2 - delta)^2 * q of a fit depend on (p, q) alone.
 
 Every value is reproducible bit for bit, and equals the scalar Python
 recurrence over one (p, q) at a time.  The trig terms are math.cos and
@@ -118,10 +120,13 @@ def k_range(q: int, k: int | None = None, k_max: int | None = None) -> range:
     return ks
 
 
-def _sum_arrays(theta: ThetaSequence, phase: QuadraticPhase, ks: range) -> SumArrays:
-    """Both sums for every row of a table and every k in ks, from one
-    kernel call over the stacked trig and quadratic sequences of all
-    rows, run to order 2*max(ks)."""
+def sum_arrays(theta: ThetaSequence, ks: range) -> SumArrays:
+    """Both sums for every p of a table (gauss.theta_sequences) and
+    every k of ks, a k_range(theta.q), from the table, its phase fit
+    (theta.phase) and one kernel call over the stacked trig and
+    quadratic sequences of all rows, run to order 2*max(ks); entry
+    [i, j] equals sum_report(theta.p[i], q, ks[j]) bit for bit."""
+    phase = theta.phase
     n, arguments = theta.admissible_arguments()
     rows = len(arguments)
     flat = arguments.ravel().tolist()
@@ -142,14 +147,6 @@ def _sum_arrays(theta: ThetaSequence, phase: QuadraticPhase, ks: range) -> SumAr
     )
 
 
-def sum_arrays(theta: ThetaSequence, ks: range) -> SumArrays:
-    """Both sums for every p of a table (gauss.theta_sequences) and
-    every k of ks, a k_range(theta.q), from the table, its phase fit and
-    one kernel call; entry [i, j] equals sum_report(theta.p[i], q, ks[j])
-    bit for bit."""
-    return _sum_arrays(theta, theta.phase, ks)
-
-
 def sum_report(
     p: int,
     q: int,
@@ -157,17 +154,17 @@ def sum_report(
     theta: ThetaSequence | None = None,
     phase: QuadraticPhase | None = None,
 ) -> SumReport:
-    """Evaluate both sums for one k.  A theta or phase passed in must be
-    the one-row table or fit of this (p, q); any other raises ValueError."""
+    """Evaluate both sums for one k: sum_arrays on one row, which reads
+    theta.phase (see the module docstring).  A theta or phase passed in
+    must be the one-row table or fit of this (p, q); any other raises
+    ValueError."""
     ks = k_range(q, k)
     if theta is None:
         theta = theta_sequence(p, q)
     elif (theta.p, theta.q) != ((p,), q):
         raise ValueError(f"theta is the table of p={theta.p}, q={theta.q}, not of ({p}, {q})")
-    if phase is None:
-        phase = theta.phase
-    elif (phase.p, phase.q) != ((p,), q):
+    if phase is not None and (phase.p, phase.q) != ((p,), q):
         raise ValueError(f"phase is the fit of p={phase.p}, q={phase.q}, not of ({p}, {q})")
-    row = _sum_arrays(theta, phase, ks)
+    row = sum_arrays(theta, ks)
     return SumReport(p=p, q=q, k=k, t_value=row.t_values.item(), e_value=row.e_values.item(),
                      term_count=row.term_count[0], residual=row.residual.item())

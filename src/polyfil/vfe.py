@@ -118,6 +118,9 @@ class SimulationConfig:
 
     grid_points must be a multiple of M*q so plateau blocks align with
     the predicted sides; it defaults to DEFAULT_GRID_MULTIPLIER * M * q.
+    A config whose rational_time is more than MAX_STEPS steps of dt from
+    t = 0 raises evolve's RangeError when it is made, so a run beyond the
+    cap is refused before its grid is allocated.
     """
 
     M: int
@@ -148,6 +151,7 @@ class SimulationConfig:
                 f"grid_points={self.grid_points} is not a multiple of "
                 f"M*q={self.M * self.q}"
             )
+        _full_steps(self.rational_time, self.rational_time, self.dt)
 
     @property
     def ds(self) -> float:
@@ -213,6 +217,10 @@ class CurveSample:
 
 @dataclass(frozen=True)
 class PolygonAngleReport:
+    """The plateau verdict of one evolved field.  Every field is a JSON
+    scalar and a key of the simulate summary, in this order
+    (dataclasses.asdict), so a field added here reaches the summary."""
+
     sides: int
     detected_sides: int
     angle_median: float
@@ -493,6 +501,18 @@ def _guard_block(
     return min(lowest, low), max(highest, high)
 
 
+def _full_steps(remaining: float, t_target: float, dt: float) -> int:
+    """The whole steps of dt in the `remaining` time to t_target; raises
+    RangeError when they are more than MAX_STEPS."""
+    n_full = int(remaining // dt)
+    if n_full > MAX_STEPS:
+        raise RangeError(
+            f"t_target={t_target:.6g} needs {remaining / dt:.3g} steps of "
+            f"dt={dt:.6g}, more than MAX_STEPS={MAX_STEPS}"
+        )
+    return n_full
+
+
 def evolve(field: TangentField, t_target: float, config: SimulationConfig) -> TangentField:
     """Advance to t_target with dt = dt_factor * ds^2, renormalizing every
     sample after every step.  Only a fundamental domain of n/(2M) or n/M
@@ -516,12 +536,7 @@ def evolve(field: TangentField, t_target: float, config: SimulationConfig) -> Ta
     ds = config.ds
     dt = config.dt
     remaining = t_target - field.time
-    n_full = int(remaining // dt)
-    if n_full > MAX_STEPS:
-        raise RangeError(
-            f"t_target={t_target:.6g} needs {remaining / dt:.3g} steps of "
-            f"dt={dt:.6g}, more than MAX_STEPS={MAX_STEPS}"
-        )
+    n_full = _full_steps(remaining, t_target, dt)
     tail = remaining - n_full * dt
 
     work = Workspace(field.grid_points, *_symmetry(field.samples, config.M))

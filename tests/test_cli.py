@@ -644,6 +644,21 @@ def test_verify_vanishing_fails_on_a_wrong_flag(capsys, monkeypatch):
     ]
 
 
+def test_verify_vanishing_bounds_residuals_by_the_table_threshold(capsys, monkeypatch):
+    # the check reads the threshold its table flagged with: a q = 5 table
+    # doctored to threshold 0 fails exactly its cases of nonzero residual
+    def doctored(ps, q):
+        theta = gauss.theta_sequences(ps, q)
+        return dataclasses.replace(theta, threshold=0.0) if q == 5 else theta
+
+    monkeypatch.setattr(cli, "theta_sequences", doctored)
+    code, payload = run_json(capsys, "verify", "--suite", "vanishing", "--q-max", "6")
+    assert code == 1
+    failed = [o["case_id"] for o in payload["outcomes"] if not o["passed"]]
+    assert failed and failed == [o["case_id"] for o in payload["outcomes"]
+                                 if o["case_id"].endswith("/q=5") and o["residual"] > 0]
+
+
 def test_verify_lemma4_suite(capsys):
     code, payload = run_json(capsys, "verify", "--suite", "lemma4", "--q-max", "10")
     assert code == 0 and payload["failed"] == 0
@@ -810,6 +825,30 @@ def test_simulate_summary_has_exactly_its_keys_in_order(tmp_path, monkeypatch, c
         "angle_spread", "predicted_rho", "relative_error", "rms_from_initial",
         "mean_height", "steps", "dt", "max_norm_deviation", "closure_drift", "files",
     ]
+
+
+def test_simulate_summary_carries_every_report_field(tmp_path, monkeypatch, capsys):
+    # the report's fields are the summary's keys from "time" to
+    # "rms_from_initial": a field added to the report needs no CLI edit
+    @dataclasses.dataclass(frozen=True)
+    class Extended(vfe.PolygonAngleReport):
+        extra: float = 0.25
+
+    def analyze(field, config):
+        return Extended(**dataclasses.asdict(vfe.analyze_polygon(field, config)))
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "analyze_polygon", analyze)
+    code, out, _ = run_cli(
+        capsys, "simulate", "--M", "3", "--p", "1", "--q", "1",
+        "--grid", "96", "--out", "tri",
+    )
+    assert code == 0
+    summary = json.loads(out)
+    keys = list(summary)
+    at = keys.index("relative_error")
+    assert keys[at + 1:at + 3] == ["extra", "rms_from_initial"] and summary["extra"] == 0.25
+    assert (tmp_path / "tri.summary.json").read_bytes() == out.encode()
 
 
 def reference_field_csvs(prefix, field, curve):
@@ -1021,6 +1060,25 @@ def test_simulate_beyond_the_step_cap_is_usage_error(tmp_path, monkeypatch, caps
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"more than MAX_STEPS={vfe.MAX_STEPS}" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_beyond_the_step_cap_is_refused_before_the_grid(tmp_path, monkeypatch,
+                                                                  capsys):
+    # 3e6 grid points ask for ~4e11 steps of dt ~ 1.75e-12 to t = 2*pi/9:
+    # the config refuses them from the arguments, before a 72 MB field
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a field was built for a run beyond MAX_STEPS")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "initial_tangent", must_not_run)
+    code, out, err = run_cli(
+        capsys, "simulate", "--M", "3", "--p", "1", "--q", "1",
+        "--grid", "3000000", "--out", "sim",
+    )
+    assert code == 2 and out == ""
+    assert err == ("error: t_target=0.698132 needs 3.98e+11 steps of dt=1.7546e-12, "
+                   f"more than MAX_STEPS={vfe.MAX_STEPS}\n")
     assert not list(tmp_path.iterdir())
 
 

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+from polyfil.vfe import PolygonAngleReport
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,6 +32,12 @@ def test_pentagon_experiment_script(tmp_path):
     tangent = (tmp_path / "t_third.tangent.csv").read_text().splitlines()
     curve = (tmp_path / "t_third.curve.csv").read_text().splitlines()
     assert len(tangent) == 121 and len(curve) == 122
+    # each stop: its time, the report's fields in order, its distance from t = 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    keys = ["time", *(f.name for f in dataclasses.fields(PolygonAngleReport)),
+            "rms_from_initial"]
+    assert list(summary) == ["third", "two_thirds", "period"]
+    assert all(list(stop) == keys for stop in summary.values())
 
 
 def test_output_digests_script(tmp_path):

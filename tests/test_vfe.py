@@ -110,6 +110,9 @@ def test_evolve_takes_at_most_max_steps(monkeypatch):
         vfe.evolve(field, cfg.dt * vfe.MAX_STEPS, cfg)
     with pytest.raises(RangeError, match="more than MAX_STEPS"):
         vfe.evolve(field, cfg.dt * (vfe.MAX_STEPS + 10), cfg)
+    # a config whose own time is beyond the cap is refused when it is made
+    with pytest.raises(RangeError, match="more than MAX_STEPS"):
+        vfe.SimulationConfig(M=3, p=1, q=1, grid_points=3_000_000)
 
 
 def test_evolve_rejects_backward_time():
